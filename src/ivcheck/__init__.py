@@ -16,7 +16,6 @@ from .clrtest import (
     identified_set,
     run_test,
     test_model,
-    test_model_per_coordinate,
 )
 from .data import (
     CONFIG_KEYS,

@@ -1,8 +1,12 @@
 """Intersection-bounds sup test with precision correction and adaptive selection.
 
-The engine estimates each conditional moment on a grid, simulates the
-standardized estimation process, selects moments near the binding boundary,
-and reports the precision-corrected sup statistic per significance level.
+Each conditional moment is estimated on a grid by one of the linear smoothers
+of `npreg`. Given the data, the estimate is Gaussian with the smoother's
+coefficient covariance (Chernozhukov, Chetverikov and Kato 2013), so one
+`_process` draws the standardized estimation process for every method. The
+test then selects moments near the binding boundary and reports the
+precision-corrected sup statistic (Chernozhukov, Lee and Rosen 2013) per
+significance level.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .errors import (
     EmptyGrid,
     IvcheckError,
     SimulationBudgetTooSmall,
-    TooManyCells,
 )
 from .estimators import fit_boxcox, fit_iv, fit_ols
 from .moments import (
@@ -45,8 +48,13 @@ class TestConfig:
     series_order: int | None = None
     bandwidth: float | None = None
     bandwidth_scale: float = 1.0
-    kernel: str = "epanechnikov"
     mult_draws: int = 1000
+
+    def __post_init__(self):
+        if not all(0.0 < a < 1.0 for a in self.alpha_levels):
+            raise IvcheckError(f"every alpha level must lie in (0, 1), got {self.alpha_levels}")
+        if self.grid_count < 2:
+            raise IvcheckError(f"grid count must be at least 2, got {self.grid_count}")
 
 
 @dataclass(frozen=True)
@@ -147,62 +155,21 @@ def _chol_psd(cov: np.ndarray) -> np.ndarray:
     raise DegenerateVariance("coefficient covariance is not positive semidefinite")
 
 
-def _series_process(ms: MomentSystem, grid, order, rng, draws):
-    """theta, s and simulated standardized draws via Gaussian coefficient vectors."""
-    c = ms.conditioning
-    n = len(c)
-    n_base = ms.base.shape[1]
-    lo, hi = float(grid.min()), float(grid.max())
-    b = npreg.series_basis(c, order, lo, hi)
-    k1 = b.shape[1]
-    sv = np.linalg.svd(b, compute_uv=False)
-    if sv[-1] <= n * np.finfo(float).eps * sv[0]:
-        raise IvcheckError("collinear series basis; lower the order")
-    coef, *_ = np.linalg.lstsq(b, ms.base, rcond=None)  # (k1, n_base)
-    resid = ms.base - b @ coef  # (n, n_base)
-    btb_inv = np.linalg.inv(b.T @ b)
-    # joint HC0 covariance across base moments
-    cov = np.empty((n_base * k1, n_base * k1))
-    for a in range(n_base):
-        for d in range(a, n_base):
-            meat = (b * resid[:, a][:, None]).T @ (b * resid[:, d][:, None])
-            block = btb_inv @ meat @ btb_inv
-            cov[a * k1 : (a + 1) * k1, d * k1 : (d + 1) * k1] = block
-            cov[d * k1 : (d + 1) * k1, a * k1 : (a + 1) * k1] = block.T
-    bg = npreg.series_basis(grid, order, lo, hi)  # (G, k1)
-    theta_base = (bg @ coef).T  # (n_base, G)
-    s_base = np.empty_like(theta_base)
-    for a in range(n_base):
-        block = cov[a * k1 : (a + 1) * k1, a * k1 : (a + 1) * k1]
-        s_base[a] = np.sqrt(np.einsum("ij,jk,ik->i", bg, block, bg).clip(min=0.0))
-    s_base = npreg.clamp_s(s_base, theta_base)
-    chol = _chol_psd(cov)
-    eps = rng.standard_normal((draws, n_base * k1)) @ chol.T
-    zstar_base = np.empty((draws, n_base, len(grid)))
-    for a in range(n_base):
-        zstar_base[:, a, :] = (eps[:, a * k1 : (a + 1) * k1] @ bg.T) / s_base[a]
-    return theta_base, s_base, zstar_base
+def _process(smoother: npreg.Smoother, grid, rng, draws):
+    """theta, s and standardized draws of the smoother's Gaussian process on the grid.
 
-
-def _smoother_process(ms: MomentSystem, grid, a_weights, rng, draws):
-    """theta, s and multiplier-bootstrap draws for an arbitrary linear smoother."""
-    n_base = ms.base.shape[1]
-    g_count = a_weights.shape[0]
-    theta_base = a_weights @ ms.base  # (G, n_base) -> transpose below
-    theta_base = theta_base.T
-    # residuals against the fitted curve, interpolated to the sample points
-    order = np.argsort(grid)
-    rhat = np.empty_like(ms.base)
-    for a in range(n_base):
-        fitted = np.interp(ms.conditioning, grid[order], theta_base[a][order])
-        rhat[:, a] = ms.base[:, a] - fitted
-    s_base = np.sqrt((a_weights**2) @ (rhat**2)).T  # (n_base, G)
-    s_base = npreg.clamp_s(s_base, theta_base)
-    mult = rng.standard_normal((draws, ms.base.shape[0]))
-    zstar_base = np.empty((draws, n_base, g_count))
-    for a in range(n_base):
-        weighted = a_weights * rhat[:, a][None, :]  # (G, n)
-        zstar_base[:, a, :] = (mult @ weighted.T) / s_base[a]
+    Given the data, the estimate is linear in the moment values, so its
+    sampling noise is drawn exactly as N(0, cov) in coefficient space and
+    mapped to the grid through the design.
+    """
+    design = smoother.design(grid)  # (G, k)
+    theta_base, s_base = smoother.evaluate(grid)  # (n_base, G)
+    n_base, k = theta_base.shape[0], design.shape[1]
+    chol = _chol_psd(smoother.cov)
+    eps = rng.standard_normal((draws, n_base * k)) @ chol.T
+    # one (draws * n_base, k) product; a batched matmul over draws is far slower
+    zstar_base = (eps.reshape(-1, k) @ design.T).reshape(draws, n_base, -1)
+    zstar_base /= s_base
     return theta_base, s_base, zstar_base
 
 
@@ -223,12 +190,8 @@ def run_test(
     gen = rng.generator()
 
     if method == "cell-means":
+        smoother = npreg.cell_means_smoother(c, ms.base)
         grid = np.unique(c)
-        if len(grid) > npreg.MAX_CELLS:
-            raise TooManyCells(f"{len(grid)} cells exceed the cap of {npreg.MAX_CELLS}")
-        counts = np.array([(c == v).sum() for v in grid], dtype=float)
-        a_weights = (c[None, :] == grid[:, None]).astype(float) / counts[:, None]
-        theta_base, s_base, zstar_base = _smoother_process(ms, grid, a_weights, gen, cfg.mult_draws)
     else:
         if grid is None:
             grid = conditioning_grid(c, cfg.centile_lo, cfg.centile_hi, cfg.grid_count)
@@ -240,27 +203,28 @@ def run_test(
             # quadratic basis: the heavy tails of squared residuals make a
             # rich series fit too noisy to detect smooth variance deviations
             has_variance = any(m[0].startswith("var") for m in ms.moments)
-            order = cfg.series_order or (
-                VARIANCE_SERIES_ORDER if has_variance else npreg.default_series_order(n)
-            )
+            order = cfg.series_order
+            if order is None:
+                order = VARIANCE_SERIES_ORDER if has_variance else npreg.default_series_order(n)
             diagnostics["series_order"] = order
-            theta_base, s_base, zstar_base = _series_process(ms, grid, order, gen, cfg.mult_draws)
+            smoother = npreg.series_smoother(c, ms.base, order, float(grid.min()), float(grid.max()))
         elif method == "local-linear":
-            bandwidth = cfg.bandwidth or npreg.rule_of_thumb_bandwidth(c, cfg.bandwidth_scale)
+            bandwidth = cfg.bandwidth
+            if bandwidth is None:
+                bandwidth = npreg.rule_of_thumb_bandwidth(c, cfg.bandwidth_scale)
             diagnostics["bandwidth"] = bandwidth
-            a_weights, ok = npreg.local_linear_weights(c, grid, bandwidth, cfg.kernel)
+            smoother, ok = npreg.local_linear_smoother(c, ms.base, grid, bandwidth)
             if not np.all(ok):
                 warnings.warn(
                     f"dropping {int((~ok).sum())} grid points with empty kernel windows",
                     stacklevel=2,
                 )
                 grid = grid[ok]
-                a_weights = a_weights[ok]
                 if grid.size == 0:
                     raise EmptyGrid("all grid points have empty kernel windows")
-            theta_base, s_base, zstar_base = _smoother_process(ms, grid, a_weights, gen, cfg.mult_draws)
         else:
             raise IvcheckError(f"unknown estimation method {method!r}")
+    theta_base, s_base, zstar_base = _process(smoother, grid, gen, cfg.mult_draws)
 
     floor = npreg.S_FLOOR * (1.0 + np.abs(theta_base))
     if np.all(s_base <= floor):
@@ -343,15 +307,6 @@ def test_model(
     report = run_test(ms, None, cfg, rng)
     report.diagnostics["first_step"] = _fit_summary(fit)
     return report
-
-
-def test_model_per_coordinate(ds, spec, cfg=TestConfig(), rng=RngSpec()):
-    """Conservative per-coordinate projection for multivariate conditioning columns."""
-    k = ds.k_z if spec.conditioning is Conditioning.ON_Z else ds.k_x
-    return {
-        j: test_model(ds, spec, cfg, replace(rng, stream=rng.stream + j), coordinate=j)
-        for j in range(k)
-    }
 
 
 def _fit_summary(fit):

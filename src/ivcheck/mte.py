@@ -6,15 +6,15 @@ Used as the fallback when the parametric specification test rejects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, empirical_quantile
 from .errors import InsufficientData, IvcheckError, MissingBounds, OffSupport
 from .npreg import (
-    KERNELS,
-    fit_cell_means,
+    cell_means_weights,
+    epanechnikov,
     local_linear_weights,
     rule_of_thumb_bandwidth,
 )
@@ -53,11 +53,6 @@ def _percentile_grid(values: np.ndarray, count: int, lo=0.01, hi=0.99) -> np.nda
     return np.linspace(a, b, count)
 
 
-def _interp_clamped(point, grid, values):
-    """1-d linear interpolation, clamped to the grid endpoints."""
-    return np.interp(point, grid, values)
-
-
 @dataclass(frozen=True)
 class PropensityFit:
     z_grid: np.ndarray
@@ -70,8 +65,8 @@ class PropensityFit:
     def evaluate(self, z, x) -> float:
         """Bilinear interpolation of the fitted surface, clamped to [0, 1]."""
         zi = np.clip(np.searchsorted(self.z_grid, z) - 1, 0, len(self.z_grid) - 2)
-        row_lo = _interp_clamped(x, self.x_grid, self.surface[zi])
-        row_hi = _interp_clamped(x, self.x_grid, self.surface[zi + 1])
+        row_lo = np.interp(x, self.x_grid, self.surface[zi])
+        row_hi = np.interp(x, self.x_grid, self.surface[zi + 1])
         dz = self.z_grid[zi + 1] - self.z_grid[zi]
         t = np.clip((z - self.z_grid[zi]) / dz, 0.0, 1.0) if dz > 0 else 0.0
         return float(np.clip((1 - t) * row_lo + t * row_hi, 0.0, 1.0))
@@ -79,7 +74,7 @@ class PropensityFit:
     def support_p_given_x(self, x):
         """[p_lo, p_hi]: range of the fitted propensity over the instrument grid."""
         col = np.clip(
-            np.array([_interp_clamped(x, self.x_grid, row) for row in self.surface]),
+            np.array([np.interp(x, self.x_grid, row) for row in self.surface]),
             0.0,
             1.0,
         )
@@ -105,22 +100,17 @@ def fit_propensity(
     z = ds.z[:, 0]
     x_grid = _percentile_grid(x, x_grid_count)
     if method == "cell-means":
-        z_grid = np.unique(z)
-        surface = np.empty((len(z_grid), len(x_grid)))
-        for j, xv in enumerate(x_grid):
-            cm = fit_cell_means((x <= xv).astype(float), z)
-            surface[:, j] = [cm.cells[float(v)][0] for v in z_grid]
+        z_grid, a = cell_means_weights(z)
     elif method == "local-linear":
         z_grid = _percentile_grid(z, z_grid_count)
-        h = bandwidth or rule_of_thumb_bandwidth(z, bandwidth_scale)
-        a, ok = local_linear_weights(z, z_grid, h)
-        if not np.all(ok):
-            z_grid = z_grid[ok]
-            a = a[ok]
-        indicators = (x[None, :] <= x_grid[:, None]).astype(float)  # (gx, n)
-        surface = a @ indicators.T  # (gz, gx)
+        if bandwidth is None:
+            bandwidth = rule_of_thumb_bandwidth(z, bandwidth_scale)
+        a, ok = local_linear_weights(z, z_grid, bandwidth)
+        z_grid, a = z_grid[ok], a[ok]
     else:
         raise IvcheckError(f"unknown propensity method {method!r}")
+    indicators = (x[None, :] <= x_grid[:, None]).astype(float)  # (gx, n)
+    surface = a @ indicators.T  # (gz, gx)
     surface = np.clip(surface, 0.0, 1.0)
     mono = {}
     iso = np.empty_like(surface)
@@ -189,12 +179,10 @@ class ControlFunctionFit:
     y: np.ndarray
     bandwidth_x: float
     bandwidth_p: float
-    kernel: str = "epanechnikov"
-    y_grid: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def _weights(self, x0: float, p0: float) -> np.ndarray | None:
-        kfun = KERNELS[self.kernel]
-        k = kfun((self.x - x0) / self.bandwidth_x) * kfun((self.v_hat - p0) / self.bandwidth_p)
+        k = (epanechnikov((self.x - x0) / self.bandwidth_x)
+             * epanechnikov((self.v_hat - p0) / self.bandwidth_p))
         if np.count_nonzero(k) < MIN_EFFECTIVE_OBS:
             return None
         return k
@@ -241,7 +229,6 @@ def fit_control_function(
     bandwidth_x: float | None = None,
     bandwidth_p: float | None = None,
     bandwidth_scale: float = 1.0,
-    y_grid_count: int = 25,
 ) -> ControlFunctionFit:
     """Bivariate local-linear surfaces of Y (and of 1{Y<=y}) on (X, v_hat)."""
     if len(pf.v_hat) != ds.n:
@@ -251,14 +238,12 @@ def fit_control_function(
     # per-coordinate rule of thumb for the bivariate fit
     hx = bandwidth_x or bandwidth_scale * 1.06 * np.std(x) * n ** (-1.0 / 6.0)
     hp = bandwidth_p or bandwidth_scale * 1.06 * max(np.std(pf.v_hat), 0.05) * n ** (-1.0 / 6.0)
-    y_grid = np.quantile(ds.y, np.linspace(0.02, 0.98, y_grid_count))
     return ControlFunctionFit(
         x=x,
         v_hat=pf.v_hat,
         y=ds.y,
         bandwidth_x=float(hx),
         bandwidth_p=float(hp),
-        y_grid=y_grid,
     )
 
 
@@ -432,49 +417,3 @@ def quantile_roundtrip_check(ds: Dataset, max_cells: int = 50, bins: int = 10) -
         q = xc[np.clip(k, 0, nc - 1)]
         violations += int(np.sum(q != x[cells == cell]))
     return violations
-
-
-def outcome_rank_uniformity(
-    cf: ControlFunctionFit,
-    rng: np.random.Generator,
-    sample: int = 500,
-) -> float:
-    """KS distance to U[0, 1] of the estimated conditional outcome ranks.
-
-    Mass points on the discretized CDF are smoothed by drawing uniformly
-    between the CDF values at the adjacent grid points.
-    """
-    n = len(cf.y)
-    idx = np.arange(n) if n <= sample else rng.choice(n, size=sample, replace=False)
-    u = []
-    y_grid = cf.y_grid
-    for i in idx:
-        x0, p0, yi = cf.x[i], cf.v_hat[i], cf.y[i]
-        if not cf.on_support(x0, p0):
-            continue
-        j = np.searchsorted(y_grid, yi, side="right")
-        y_right = y_grid[min(j, len(y_grid) - 1)] if j < len(y_grid) else y_grid[-1]
-        y_left = y_grid[j - 1] if j > 0 else y_grid[0]
-        cdf = cf.cond_cdf(x0, p0, np.array([y_left, y_right]))
-        lo, hi = float(cdf[0]), float(cdf[1])
-        if yi <= y_grid[0]:
-            lo = 0.0
-        if yi >= y_grid[-1]:
-            hi = 1.0
-        u.append(rng.uniform(min(lo, hi), max(lo, hi)) if hi > lo else lo)
-    return ks_distance_uniform(np.asarray(u))
-
-
-def residualize(ds: Dataset, controls: np.ndarray) -> Dataset:
-    """Partial a linear control block out of y, x and z (with intercept)."""
-    c = np.asarray(controls, dtype=float)
-    if c.ndim == 1:
-        c = c[:, None]
-    d = np.column_stack([np.ones(ds.n), c])
-    def _resid(col):
-        b, *_ = np.linalg.lstsq(d, col, rcond=None)
-        return col - d @ b
-    y = _resid(ds.y)
-    x = np.column_stack([_resid(ds.x[:, j]) for j in range(ds.k_x)])
-    z = np.column_stack([_resid(ds.z[:, j]) for j in range(ds.k_z)])
-    return Dataset(y=y, x=x, z=z, column_names=ds.column_names)

@@ -1,14 +1,20 @@
-"""Nonparametric conditional-mean estimation with pointwise standard errors.
+"""Nonparametric conditional means as linear smoothers.
 
-Three linear smoothers: polynomial series regression, local linear kernel
-regression (Epanechnikov by default), and exact cell means for discrete
-conditioning variables.
+Polynomial series regression, local linear regression with an Epanechnikov
+kernel, and exact cell means for discrete conditioning variables are all
+linear in the values they smooth: theta(v) = L(v) @ coef with coef = P @ W.
+A `Smoother` holds the design map L, the coefficients and each observation's
+influence on them. Pointwise standard errors, and the Gaussian process the
+sup test simulates, both come from the one coefficient covariance this gives.
+The `fit_*` functions wrap the same smoothers for a single column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -55,13 +61,6 @@ def epanechnikov(u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u**2), 0.0)
 
 
-def gaussian_kernel(u: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * u**2) / np.sqrt(2.0 * np.pi)
-
-
-KERNELS = {"epanechnikov": epanechnikov, "gaussian": gaussian_kernel}
-
-
 def clamp_s(s: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Floor degenerate standard errors so the standardized process stays finite."""
     floor = S_FLOOR * (1.0 + np.abs(theta))
@@ -80,180 +79,205 @@ def series_basis(z: np.ndarray, order: int, lo: float, hi: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CondMeanFit:
-    """Fitted conditional mean, evaluable pointwise with a standard error."""
+class Smoother:
+    """theta(v) = design(v) @ coef for each column of W, with coef = P @ W.
 
-    method: NpregMethod
-    basis: dict = field(default_factory=dict)
-    # series payload
-    coef: np.ndarray | None = None
-    coef_cov: np.ndarray | None = None
-    # local-linear / cell-means payload
-    z: np.ndarray | None = None
-    w: np.ndarray | None = None
-    bandwidth: float | None = None
-    kernel: str = "epanechnikov"
-    cells: dict | None = None
+    psi[a, j, i] is observation i's influence on coef[j, a], so the HC0
+    covariance of the coefficients, stacked column by column of W, is
+    flat(psi) @ flat(psi).T.
+    """
+
+    design: Callable  # v (G,) -> L (G, k)
+    coef: np.ndarray  # (k, m)
+    psi: np.ndarray  # (m, k, n)
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        flat = self.psi.reshape(-1, self.psi.shape[-1])
+        return flat @ flat.T
 
     def evaluate(self, v):
-        """Return (theta_hat, s) at scalar or vector v."""
-        v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        if self.method is NpregMethod.SERIES:
-            b = series_basis(v_arr, self.basis["order"], self.basis["lo"], self.basis["hi"])
-            theta = b @ self.coef
-            s = np.sqrt(np.einsum("ij,jk,ik->i", b, self.coef_cov, b).clip(min=0.0))
-        elif self.method is NpregMethod.LOCAL_LINEAR:
-            a, ok = local_linear_weights(self.z, v_arr, self.bandwidth, self.kernel)
-            if not np.all(ok):
-                raise EmptyWindow(v_arr[~ok].tolist())
-            theta = a @ self.w
-            # pointwise sandwich from local residuals
-            s = np.empty_like(theta)
-            for i, point in enumerate(v_arr):
-                r = self.w - _local_line(self.z, self.w, point, self.bandwidth, self.kernel)
-                s[i] = np.sqrt(np.sum((a[i] * r) ** 2))
-        else:
-            theta = np.empty_like(v_arr)
-            s = np.empty_like(v_arr)
-            for i, point in enumerate(v_arr):
-                key = _cell_key(point)
-                if key not in self.cells:
-                    raise EmptyWindow([point])
-                mean, se, _ = self.cells[key]
-                theta[i] = mean
-                s[i] = se
-        s = clamp_s(s, theta)
-        if np.isscalar(v) or np.asarray(v).ndim == 0:
-            return float(theta[0]), float(s[0])
-        return theta, s
-
-    @property
-    def v_set(self) -> np.ndarray | None:
-        """Natural evaluation points (cell means only)."""
-        if self.method is NpregMethod.CELL_MEANS:
-            return np.array(sorted(self.cells))
-        return None
+        """theta and floored pointwise standard errors at v, each (m, len(v))."""
+        design = self.design(np.atleast_1d(np.asarray(v, dtype=float)))
+        k = len(self.coef)
+        theta = (design @ self.coef).T
+        s = np.empty_like(theta)
+        for a in range(len(s)):
+            block = self.cov[a * k : (a + 1) * k, a * k : (a + 1) * k]
+            s[a] = np.sqrt(np.einsum("ij,jk,ik->i", design, block, design).clip(min=0.0))
+        return theta, clamp_s(s, theta)
 
 
-def robust_coef_cov(b: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """HC0 sandwich covariance of least-squares coefficients."""
-    btb_inv = np.linalg.inv(b.T @ b)
-    meat = (b * resid[:, None]).T @ (b * resid[:, None])
-    return btb_inv @ meat @ btb_inv
+def _point_design(points, v):
+    """Selector rows: the coefficients are the fit at `points` themselves."""
+    hit = v[:, None] == points[None, :]
+    found = hit.any(axis=1)
+    if not np.all(found):
+        raise EmptyWindow(v[~found].tolist())
+    return np.eye(len(points))[hit.argmax(axis=1)]
 
 
-def fit_series(w, z, order: int | None = None) -> CondMeanFit:
-    """Polynomial series regression of w on z, robust coefficient covariance."""
-    w = np.asarray(w, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
+def series_smoother(z, w, order: int, lo: float, hi: float) -> Smoother:
+    """Least squares of each column of w (n, m) on the Legendre basis over [lo, hi]."""
     n = len(z)
-    if order is None:
-        order = default_series_order(n)
-    if order < 1:
-        raise InsufficientData("series order must be >= 1")
-    if n <= order + 1:
-        raise InsufficientData(f"need n > order + 1 (n={n}, order={order})")
-    lo, hi = float(z.min()), float(z.max())
+    if not 1 <= order < n - 1:
+        raise InsufficientData(f"series order must satisfy 1 <= order < n - 1 "
+                               f"(n={n}, order={order})")
     if not lo < hi:
         raise RankDeficient("conditioning variable is constant")
     b = series_basis(z, order, lo, hi)
-    sv = np.linalg.svd(b, compute_uv=False)
+    # one thin SVD gives the rank check, the pseudo-inverse and the coefficients
+    u, sv, vt = np.linalg.svd(b, full_matrices=False)
     if sv[-1] <= n * np.finfo(float).eps * sv[0]:
         raise RankDeficient("collinear series basis; lower the order")
-    coef, *_ = np.linalg.lstsq(b, w, rcond=None)
+    pinv = (vt.T / sv) @ u.T  # (k, n)
+    coef = pinv @ w
     resid = w - b @ coef
-    cov = robust_coef_cov(b, resid)
-    return CondMeanFit(
-        method=NpregMethod.SERIES,
-        basis={"order": order, "lo": lo, "hi": hi},
-        coef=coef,
-        coef_cov=cov,
-    )
+    design = partial(series_basis, order=order, lo=lo, hi=hi)
+    return Smoother(design, coef, pinv[None] * resid.T[:, None, :])
 
 
-def local_linear_weights(z, grid, bandwidth: float, kernel: str = "epanechnikov"):
-    """Smoother weight matrix A (grid x n) with theta(grid) = A w.
+def _positive(bandwidth) -> float:
+    if not bandwidth > 0:
+        raise InsufficientData("bandwidth must be positive")
+    return float(bandwidth)
 
-    Returns (A, ok) where ok flags grid points whose kernel window supports a
-    non-degenerate local line; rows with ok=False are zero.
+
+def _local_linear_pass(z, grid, bandwidth):
+    """Intercept and slope weights of the kernel-weighted line at each grid point.
+
+    Returns (a, slope, du, ok) with du = z - grid; ok flags grid points whose
+    kernel window supports a non-degenerate local line, and the weight rows
+    of the others are zero.
     """
+    bandwidth = _positive(bandwidth)
     z = np.asarray(z, dtype=float).ravel()
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    kfun = KERNELS[kernel]
-    u = (z[None, :] - grid[:, None]) / bandwidth
-    k = kfun(u)
     du = z[None, :] - grid[:, None]
+    k = epanechnikov(du / bandwidth)
     s0 = k.sum(axis=1)
     s1 = (k * du).sum(axis=1)
     s2 = (k * du**2).sum(axis=1)
     denom = s0 * s2 - s1**2
     scale = np.maximum(s0 * np.maximum(s2, bandwidth**2), 1e-300)
     ok = (s0 > 0) & (denom > 1e-12 * scale)
-    a = np.zeros_like(k)
-    safe = np.where(ok, denom, 1.0)
-    a[ok] = (k * (s2[:, None] - s1[:, None] * du))[ok] / safe[ok, None]
+    safe = np.where(ok, denom, 1.0)[:, None]
+    a = np.where(ok[:, None], k * (s2[:, None] - s1[:, None] * du) / safe, 0.0)
+    slope = np.where(ok[:, None], k * (s0[:, None] * du - s1[:, None]) / safe, 0.0)
+    return a, slope, du, ok
+
+
+def local_linear_weights(z, grid, bandwidth: float):
+    """Smoother weight matrix A (grid x n) with theta(grid) = A w.
+
+    Returns (A, ok) where ok flags grid points whose kernel window supports a
+    non-degenerate local line; rows with ok=False are zero.
+    """
+    a, _, _, ok = _local_linear_pass(z, grid, bandwidth)
     return a, ok
 
 
-def _local_line(z, w, point, bandwidth, kernel):
-    """Fitted local line at each z_i from the regression centered at `point`."""
-    kfun = KERNELS[kernel]
-    du = z - point
-    k = kfun(du / bandwidth)
-    s0, s1, s2 = k.sum(), (k * du).sum(), (k * du**2).sum()
-    sw0, sw1 = (k * w).sum(), (k * du * w).sum()
-    denom = s0 * s2 - s1**2
-    if denom <= 0:
-        return np.full_like(z, w[k > 0].mean() if np.any(k > 0) else 0.0)
-    alpha = (s2 * sw0 - s1 * sw1) / denom
-    slope = (s0 * sw1 - s1 * sw0) / denom
-    return alpha + slope * du
+def local_linear_smoother(z, w, grid, bandwidth: float):
+    """Local lines of each column of w (n, m) at the grid points.
+
+    Returns (smoother, ok). Each residual comes from the grid point's own
+    local line. Grid points with ok=False are left out of the smoother.
+    """
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    a, slope, du, ok = _local_linear_pass(z, grid, bandwidth)
+    a, slope, du = a[ok], slope[ok], du[ok]
+    coef = a @ w  # (G, m)
+    beta = slope @ w
+    resid = w.T[:, None, :] - coef.T[:, :, None] - beta.T[:, :, None] * du[None]
+    return Smoother(partial(_point_design, grid[ok]), coef, a[None] * resid), ok
 
 
-def fit_local_linear(w, z, bandwidth=None, kernel: str = "epanechnikov",
-                     bandwidth_scale: float = 1.0) -> CondMeanFit:
+def cell_means_weights(z):
+    """Cell values and the weights (cells x n) that average within each cell."""
+    values, inverse, counts = np.unique(
+        np.asarray(z, dtype=float).ravel(), return_inverse=True, return_counts=True
+    )
+    if len(values) > MAX_CELLS:
+        raise TooManyCells(f"{len(values)} distinct values exceed the cap of {MAX_CELLS}")
+    member = inverse[None, :] == np.arange(len(values))[:, None]
+    return values, member / counts[:, None]
+
+
+def cell_means_smoother(z, w) -> Smoother:
+    """Within-cell means of each column of w (n, m), with ddof=1 standard errors."""
+    values, a = cell_means_weights(z)
+    coef = a @ w
+    counts = np.count_nonzero(a, axis=1)
+    # a singleton cell has no within-cell variance to estimate
+    ddof1 = np.where(counts > 1, np.sqrt(counts / np.maximum(counts - 1, 1)), 0.0)
+    resid = w.T[:, None, :] - coef.T[:, :, None]
+    return Smoother(partial(_point_design, values), coef, (a * ddof1[:, None])[None] * resid)
+
+
+@dataclass(frozen=True)
+class CondMeanFit:
+    """Fitted conditional mean, evaluable pointwise with a standard error."""
+
+    method: NpregMethod
+    basis: dict = field(default_factory=dict)
+    smoother: Smoother | None = None  # series and cell means
+    # local linear: the fit at the evaluation points is the smoother's
+    # coefficient vector, so it is built on each call of `evaluate`
+    z: np.ndarray | None = None
+    w: np.ndarray | None = None
+    bandwidth: float | None = None
+
+    def evaluate(self, v):
+        """Return (theta_hat, s) at scalar or vector v."""
+        v_arr = np.atleast_1d(np.asarray(v, dtype=float))
+        smoother = self.smoother
+        if smoother is None:
+            smoother, _ = local_linear_smoother(self.z, self.w[:, None], v_arr, self.bandwidth)
+        theta, s = smoother.evaluate(v_arr)
+        if np.isscalar(v) or np.asarray(v).ndim == 0:
+            return float(theta[0, 0]), float(s[0, 0])
+        return theta[0], s[0]
+
+
+def _column(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).ravel()
+
+
+def fit_series(w, z, order: int | None = None) -> CondMeanFit:
+    """Polynomial series regression of w on z, HC0 standard errors."""
+    w, z = _column(w), _column(z)
+    if order is None:
+        order = default_series_order(len(z))
+    lo, hi = float(z.min()), float(z.max())
+    return CondMeanFit(
+        method=NpregMethod.SERIES,
+        basis={"order": order, "lo": lo, "hi": hi},
+        smoother=series_smoother(z, w[:, None], order, lo, hi),
+    )
+
+
+def fit_local_linear(w, z, bandwidth=None, bandwidth_scale: float = 1.0) -> CondMeanFit:
     """Local linear regression of w on z with an Epanechnikov kernel."""
-    w = np.asarray(w, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
+    w, z = _column(w), _column(z)
     if len(z) < 10:
         raise InsufficientData("local linear regression needs n >= 10")
     if bandwidth is None:
         bandwidth = rule_of_thumb_bandwidth(z, bandwidth_scale)
-    if bandwidth <= 0:
-        raise InsufficientData("bandwidth must be positive")
+    bandwidth = _positive(bandwidth)
     return CondMeanFit(
         method=NpregMethod.LOCAL_LINEAR,
-        basis={"bandwidth": float(bandwidth), "kernel": kernel},
+        basis={"bandwidth": bandwidth},
         z=z,
         w=w,
-        bandwidth=float(bandwidth),
-        kernel=kernel,
+        bandwidth=bandwidth,
     )
-
-
-def _cell_key(value: float) -> float:
-    return float(value)
 
 
 def fit_cell_means(w, z) -> CondMeanFit:
     """Exact within-cell means for a discrete conditioning variable (<= 50 cells)."""
-    w = np.asarray(w, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
-    values = np.unique(z)
-    if len(values) > MAX_CELLS:
-        raise TooManyCells(f"{len(values)} distinct values exceed the cap of {MAX_CELLS}")
-    cells = {}
-    for value in values:
-        mask = z == value
-        wc = w[mask]
-        nc = len(wc)
-        mean = float(wc.mean())
-        se = float(np.sqrt(wc.var(ddof=1) / nc)) if nc > 1 else 0.0
-        cells[_cell_key(value)] = (mean, se, nc)
+    smoother = cell_means_smoother(_column(z), _column(w)[:, None])
     return CondMeanFit(
         method=NpregMethod.CELL_MEANS,
-        basis={"cells": len(cells)},
-        z=z,
-        w=w,
-        cells=cells,
+        basis={"cells": len(smoother.coef)},
+        smoother=smoother,
     )

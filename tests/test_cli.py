@@ -106,11 +106,17 @@ def test_mte_subcommand(tmp_path, capsys):
     from ivcheck.data import Dataset
     p = tmp_path / "mte.csv"
     write_csv(Dataset(y=y, x=x, z=z), p)
+    out_csv = tmp_path / "mte-out.csv"
     code = main(_args(str(p), "mte", "--x", "2.2", "--x-prime", "1.8",
-                      "--asf-x", "2.0"))
+                      "--asf-x", "2.0", "--out", str(out_csv)))
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "mte" in out.lower()
+    with open(out_csv) as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["p", "mte", "x", "asf"]
+    assert rows[-1]["asf"] and not rows[0]["asf"]
 
 
 def test_simulate_smoke(tmp_path, capsys):
@@ -123,6 +129,23 @@ def test_simulate_smoke(tmp_path, capsys):
     assert len(rows) == 3  # one row per alpha level
     assert {"dgp", "method", "alpha", "rejection_rate", "replications",
             "mc_se", "failures"} <= set(rows[0])
+
+
+@pytest.mark.parametrize("config", [
+    "npreg.method = local-linear\nnpreg.bandwidth = -1\n",
+    "npreg.method = local-linear\nnpreg.bandwidth = 0\n",
+    "test.alpha_levels = 1.5\n",
+    "grid.count = 1\n",
+])
+def test_bad_config_values_exit_one(null_csv, tmp_path, capsys, config):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config)
+    code = main(_args(null_csv, "test", "--config", str(cfg)))
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_missing_file_exits_one(capsys):

@@ -6,8 +6,9 @@ from ivcheck.clrtest import TestConfig as Cfg
 from ivcheck.clrtest import first_step_fit, identified_set, run_test
 from ivcheck.clrtest import test_model as model_test
 from ivcheck.data import Dataset, RngSpec
-from ivcheck.errors import EmptyGrid, SimulationBudgetTooSmall
+from ivcheck.errors import EmptyGrid, InsufficientData, SimulationBudgetTooSmall
 from ivcheck.estimators import fit_iv
+from ivcheck.npreg import fit_cell_means, fit_local_linear, fit_series
 from ivcheck.moments import (
     Conditioning,
     ModelForm,
@@ -126,6 +127,33 @@ def test_simulation_budget_guard():
     ms = _one_sided(g.standard_normal(100), g.uniform(-1, 1, 100), "small budget")
     with pytest.raises(SimulationBudgetTooSmall):
         run_test(ms, None, Cfg(mult_draws=50), RngSpec(seed=12))
+
+
+@pytest.mark.parametrize("cfg, fitter", [
+    (Cfg(method="series", series_order=6), lambda w, z: fit_series(w, z, 6)),
+    (Cfg(method="local-linear", bandwidth=0.3), lambda w, z: fit_local_linear(w, z, 0.3)),
+    (Cfg(method="cell-means"), lambda w, z: fit_cell_means(w, z)),
+])
+def test_run_test_matches_public_fit(cfg, fitter):
+    g = np.random.default_rng(12)
+    n = 800
+    z = g.uniform(-1, 1, n)
+    if cfg.method == "cell-means":
+        z = np.round(4 * z)
+    w = np.sin(2 * z) + (0.5 + z**2) * g.standard_normal(n)
+    report = run_test(_one_sided(w, z, "w"), None, cfg, RngSpec(seed=0))
+    theta, s = fitter(w, z).evaluate(report.grid)
+    assert np.allclose(report.theta[0], theta, rtol=0, atol=1e-10)
+    assert np.allclose(report.s[0], s, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("order", [49, 60])
+def test_series_order_must_stay_below_n_minus_one(order):
+    g = np.random.default_rng(13)
+    z = g.uniform(-1, 1, 50)
+    ms = _one_sided(g.standard_normal(50), z, "w")
+    with pytest.raises(InsufficientData):
+        run_test(ms, None, Cfg(series_order=order), RngSpec(seed=0))
 
 
 def test_first_step_fit_dispatch():
