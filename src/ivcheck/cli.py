@@ -1,5 +1,11 @@
 """Command-line interface.
 
+`main` reads `--config`, resolves the seed, runs one `_cmd_*` (which only
+computes) and writes its rows to `--out` and a run record to `--manifest`. A
+flag overrides the config file: `--seed`, `--reps` and `--method` beat
+`rng.seed`, `sim.replications` and `npreg.method`. `test` and `identified-set`
+decide at `--alpha` (default 0.05), added to the computed levels if missing.
+
 Exit codes: 0 success (including a test that fails to reject), 2 when the
 `test` subcommand rejects its null hypothesis, 1 on any error.
 """
@@ -8,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-from dataclasses import replace
 import json
 import sys
 import time
@@ -16,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .clrtest import TestConfig, identified_set, test_model
+from .clrtest import DEFAULT_ALPHAS, TestConfig, identified_set, test_model
 from .data import CONFIG_KEYS, RngSpec, load_csv, parse_config
 from .errors import IvcheckError
 from .estimators import fit_boxcox, fit_gmm2step, fit_iv, fit_ols, polynomial_instruments
@@ -38,6 +43,19 @@ EXIT_REJECT = 2
 
 _CONFIG_HELP = "config file with `key = value` lines; keys: " + ", ".join(sorted(CONFIG_KEYS))
 
+# config key -> TestConfig field
+_TEST_CONFIG_FIELDS = {
+    "grid.count": "grid_count",
+    "grid.centile_lo": "centile_lo",
+    "grid.centile_hi": "centile_hi",
+    "test.alpha_levels": "alpha_levels",
+    "npreg.method": "method",
+    "npreg.series_order": "series_order",
+    "npreg.bandwidth": "bandwidth",
+    "npreg.bandwidth_scale": "bandwidth_scale",
+    "sim.multiplier_draws": "mult_draws",
+}
+
 
 def _add_data_args(p):
     p.add_argument("data", help="input CSV file")
@@ -47,8 +65,19 @@ def _add_data_args(p):
                    help="comma-separated instrument columns (default: same as --x-cols)")
 
 
+def _add_test_args(p):
+    p.add_argument("--conditioning", choices=["z", "x"], default="z",
+                   help="condition moments on the instrument (z) or the regressor (x)")
+    p.add_argument("--method", choices=["series", "local-linear", "cell-means"], default=None,
+                   help="conditional-mean estimator; overrides npreg.method "
+                        "(default: npreg.method, else series)")
+    p.add_argument("--alpha", type=float, default=0.05,
+                   help="level of the decision, added to the computed levels (default: 0.05)")
+
+
 def _add_common_args(p):
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed; overrides rng.seed (default: rng.seed, else 0)")
     p.add_argument("--config", default=None, help=_CONFIG_HELP)
     p.add_argument("--out", default=None, help="write results as CSV to this path")
     p.add_argument("--manifest", default=None, help="write a JSON run manifest to this path")
@@ -60,47 +89,29 @@ def _load(args):
     return load_csv(args.data, args.y_col, x_cols, z_cols)
 
 
+def _alpha_levels(text: str) -> tuple:
+    try:
+        return tuple(float(a) for a in text.split(","))
+    except ValueError:
+        raise IvcheckError(
+            f"config key test.alpha_levels: expected comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _test_config(args, config: dict) -> TestConfig:
-    kwargs = {}
-    if "grid.count" in config:
-        kwargs["grid_count"] = config["grid.count"]
-    if "grid.centile_lo" in config:
-        kwargs["centile_lo"] = config["grid.centile_lo"]
-    if "grid.centile_hi" in config:
-        kwargs["centile_hi"] = config["grid.centile_hi"]
-    if "test.alpha_levels" in config:
-        kwargs["alpha_levels"] = tuple(
-            float(a) for a in config["test.alpha_levels"].split(",")
-        )
-    if "npreg.method" in config:
-        kwargs["method"] = config["npreg.method"]
-    if "npreg.series_order" in config:
-        kwargs["series_order"] = config["npreg.series_order"]
-    if "npreg.bandwidth" in config:
-        kwargs["bandwidth"] = config["npreg.bandwidth"]
-    if "npreg.bandwidth_scale" in config:
-        kwargs["bandwidth_scale"] = config["npreg.bandwidth_scale"]
-    if "sim.multiplier_draws" in config:
-        kwargs["mult_draws"] = config["sim.multiplier_draws"]
+    kwargs = {field: config[key] for key, field in _TEST_CONFIG_FIELDS.items() if key in config}
+    if "alpha_levels" in kwargs:
+        kwargs["alpha_levels"] = _alpha_levels(kwargs["alpha_levels"])
     if getattr(args, "method", None):
         kwargs["method"] = args.method
+    alpha = getattr(args, "alpha", None)
+    levels = kwargs.get("alpha_levels", DEFAULT_ALPHAS)
+    if alpha is not None and alpha not in levels:
+        kwargs["alpha_levels"] = tuple(sorted((*levels, alpha), reverse=True))
     return TestConfig(**kwargs)
 
 
-def _model_spec(args) -> ModelSpec:
-    assumptions = {Assumption.EXOGENEITY}
-    if getattr(args, "homoskedastic", False):
-        assumptions.add(Assumption.HOMOSKEDASTICITY)
-    return ModelSpec(
-        form=ModelForm.BOXCOX if args.form == "boxcox" else ModelForm.LINEAR,
-        conditioning=Conditioning.ON_Z if args.conditioning == "z" else Conditioning.ON_X,
-        assumptions=frozenset(assumptions),
-    )
-
-
 def _write_csv(path, rows):
-    if not rows:
-        return
     with open(path, "w", newline="") as fh:
         # rows of different kinds (MTE and ASF) share one file: union of keys
         fieldnames = list(dict.fromkeys(key for row in rows for key in row))
@@ -109,22 +120,22 @@ def _write_csv(path, rows):
         writer.writerows(rows)
 
 
-def _write_manifest(path, args, extra=None):
+def _write_manifest(path, command, seed, exit_code, extra):
     manifest = {
         "tool": "ivcheck",
         "version": __version__,
-        "command": sys.argv[1:],
-        "seed": getattr(args, "seed", None),
+        "command": command,
+        "seed": seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "exit_code": exit_code,
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 
-def _cmd_fit(args):
+def _cmd_fit(args, config):
     ds = _load(args)
     if args.form == "boxcox":
         fit = fit_boxcox(ds, use_iv=args.estimator == "iv")
@@ -143,60 +154,46 @@ def _cmd_fit(args):
             rows.append({"coefficient": name, "estimate": float(b), "std_error": float(s)})
         if fit.first_stage_f is not None:
             print(f"  first-stage F = {fit.first_stage_f:.3f}")
-    if args.out:
-        _write_csv(args.out, rows)
-    if args.manifest:
-        _write_manifest(args.manifest, args)
-    return EXIT_OK
+    return EXIT_OK, rows, {}
 
 
-def _cmd_test(args):
-    ds = _load(args)
-    config = parse_config(args.config) if args.config else {}
-    seed = config.get("rng.seed", args.seed)
+def _cmd_test(args, config):
     cfg = _test_config(args, config)
-    report = test_model(ds, _model_spec(args), cfg, RngSpec(seed=seed))
+    assumptions = {Assumption.EXOGENEITY}
+    if args.homoskedastic:
+        assumptions.add(Assumption.HOMOSKEDASTICITY)
+    spec = ModelSpec(
+        form=ModelForm.BOXCOX if args.form == "boxcox" else ModelForm.LINEAR,
+        conditioning=Conditioning(args.conditioning),
+        assumptions=frozenset(assumptions),
+    )
+    report = test_model(_load(args), spec, cfg, RngSpec(seed=args.seed))
     print(report.summary())
-    if args.out:
-        _write_csv(args.out, report.to_rows())
-    if args.manifest:
-        _write_manifest(args.manifest, args, {"seed": seed})
-    alpha = args.alpha if args.alpha is not None else cfg.alpha_levels[1] if len(
-        cfg.alpha_levels) > 1 else cfg.alpha_levels[0]
-    if alpha not in report.levels:
-        raise IvcheckError(f"alpha {alpha} not among the computed levels {cfg.alpha_levels}")
-    return EXIT_REJECT if report.reject(alpha) else EXIT_OK
+    code = EXIT_REJECT if report.reject(args.alpha) else EXIT_OK
+    return code, report.to_rows(), {}
 
 
-def _cmd_overid(args):
+def _cmd_overid(args, config):
     ds = _load(args)
     instrument_fn = polynomial_instruments(args.degree)
     report = (sargan(ds, instrument_fn=instrument_fn) if args.statistic == "sargan"
               else hansen_j(ds, instrument_fn=instrument_fn))
     print(f"{report.method.value}: statistic = {report.statistic:.6f}, "
           f"dof = {report.dof}, p = {report.p_value:.6f}")
-    if args.out:
-        _write_csv(args.out, [{
-            "method": report.method.value,
-            "statistic": report.statistic,
-            "dof": report.dof,
-            "p_value": report.p_value,
-        }])
-    if args.manifest:
-        _write_manifest(args.manifest, args)
-    return EXIT_OK
+    rows = [{
+        "method": report.method.value,
+        "statistic": report.statistic,
+        "dof": report.dof,
+        "p_value": report.p_value,
+    }]
+    return EXIT_OK, rows, {}
 
 
-def _cmd_identified_set(args):
-    ds = _load(args)
-    config = parse_config(args.config) if args.config else {}
-    seed = config.get("rng.seed", args.seed)
+def _cmd_identified_set(args, config):
     cfg = _test_config(args, config)
+    ds = _load(args)
     grid = np.linspace(args.theta_lo, args.theta_hi, args.theta_count)
-    if args.form != "linear":
-        raise IvcheckError("identified-set supports --form linear only; the scalar "
-                           "grid parameterizes the slope with the intercept profiled out")
-    x_col = ds.x[:, 0] if ds.x.ndim == 2 else ds.x
+    x_col = ds.x[:, 0]
     y = ds.y
 
     def slope_evaluator(x, theta):
@@ -205,8 +202,8 @@ def _cmd_identified_set(args):
             xv = xv[:, 0]
         return theta * xv + float(np.mean(y - theta * x_col))
 
-    spec = replace(_model_spec(args), evaluator=slope_evaluator)
-    result = identified_set(ds, spec, grid, args.alpha, cfg, RngSpec(seed=seed))
+    spec = ModelSpec(conditioning=Conditioning(args.conditioning), evaluator=slope_evaluator)
+    result = identified_set(ds, spec, grid, args.alpha, cfg, RngSpec(seed=args.seed))
     if result.empty:
         print(f"identified set at alpha = {args.alpha}: empty (specification rejected "
               f"everywhere on the grid)")
@@ -214,21 +211,16 @@ def _cmd_identified_set(args):
         print(f"identified set at alpha = {args.alpha}: "
               f"[{min(result.accepted):.6f}, {max(result.accepted):.6f}] "
               f"({len(result.accepted)} of {len(result.theta_grid)} grid points)")
-    if args.out:
-        _write_csv(args.out, [
-            {"theta": float(t), "accepted": int(t in result.accepted)}
-            for t in result.theta_grid
-        ])
-    if args.manifest:
-        _write_manifest(args.manifest, args, {"seed": seed})
-    return EXIT_OK
+    rows = [{"theta": float(t), "accepted": int(t in result.accepted)}
+            for t in result.theta_grid]
+    return EXIT_OK, rows, {}
 
 
-def _cmd_mte(args):
+def _cmd_mte(args, config):
     ds = _load(args)
     pf = fit_propensity(ds, method=args.propensity_method)
     cf = fit_control_function(ds, pf)
-    uni = uniformity_diagnostic(pf)
+    uni = uniformity_diagnostic(pf, ds.z[:, 0])
     cond1 = condition1_diagnostic(pf, ds)
     print(f"first-stage rank diagnostics: KS to U[0,1] = {uni.overall:.4f}, "
           f"worst conditional bin = {uni.worst_bin:.4f}")
@@ -257,17 +249,11 @@ def _cmd_mte(args):
             print(f"  ASF({args.asf_x}) in [{lo:+.6f}, {hi:+.6f}] (partial rank support "
                   f"[{asf.support[0]:.3f}, {asf.support[1]:.3f}])")
             rows.append({"x": args.asf_x, "asf_lower": lo, "asf_upper": hi})
-    if args.out:
-        _write_csv(args.out, rows)
-    if args.manifest:
-        _write_manifest(args.manifest, args)
-    return EXIT_OK
+    return EXIT_OK, rows, {}
 
 
-def _cmd_simulate(args):
-    config = parse_config(args.config) if args.config else {}
-    seed = config.get("rng.seed", args.seed)
-    reps = config.get("sim.replications", args.reps)
+def _cmd_simulate(args, config):
+    reps = args.reps if args.reps is not None else config.get("sim.replications", 200)
     cfg = _test_config(args, config)
     spec = DgpSpec(
         family=DgpFamily(args.family),
@@ -278,17 +264,13 @@ def _cmd_simulate(args):
         rho=args.rho,
     )
     methods = [Method(m.strip()) for m in args.methods.split(",")]
-    result = run_study([spec], methods, reps, cfg, RngSpec(seed=seed), jobs=args.jobs)
+    result = run_study([spec], methods, reps, cfg, RngSpec(seed=args.seed), jobs=args.jobs)
     for cell in result.cells:
         print(f"{cell.dgp}  {cell.method:>9s}  alpha = {cell.alpha:5.2%}  "
               f"rejection rate = {cell.rejection_rate:6.1%}  (MC se {cell.mc_se:.4f}, "
               f"{cell.replications} reps, {cell.failures} failures)")
     print(f"runtime: {result.runtime_seconds:.1f}s")
-    if args.out:
-        _write_csv(args.out, result.to_rows())
-    if args.manifest:
-        _write_manifest(args.manifest, args, {"seed": seed, "study": result.config})
-    return EXIT_OK
+    return EXIT_OK, result.to_rows(), {"study": result.config}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,14 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="run the conditional-moment specification test")
     _add_data_args(p)
     p.add_argument("--form", choices=["linear", "boxcox"], default="linear")
-    p.add_argument("--conditioning", choices=["z", "x"], default="z",
-                   help="condition moments on the instrument (z) or the regressor (x)")
     p.add_argument("--homoskedastic", action="store_true",
                    help="also test constant conditional variance of the error")
-    p.add_argument("--method", choices=["series", "local-linear", "cell-means"],
-                   default=None, help="conditional-mean estimator (default: series)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="level that decides the exit code (default: 0.05)")
+    _add_test_args(p)
     _add_common_args(p)
     p.set_defaults(func=_cmd_test)
 
@@ -329,16 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(p)
     p.set_defaults(func=_cmd_overid)
 
-    p = sub.add_parser("identified-set", help="parameter values the test does not reject")
+    p = sub.add_parser("identified-set", help="slopes of a linear model, intercept profiled "
+                                              "out, that the exogeneity test does not reject")
     _add_data_args(p)
-    p.add_argument("--form", choices=["linear", "boxcox"], default="linear")
-    p.add_argument("--conditioning", choices=["z", "x"], default="z")
-    p.add_argument("--homoskedastic", action="store_true")
-    p.add_argument("--method", choices=["series", "local-linear", "cell-means"], default=None)
+    _add_test_args(p)
     p.add_argument("--theta-lo", type=float, required=True)
     p.add_argument("--theta-hi", type=float, required=True)
     p.add_argument("--theta-count", type=int, default=41)
-    p.add_argument("--alpha", type=float, default=0.05)
     _add_common_args(p)
     p.set_defaults(func=_cmd_identified_set)
 
@@ -360,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo size/power study")
     p.add_argument("--family", choices=[f.value for f in DgpFamily], required=True)
     p.add_argument("--n", type=int, required=True, help="sample size per replication")
-    p.add_argument("--reps", type=int, default=200)
+    p.add_argument("--reps", type=int, default=None,
+                   help="replications per cell; overrides sim.replications "
+                        "(default: sim.replications, else 200)")
     p.add_argument("--lam", type=float, default=0.0, help="power-transform exponent")
     p.add_argument("--deviation", type=float, default=0.0, help="deviation scale L")
     p.add_argument("--sigma", type=float, default=1.0, help="deviation peakedness")
@@ -374,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -381,13 +358,20 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for "reject H0"
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
-        return args.func(args)
-    except IvcheckError as exc:
+        config = parse_config(args.config) if args.config else {}
+        if args.seed is None:
+            args.seed = config.get("rng.seed", 0)
+        if args.seed < 0:
+            raise IvcheckError(f"seed must be a non-negative integer, got {args.seed}")
+        code, rows, extra = args.func(args, config)
+        if args.out and rows:
+            _write_csv(args.out, rows)
+        if args.manifest:
+            _write_manifest(args.manifest, argv, args.seed, code, extra)
+    except (IvcheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -293,11 +293,10 @@ def test_model(
     spec: ModelSpec,
     cfg: TestConfig = TestConfig(),
     rng: RngSpec = RngSpec(),
-    coordinate: int = 0,
 ) -> TestReport:
     """Estimate, build the moment system, and run the sup test."""
     fit = first_step_fit(ds, spec)
-    ms = build_for_spec(fit, spec, ds, coordinate)
+    ms = build_for_spec(fit, spec, ds)
     if (
         spec.form is ModelForm.BOXCOX
         and cfg.method == "series"

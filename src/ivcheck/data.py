@@ -215,5 +215,10 @@ def parse_config(path) -> dict:
             value = value.strip()
             if key not in CONFIG_KEYS:
                 raise IvcheckError(f"config line {lineno}: unknown key {key!r}")
-            out[key] = CONFIG_KEYS[key](value)
+            try:
+                out[key] = CONFIG_KEYS[key](value)
+            except ValueError:
+                raise IvcheckError(
+                    f"config line {lineno}: bad value {value!r} for {key}"
+                ) from None
     return out

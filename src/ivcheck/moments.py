@@ -68,9 +68,9 @@ class MomentSystem:
         return s * self.base[:, b]
 
 
-def _conditioning_column(ds: Dataset, spec: ModelSpec, coordinate: int = 0) -> np.ndarray:
+def _conditioning_column(ds: Dataset, spec: ModelSpec) -> np.ndarray:
     col = ds.z if spec.conditioning is Conditioning.ON_Z else ds.x
-    return col[:, coordinate]
+    return col[:, 0]
 
 
 def _paired(base_cols, labels, conditioning, desc) -> MomentSystem:
@@ -87,34 +87,34 @@ def _paired(base_cols, labels, conditioning, desc) -> MomentSystem:
     )
 
 
-def build_exogeneity(fit, spec: ModelSpec, ds: Dataset, coordinate: int = 0) -> MomentSystem:
+def build_exogeneity(fit, spec: ModelSpec, ds: Dataset) -> MomentSystem:
     """W1 = residual, W2 = -residual, conditioned on the instrument (or regressor)."""
     resid = fit.residuals
-    cond = _conditioning_column(ds, spec, coordinate)
+    cond = _conditioning_column(ds, spec)
     return _paired(
         [resid],
         ["resid"],
         cond,
-        f"exogeneity pair on {spec.conditioning.value}[{coordinate}]",
+        f"exogeneity pair on {spec.conditioning.value}[0]",
     )
 
 
-def build_homoskedasticity(fit: LinearFit, spec: ModelSpec, ds: Dataset, coordinate: int = 0) -> MomentSystem:
+def build_homoskedasticity(fit: LinearFit, spec: ModelSpec, ds: Dataset) -> MomentSystem:
     """Adds W3 = U^2 - sigma2_hat and its negative to the exogeneity pair."""
     if Assumption.HOMOSKEDASTICITY not in spec.assumptions:
         raise IvcheckError("spec does not include the homoskedasticity assumption")
     resid = fit.residuals
     sigma2 = float(np.mean(resid**2))  # 1/n, matching the population identity
-    cond = _conditioning_column(ds, spec, coordinate)
+    cond = _conditioning_column(ds, spec)
     return _paired(
         [resid, resid**2 - sigma2],
         ["resid", "var"],
         cond,
-        f"exogeneity + homoskedasticity on {spec.conditioning.value}[{coordinate}]",
+        f"exogeneity + homoskedasticity on {spec.conditioning.value}[0]",
     )
 
 
-def build_parametric_grid(spec: ModelSpec, ds: Dataset, theta, coordinate: int = 0) -> MomentSystem:
+def build_parametric_grid(spec: ModelSpec, ds: Dataset, theta) -> MomentSystem:
     """W1 = Y - m(X, theta) at a fixed parameter point (no estimation step)."""
     if spec.evaluator is None:
         raise IvcheckError("ModelSpec.evaluator required for the parametric grid route")
@@ -127,7 +127,7 @@ def build_parametric_grid(spec: ModelSpec, ds: Dataset, theta, coordinate: int =
     if not np.all(np.isfinite(m)):
         raise EvaluatorDomainError("evaluator produced non-finite values on data range")
     resid = ds.y - m
-    cond = _conditioning_column(ds, spec, coordinate)
+    cond = _conditioning_column(ds, spec)
     return _paired([resid], ["resid"], cond, f"parametric residual at theta={theta}")
 
 
@@ -140,10 +140,10 @@ def boxcox_evaluator(x, theta):
     return b0 + b1 * boxcox_transform(x, lam)
 
 
-def build_for_spec(fit, spec: ModelSpec, ds: Dataset, coordinate: int = 0) -> MomentSystem:
+def build_for_spec(fit, spec: ModelSpec, ds: Dataset) -> MomentSystem:
     """Dispatch on the assumption set; homoskedasticity implies the 4-moment system."""
     if Assumption.HOMOSKEDASTICITY in spec.assumptions:
         if isinstance(fit, BoxCoxFit):
             raise IvcheckError("homoskedasticity moments require a linear fit")
-        return build_homoskedasticity(fit, spec, ds, coordinate)
-    return build_exogeneity(fit, spec, ds, coordinate)
+        return build_homoskedasticity(fit, spec, ds)
+    return build_exogeneity(fit, spec, ds)

@@ -53,6 +53,27 @@ def _percentile_grid(values: np.ndarray, count: int, lo=0.01, hi=0.99) -> np.nda
     return np.linspace(a, b, count)
 
 
+def _bilinear(z_grid, x_grid, surface, z, x) -> np.ndarray:
+    """Bilinear interpolation on a strictly increasing (z_grid, x_grid) mesh.
+
+    Along x it repeats np.interp's arithmetic, ends held constant, for all
+    points at once; along z the weight is clipped to [0, 1].
+    """
+    z = np.asarray(z, dtype=float)
+    x = np.asarray(x, dtype=float)
+    zi = np.clip(np.searchsorted(z_grid, z) - 1, 0, len(z_grid) - 2)
+    xj = np.clip(np.searchsorted(x_grid, x, side="right") - 1, 0, len(x_grid) - 2)
+    below, above = x < x_grid[0], x >= x_grid[-1]
+
+    def along_x(row):
+        lo, hi = surface[row, xj], surface[row, xj + 1]
+        inner = (hi - lo) / (x_grid[xj + 1] - x_grid[xj]) * (x - x_grid[xj]) + lo
+        return np.where(below, surface[row, 0], np.where(above, surface[row, -1], inner))
+
+    t = np.clip((z - z_grid[zi]) / (z_grid[zi + 1] - z_grid[zi]), 0.0, 1.0)
+    return np.clip((1 - t) * along_x(zi) + t * along_x(zi + 1), 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class PropensityFit:
     z_grid: np.ndarray
@@ -62,14 +83,10 @@ class PropensityFit:
     monotonicity_report: dict  # z-grid value -> raw violation fraction before isotonization
     method: str
 
-    def evaluate(self, z, x) -> float:
-        """Bilinear interpolation of the fitted surface, clamped to [0, 1]."""
-        zi = np.clip(np.searchsorted(self.z_grid, z) - 1, 0, len(self.z_grid) - 2)
-        row_lo = np.interp(x, self.x_grid, self.surface[zi])
-        row_hi = np.interp(x, self.x_grid, self.surface[zi + 1])
-        dz = self.z_grid[zi + 1] - self.z_grid[zi]
-        t = np.clip((z - self.z_grid[zi]) / dz, 0.0, 1.0) if dz > 0 else 0.0
-        return float(np.clip((1 - t) * row_lo + t * row_hi, 0.0, 1.0))
+    def evaluate(self, z, x):
+        """Bilinear interpolation of the surface, clamped to [0, 1]; scalars give a float."""
+        out = _bilinear(self.z_grid, self.x_grid, self.surface, z, x)
+        return float(out) if out.ndim == 0 else out
 
     def support_p_given_x(self, x):
         """[p_lo, p_hi]: range of the fitted propensity over the instrument grid."""
@@ -118,20 +135,11 @@ def fit_propensity(
         diffs = np.diff(surface[i])
         mono[float(z_grid[i])] = float(np.mean(diffs < 0)) if len(diffs) else 0.0
         iso[i] = np.clip(pava_increasing(surface[i]), 0.0, 1.0)
-    pf = PropensityFit(
-        z_grid=z_grid,
-        x_grid=x_grid,
-        surface=iso,
-        v_hat=np.empty(0),
-        monotonicity_report=mono,
-        method=method,
-    )
-    v_hat = np.array([pf.evaluate(zi, xi) for zi, xi in zip(z, x)])
     return PropensityFit(
         z_grid=z_grid,
         x_grid=x_grid,
         surface=iso,
-        v_hat=v_hat,
+        v_hat=_bilinear(z_grid, x_grid, iso, z, x),
         monotonicity_report=mono,
         method=method,
     )

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,9 @@ def test_mte_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "mte" in out.lower()
+    overall, worst = re.search(r"KS to U\[0,1\] = ([0-9.]+), "
+                               r"worst conditional bin = ([0-9.]+)", out).groups()
+    assert overall != worst
     with open(out_csv) as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
@@ -136,6 +140,9 @@ def test_simulate_smoke(tmp_path, capsys):
     "npreg.method = local-linear\nnpreg.bandwidth = 0\n",
     "test.alpha_levels = 1.5\n",
     "grid.count = 1\n",
+    "grid.count = ten\n",
+    "test.alpha_levels = a,b\n",
+    "rng.seed = -1\n",
 ])
 def test_bad_config_values_exit_one(null_csv, tmp_path, capsys, config):
     cfg = tmp_path / "bad.cfg"
@@ -146,6 +153,51 @@ def test_bad_config_values_exit_one(null_csv, tmp_path, capsys, config):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_seed_flag_overrides_config(null_csv, tmp_path):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("rng.seed = 7\n")
+    manifest = tmp_path / "run.json"
+    code = main(_args(null_csv, "test", "--seed", "3", "--config", str(cfg),
+                      "--manifest", str(manifest)))
+    with open(manifest) as fh:
+        meta = json.load(fh)
+    assert meta["seed"] == 3
+    assert meta["exit_code"] == code
+
+
+def test_reps_flag_overrides_config(tmp_path):
+    cfg = tmp_path / "reps.cfg"
+    cfg.write_text("sim.replications = 5\n")
+    out = tmp_path / "study.csv"
+    code = main(["simulate", "--family", "linear-iv-null", "--n", "300", "--reps", "2",
+                 "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_OK
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["replications"] for row in rows} == {"2"}
+
+
+def test_alpha_outside_default_levels_decides(tmp_path):
+    # a weak alternative that the test rejects at 0.2 but not at 0.05
+    p = tmp_path / "weak.csv"
+    write_csv(generate(DgpSpec(family=DgpFamily.LINEAR_IV_POWER, n=2000, L=0.2, sigma=0.25),
+                       RngSpec(seed=13)), p)
+    out = tmp_path / "report.csv"
+    assert main(_args(str(p), "test")) == EXIT_OK
+    code = main(_args(str(p), "test", "--alpha", "0.2", "--out", str(out)))
+    with open(out) as fh:
+        rows = {row["alpha"]: row for row in csv.DictReader(fh)}
+    assert set(rows) == {"0.2", "0.1", "0.05", "0.01"}
+    assert rows["0.2"]["reject"] == "1" and rows["0.05"]["reject"] == "0"
+    assert code == EXIT_REJECT
+
+
+def test_identified_set_rejects_homoskedastic_flag(null_csv, capsys):
+    code = main(_args(null_csv, "identified-set", "--theta-lo", "1.0", "--theta-hi", "3.0",
+                      "--homoskedastic"))
+    assert code == EXIT_ERROR
 
 
 def test_missing_file_exits_one(capsys):

@@ -61,6 +61,29 @@ def test_propensity_independent_case():
     assert max(gaps) < 0.05
 
 
+def _evaluate_one(pf, z, x):
+    """Per-point bilinear interpolation through np.interp: the reference loop."""
+    zi = min(max(int(np.searchsorted(pf.z_grid, z)) - 1, 0), len(pf.z_grid) - 2)
+    row_lo = np.interp(x, pf.x_grid, pf.surface[zi])
+    row_hi = np.interp(x, pf.x_grid, pf.surface[zi + 1])
+    t = np.clip((z - pf.z_grid[zi]) / (pf.z_grid[zi + 1] - pf.z_grid[zi]), 0.0, 1.0)
+    return float(np.clip((1 - t) * row_lo + t * row_hi, 0.0, 1.0))
+
+
+def test_propensity_evaluate_arrays_match_scalar_loop():
+    ds, _ = _heterogeneous_ds(2000, 5)
+    pf = fit_propensity(ds)
+    # inside the grid, on grid nodes, and beyond every edge (clamped)
+    z = np.r_[pf.z_grid[[0, 3, -1]], 0.37, 0.61, -1.0, 2.0, 0.5, 0.5]
+    x = np.r_[pf.x_grid[[0, 5, -1]], 1.3, 2.9, 1.0, 2.0, -10.0, 10.0]
+    loop = np.array([_evaluate_one(pf, zv, xv) for zv, xv in zip(z, x)])
+    np.testing.assert_allclose(pf.evaluate(z, x), loop, rtol=0, atol=1e-12)
+    assert isinstance(pf.evaluate(0.37, 1.3), float)
+    assert abs(pf.evaluate(0.37, 1.3) - _evaluate_one(pf, 0.37, 1.3)) <= 1e-12
+    v_loop = [_evaluate_one(pf, zv, xv) for zv, xv in zip(ds.z[:, 0], ds.x[:, 0])]
+    np.testing.assert_allclose(pf.v_hat, v_loop, rtol=0, atol=1e-12)
+
+
 def test_propensity_monotone_after_isotonization():
     ds, _ = _heterogeneous_ds(2000, 2)
     pf = fit_propensity(ds)
