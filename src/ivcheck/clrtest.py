@@ -92,7 +92,7 @@ class TestReport:
             f"Intersection-bounds test on {len(self.grid)} grid points x "
             f"{len(self.moment_labels)} moments ({diag.get('method', '?')})"
         )
-        for key in ("series_order", "bandwidth", "mult_draws", "seed", "n"):
+        for key in ("conditioning_column", "series_order", "bandwidth", "mult_draws", "seed", "n"):
             if key in diag:
                 lines.append(f"  {key} = {diag[key]}")
         lines.append(f"  adaptive selection: gamma_n = {self.gamma_n:.6f}, kappa_n = {self.kappa:.4f}")
@@ -186,7 +186,8 @@ def run_test(
     n = len(c)
     method = cfg.method
     diagnostics = {"method": method, "mult_draws": cfg.mult_draws, "n": n,
-                   "seed": rng.seed, "stream": rng.stream}
+                   "seed": rng.seed, "stream": rng.stream,
+                   "conditioning_column": ms.conditioning_column}
     gen = rng.generator()
 
     if method == "cell-means":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -58,22 +59,28 @@ class MomentSystem:
     moments: tuple  # of (label, base_index, sign)
     conditioning: np.ndarray  # (n,) scalar conditioning values
     v_set_desc: str = ""
+    conditioning_column: str = ""  # name of the column the moments condition on
 
     @property
     def n_moments(self) -> int:
         return len(self.moments)
 
-    def values(self, j: int) -> np.ndarray:
-        _, b, s = self.moments[j]
-        return s * self.base[:, b]
+
+def _conditioning_column(ds: Dataset, spec: ModelSpec):
+    """(values, name) of the first column of z (or x); the others are left out."""
+    block = spec.conditioning.value
+    values = ds.z if spec.conditioning is Conditioning.ON_Z else ds.x
+    names = ds.column_names.get(block) or [f"{block}{i + 1}" for i in range(values.shape[1])]
+    if len(names) > 1:
+        warnings.warn(
+            f"moments condition on {block} column {names[0]!r} only; "
+            f"{', '.join(map(repr, names[1:]))} left out",
+            stacklevel=2,
+        )
+    return values[:, 0], names[0]
 
 
-def _conditioning_column(ds: Dataset, spec: ModelSpec) -> np.ndarray:
-    col = ds.z if spec.conditioning is Conditioning.ON_Z else ds.x
-    return col[:, 0]
-
-
-def _paired(base_cols, labels, conditioning, desc) -> MomentSystem:
+def _paired(base_cols, labels, conditioning, desc, column="") -> MomentSystem:
     base = np.column_stack(base_cols)
     moments = []
     for b, label in enumerate(labels):
@@ -84,19 +91,15 @@ def _paired(base_cols, labels, conditioning, desc) -> MomentSystem:
         moments=tuple(moments),
         conditioning=np.asarray(conditioning, dtype=float),
         v_set_desc=desc,
+        conditioning_column=column,
     )
 
 
 def build_exogeneity(fit, spec: ModelSpec, ds: Dataset) -> MomentSystem:
     """W1 = residual, W2 = -residual, conditioned on the instrument (or regressor)."""
     resid = fit.residuals
-    cond = _conditioning_column(ds, spec)
-    return _paired(
-        [resid],
-        ["resid"],
-        cond,
-        f"exogeneity pair on {spec.conditioning.value}[0]",
-    )
+    cond, column = _conditioning_column(ds, spec)
+    return _paired([resid], ["resid"], cond, f"exogeneity pair on {column}", column)
 
 
 def build_homoskedasticity(fit: LinearFit, spec: ModelSpec, ds: Dataset) -> MomentSystem:
@@ -105,12 +108,13 @@ def build_homoskedasticity(fit: LinearFit, spec: ModelSpec, ds: Dataset) -> Mome
         raise IvcheckError("spec does not include the homoskedasticity assumption")
     resid = fit.residuals
     sigma2 = float(np.mean(resid**2))  # 1/n, matching the population identity
-    cond = _conditioning_column(ds, spec)
+    cond, column = _conditioning_column(ds, spec)
     return _paired(
         [resid, resid**2 - sigma2],
         ["resid", "var"],
         cond,
-        f"exogeneity + homoskedasticity on {spec.conditioning.value}[0]",
+        f"exogeneity + homoskedasticity on {column}",
+        column,
     )
 
 
@@ -127,8 +131,8 @@ def build_parametric_grid(spec: ModelSpec, ds: Dataset, theta) -> MomentSystem:
     if not np.all(np.isfinite(m)):
         raise EvaluatorDomainError("evaluator produced non-finite values on data range")
     resid = ds.y - m
-    cond = _conditioning_column(ds, spec)
-    return _paired([resid], ["resid"], cond, f"parametric residual at theta={theta}")
+    cond, column = _conditioning_column(ds, spec)
+    return _paired([resid], ["resid"], cond, f"parametric residual at theta={theta}", column)
 
 
 def boxcox_evaluator(x, theta):

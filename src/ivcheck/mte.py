@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, empirical_quantile
+from .data import Dataset, conditioning_grid, empirical_quantile
 from .errors import InsufficientData, IvcheckError, MissingBounds, OffSupport
 from .npreg import (
+    _positive,
     cell_means_weights,
     epanechnikov,
     local_linear_weights,
@@ -45,12 +46,10 @@ def pava_increasing(y: np.ndarray) -> np.ndarray:
     return np.repeat(levels, [int(w) for w in weights])
 
 
-def _percentile_grid(values: np.ndarray, count: int, lo=0.01, hi=0.99) -> np.ndarray:
-    a = empirical_quantile(values, lo)
-    b = empirical_quantile(values, hi)
-    if not a < b:
-        raise IvcheckError("degenerate support for grid construction")
-    return np.linspace(a, b, count)
+def _quantile_bins(z: np.ndarray, bins: int):
+    """(edges, cell): bins between sample quantiles of z, each [lo, hi) but the last [lo, hi]."""
+    edges = np.quantile(z, np.linspace(0, 1, bins + 1))
+    return edges, np.clip(np.searchsorted(edges, z, side="right") - 1, 0, bins - 1)
 
 
 def _bilinear(z_grid, x_grid, surface, z, x) -> np.ndarray:
@@ -115,11 +114,11 @@ def fit_propensity(
         raise IvcheckError("fit_propensity expects scalar x and z")
     x = ds.x[:, 0]
     z = ds.z[:, 0]
-    x_grid = _percentile_grid(x, x_grid_count)
+    x_grid = conditioning_grid(x, 0.01, 0.99, x_grid_count)
     if method == "cell-means":
         z_grid, a = cell_means_weights(z)
     elif method == "local-linear":
-        z_grid = _percentile_grid(z, z_grid_count)
+        z_grid = conditioning_grid(z, 0.01, 0.99, z_grid_count)
         if bandwidth is None:
             bandwidth = rule_of_thumb_bandwidth(z, bandwidth_scale)
         a, ok = local_linear_weights(z, z_grid, bandwidth)
@@ -170,13 +169,12 @@ def uniformity_diagnostic(pf: PropensityFit, z: np.ndarray | None = None, bins: 
     overall = ks_distance_uniform(pf.v_hat)
     by_bin = {}
     if z is not None:
-        z = np.asarray(z, dtype=float).ravel()
-        edges = np.quantile(z, np.linspace(0, 1, bins + 1))
+        edges, cell = _quantile_bins(np.asarray(z, dtype=float).ravel(), bins)
         for b in range(bins):
-            lo, hi = edges[b], edges[b + 1]
-            mask = (z >= lo) & (z <= hi) if b == bins - 1 else (z >= lo) & (z < hi)
+            mask = cell == b
             if mask.sum() >= 10:
-                by_bin[f"z in [{lo:.3g}, {hi:.3g}]"] = ks_distance_uniform(pf.v_hat[mask])
+                label = f"z in [{edges[b]:.3g}, {edges[b + 1]:.3g}]"
+                by_bin[label] = ks_distance_uniform(pf.v_hat[mask])
     return UniformityReport(overall=overall, by_bin=by_bin)
 
 
@@ -244,14 +242,16 @@ def fit_control_function(
     x = ds.x[:, 0]
     n = ds.n
     # per-coordinate rule of thumb for the bivariate fit
-    hx = bandwidth_x or bandwidth_scale * 1.06 * np.std(x) * n ** (-1.0 / 6.0)
-    hp = bandwidth_p or bandwidth_scale * 1.06 * max(np.std(pf.v_hat), 0.05) * n ** (-1.0 / 6.0)
+    if bandwidth_x is None:
+        bandwidth_x = bandwidth_scale * 1.06 * np.std(x) * n ** (-1.0 / 6.0)
+    if bandwidth_p is None:
+        bandwidth_p = bandwidth_scale * 1.06 * max(np.std(pf.v_hat), 0.05) * n ** (-1.0 / 6.0)
     return ControlFunctionFit(
         x=x,
         v_hat=pf.v_hat,
         y=ds.y,
-        bandwidth_x=float(hx),
-        bandwidth_p=float(hp),
+        bandwidth_x=_positive(bandwidth_x),
+        bandwidth_p=_positive(bandwidth_p),
     )
 
 
@@ -354,12 +354,8 @@ def condition1_diagnostic(
         v_grid = np.round(np.arange(0.1, 1.0, 0.1), 10)
     x = ds.x[:, 0]
     z = ds.z[:, 0]
-    edges = np.quantile(z, np.linspace(0, 1, z_bins + 1))
-    members = []
-    for b in range(z_bins):
-        lo, hi = edges[b], edges[b + 1]
-        mask = (z >= lo) & (z <= hi) if b == z_bins - 1 else (z >= lo) & (z < hi)
-        members.append(mask)
+    _, cell = _quantile_bins(z, z_bins)
+    members = [cell == b for b in range(z_bins)]
     x_lo = empirical_quantile(x, 0.01)
     x_hi = empirical_quantile(x, 0.99)
     spacing = (pf.x_grid[-1] - pf.x_grid[0]) / max(len(pf.x_grid) - 1, 1)
@@ -410,8 +406,7 @@ def quantile_roundtrip_check(ds: Dataset, max_cells: int = 50, bins: int = 10) -
     z = ds.z[:, 0]
     values = np.unique(z)
     if len(values) > max_cells:
-        edges = np.quantile(z, np.linspace(0, 1, bins + 1))
-        cells = np.clip(np.searchsorted(edges, z, side="right") - 1, 0, bins - 1)
+        _, cells = _quantile_bins(z, bins)
     else:
         cells = np.searchsorted(values, z)
     violations = 0

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats
@@ -13,6 +14,7 @@ from scipy import stats
 from .clrtest import TestConfig, test_model
 from .data import Dataset, RngSpec
 from .errors import IvcheckError
+from .estimators import boxcox_transform
 from .moments import Assumption, Conditioning, ModelForm, ModelSpec
 from .overid import hansen_j, sargan
 
@@ -34,6 +36,31 @@ class DgpFamily(Enum):
     HETERO_POWER = "hetero-power"
 
 
+class Deviation(Enum):
+    NONE = "none"
+    POWER = "power"  # L/sigma * phi(c/sigma) on top of errors truncated to [-3, 3]
+    HETERO = "heteroskedastic"  # error sd sqrt(1 + rho/9 * c^2)
+
+
+class Design(NamedTuple):
+    instrumented: bool  # x depends on an instrument z, tested conditional on z
+    form: ModelForm  # LINEAR (f(x) = x) or BOXCOX (f(x) = x^(lam))
+    deviation: Deviation
+
+
+# What each family is; generate, DgpSpec.label and model_spec_for read only this.
+DESIGNS = {
+    DgpFamily.LINEAR_IV_NULL: Design(True, ModelForm.LINEAR, Deviation.NONE),
+    DgpFamily.LINEAR_OLS_NULL: Design(False, ModelForm.LINEAR, Deviation.NONE),
+    DgpFamily.BOXCOX_IV_NULL: Design(True, ModelForm.BOXCOX, Deviation.NONE),
+    DgpFamily.BOXCOX_OLS_NULL: Design(False, ModelForm.BOXCOX, Deviation.NONE),
+    DgpFamily.LINEAR_IV_POWER: Design(True, ModelForm.LINEAR, Deviation.POWER),
+    DgpFamily.LINEAR_OLS_POWER: Design(False, ModelForm.LINEAR, Deviation.POWER),
+    DgpFamily.BOXCOX_POWER: Design(True, ModelForm.BOXCOX, Deviation.POWER),
+    DgpFamily.HETERO_POWER: Design(False, ModelForm.LINEAR, Deviation.HETERO),
+}
+
+
 @dataclass(frozen=True)
 class DgpSpec:
     family: DgpFamily
@@ -50,104 +77,58 @@ class DgpSpec:
             raise IvcheckError("need L >= 0, sigma > 0, rho in [0, 1]")
 
     def label(self) -> str:
-        extra = {
-            DgpFamily.BOXCOX_IV_NULL: f"lam={self.lam}",
-            DgpFamily.BOXCOX_OLS_NULL: f"lam={self.lam}",
-            DgpFamily.LINEAR_IV_POWER: f"L={self.L},sigma={self.sigma}",
-            DgpFamily.LINEAR_OLS_POWER: f"L={self.L},sigma={self.sigma}",
-            DgpFamily.BOXCOX_POWER: f"L={self.L},sigma={self.sigma}",
-            DgpFamily.HETERO_POWER: f"rho={self.rho}",
-        }.get(self.family, "")
-        return f"{self.family.value}(n={self.n}{',' + extra if extra else ''})"
-
-
-def _boxcox_fwd(x, lam):
-    return np.log(x) if lam == 0.0 else (x**lam - 1.0) / lam
-
-
-def _truncated_clip(v):
-    # symmetric truncation keeps the mean at zero
-    return np.clip(v, -3.0, 3.0)
+        design = DESIGNS[self.family]
+        if design.deviation is Deviation.POWER:
+            extra = f",L={self.L},sigma={self.sigma}"
+        elif design.deviation is Deviation.HETERO:
+            extra = f",rho={self.rho}"
+        else:
+            extra = f",lam={self.lam}" if design.form is ModelForm.BOXCOX else ""
+        return f"{self.family.value}(n={self.n}{extra})"
 
 
 def generate(spec: DgpSpec, rng: RngSpec | np.random.Generator) -> Dataset:
-    """Draw one dataset from the family; deterministic given the RNG spec."""
+    """Draw one dataset from the family; deterministic given the RNG spec.
+
+    c is the instrument of the IV designs and the regressor of the others;
+    y = 2 f(x) + u.
+    """
     gen = rng if isinstance(rng, np.random.Generator) else rng.generator()
     n = spec.n
-    fam = spec.family
-    if fam is DgpFamily.LINEAR_IV_NULL:
-        z = gen.uniform(-3.0, 3.0, n)
-        uv = gen.multivariate_normal([0.0, 0.0], SIGMA_SIZE, size=n, method="cholesky")
-        x = 3.0 * z + uv[:, 1]
-        y = 2.0 * x + uv[:, 0]
-        return Dataset(y=y, x=x, z=z)
-    if fam is DgpFamily.LINEAR_OLS_NULL:
-        x = gen.uniform(-3.0, 3.0, n)
+    design = DESIGNS[spec.family]
+    boxcox = design.form is ModelForm.BOXCOX
+    if boxcox:
+        c = gen.uniform(0.0, 10.0, n)
+        c[c == 0.0] = 10.0  # support is the half-open interval (0, 10]
+    else:
+        c = gen.uniform(-3.0, 3.0, n)
+    if design.instrumented:
+        cov = SIGMA_SIZE if design.deviation is Deviation.NONE else SIGMA_POWER
+        u, v = gen.multivariate_normal([0.0, 0.0], cov, size=n, method="cholesky").T
+        x = 2.0 * c + np.maximum(v, 0.0) if boxcox else 3.0 * c + v
+    else:
         u = gen.standard_normal(n)
-        y = 2.0 * x + u
-        return Dataset(y=y, x=x, z=x)
-    if fam is DgpFamily.BOXCOX_IV_NULL:
-        z = gen.uniform(0.0, 10.0, n)
-        z[z == 0.0] = 10.0  # support is the half-open interval (0, 10]
-        uv = gen.multivariate_normal([0.0, 0.0], SIGMA_SIZE, size=n, method="cholesky")
-        x = 2.0 * z + np.maximum(uv[:, 1], 0.0)
-        y = 2.0 * _boxcox_fwd(x, spec.lam) + uv[:, 0]
-        return Dataset(y=y, x=x, z=z)
-    if fam is DgpFamily.BOXCOX_OLS_NULL:
-        x = gen.uniform(0.0, 10.0, n)
-        x[x == 0.0] = 10.0
-        u = gen.standard_normal(n)
-        y = 2.0 * _boxcox_fwd(x, spec.lam) + u
-        return Dataset(y=y, x=x, z=x)
-    if fam is DgpFamily.LINEAR_IV_POWER:
-        z = gen.uniform(-3.0, 3.0, n)
-        vv = gen.multivariate_normal([0.0, 0.0], SIGMA_POWER, size=n, method="cholesky")
-        u = spec.L / spec.sigma * stats.norm.pdf(z / spec.sigma) + _truncated_clip(vv[:, 0])
-        x = 3.0 * z + vv[:, 1]
-        y = 2.0 * x + u
-        return Dataset(y=y, x=x, z=z)
-    if fam is DgpFamily.LINEAR_OLS_POWER:
-        x = gen.uniform(-3.0, 3.0, n)
-        v = gen.standard_normal(n)
-        u = spec.L / spec.sigma * stats.norm.pdf(x / spec.sigma) + _truncated_clip(v)
-        y = 2.0 * x + u
-        return Dataset(y=y, x=x, z=x)
-    if fam is DgpFamily.BOXCOX_POWER:
-        # nonlinear IV design with the power contamination on the instrument
-        z = gen.uniform(0.0, 10.0, n)
-        z[z == 0.0] = 10.0
-        vv = gen.multivariate_normal([0.0, 0.0], SIGMA_POWER, size=n, method="cholesky")
-        u = spec.L / spec.sigma * stats.norm.pdf(z / spec.sigma) + _truncated_clip(vv[:, 0])
-        x = 2.0 * z + np.maximum(vv[:, 1], 0.0)
-        y = 2.0 * _boxcox_fwd(x, spec.lam) + u
-        return Dataset(y=y, x=x, z=z)
-    if fam is DgpFamily.HETERO_POWER:
-        x = gen.uniform(-3.0, 3.0, n)
-        sd = np.sqrt(1.0 + spec.rho / 9.0 * x**2)
-        u = gen.standard_normal(n) * sd
-        y = 2.0 * x + u
-        return Dataset(y=y, x=x, z=x)
-    raise IvcheckError(f"unknown family {fam}")
+        x = c
+    if design.deviation is Deviation.POWER:
+        # symmetric truncation keeps the mean at zero
+        u = spec.L / spec.sigma * stats.norm.pdf(c / spec.sigma) + np.clip(u, -3.0, 3.0)
+    elif design.deviation is Deviation.HETERO:
+        u = u * np.sqrt(1.0 + spec.rho / 9.0 * c**2)
+    y = 2.0 * (boxcox_transform(x, spec.lam) if boxcox else x) + u
+    return Dataset(y=y, x=x, z=c)
 
 
 def model_spec_for(spec: DgpSpec) -> ModelSpec:
     """The model specification each family is tested under."""
-    fam = spec.family
-    if fam in (DgpFamily.LINEAR_IV_NULL, DgpFamily.LINEAR_IV_POWER):
-        return ModelSpec(form=ModelForm.LINEAR, conditioning=Conditioning.ON_Z)
-    if fam in (DgpFamily.LINEAR_OLS_NULL, DgpFamily.LINEAR_OLS_POWER):
-        return ModelSpec(form=ModelForm.LINEAR, conditioning=Conditioning.ON_X)
-    if fam is DgpFamily.HETERO_POWER:
-        return ModelSpec(
-            form=ModelForm.LINEAR,
-            conditioning=Conditioning.ON_X,
-            assumptions=frozenset({Assumption.EXOGENEITY, Assumption.HOMOSKEDASTICITY}),
-        )
-    if fam in (DgpFamily.BOXCOX_IV_NULL, DgpFamily.BOXCOX_POWER):
-        return ModelSpec(form=ModelForm.BOXCOX, conditioning=Conditioning.ON_Z)
-    if fam is DgpFamily.BOXCOX_OLS_NULL:
-        return ModelSpec(form=ModelForm.BOXCOX, conditioning=Conditioning.ON_X)
-    raise IvcheckError(f"unknown family {fam}")
+    design = DESIGNS[spec.family]
+    assumptions = {Assumption.EXOGENEITY}
+    if design.deviation is Deviation.HETERO:
+        assumptions.add(Assumption.HOMOSKEDASTICITY)
+    return ModelSpec(
+        form=design.form,
+        conditioning=Conditioning.ON_Z if design.instrumented else Conditioning.ON_X,
+        assumptions=frozenset(assumptions),
+    )
 
 
 class Method(Enum):
@@ -204,12 +185,9 @@ def _one_replication(args):
             if method is Method.CMI:
                 report = test_model(ds, model_spec_for(spec), cfg, sub.substream(7919))
                 out[method.value] = {a: report.reject(a) for a in cfg.alpha_levels}
-            elif method is Method.SARGAN:
-                r = sargan(ds)
-                out[method.value] = {a: r.p_value < a for a in cfg.alpha_levels}
             else:
-                r = hansen_j(ds)
-                out[method.value] = {a: r.p_value < a for a in cfg.alpha_levels}
+                p = (sargan if method is Method.SARGAN else hansen_j)(ds).p_value
+                out[method.value] = {a: p < a for a in cfg.alpha_levels}
         except IvcheckError:
             out[method.value] = None
     return rep, out
@@ -292,14 +270,7 @@ def power_curve(
         raise IvcheckError("n_list must be strictly increasing")
     rows = []
     for n in n_list:
-        spec = DgpSpec(
-            family=family_spec.family,
-            n=n,
-            lam=family_spec.lam,
-            L=family_spec.L,
-            sigma=family_spec.sigma,
-            rho=family_spec.rho,
-        )
+        spec = replace(family_spec, n=n)
         result = run_study([spec], methods, reps, cfg, rng.substream(n), jobs)
         for cell in result.cells:
             rows.append(

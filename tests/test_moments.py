@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from ivcheck.clrtest import test_model as model_test
 from ivcheck.data import Dataset, RngSpec
 from ivcheck.errors import EvaluatorDomainError, IvcheckError
 from ivcheck.estimators import fit_iv, fit_ols
@@ -147,3 +150,19 @@ def test_scale_equivariance_of_system():
         w2 = sign2 * ms2.base[:, idx2]
         factor = 3.0 if lbl.startswith("resid") else 9.0
         assert np.allclose(w2, factor * w1, atol=1e-9)
+
+
+def test_conditioning_on_first_of_several_columns_warns():
+    ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=300), RngSpec(seed=2))
+    z2 = RngSpec(seed=3).generator().standard_normal(ds.n)
+    two = Dataset(y=ds.y, x=ds.x, z=np.column_stack([ds.z[:, 0], z2]),
+                  column_names={"y": "y", "x": ["x"], "z": ["z1", "z2"]})
+    with pytest.warns(UserWarning, match="column 'z1' only; 'z2' left out"):
+        ms = build_exogeneity(fit_iv(ds), IV_SPEC, two)
+    assert ms.conditioning_column == "z1"
+    assert np.array_equal(ms.conditioning, two.z[:, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = model_test(ds, IV_SPEC)
+    assert report.diagnostics["conditioning_column"] == "z1"
+    assert "conditioning_column = z1" in report.summary()

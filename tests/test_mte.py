@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ivcheck.data import Dataset
-from ivcheck.errors import MissingBounds, OffSupport
+from ivcheck.errors import InsufficientData, MissingBounds, OffSupport
 from ivcheck.mte import (
     condition1_diagnostic,
     estimate_asf,
@@ -120,6 +120,15 @@ def test_control_function_closed_form():
         for p in (0.3, 0.5, 0.7):
             errs.append(abs(cf.cond_mean(xv, p) - (2.0 * xv + p)))
     assert max(errs) < 0.15
+
+
+@pytest.mark.parametrize("bandwidths", [{"bandwidth_x": 0.0}, {"bandwidth_p": 0.0},
+                                        {"bandwidth_x": -0.5}, {"bandwidth_p": -0.1}])
+def test_control_function_rejects_nonpositive_bandwidth(bandwidths):
+    ds, _ = _heterogeneous_ds(500, 7)
+    pf = fit_propensity(ds)
+    with pytest.raises(InsufficientData):
+        fit_control_function(ds, pf, **bandwidths)
 
 
 def test_cond_cdf_monotone_in_y():

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,8 +8,9 @@ from scipy import stats
 from ivcheck.clrtest import TestConfig as Cfg
 from ivcheck.data import RngSpec
 from ivcheck.errors import IvcheckError
-from ivcheck.moments import Assumption, Conditioning
+from ivcheck.moments import Assumption, Conditioning, ModelForm
 from ivcheck.simulate import (
+    DESIGNS,
     DgpFamily,
     DgpSpec,
     Method,
@@ -67,11 +71,92 @@ def test_boxcox_null_positive_x_and_half_open_z():
 
 
 def test_model_spec_for_families():
-    hetero = model_spec_for(DgpSpec(family=DgpFamily.HETERO_POWER, n=100, rho=0.5))
-    assert Assumption.HOMOSKEDASTICITY in hetero.assumptions
-    assert hetero.conditioning is Conditioning.ON_X
-    iv = model_spec_for(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=100))
-    assert iv.conditioning is Conditioning.ON_Z
+    # family -> (form, conditioning, tested with homoskedasticity)
+    expected = {
+        DgpFamily.LINEAR_IV_NULL: (ModelForm.LINEAR, Conditioning.ON_Z, False),
+        DgpFamily.LINEAR_OLS_NULL: (ModelForm.LINEAR, Conditioning.ON_X, False),
+        DgpFamily.BOXCOX_IV_NULL: (ModelForm.BOXCOX, Conditioning.ON_Z, False),
+        DgpFamily.BOXCOX_OLS_NULL: (ModelForm.BOXCOX, Conditioning.ON_X, False),
+        DgpFamily.LINEAR_IV_POWER: (ModelForm.LINEAR, Conditioning.ON_Z, False),
+        DgpFamily.LINEAR_OLS_POWER: (ModelForm.LINEAR, Conditioning.ON_X, False),
+        DgpFamily.BOXCOX_POWER: (ModelForm.BOXCOX, Conditioning.ON_Z, False),
+        DgpFamily.HETERO_POWER: (ModelForm.LINEAR, Conditioning.ON_X, True),
+    }
+    assert set(expected) == set(DgpFamily)
+    for family, (form, conditioning, homoskedastic) in expected.items():
+        spec = model_spec_for(DgpSpec(family=family, n=100, rho=0.5))
+        assert spec.form is form
+        assert spec.conditioning is conditioning
+        assert Assumption.EXOGENEITY in spec.assumptions
+        assert (Assumption.HOMOSKEDASTICITY in spec.assumptions) is homoskedastic
+
+
+def test_readme_family_table_matches_designs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` \| (IV|OLS) \| ([a-z-]+) \| ([a-z]+) \| (.+) \|$", readme, re.M)
+    documented = {DgpFamily(row[0]): (row[1] == "IV", *row[2:]) for row in rows}
+    expected = {}
+    for family, d in DESIGNS.items():
+        spec = model_spec_for(DgpSpec(family=family, n=100))
+        assumptions = "exogeneity and homoskedasticity" if len(spec.assumptions) == 2 else "exogeneity"
+        form = "linear" if spec.form is ModelForm.LINEAR else "Box-Cox"
+        tested = f"{form}, {assumptions} given {spec.conditioning.value}"
+        expected[family] = (d.instrumented, d.form.value, d.deviation.value, tested)
+    assert documented == expected
+
+
+# First five values of (y, x, z) per family for RngSpec(seed=0), n=50, lam=0.5,
+# L=0.5, sigma=0.25, rho=1.0; a change to any family's random stream shows here.
+STREAM_HEADS = {
+    DgpFamily.LINEAR_IV_NULL: (
+        [13.938361655047139, -12.47852203735048, 14.311687648415216, -14.107129733426309, 2.508626123579884],
+        [7.383047603689164, -6.1984650324406925, 7.011277330395018, -6.646330383818207, 0.1939798069653058],
+        [2.657625317297276, -1.1019770856870115, 1.3340555318989527, -2.2463814874038404, -0.46214182491017963],
+    ),
+    DgpFamily.LINEAR_OLS_NULL: (
+        [4.487517082263362, -2.3369686170637545, 2.58651909132881, -6.648474116077141, -0.6351506621951795],
+        [2.657625317297276, -1.1019770856870115, 1.3340555318989527, -2.2463814874038404, -0.46214182491017963],
+        [2.657625317297276, -1.1019770856870115, 1.3340555318989527, -2.2463814874038404, -0.46214182491017963],
+    ),
+    DgpFamily.BOXCOX_IV_NULL: (
+        [12.542931861593559, 5.979615150106176, 13.00126630815355, 1.6413820697247004, 10.795007538354628],
+        [18.85875105765759, 6.326743047709962, 17.455962507694665, 2.6048757870471793, 10.039932531995246],
+        [9.429375528828794, 3.163371523854981, 7.223425886498253, 1.2560308543269327, 4.229763625149701],
+    ),
+    DgpFamily.BOXCOX_OLS_NULL: (
+        [7.455181755577626, 2.9813333376056352, 6.668980765016664, -1.6727998473410466, 4.515688646124989],
+        [9.429375528828794, 3.163371523854981, 7.223425886498253, 1.2560308543269327, 4.229763625149701],
+        [9.429375528828794, 3.163371523854981, 7.223425886498253, 1.2560308543269327, 4.229763625149701],
+    ),
+    DgpFamily.LINEAR_IV_POWER: (
+        [14.059897021046051, -10.50879950472369, 12.333168494182196, -14.452509603643625, 2.2939283150288947],
+        [7.44381528668862, -5.21362785485608, 6.0220174917105815, -6.819020318926865, 0.014374841517871717],
+        [2.657625317297276, -1.1019770856870115, 1.3340555318989527, -2.2463814874038404, -0.46214182491017963],
+    ),
+    DgpFamily.LINEAR_OLS_POWER: (
+        [4.487517082263362, -2.3369204396061893, 2.5865196144646623, -6.648474116077141, -0.49063853985130046],
+        [2.657625317297276, -1.1019770856870115, 1.3340555318989527, -2.2463814874038404, -0.46214182491017963],
+        [2.657625317297276, -1.1019770856870115, 1.3340555318989527, -2.2463814874038404, -0.46214182491017963],
+    ),
+    DgpFamily.BOXCOX_POWER: (
+        [12.542931861593559, 5.979615150106176, 12.520807044978714, 1.525327619809389, 10.681129919283688],
+        [18.85875105765759, 6.326743047709962, 16.466702669010232, 2.5120617086538655, 9.860327566547813],
+        [9.429375528828794, 3.163371523854981, 7.223425886498253, 1.2560308543269327, 4.229763625149701],
+    ),
+    DgpFamily.HETERO_POWER: (
+        [4.209436184761552, -2.3456584606316615, 2.5788155586071713, -7.185842611151306, -0.6317401327285772],
+        [2.657625317297276, -1.1019770856870115, 1.3340555318989527, -2.2463814874038404, -0.46214182491017963],
+        [2.657625317297276, -1.1019770856870115, 1.3340555318989527, -2.2463814874038404, -0.46214182491017963],
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(DgpFamily), ids=lambda f: f.value)
+def test_generate_stream_pinned(family):
+    spec = DgpSpec(family=family, n=50, lam=0.5, L=0.5, sigma=0.25, rho=1.0)
+    ds = generate(spec, RngSpec(seed=0))
+    for got, want in zip((ds.y, ds.x[:, 0], ds.z[:, 0]), STREAM_HEADS[family]):
+        np.testing.assert_allclose(got[:5], want, rtol=1e-12, atol=1e-12)
 
 
 def test_spec_validation():
