@@ -125,6 +125,10 @@ def fit_propensity(
         z_grid, a = z_grid[ok], a[ok]
     else:
         raise IvcheckError(f"unknown propensity method {method!r}")
+    if len(z_grid) < 2:
+        raise InsufficientData(
+            f"propensity needs 2 or more instrument grid points with data, got {len(z_grid)}"
+        )
     indicators = (x[None, :] <= x_grid[:, None]).astype(float)  # (gx, n)
     surface = a @ indicators.T  # (gz, gx)
     surface = np.clip(surface, 0.0, 1.0)

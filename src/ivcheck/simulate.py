@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .clrtest import TestConfig, test_model
 from .data import Dataset, RngSpec
@@ -111,7 +113,8 @@ def generate(spec: DgpSpec, rng: RngSpec | np.random.Generator) -> Dataset:
         x = c
     if design.deviation is Deviation.POWER:
         # symmetric truncation keeps the mean at zero
-        u = spec.L / spec.sigma * stats.norm.pdf(c / spec.sigma) + np.clip(u, -3.0, 3.0)
+        pdf = np.exp(-((c / spec.sigma) ** 2) / 2.0) / np.sqrt(2 * np.pi)  # N(0, 1) density
+        u = spec.L / spec.sigma * pdf + np.clip(u, -3.0, 3.0)
     elif design.deviation is Deviation.HETERO:
         u = u * np.sqrt(1.0 + spec.rho / 9.0 * c**2)
     y = 2.0 * (boxcox_transform(x, spec.lam) if boxcox else x) + u
@@ -190,7 +193,32 @@ def _one_replication(args):
                 out[method.value] = {a: p < a for a in cfg.alpha_levels}
         except IvcheckError:
             out[method.value] = None
-    return rep, out
+    return out
+
+
+@functools.cache
+def _openblas_setter():
+    """(library, symbol) of the thread-count setter of the OpenBLAS numpy loaded, or None."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        # a vendored build prefixes its symbols as its file name: lib<vendor>openblas64_-<hash>.so
+        vendor = lib.name.removeprefix("lib").split("openblas")[0]
+        for name in (
+            f"{vendor}openblas_set_num_threads64_",
+            "openblas_set_num_threads64_",
+            "openblas_set_num_threads",
+        ):
+            if hasattr(handle, name):
+                return str(lib), name
+    return None
+
+
+def _pin_blas(lib: str, name: str):
+    """Worker initializer: one BLAS thread, so `jobs` workers share the cores without contention."""
+    setter = getattr(ctypes.CDLL(lib), name)
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(1)
 
 
 def run_study(
@@ -205,24 +233,33 @@ def run_study(
 
     Results depend only on (specs, reps, cfg, rng), never on the worker count:
     per-replication RNG substreams are derived from the replication index.
+    With jobs > 1 every (spec, replication) runs in one process pool whose
+    workers use a single BLAS thread; the calling process keeps its own.
     """
     if reps < 1:
         raise IvcheckError("reps must be >= 1")
     started = time.perf_counter()
     specs = list(specs)
     methods = list(methods)
+    tasks = [
+        (spec, methods, cfg, rng.substream(1_000 + si), rep)
+        for si, spec in enumerate(specs)
+        for rep in range(reps)
+    ]
+    setter = None
+    if jobs > 1:
+        setter = _openblas_setter()
+        pinning = {"initializer": _pin_blas, "initargs": setter} if setter else {}
+        with ProcessPoolExecutor(max_workers=jobs, **pinning) as pool:
+            chunksize = max(1, len(tasks) // (4 * jobs))
+            raw = list(pool.map(_one_replication, tasks, chunksize=chunksize))
+    else:
+        raw = [_one_replication(t) for t in tasks]
     cells = []
     for si, spec in enumerate(specs):
-        spec_rng = rng.substream(1_000 + si)
-        tasks = [(spec, methods, cfg, spec_rng, rep) for rep in range(reps)]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                raw = list(pool.map(_one_replication, tasks, chunksize=max(1, reps // (4 * jobs))))
-        else:
-            raw = [_one_replication(t) for t in tasks]
-        raw.sort(key=lambda item: item[0])
+        spec_raw = raw[si * reps : (si + 1) * reps]
         for method in methods:
-            results = [r[1][method.value] for r in raw]
+            results = [r[method.value] for r in spec_raw]
             failures = sum(r is None for r in results)
             good = [r for r in results if r is not None]
             for alpha in cfg.alpha_levels:
@@ -251,6 +288,7 @@ def run_study(
             "method": cfg.method,
             "mult_draws": cfg.mult_draws,
             "jobs": jobs,
+            "worker_blas_threads": 1 if setter else None,
         },
     )
 

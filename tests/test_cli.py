@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ivcheck
 from ivcheck.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, main
 from ivcheck.data import RngSpec, write_csv
 from ivcheck.simulate import DgpFamily, DgpSpec, generate
@@ -123,6 +128,22 @@ def test_mte_subcommand(tmp_path, capsys):
     assert rows[-1]["asf"] and not rows[0]["asf"]
 
 
+def test_mte_binary_instrument_exits_one(tmp_path, capsys):
+    g = np.random.default_rng(142)
+    n = 300
+    z = g.integers(0, 2, n).astype(float)
+    x = z + g.standard_normal(n)
+    from ivcheck.data import Dataset
+    p = tmp_path / "binary-z.csv"
+    write_csv(Dataset(y=x + g.standard_normal(n), x=x, z=z), p)
+    code = main(_args(str(p), "mte", "--x", "1", "--x-prime", "0"))
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_simulate_smoke(tmp_path, capsys):
     out = tmp_path / "study.csv"
     code = main(["simulate", "--family", "linear-iv-null", "--n", "300",
@@ -213,3 +234,13 @@ def test_unknown_flag_exits_one(capsys):
 def test_version_flag_exits_zero(capsys):
     code = main(["--version"])
     assert code == EXIT_OK
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(ivcheck.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, ivcheck.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -84,6 +84,17 @@ def test_propensity_evaluate_arrays_match_scalar_loop():
     np.testing.assert_allclose(pf.v_hat, v_loop, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("method, binary", [("local-linear", True), ("cell-means", False)])
+def test_propensity_needs_two_instrument_grid_points(method, binary):
+    # a binary z leaves every local-linear window empty; a constant z is a single cell
+    g = np.random.default_rng(142)
+    n = 300
+    z = g.integers(0, 2, n).astype(float) if binary else np.ones(n)
+    x = z + g.standard_normal(n)
+    with pytest.raises(InsufficientData):
+        fit_propensity(Dataset(y=x + g.standard_normal(n), x=x, z=z), method=method)
+
+
 def test_propensity_monotone_after_isotonization():
     ds, _ = _heterogeneous_ds(2000, 2)
     pf = fit_propensity(ds)

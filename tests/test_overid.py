@@ -4,7 +4,7 @@ import pytest
 from ivcheck.data import Dataset, RngSpec
 from ivcheck.errors import RankDeficient
 from ivcheck.estimators import polynomial_instruments
-from ivcheck.overid import OveridMethod, hansen_j, sargan
+from ivcheck.overid import OveridMethod, chi2_sf, hansen_j, sargan
 from ivcheck.simulate import DgpFamily, DgpSpec, generate
 
 
@@ -83,6 +83,25 @@ def test_pvalue_upper_tail_chi2():
     ds = _iv_ds(800, 7)
     rep = sargan(ds)
     assert abs(rep.p_value - stats.chi2.sf(rep.statistic, rep.dof)) < 1e-10
+
+
+@pytest.mark.parametrize("dof", range(1, 61))
+def test_chi2_sf_matches_scipy(dof):
+    from scipy import stats
+    x = np.geomspace(1e-8, 1200.0, 120)
+    got = np.array([chi2_sf(float(v), dof) for v in x])
+    np.testing.assert_allclose(got, stats.chi2.sf(x, dof), rtol=1e-12, atol=0.0)
+
+
+def test_chi2_sf_edges():
+    from scipy import stats
+    for dof in (1, 2, 7):
+        assert chi2_sf(0.0, dof) == 1.0
+        assert chi2_sf(1e300, dof) == 0.0
+    for x in (450.0, 499.0, 500.0, 501.0, 560.0):
+        p = chi2_sf(x, 500)
+        assert np.isfinite(p) and 0.0 < p < 1.0
+        np.testing.assert_allclose(p, stats.chi2.sf(x, 500), rtol=1e-12)
 
 
 def test_rank_deficient_instruments():

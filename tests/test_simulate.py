@@ -1,4 +1,6 @@
+import ctypes
 import re
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,8 @@ from ivcheck.simulate import (
     DgpFamily,
     DgpSpec,
     Method,
+    _openblas_setter,
+    _pin_blas,
     generate,
     model_spec_for,
     power_curve,
@@ -183,9 +187,29 @@ def test_run_study_rates_and_se():
 def test_run_study_deterministic_across_workers():
     specs = [DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=300),
              DgpSpec(family=DgpFamily.HETERO_POWER, n=300, rho=0.9)]
-    r1 = run_study(specs, [Method.CMI], reps=12, cfg=Cfg(), rng=RngSpec(seed=7), jobs=1)
-    r3 = run_study(specs, [Method.CMI], reps=12, cfg=Cfg(), rng=RngSpec(seed=7), jobs=3)
-    assert r1.to_rows() == r3.to_rows()
+    for methods, jobs in (([Method.CMI], 3), ([Method.CMI, Method.SARGAN], 2)):
+        r1 = run_study(specs, methods, reps=12, cfg=Cfg(), rng=RngSpec(seed=7), jobs=1)
+        rj = run_study(specs, methods, reps=12, cfg=Cfg(), rng=RngSpec(seed=7), jobs=jobs)
+        assert r1.to_rows() == rj.to_rows()
+
+
+def _blas_threads():
+    lib, name = _openblas_setter()
+    return getattr(ctypes.CDLL(lib), name.replace("_set_", "_get_"))()
+
+
+def test_run_study_records_worker_blas_threads():
+    spec = [DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=200)]
+    serial = run_study(spec, [Method.SARGAN], reps=2, rng=RngSpec(seed=1), jobs=1)
+    assert serial.config["worker_blas_threads"] is None
+    setter = _openblas_setter()
+    before = _blas_threads() if setter else None
+    pooled = run_study(spec, [Method.SARGAN], reps=2, rng=RngSpec(seed=1), jobs=2)
+    assert pooled.config["worker_blas_threads"] == (1 if setter else None)
+    if setter:
+        assert _blas_threads() == before  # the calling process keeps its threads
+        with ProcessPoolExecutor(1, initializer=_pin_blas, initargs=setter) as pool:
+            assert pool.submit(_blas_threads).result(timeout=60) == 1
 
 
 def test_run_study_failure_counting():
