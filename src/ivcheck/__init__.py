@@ -45,9 +45,7 @@ from .moments import (
     ModelForm,
     ModelSpec,
     MomentSystem,
-    build_exogeneity,
     build_for_spec,
-    build_homoskedasticity,
     build_parametric_grid,
 )
 from .mte import (
@@ -66,7 +64,6 @@ from .mte import (
 )
 from .npreg import (
     CondMeanFit,
-    NpregMethod,
     default_series_order,
     fit_cell_means,
     fit_local_linear,

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .clrtest import DEFAULT_ALPHAS, TestConfig, identified_set, test_model
+from .clrtest import METHODS, TestConfig, identified_set, test_model
 from .data import CONFIG_KEYS, RngSpec, load_csv, parse_config
 from .errors import IvcheckError
 from .estimators import fit_boxcox, fit_gmm2step, fit_iv, fit_ols, polynomial_instruments
@@ -68,7 +68,7 @@ def _add_data_args(p):
 def _add_test_args(p):
     p.add_argument("--conditioning", choices=["z", "x"], default="z",
                    help="condition moments on the instrument (z) or the regressor (x)")
-    p.add_argument("--method", choices=["series", "local-linear", "cell-means"], default=None,
+    p.add_argument("--method", choices=METHODS, default=None,
                    help="conditional-mean estimator; overrides npreg.method "
                         "(default: npreg.method, else series)")
     p.add_argument("--alpha", type=float, default=0.05,
@@ -104,11 +104,9 @@ def _test_config(args, config: dict) -> TestConfig:
         kwargs["alpha_levels"] = _alpha_levels(kwargs["alpha_levels"])
     if getattr(args, "method", None):
         kwargs["method"] = args.method
+    cfg = TestConfig(**kwargs)
     alpha = getattr(args, "alpha", None)
-    levels = kwargs.get("alpha_levels", DEFAULT_ALPHAS)
-    if alpha is not None and alpha not in levels:
-        kwargs["alpha_levels"] = tuple(sorted((*levels, alpha), reverse=True))
-    return TestConfig(**kwargs)
+    return cfg if alpha is None else cfg.with_level(alpha)
 
 
 def _write_csv(path, rows):
@@ -192,6 +190,9 @@ def _cmd_overid(args, config):
 def _cmd_identified_set(args, config):
     cfg = _test_config(args, config)
     ds = _load(args)
+    if ds.k_x != 1:
+        raise IvcheckError(f"identified-set takes one regressor, got {ds.k_x}: "
+                           f"{', '.join(ds.column_names['x'])}")
     grid = np.linspace(args.theta_lo, args.theta_hi, args.theta_count)
     x_col = ds.x[:, 0]
     y = ds.y

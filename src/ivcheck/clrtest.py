@@ -26,6 +26,7 @@ from .errors import (
 )
 from .estimators import fit_boxcox, fit_iv, fit_ols
 from .moments import (
+    Assumption,
     Conditioning,
     ModelForm,
     ModelSpec,
@@ -35,6 +36,7 @@ from .moments import (
 )
 
 DEFAULT_ALPHAS = (0.10, 0.05, 0.01)
+METHODS = ("series", "local-linear", "cell-means")
 VARIANCE_SERIES_ORDER = 2
 
 
@@ -44,7 +46,7 @@ class TestConfig:
     grid_count: int = 100
     centile_lo: float = 0.01
     centile_hi: float = 0.99
-    method: str = "series"  # series | local-linear | cell-means
+    method: str = "series"  # one of METHODS
     series_order: int | None = None
     bandwidth: float | None = None
     bandwidth_scale: float = 1.0
@@ -55,6 +57,15 @@ class TestConfig:
             raise IvcheckError(f"every alpha level must lie in (0, 1), got {self.alpha_levels}")
         if self.grid_count < 2:
             raise IvcheckError(f"grid count must be at least 2, got {self.grid_count}")
+        if self.method not in METHODS:
+            raise IvcheckError(f"method must be one of {', '.join(METHODS)}, got {self.method!r}")
+
+    def with_level(self, alpha: float) -> TestConfig:
+        """This config with `alpha` added to the computed levels if missing."""
+        if alpha in self.alpha_levels:
+            return self
+        levels = tuple(sorted((*self.alpha_levels, alpha), reverse=True))
+        return replace(self, alpha_levels=levels)
 
 
 @dataclass(frozen=True)
@@ -179,7 +190,11 @@ def run_test(
     cfg: TestConfig = TestConfig(),
     rng: RngSpec = RngSpec(),
 ) -> TestReport:
-    """Precision-corrected sup test of H0: sup_v theta(v) <= 0 over the moment system."""
+    """Precision-corrected sup test of H0: sup_v theta(v) <= 0 over the moment system.
+
+    A series fit without `cfg.series_order` uses `npreg.default_series_order(n)`;
+    the spec-dependent orders are set by `test_model`.
+    """
     if cfg.mult_draws < 200:
         raise SimulationBudgetTooSmall("need at least 200 multiplier draws")
     c = ms.conditioning
@@ -200,16 +215,12 @@ def run_test(
         if grid.size == 0:
             raise EmptyGrid("conditioning grid is empty")
         if method == "series":
-            # systems with squared-residual inequalities default to a coarse
-            # quadratic basis: the heavy tails of squared residuals make a
-            # rich series fit too noisy to detect smooth variance deviations
-            has_variance = any(m[0].startswith("var") for m in ms.moments)
             order = cfg.series_order
             if order is None:
-                order = VARIANCE_SERIES_ORDER if has_variance else npreg.default_series_order(n)
+                order = npreg.default_series_order(n)
             diagnostics["series_order"] = order
             smoother = npreg.series_smoother(c, ms.base, order, float(grid.min()), float(grid.max()))
-        elif method == "local-linear":
+        else:  # local-linear
             bandwidth = cfg.bandwidth
             if bandwidth is None:
                 bandwidth = npreg.rule_of_thumb_bandwidth(c, cfg.bandwidth_scale)
@@ -223,8 +234,6 @@ def run_test(
                 grid = grid[ok]
                 if grid.size == 0:
                     raise EmptyGrid("all grid points have empty kernel windows")
-        else:
-            raise IvcheckError(f"unknown estimation method {method!r}")
     theta_base, s_base, zstar_base = _process(smoother, grid, gen, cfg.mult_draws)
 
     floor = npreg.S_FLOOR * (1.0 + np.abs(theta_base))
@@ -283,10 +292,8 @@ def first_step_fit(ds: Dataset, spec: ModelSpec):
         if spec.conditioning is Conditioning.ON_Z:
             return fit_iv(ds, intercept=spec.intercept)
         return fit_ols(ds, intercept=spec.intercept)
-    if spec.form is ModelForm.BOXCOX:
-        return fit_boxcox(ds, use_iv=spec.conditioning is Conditioning.ON_Z,
-                          intercept=spec.intercept)
-    raise IvcheckError("user-parametric specs go through identified_set")
+    return fit_boxcox(ds, use_iv=spec.conditioning is Conditioning.ON_Z,
+                      intercept=spec.intercept)
 
 
 def test_model(
@@ -295,15 +302,21 @@ def test_model(
     cfg: TestConfig = TestConfig(),
     rng: RngSpec = RngSpec(),
 ) -> TestReport:
-    """Estimate, build the moment system, and run the sup test."""
+    """Estimate, build the moment system, and run the sup test.
+
+    A series fit without `series_order` takes the spec's default: the coarse
+    VARIANCE_SERIES_ORDER under homoskedasticity, `nonlinear_step_series_order`
+    after a Box-Cox first step, else run_test's `default_series_order`.
+    """
     fit = first_step_fit(ds, spec)
     ms = build_for_spec(fit, spec, ds)
-    if (
-        spec.form is ModelForm.BOXCOX
-        and cfg.method == "series"
-        and cfg.series_order is None
-    ):
-        cfg = replace(cfg, series_order=npreg.nonlinear_step_series_order(ds.n))
+    if cfg.method == "series" and cfg.series_order is None:
+        if Assumption.HOMOSKEDASTICITY in spec.assumptions:
+            # the heavy tails of squared residuals make a rich series fit
+            # too noisy to detect smooth variance deviations
+            cfg = replace(cfg, series_order=VARIANCE_SERIES_ORDER)
+        elif spec.form is ModelForm.BOXCOX:
+            cfg = replace(cfg, series_order=npreg.nonlinear_step_series_order(ds.n))
     report = run_test(ms, None, cfg, rng)
     report.diagnostics["first_step"] = _fit_summary(fit)
     return report
@@ -336,8 +349,7 @@ def identified_set(
     theta_grid = list(theta_grid)
     if not theta_grid:
         raise EmptyGrid("theta_grid is empty")
-    if alpha not in cfg.alpha_levels:
-        cfg = replace(cfg, alpha_levels=tuple(sorted(set(cfg.alpha_levels) | {alpha}, reverse=True)))
+    cfg = cfg.with_level(alpha)
     accepted = []
     for i, theta in enumerate(theta_grid):
         ms = build_parametric_grid(spec, ds, theta)

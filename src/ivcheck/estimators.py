@@ -34,10 +34,6 @@ class LinearFit:
     first_stage_f: float | None = None
     beta_first_step: np.ndarray | None = None
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        d = _design(np.asarray(x, dtype=float), self.intercept)
-        return d @ self.beta
-
 
 @dataclass(frozen=True)
 class BoxCoxFit:

@@ -3,20 +3,19 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .data import Dataset
 from .errors import EvaluatorDomainError, IvcheckError
-from .estimators import BoxCoxFit, LinearFit, boxcox_transform
+from .estimators import BoxCoxFit, boxcox_transform
 
 
 class ModelForm(Enum):
     LINEAR = "linear"
     BOXCOX = "box-cox"
-    USER_PARAMETRIC = "user"
 
 
 class Assumption(Enum):
@@ -35,7 +34,7 @@ class ModelSpec:
     intercept: bool = True
     assumptions: frozenset = frozenset({Assumption.EXOGENEITY})
     conditioning: Conditioning = Conditioning.ON_Z
-    evaluator: object = None  # m(x, theta) for USER_PARAMETRIC
+    evaluator: object = None  # m(x, theta) for build_parametric_grid
 
     def __post_init__(self):
         assumptions = frozenset(self.assumptions)
@@ -95,31 +94,14 @@ def _paired(base_cols, labels, conditioning, desc, column="") -> MomentSystem:
     )
 
 
-def build_exogeneity(fit, spec: ModelSpec, ds: Dataset) -> MomentSystem:
-    """W1 = residual, W2 = -residual, conditioned on the instrument (or regressor)."""
-    resid = fit.residuals
-    cond, column = _conditioning_column(ds, spec)
-    return _paired([resid], ["resid"], cond, f"exogeneity pair on {column}", column)
-
-
-def build_homoskedasticity(fit: LinearFit, spec: ModelSpec, ds: Dataset) -> MomentSystem:
-    """Adds W3 = U^2 - sigma2_hat and its negative to the exogeneity pair."""
-    if Assumption.HOMOSKEDASTICITY not in spec.assumptions:
-        raise IvcheckError("spec does not include the homoskedasticity assumption")
-    resid = fit.residuals
-    sigma2 = float(np.mean(resid**2))  # 1/n, matching the population identity
-    cond, column = _conditioning_column(ds, spec)
-    return _paired(
-        [resid, resid**2 - sigma2],
-        ["resid", "var"],
-        cond,
-        f"exogeneity + homoskedasticity on {column}",
-        column,
-    )
-
-
 def build_parametric_grid(spec: ModelSpec, ds: Dataset, theta) -> MomentSystem:
-    """W1 = Y - m(X, theta) at a fixed parameter point (no estimation step)."""
+    """W1 = Y - m(X, theta) at a fixed parameter point (no estimation step).
+
+    This route tests exogeneity only.
+    """
+    if Assumption.HOMOSKEDASTICITY in spec.assumptions:
+        raise IvcheckError("the parametric grid route tests exogeneity only, "
+                           "not homoskedasticity")
     if spec.evaluator is None:
         raise IvcheckError("ModelSpec.evaluator required for the parametric grid route")
     try:
@@ -145,9 +127,18 @@ def boxcox_evaluator(x, theta):
 
 
 def build_for_spec(fit, spec: ModelSpec, ds: Dataset) -> MomentSystem:
-    """Dispatch on the assumption set; homoskedasticity implies the 4-moment system."""
+    """W = +/- residual, plus +/- (U^2 - sigma2_hat) under homoskedasticity.
+
+    The moments condition on the instrument (or regressor).
+    """
+    resid = fit.residuals
+    cols, labels, desc = [resid], ["resid"], "exogeneity pair"
     if Assumption.HOMOSKEDASTICITY in spec.assumptions:
         if isinstance(fit, BoxCoxFit):
             raise IvcheckError("homoskedasticity moments require a linear fit")
-        return build_homoskedasticity(fit, spec, ds)
-    return build_exogeneity(fit, spec, ds)
+        sigma2 = float(np.mean(resid**2))  # 1/n, matching the population identity
+        cols.append(resid**2 - sigma2)
+        labels.append("var")
+        desc = "exogeneity + homoskedasticity"
+    cond, column = _conditioning_column(ds, spec)
+    return _paired(cols, labels, cond, f"{desc} on {column}", column)

@@ -89,11 +89,7 @@ class PropensityFit:
 
     def support_p_given_x(self, x):
         """[p_lo, p_hi]: range of the fitted propensity over the instrument grid."""
-        col = np.clip(
-            np.array([np.interp(x, self.x_grid, row) for row in self.surface]),
-            0.0,
-            1.0,
-        )
+        col = self.evaluate(self.z_grid, np.full(len(self.z_grid), x))
         return float(col.min()), float(col.max())
 
 
@@ -335,12 +331,6 @@ class Condition1Report:
     injectivity_violations: int
     flagged_pairs: tuple  # (v, bin_i, bin_j, ks_distance)
     monotonicity_violations: float  # mean raw violation fraction from the propensity fit
-
-    @property
-    def no_further_implications(self) -> bool:
-        """True when no duplicated instrument values were found; only the
-        monotone-propensity requirement remains testable."""
-        return self.injectivity_violations == 0
 
 
 def condition1_diagnostic(

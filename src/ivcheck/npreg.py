@@ -11,8 +11,7 @@ The `fit_*` functions wrap the same smoothers for a single column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
 
@@ -22,12 +21,6 @@ from .errors import EmptyWindow, InsufficientData, RankDeficient, TooManyCells
 
 S_FLOOR = 1e-12
 MAX_CELLS = 50
-
-
-class NpregMethod(Enum):
-    SERIES = "series"
-    LOCAL_LINEAR = "local-linear"
-    CELL_MEANS = "cell-means"
 
 
 def default_series_order(n: int) -> int:
@@ -218,22 +211,12 @@ def cell_means_smoother(z, w) -> Smoother:
 class CondMeanFit:
     """Fitted conditional mean, evaluable pointwise with a standard error."""
 
-    method: NpregMethod
-    basis: dict = field(default_factory=dict)
-    smoother: Smoother | None = None  # series and cell means
-    # local linear: the fit at the evaluation points is the smoother's
-    # coefficient vector, so it is built on each call of `evaluate`
-    z: np.ndarray | None = None
-    w: np.ndarray | None = None
-    bandwidth: float | None = None
+    smoother_at: Callable  # v (G,) -> Smoother whose design covers v
 
     def evaluate(self, v):
         """Return (theta_hat, s) at scalar or vector v."""
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        smoother = self.smoother
-        if smoother is None:
-            smoother, _ = local_linear_smoother(self.z, self.w[:, None], v_arr, self.bandwidth)
-        theta, s = smoother.evaluate(v_arr)
+        theta, s = self.smoother_at(v_arr).evaluate(v_arr)
         if np.isscalar(v) or np.asarray(v).ndim == 0:
             return float(theta[0, 0]), float(s[0, 0])
         return theta[0], s[0]
@@ -248,12 +231,8 @@ def fit_series(w, z, order: int | None = None) -> CondMeanFit:
     w, z = _column(w), _column(z)
     if order is None:
         order = default_series_order(len(z))
-    lo, hi = float(z.min()), float(z.max())
-    return CondMeanFit(
-        method=NpregMethod.SERIES,
-        basis={"order": order, "lo": lo, "hi": hi},
-        smoother=series_smoother(z, w[:, None], order, lo, hi),
-    )
+    smoother = series_smoother(z, w[:, None], order, float(z.min()), float(z.max()))
+    return CondMeanFit(lambda v: smoother)
 
 
 def fit_local_linear(w, z, bandwidth=None, bandwidth_scale: float = 1.0) -> CondMeanFit:
@@ -264,20 +243,12 @@ def fit_local_linear(w, z, bandwidth=None, bandwidth_scale: float = 1.0) -> Cond
     if bandwidth is None:
         bandwidth = rule_of_thumb_bandwidth(z, bandwidth_scale)
     bandwidth = _positive(bandwidth)
-    return CondMeanFit(
-        method=NpregMethod.LOCAL_LINEAR,
-        basis={"bandwidth": bandwidth},
-        z=z,
-        w=w,
-        bandwidth=bandwidth,
-    )
+    # the fit at the evaluation points is the smoother's coefficient vector,
+    # so the smoother is built for each call of `evaluate`
+    return CondMeanFit(lambda v: local_linear_smoother(z, w[:, None], v, bandwidth)[0])
 
 
 def fit_cell_means(w, z) -> CondMeanFit:
     """Exact within-cell means for a discrete conditioning variable (<= 50 cells)."""
     smoother = cell_means_smoother(_column(z), _column(w)[:, None])
-    return CondMeanFit(
-        method=NpregMethod.CELL_MEANS,
-        basis={"cells": len(smoother.coef)},
-        smoother=smoother,
-    )
+    return CondMeanFit(lambda v: smoother)

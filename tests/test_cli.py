@@ -159,6 +159,7 @@ def test_simulate_smoke(tmp_path, capsys):
 @pytest.mark.parametrize("config", [
     "npreg.method = local-linear\nnpreg.bandwidth = -1\n",
     "npreg.method = local-linear\nnpreg.bandwidth = 0\n",
+    "npreg.method = kernel\n",
     "test.alpha_levels = 1.5\n",
     "grid.count = 1\n",
     "grid.count = ten\n",
@@ -219,6 +220,23 @@ def test_identified_set_rejects_homoskedastic_flag(null_csv, capsys):
     code = main(_args(null_csv, "identified-set", "--theta-lo", "1.0", "--theta-hi", "3.0",
                       "--homoskedastic"))
     assert code == EXIT_ERROR
+
+
+def test_identified_set_two_regressors_exits_one(tmp_path, capsys):
+    g = np.random.default_rng(143)
+    n = 500
+    x = g.standard_normal((n, 2))
+    y = 2.0 * x[:, 0] + 5.0 * x[:, 1] + g.standard_normal(n)
+    from ivcheck.data import Dataset
+    p = tmp_path / "two-x.csv"
+    write_csv(Dataset(y=y, x=x, z=x), p)
+    code = main(["identified-set", str(p), "--x-cols", "x1,x2", "--z-cols", "z1,z2",
+                 "--theta-lo", "1.0", "--theta-hi", "3.0", "--theta-count", "5"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert "identified set" not in captured.out
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "x1, x2" in lines[0]
 
 
 def test_missing_file_exits_one(capsys):

@@ -6,10 +6,17 @@ from ivcheck.clrtest import TestConfig as Cfg
 from ivcheck.clrtest import first_step_fit, identified_set, run_test
 from ivcheck.clrtest import test_model as model_test
 from ivcheck.data import Dataset, RngSpec
-from ivcheck.errors import EmptyGrid, InsufficientData, SimulationBudgetTooSmall
+from ivcheck.errors import EmptyGrid, InsufficientData, IvcheckError, SimulationBudgetTooSmall
 from ivcheck.estimators import fit_iv
-from ivcheck.npreg import fit_cell_means, fit_local_linear, fit_series
+from ivcheck.npreg import (
+    default_series_order,
+    fit_cell_means,
+    fit_local_linear,
+    fit_series,
+    nonlinear_step_series_order,
+)
 from ivcheck.moments import (
+    Assumption,
     Conditioning,
     ModelForm,
     ModelSpec,
@@ -156,6 +163,28 @@ def test_series_order_must_stay_below_n_minus_one(order):
         run_test(ms, None, Cfg(series_order=order), RngSpec(seed=0))
 
 
+@pytest.mark.parametrize("family, spec, default", [
+    (DgpFamily.LINEAR_IV_NULL, IV_SPEC, default_series_order),
+    (DgpFamily.LINEAR_OLS_NULL,
+     ModelSpec(conditioning=Conditioning.ON_X,
+               assumptions=frozenset({Assumption.HOMOSKEDASTICITY})),
+     lambda n: 2),
+    (DgpFamily.BOXCOX_IV_NULL, ModelSpec(form=ModelForm.BOXCOX), nonlinear_step_series_order),
+], ids=["linear", "homoskedastic", "boxcox"])
+def test_series_order_rule(family, spec, default):
+    n = 400
+    ds = generate(DgpSpec(family=family, n=n), RngSpec(seed=22))
+    report = model_test(ds, spec, Cfg(), RngSpec(seed=23))
+    assert report.diagnostics["series_order"] == default(n)
+    report = model_test(ds, spec, Cfg(series_order=5), RngSpec(seed=23))
+    assert report.diagnostics["series_order"] == 5
+
+
+def test_config_rejects_unknown_method():
+    with pytest.raises(IvcheckError, match="method must be one of"):
+        Cfg(method="kernel")
+
+
 def test_first_step_fit_dispatch():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=300), RngSpec(seed=13))
     fit = first_step_fit(ds, IV_SPEC)
@@ -175,7 +204,7 @@ def test_diagnostics_record_setup():
 def test_identified_set_contains_truth():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=1500), RngSpec(seed=16))
     fit = fit_iv(ds)
-    spec = ModelSpec(form=ModelForm.USER_PARAMETRIC, conditioning=Conditioning.ON_Z,
+    spec = ModelSpec(conditioning=Conditioning.ON_Z,
                      evaluator=lambda x, th: th[0] + th[1] * x[:, 0])
     grid = [(0.0, 2.0), (fit.beta[0], fit.beta[1]), (0.0, -2.0)]
     out = identified_set(ds, spec, grid, alpha=0.05, rng=RngSpec(seed=17))
@@ -191,7 +220,7 @@ def test_identified_set_rejects_wrong_sign():
     x = 3.0 * z + g.standard_normal(n)
     y = 2.0 * x + g.standard_normal(n)
     ds = Dataset(y=y, x=x, z=z)
-    spec = ModelSpec(form=ModelForm.USER_PARAMETRIC, conditioning=Conditioning.ON_Z,
+    spec = ModelSpec(conditioning=Conditioning.ON_Z,
                      evaluator=lambda xx, th: th[0] + th[1] * xx[:, 0])
     out = identified_set(ds, spec, [(0.0, -2.0)], alpha=0.05, rng=RngSpec(seed=19))
     assert out.empty
@@ -199,7 +228,7 @@ def test_identified_set_rejects_wrong_sign():
 
 def test_identified_set_empty_grid():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=200), RngSpec(seed=20))
-    spec = ModelSpec(form=ModelForm.USER_PARAMETRIC, conditioning=Conditioning.ON_Z,
+    spec = ModelSpec(conditioning=Conditioning.ON_Z,
                      evaluator=lambda x, th: th[0] + th[1] * x[:, 0])
     with pytest.raises(EmptyGrid):
         identified_set(ds, spec, [], rng=RngSpec(seed=21))

@@ -13,9 +13,7 @@ from ivcheck.moments import (
     ModelForm,
     ModelSpec,
     boxcox_evaluator,
-    build_exogeneity,
     build_for_spec,
-    build_homoskedasticity,
     build_parametric_grid,
 )
 from ivcheck.simulate import DgpFamily, DgpSpec, generate
@@ -36,7 +34,7 @@ def test_modelspec_requires_assumptions():
 
 def test_exogeneity_sign_symmetry():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=500), RngSpec(seed=1))
-    ms = build_exogeneity(fit_iv(ds), IV_SPEC, ds)
+    ms = build_for_spec(fit_iv(ds), IV_SPEC, ds)
     assert ms.n_moments == 2
     values = np.column_stack([sign * ms.base[:, idx] for _, idx, sign in ms.moments])
     assert np.allclose(values.sum(axis=1), 0.0, atol=1e-12)
@@ -44,7 +42,7 @@ def test_exogeneity_sign_symmetry():
 
 def test_exogeneity_moment_conditions():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=2000), RngSpec(seed=2))
-    ms = build_exogeneity(fit_iv(ds), IV_SPEC, ds)
+    ms = build_for_spec(fit_iv(ds), IV_SPEC, ds)
     label, idx, sign = ms.moments[0]
     w1 = sign * ms.base[:, idx]
     assert abs(np.mean(w1)) < 1e-10
@@ -54,7 +52,7 @@ def test_exogeneity_moment_conditions():
 
 def test_homoskedasticity_four_moments_centered():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_OLS_NULL, n=800), RngSpec(seed=3))
-    ms = build_homoskedasticity(fit_ols(ds), OLS_HOMO_SPEC, ds)
+    ms = build_for_spec(fit_ols(ds), OLS_HOMO_SPEC, ds)
     assert ms.n_moments == 4
     labels = [m[0] for m in ms.moments]
     assert any(lbl.startswith("var") for lbl in labels)
@@ -68,7 +66,7 @@ def test_homoskedasticity_hand_oracle():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     ds = Dataset(y=y, x=x, z=x)
     fit = fit_ols(ds)
-    ms = build_homoskedasticity(fit, OLS_HOMO_SPEC, ds)
+    ms = build_for_spec(fit, OLS_HOMO_SPEC, ds)
     resid = fit.residuals
     sigma2 = np.mean(resid**2)
     var_plus = next(sign * ms.base[:, idx] for lbl, idx, sign in ms.moments
@@ -90,10 +88,10 @@ def test_hetero_signal_visible_in_variance_moment():
 def test_parametric_grid_matches_exogeneity_at_iv_estimate():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=400), RngSpec(seed=5))
     fit = fit_iv(ds)
-    spec = ModelSpec(form=ModelForm.USER_PARAMETRIC, conditioning=Conditioning.ON_Z,
+    spec = ModelSpec(conditioning=Conditioning.ON_Z,
                      evaluator=lambda x, th: th[0] + th[1] * x[:, 0])
     ms_grid = build_parametric_grid(spec, ds, (fit.beta[0], fit.beta[1]))
-    ms_exo = build_exogeneity(fit, IV_SPEC, ds)
+    ms_exo = build_for_spec(fit, IV_SPEC, ds)
     w_grid = ms_grid.moments[0][2] * ms_grid.base[:, ms_grid.moments[0][1]]
     w_exo = ms_exo.moments[0][2] * ms_exo.base[:, ms_exo.moments[0][1]]
     assert np.allclose(w_grid, w_exo, atol=1e-10)
@@ -104,8 +102,7 @@ def test_parametric_grid_boxcox_noiseless():
     x = g.uniform(0.5, 8.0, 100)
     y = 2.0 * (x - 1.0)
     ds = Dataset(y=y, x=x, z=x)
-    spec = ModelSpec(form=ModelForm.USER_PARAMETRIC, conditioning=Conditioning.ON_X,
-                     evaluator=boxcox_evaluator)
+    spec = ModelSpec(conditioning=Conditioning.ON_X, evaluator=boxcox_evaluator)
     ms = build_parametric_grid(spec, ds, (0.0, 2.0, 1.0))
     w1 = ms.moments[0][2] * ms.base[:, ms.moments[0][1]]
     assert np.allclose(w1, 0.0, atol=1e-12)
@@ -116,7 +113,7 @@ def test_parametric_grid_off_truth_sample_mean_oracle():
     x = g.uniform(-1, 1, 200)
     y = 2.0 * x
     ds = Dataset(y=y, x=x, z=x)
-    spec = ModelSpec(form=ModelForm.USER_PARAMETRIC, conditioning=Conditioning.ON_X,
+    spec = ModelSpec(conditioning=Conditioning.ON_X,
                      evaluator=lambda xx, th: th[0] + th[1] * xx[:, 0])
     ms = build_parametric_grid(spec, ds, (1.0, 0.0))
     w1 = ms.moments[0][2] * ms.base[:, ms.moments[0][1]]
@@ -126,10 +123,17 @@ def test_parametric_grid_off_truth_sample_mean_oracle():
 
 def test_parametric_grid_domain_error():
     ds = Dataset(y=np.arange(4.0), x=np.array([-1.0, 1.0, 2.0, 3.0]), z=np.arange(4.0))
-    spec = ModelSpec(form=ModelForm.USER_PARAMETRIC, conditioning=Conditioning.ON_X,
-                     evaluator=boxcox_evaluator)
+    spec = ModelSpec(conditioning=Conditioning.ON_X, evaluator=boxcox_evaluator)
     with pytest.raises(EvaluatorDomainError):
         build_parametric_grid(spec, ds, (0.0, 2.0, 0.5))
+
+
+def test_parametric_grid_rejects_homoskedasticity():
+    ds = generate(DgpSpec(family=DgpFamily.LINEAR_OLS_NULL, n=200), RngSpec(seed=10))
+    spec = ModelSpec(conditioning=Conditioning.ON_X, assumptions=OLS_HOMO_SPEC.assumptions,
+                     evaluator=lambda xx, th: th[0] + th[1] * xx[:, 0])
+    with pytest.raises(IvcheckError, match="exogeneity only"):
+        build_parametric_grid(spec, ds, (0.0, 2.0))
 
 
 def test_build_for_spec_dispatch():
@@ -142,9 +146,9 @@ def test_build_for_spec_dispatch():
 
 def test_scale_equivariance_of_system():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_OLS_NULL, n=300), RngSpec(seed=9))
-    ms1 = build_homoskedasticity(fit_ols(ds), OLS_HOMO_SPEC, ds)
+    ms1 = build_for_spec(fit_ols(ds), OLS_HOMO_SPEC, ds)
     ds2 = Dataset(y=3.0 * ds.y, x=ds.x, z=ds.z)
-    ms2 = build_homoskedasticity(fit_ols(ds2), OLS_HOMO_SPEC, ds2)
+    ms2 = build_for_spec(fit_ols(ds2), OLS_HOMO_SPEC, ds2)
     for (lbl, idx, sign), (lbl2, idx2, sign2) in zip(ms1.moments, ms2.moments):
         w1 = sign * ms1.base[:, idx]
         w2 = sign2 * ms2.base[:, idx2]
@@ -158,7 +162,7 @@ def test_conditioning_on_first_of_several_columns_warns():
     two = Dataset(y=ds.y, x=ds.x, z=np.column_stack([ds.z[:, 0], z2]),
                   column_names={"y": "y", "x": ["x"], "z": ["z1", "z2"]})
     with pytest.warns(UserWarning, match="column 'z1' only; 'z2' left out"):
-        ms = build_exogeneity(fit_iv(ds), IV_SPEC, two)
+        ms = build_for_spec(fit_iv(ds), IV_SPEC, two)
     assert ms.conditioning_column == "z1"
     assert np.array_equal(ms.conditioning, two.z[:, 0])
     with warnings.catch_warnings():
