@@ -27,6 +27,7 @@ from .errors import IvcheckError
 from .estimators import fit_boxcox, fit_gmm2step, fit_iv, fit_ols, polynomial_instruments
 from .moments import Assumption, Conditioning, ModelForm, ModelSpec
 from .mte import (
+    PROPENSITY_METHODS,
     condition1_diagnostic,
     estimate_asf,
     estimate_mte,
@@ -52,7 +53,6 @@ _TEST_CONFIG_FIELDS = {
     "npreg.method": "method",
     "npreg.series_order": "series_order",
     "npreg.bandwidth": "bandwidth",
-    "npreg.bandwidth_scale": "bandwidth_scale",
     "sim.multiplier_draws": "mult_draws",
 }
 
@@ -143,8 +143,7 @@ def _cmd_fit(args, config):
     else:
         fit = {"ols": fit_ols, "iv": fit_iv, "gmm": fit_gmm2step}[args.estimator](ds)
         se = np.sqrt(np.diag(fit.vcov))
-        names = ["intercept"] + list(ds.column_names["x"]) if fit.intercept else list(
-            ds.column_names["x"])
+        names = ["intercept", *ds.column_names["x"]]
         print(f"{fit.method.value} fit on n = {ds.n}:")
         rows = []
         for name, b, s in zip(names, fit.beta, se):
@@ -320,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mte", help="control-function marginal effects and average "
                                    "structural function")
     _add_data_args(p)
-    p.add_argument("--propensity-method", choices=["local-linear", "cell-means"],
-                   default="local-linear")
+    p.add_argument("--propensity-method", choices=PROPENSITY_METHODS, default="local-linear")
     p.add_argument("--x", type=float, default=None, help="first evaluation point for the MTE")
     p.add_argument("--x-prime", type=float, default=None, help="second evaluation point")
     p.add_argument("--asf-x", type=float, default=None,

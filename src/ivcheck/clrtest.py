@@ -11,7 +11,6 @@ significance level.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,7 +48,6 @@ class TestConfig:
     method: str = "series"  # one of METHODS
     series_order: int | None = None
     bandwidth: float | None = None
-    bandwidth_scale: float = 1.0
     mult_draws: int = 1000
 
     def __post_init__(self):
@@ -223,17 +221,12 @@ def run_test(
         else:  # local-linear
             bandwidth = cfg.bandwidth
             if bandwidth is None:
-                bandwidth = npreg.rule_of_thumb_bandwidth(c, cfg.bandwidth_scale)
+                bandwidth = npreg.rule_of_thumb_bandwidth(c)
             diagnostics["bandwidth"] = bandwidth
             smoother, ok = npreg.local_linear_smoother(c, ms.base, grid, bandwidth)
-            if not np.all(ok):
-                warnings.warn(
-                    f"dropping {int((~ok).sum())} grid points with empty kernel windows",
-                    stacklevel=2,
-                )
-                grid = grid[ok]
-                if grid.size == 0:
-                    raise EmptyGrid("all grid points have empty kernel windows")
+            grid = npreg.drop_empty_windows(grid, ok)
+            if grid.size == 0:
+                raise EmptyGrid("all grid points have empty kernel windows")
     theta_base, s_base, zstar_base = _process(smoother, grid, gen, cfg.mult_draws)
 
     floor = npreg.S_FLOOR * (1.0 + np.abs(theta_base))
@@ -290,10 +283,9 @@ def first_step_fit(ds: Dataset, spec: ModelSpec):
     """Fit the parametric first step implied by the model spec."""
     if spec.form is ModelForm.LINEAR:
         if spec.conditioning is Conditioning.ON_Z:
-            return fit_iv(ds, intercept=spec.intercept)
-        return fit_ols(ds, intercept=spec.intercept)
-    return fit_boxcox(ds, use_iv=spec.conditioning is Conditioning.ON_Z,
-                      intercept=spec.intercept)
+            return fit_iv(ds)
+        return fit_ols(ds)
+    return fit_boxcox(ds, use_iv=spec.conditioning is Conditioning.ON_Z)
 
 
 def test_model(

@@ -193,7 +193,6 @@ CONFIG_KEYS = {
     "npreg.method": str,  # series | local-linear | cell-means
     "npreg.series_order": int,
     "npreg.bandwidth": float,
-    "npreg.bandwidth_scale": float,
     "sim.replications": int,
     "sim.multiplier_draws": int,
     "rng.seed": int,

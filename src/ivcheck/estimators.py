@@ -13,8 +13,8 @@ from .errors import DomainError, RankDeficient, RelevanceWarning, SingularWeight
 
 RELEVANCE_F_THRESHOLD = 10.0
 
-# Default lambda grid for the Box-Cox profile: 81 points on [-2, 2], step 0.05.
-DEFAULT_LAMBDA_GRID = np.round(np.linspace(-2.0, 2.0, 81), 10)
+# Coarse lambda grid of the Box-Cox profile: 81 points on [-2, 2], step 0.05.
+LAMBDA_GRID = np.round(np.linspace(-2.0, 2.0, 81), 10)
 
 
 class FitMethod(Enum):
@@ -30,7 +30,6 @@ class LinearFit:
     residuals: np.ndarray
     method: FitMethod
     sigma2_hat: float
-    intercept: bool
     first_stage_f: float | None = None
     beta_first_step: np.ndarray | None = None
 
@@ -49,13 +48,12 @@ class BoxCoxFit:
         return (self.beta0, self.beta1, self.lam)
 
 
-def _design(x: np.ndarray, intercept: bool) -> np.ndarray:
+def _design(x: np.ndarray) -> np.ndarray:
+    """x with a leading column of ones: every first step fits an intercept."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if intercept:
-        return np.column_stack([np.ones(x.shape[0]), x])
-    return x
+    return np.column_stack([np.ones(x.shape[0]), x])
 
 
 def _check_rank(mat: np.ndarray, what: str) -> None:
@@ -79,9 +77,9 @@ def _sandwich(design_z: np.ndarray, design_x: np.ndarray, resid: np.ndarray) -> 
     return a_inv @ meat @ a_inv.T / n
 
 
-def fit_ols(ds: Dataset, intercept: bool = True) -> LinearFit:
+def fit_ols(ds: Dataset) -> LinearFit:
     """Least squares of y on x, robust (sandwich) covariance."""
-    d = _design(ds.x, intercept)
+    d = _design(ds.x)
     _check_rank(d, "OLS design matrix")
     beta, *_ = np.linalg.lstsq(d, ds.y, rcond=None)
     resid = ds.y - d @ beta
@@ -92,25 +90,20 @@ def fit_ols(ds: Dataset, intercept: bool = True) -> LinearFit:
         residuals=resid,
         method=FitMethod.OLS,
         sigma2_hat=float(np.mean(resid**2)),
-        intercept=intercept,
     )
 
 
-def _first_stage_f(ds: Dataset, intercept: bool) -> float:
+def _first_stage_f(ds: Dataset) -> float:
     """F-statistic of the excluded instruments in the first stage, minimum over x columns."""
-    dz = _design(ds.z, intercept)
+    dz = _design(ds.z)
     n, kz = dz.shape
     fs = []
     for j in range(ds.k_x):
         xj = ds.x[:, j]
         g, *_ = np.linalg.lstsq(dz, xj, rcond=None)
         rss1 = float(np.sum((xj - dz @ g) ** 2))
-        if intercept:
-            rss0 = float(np.sum((xj - xj.mean()) ** 2))
-            q = kz - 1
-        else:
-            rss0 = float(np.sum(xj**2))
-            q = kz
+        rss0 = float(np.sum((xj - xj.mean()) ** 2))
+        q = kz - 1
         dof = n - kz
         if q <= 0 or dof <= 0 or rss1 <= 0:
             fs.append(np.inf)
@@ -119,18 +112,18 @@ def _first_stage_f(ds: Dataset, intercept: bool) -> float:
     return float(min(fs))
 
 
-def fit_iv(ds: Dataset, intercept: bool = True) -> LinearFit:
+def fit_iv(ds: Dataset) -> LinearFit:
     """Just-identified linear IV: beta = E_n[Z X']^-1 E_n[Z Y]."""
     if ds.k_z != ds.k_x:
         raise RankDeficient(
             f"fit_iv needs a just-identified system (k_z={ds.k_z}, k_x={ds.k_x})"
         )
-    dz = _design(ds.z, intercept)
-    dx = _design(ds.x, intercept)
+    dz = _design(ds.z)
+    dx = _design(ds.x)
     n = ds.n
     beta = _solve(dz.T @ dx / n, dz.T @ ds.y / n, "E_n[ZX']")
     resid = ds.y - dx @ beta
-    f_stat = _first_stage_f(ds, intercept)
+    f_stat = _first_stage_f(ds)
     if f_stat < RELEVANCE_F_THRESHOLD:
         warnings.warn(
             f"first-stage F = {f_stat:.2f} < {RELEVANCE_F_THRESHOLD:g}: weak instrument",
@@ -144,7 +137,6 @@ def fit_iv(ds: Dataset, intercept: bool = True) -> LinearFit:
         residuals=resid,
         method=FitMethod.IV,
         sigma2_hat=float(np.mean(resid**2)),
-        intercept=intercept,
         first_stage_f=f_stat,
     )
 
@@ -173,7 +165,7 @@ def gmm_beta(
     return np.linalg.solve(a, hx.T @ weight @ hy)
 
 
-def fit_gmm2step(ds: Dataset, instrument_fn=None, intercept: bool = True) -> LinearFit:
+def fit_gmm2step(ds: Dataset, instrument_fn=None) -> LinearFit:
     """Two-step efficient GMM on moments E[h(Z) U] = 0.
 
     First step weights by (E_n[hh'])^-1; second step by the inverse of the
@@ -182,8 +174,8 @@ def fit_gmm2step(ds: Dataset, instrument_fn=None, intercept: bool = True) -> Lin
     if instrument_fn is None:
         instrument_fn = polynomial_instruments(3)
     h_raw = instrument_fn(ds.z)
-    h_design = _design(h_raw, intercept)
-    dx = _design(ds.x, intercept)
+    h_design = _design(h_raw)
+    dx = _design(ds.x)
     n = ds.n
     if h_design.shape[1] < dx.shape[1]:
         raise RankDeficient("dim h(Z) below the number of parameters")
@@ -208,7 +200,6 @@ def fit_gmm2step(ds: Dataset, instrument_fn=None, intercept: bool = True) -> Lin
         residuals=resid,
         method=FitMethod.GMM2STEP,
         sigma2_hat=float(np.mean(resid**2)),
-        intercept=intercept,
         beta_first_step=beta1,
     )
 
@@ -223,39 +214,29 @@ def boxcox_transform(x: np.ndarray, lam: float) -> np.ndarray:
     return (x**lam - 1.0) / lam
 
 
-def fit_boxcox(
-    ds: Dataset,
-    lambda_grid=None,
-    use_iv: bool = False,
-    intercept: bool = True,
-) -> BoxCoxFit:
+def fit_boxcox(ds: Dataset, use_iv: bool = False) -> BoxCoxFit:
     """Profile grid search over lambda, linear step by OLS or just-identified IV.
 
-    For each grid lambda the outcome is regressed on the transformed regressor
-    (instrumented by z when use_iv); the structural sum of squared residuals is
-    profiled, and the coarse minimizer is polished on successively finer local
-    grids. Assumes a scalar regressor.
+    For each lambda of LAMBDA_GRID the outcome is regressed on the transformed
+    regressor (instrumented by z when use_iv); the structural sum of squared
+    residuals is profiled, and the coarse minimizer is polished on successively
+    finer local grids. Assumes a scalar regressor.
     """
     if ds.k_x != 1:
         raise DomainError("fit_boxcox expects a scalar regressor")
-    if lambda_grid is None:
-        lambda_grid = DEFAULT_LAMBDA_GRID
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    if lambda_grid.size == 0 or np.any(np.diff(lambda_grid) <= 0):
-        raise DomainError("lambda_grid must be non-empty and strictly increasing")
     x = ds.x[:, 0]
     if np.any(x <= 0):
         raise DomainError("Box-Cox transform requires strictly positive x")
     y = ds.y
     n = ds.n
-    dz = _design(ds.z[:, :1], intercept) if use_iv else None
+    dz = _design(ds.z[:, :1]) if use_iv else None
 
     def sweep(grid):
         rows = np.empty((len(grid), 2))
         top = None
         for i, lam in enumerate(grid):
             xt = boxcox_transform(x, lam)
-            d = _design(xt, intercept)
+            d = _design(xt)
             if use_iv:
                 beta = _solve(dz.T @ d / n, dz.T @ y / n, "E_n[Z X^(lambda)']")
             else:
@@ -268,20 +249,19 @@ def fit_boxcox(
                 top = (sse, float(lam), beta, resid)
         return rows, top
 
-    curve, best = sweep(lambda_grid)
+    curve, best = sweep(LAMBDA_GRID)
     # refine around the coarse minimizer: grid spacing otherwise dominates the
     # sampling error of lambda_hat in moderate samples
-    span = float(np.max(np.diff(lambda_grid)))
+    span = float(np.max(np.diff(LAMBDA_GRID)))
     for _ in range(3):
         span /= 4.0
         local = np.linspace(best[1] - 4.0 * span, best[1] + 4.0 * span, 17)
         _, best = sweep(local)
     _, lam, beta, resid = best
-    b0, b1 = (float(beta[0]), float(beta[1])) if intercept else (0.0, float(beta[0]))
     return BoxCoxFit(
         lam=float(lam),
-        beta0=b0,
-        beta1=b1,
+        beta0=float(beta[0]),
+        beta1=float(beta[1]),
         residuals=resid,
         profile_sse_curve=curve,
         use_iv=use_iv,

@@ -31,7 +31,6 @@ class Conditioning(Enum):
 @dataclass(frozen=True)
 class ModelSpec:
     form: ModelForm = ModelForm.LINEAR
-    intercept: bool = True
     assumptions: frozenset = frozenset({Assumption.EXOGENEITY})
     conditioning: Conditioning = Conditioning.ON_Z
     evaluator: object = None  # m(x, theta) for build_parametric_grid
@@ -97,8 +96,12 @@ def _paired(base_cols, labels, conditioning, desc, column="") -> MomentSystem:
 def build_parametric_grid(spec: ModelSpec, ds: Dataset, theta) -> MomentSystem:
     """W1 = Y - m(X, theta) at a fixed parameter point (no estimation step).
 
-    This route tests exogeneity only.
+    The evaluator m carries the functional form, so the spec must keep the
+    default LINEAR form. This route tests exogeneity only.
     """
+    if spec.form is not ModelForm.LINEAR:
+        raise IvcheckError("the parametric grid route takes its functional form from "
+                           f"the evaluator; ModelSpec.form must be linear, got {spec.form.value}")
     if Assumption.HOMOSKEDASTICITY in spec.assumptions:
         raise IvcheckError("the parametric grid route tests exogeneity only, "
                            "not homoskedasticity")

@@ -13,17 +13,25 @@ import numpy as np
 from .data import Dataset, conditioning_grid, empirical_quantile
 from .errors import InsufficientData, IvcheckError, MissingBounds, OffSupport
 from .npreg import (
+    MAX_CELLS,
     _positive,
     cell_means_weights,
+    drop_empty_windows,
     epanechnikov,
     local_linear_weights,
     rule_of_thumb_bandwidth,
 )
 
+PROPENSITY_METHODS = ("local-linear", "cell-means")
+X_GRID_COUNT = 40  # regressor grid of the propensity surface
+Z_GRID_COUNT = 50  # instrument grid of the local-linear propensity
 FULL_SUPPORT_LO = 0.02
 FULL_SUPPORT_HI = 0.98
 MIN_EFFECTIVE_OBS = 5
-DEFAULT_P_GRID = np.round(np.arange(0.01, 1.0, 0.01), 10)  # 99 points
+P_GRID = np.round(np.arange(0.01, 1.0, 0.01), 10)  # 99 rank points of the ASF integral
+UNIFORMITY_BINS = 4  # instrument bins of uniformity_diagnostic
+V_GRID = np.round(np.arange(0.1, 1.0, 0.1), 10)  # ranks of condition1_diagnostic
+Z_BINS = 10  # instrument bins of condition1_diagnostic and quantile_roundtrip_check
 
 
 def pava_increasing(y: np.ndarray) -> np.ndarray:
@@ -93,34 +101,29 @@ class PropensityFit:
         return float(col.min()), float(col.max())
 
 
-def fit_propensity(
-    ds: Dataset,
-    method: str = "local-linear",
-    bandwidth: float | None = None,
-    bandwidth_scale: float = 1.0,
-    x_grid_count: int = 40,
-    z_grid_count: int = 50,
-) -> PropensityFit:
+def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
     """Estimate P(z, x) = P(X <= x | Z = z) on a grid, clip and isotonize in x.
 
-    Raw monotonicity violations are recorded per z before the correction so
-    the strict-monotonicity requirement stays checkable.
+    `method` is one of PROPENSITY_METHODS. The local-linear fit uses the rule
+    of thumb bandwidth and drops, with a warning, instrument grid points whose
+    kernel window is empty. Raw monotonicity violations are recorded per z
+    before the correction so the strict-monotonicity requirement stays
+    checkable.
     """
     if ds.k_x != 1 or ds.k_z != 1:
         raise IvcheckError("fit_propensity expects scalar x and z")
     x = ds.x[:, 0]
     z = ds.z[:, 0]
-    x_grid = conditioning_grid(x, 0.01, 0.99, x_grid_count)
+    if method not in PROPENSITY_METHODS:
+        raise IvcheckError(f"propensity method must be one of {', '.join(PROPENSITY_METHODS)}, "
+                           f"got {method!r}")
+    x_grid = conditioning_grid(x, 0.01, 0.99, X_GRID_COUNT)
     if method == "cell-means":
         z_grid, a = cell_means_weights(z)
-    elif method == "local-linear":
-        z_grid = conditioning_grid(z, 0.01, 0.99, z_grid_count)
-        if bandwidth is None:
-            bandwidth = rule_of_thumb_bandwidth(z, bandwidth_scale)
-        a, ok = local_linear_weights(z, z_grid, bandwidth)
-        z_grid, a = z_grid[ok], a[ok]
     else:
-        raise IvcheckError(f"unknown propensity method {method!r}")
+        z_grid = conditioning_grid(z, 0.01, 0.99, Z_GRID_COUNT)
+        a, ok = local_linear_weights(z, z_grid, rule_of_thumb_bandwidth(z))
+        z_grid, a = drop_empty_windows(z_grid, ok), a[ok]
     if len(z_grid) < 2:
         raise InsufficientData(
             f"propensity needs 2 or more instrument grid points with data, got {len(z_grid)}"
@@ -164,13 +167,13 @@ class UniformityReport:
         return max(self.by_bin.values()) if self.by_bin else self.overall
 
 
-def uniformity_diagnostic(pf: PropensityFit, z: np.ndarray | None = None, bins: int = 4) -> UniformityReport:
-    """KS distance of v_hat to U[0, 1], overall and within instrument bins."""
+def uniformity_diagnostic(pf: PropensityFit, z: np.ndarray | None = None) -> UniformityReport:
+    """KS distance of v_hat to U[0, 1], overall and within UNIFORMITY_BINS instrument bins."""
     overall = ks_distance_uniform(pf.v_hat)
     by_bin = {}
     if z is not None:
-        edges, cell = _quantile_bins(np.asarray(z, dtype=float).ravel(), bins)
-        for b in range(bins):
+        edges, cell = _quantile_bins(np.asarray(z, dtype=float).ravel(), UNIFORMITY_BINS)
+        for b in range(UNIFORMITY_BINS):
             mask = cell == b
             if mask.sum() >= 10:
                 label = f"z in [{edges[b]:.3g}, {edges[b + 1]:.3g}]"
@@ -234,7 +237,6 @@ def fit_control_function(
     pf: PropensityFit,
     bandwidth_x: float | None = None,
     bandwidth_p: float | None = None,
-    bandwidth_scale: float = 1.0,
 ) -> ControlFunctionFit:
     """Bivariate local-linear surfaces of Y (and of 1{Y<=y}) on (X, v_hat)."""
     if len(pf.v_hat) != ds.n:
@@ -243,9 +245,9 @@ def fit_control_function(
     n = ds.n
     # per-coordinate rule of thumb for the bivariate fit
     if bandwidth_x is None:
-        bandwidth_x = bandwidth_scale * 1.06 * np.std(x) * n ** (-1.0 / 6.0)
+        bandwidth_x = 1.06 * np.std(x) * n ** (-1.0 / 6.0)
     if bandwidth_p is None:
-        bandwidth_p = bandwidth_scale * 1.06 * max(np.std(pf.v_hat), 0.05) * n ** (-1.0 / 6.0)
+        bandwidth_p = 1.06 * max(np.std(pf.v_hat), 0.05) * n ** (-1.0 / 6.0)
     return ControlFunctionFit(
         x=x,
         v_hat=pf.v_hat,
@@ -281,16 +283,15 @@ def estimate_asf(
     pf: PropensityFit,
     x: float,
     outcome_bounds: tuple | None = None,
-    p_grid: np.ndarray = DEFAULT_P_GRID,
 ) -> AsfEstimate:
-    """Integrate cond_mean(x, .) over the first-stage rank.
+    """Integrate cond_mean(x, .) over the first-stage rank, at the points of P_GRID.
 
     Full support (operationally p_lo <= 0.02 and p_hi >= 0.98) gives a point;
     otherwise the partial-identification interval needs outcome bounds and has
     width (Y_u - Y_l) (1 - p_hi + p_lo) exactly.
     """
     p_lo, p_hi = pf.support_p_given_x(x)
-    pts = [p for p in np.asarray(p_grid, dtype=float) if p_lo <= p <= p_hi and cf.on_support(x, p)]
+    pts = [p for p in P_GRID if p_lo <= p <= p_hi and cf.on_support(x, p)]
     if len(pts) < 2:
         raise OffSupport(x, (p_lo + p_hi) / 2.0)
     pts = np.asarray(pts)
@@ -333,23 +334,17 @@ class Condition1Report:
     monotonicity_violations: float  # mean raw violation fraction from the propensity fit
 
 
-def condition1_diagnostic(
-    pf: PropensityFit,
-    ds: Dataset,
-    v_grid=None,
-    z_bins: int = 10,
-) -> Condition1Report:
+def condition1_diagnostic(pf: PropensityFit, ds: Dataset) -> Condition1Report:
     """Surjectivity/injectivity diagnostics for the map z -> Q_{X|Z=z}(v).
 
-    When two instrument bins map to (numerically) the same x at a common rank,
-    compares the outcome distributions of the two bins near that x.
+    Evaluated at the ranks v of V_GRID over Z_BINS quantile bins of the
+    instrument. When two instrument bins map to (numerically) the same x at a
+    common rank, compares the outcome distributions of the two bins near that x.
     """
-    if v_grid is None:
-        v_grid = np.round(np.arange(0.1, 1.0, 0.1), 10)
     x = ds.x[:, 0]
     z = ds.z[:, 0]
-    _, cell = _quantile_bins(z, z_bins)
-    members = [cell == b for b in range(z_bins)]
+    _, cell = _quantile_bins(z, Z_BINS)
+    members = [cell == b for b in range(Z_BINS)]
     x_lo = empirical_quantile(x, 0.01)
     x_hi = empirical_quantile(x, 0.99)
     spacing = (pf.x_grid[-1] - pf.x_grid[0]) / max(len(pf.x_grid) - 1, 1)
@@ -357,7 +352,7 @@ def condition1_diagnostic(
     coverage = {}
     violations = 0
     flagged = []
-    for v in np.asarray(v_grid, dtype=float):
+    for v in V_GRID:
         h = np.array(
             [empirical_quantile(x[m], v) if m.sum() >= 5 else np.nan for m in members]
         )
@@ -382,7 +377,7 @@ def condition1_diagnostic(
                         flagged.append((float(v), int(idx[a]), int(idx[b]), ks))
     mono = float(np.mean(list(pf.monotonicity_report.values()))) if pf.monotonicity_report else 0.0
     return Condition1Report(
-        v_grid=np.asarray(v_grid, dtype=float),
+        v_grid=V_GRID.copy(),
         coverage=coverage,
         injectivity_violations=violations,
         flagged_pairs=tuple(flagged),
@@ -390,17 +385,19 @@ def condition1_diagnostic(
     )
 
 
-def quantile_roundtrip_check(ds: Dataset, max_cells: int = 50, bins: int = 10) -> int:
+def quantile_roundtrip_check(ds: Dataset) -> int:
     """Count rows where Q_{X|Z}(F_{X|Z}(X)) != X within instrument cells.
 
-    The left-continuous inverse CDF applied to the empirical CDF reproduces
-    every observed value, so the count is zero for any sample.
+    The cells are the values of z, or Z_BINS quantile bins when z has more
+    than MAX_CELLS values. The left-continuous inverse CDF applied to the
+    empirical CDF reproduces every observed value, so the count is zero for
+    any sample.
     """
     x = ds.x[:, 0]
     z = ds.z[:, 0]
     values = np.unique(z)
-    if len(values) > max_cells:
-        _, cells = _quantile_bins(z, bins)
+    if len(values) > MAX_CELLS:
+        _, cells = _quantile_bins(z, Z_BINS)
     else:
         cells = np.searchsorted(values, z)
     violations = 0

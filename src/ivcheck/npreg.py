@@ -11,6 +11,7 @@ The `fit_*` functions wrap the same smoothers for a single column.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
@@ -44,10 +45,10 @@ def nonlinear_step_series_order(n: int) -> int:
     return int(min(np.ceil(1.5 * n**0.2), n - 2))
 
 
-def rule_of_thumb_bandwidth(z: np.ndarray, scale: float = 1.0) -> float:
-    """1.06 sd(z) n^(-1/5), times a configurable constant."""
+def rule_of_thumb_bandwidth(z: np.ndarray) -> float:
+    """1.06 sd(z) n^(-1/5)."""
     z = np.asarray(z, dtype=float)
-    return float(scale * 1.06 * np.std(z) * len(z) ** (-0.2))
+    return float(1.06 * np.std(z) * len(z) ** (-0.2))
 
 
 def epanechnikov(u: np.ndarray) -> np.ndarray:
@@ -170,6 +171,17 @@ def local_linear_weights(z, grid, bandwidth: float):
     return a, ok
 
 
+def drop_empty_windows(grid, ok) -> np.ndarray:
+    """grid[ok], warning the caller's caller when some grid points are dropped.
+
+    When every point is dropped the caller raises instead, so no warning.
+    """
+    if np.any(ok) and not np.all(ok):
+        warnings.warn(f"dropping {int((~ok).sum())} grid points with empty kernel windows",
+                      stacklevel=3)
+    return grid[ok]
+
+
 def local_linear_smoother(z, w, grid, bandwidth: float):
     """Local lines of each column of w (n, m) at the grid points.
 
@@ -235,13 +247,13 @@ def fit_series(w, z, order: int | None = None) -> CondMeanFit:
     return CondMeanFit(lambda v: smoother)
 
 
-def fit_local_linear(w, z, bandwidth=None, bandwidth_scale: float = 1.0) -> CondMeanFit:
+def fit_local_linear(w, z, bandwidth=None) -> CondMeanFit:
     """Local linear regression of w on z with an Epanechnikov kernel."""
     w, z = _column(w), _column(z)
     if len(z) < 10:
         raise InsufficientData("local linear regression needs n >= 10")
     if bandwidth is None:
-        bandwidth = rule_of_thumb_bandwidth(z, bandwidth_scale)
+        bandwidth = rule_of_thumb_bandwidth(z)
     bandwidth = _positive(bandwidth)
     # the fit at the evaluation points is the smoother's coefficient vector,
     # so the smoother is built for each call of `evaluate`
@@ -249,6 +261,6 @@ def fit_local_linear(w, z, bandwidth=None, bandwidth_scale: float = 1.0) -> Cond
 
 
 def fit_cell_means(w, z) -> CondMeanFit:
-    """Exact within-cell means for a discrete conditioning variable (<= 50 cells)."""
+    """Exact within-cell means for a discrete conditioning variable (<= MAX_CELLS cells)."""
     smoother = cell_means_smoother(_column(z), _column(w)[:, None])
     return CondMeanFit(lambda v: smoother)

@@ -59,12 +59,12 @@ def _finish(statistic: float, dof: int, method: OveridMethod) -> OveridReport:
     return OveridReport(statistic=statistic, dof=dof, p_value=p, method=method)
 
 
-def sargan(ds: Dataset, instrument_fn=None, intercept: bool = True) -> OveridReport:
+def sargan(ds: Dataset, instrument_fn=None) -> OveridReport:
     """Sargan statistic: n R^2 of the 2SLS residual regressed on the instruments."""
     if instrument_fn is None:
         instrument_fn = polynomial_instruments(3)
-    h = _design(instrument_fn(ds.z), intercept)
-    dx = _design(ds.x, intercept)
+    h = _design(instrument_fn(ds.z))
+    dx = _design(ds.x)
     n = ds.n
     if h.shape[1] < dx.shape[1]:
         raise RankDeficient("dim h(Z) below the number of parameters")
@@ -81,13 +81,13 @@ def sargan(ds: Dataset, instrument_fn=None, intercept: bool = True) -> OveridRep
     return _finish(statistic, dof, OveridMethod.SARGAN)
 
 
-def hansen_j(ds: Dataset, instrument_fn=None, intercept: bool = True) -> OveridReport:
+def hansen_j(ds: Dataset, instrument_fn=None) -> OveridReport:
     """Hansen J: n gbar' W gbar at the two-step efficient GMM estimate."""
     if instrument_fn is None:
         instrument_fn = polynomial_instruments(3)
-    fit = fit_gmm2step(ds, instrument_fn, intercept)
-    h = _design(instrument_fn(ds.z), intercept)
-    dx = _design(ds.x, intercept)
+    fit = fit_gmm2step(ds, instrument_fn)
+    h = _design(instrument_fn(ds.z))
+    dx = _design(ds.x)
     n = ds.n
     # weight from first-step residuals, as used in the second step
     r1 = ds.y - dx @ fit.beta_first_step

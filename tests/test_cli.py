@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import ivcheck
-from ivcheck.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, main
+from ivcheck.cli import _TEST_CONFIG_FIELDS, EXIT_ERROR, EXIT_OK, EXIT_REJECT, main
+from ivcheck.clrtest import TestConfig as Cfg
 from ivcheck.data import RngSpec, write_csv
 from ivcheck.simulate import DgpFamily, DgpSpec, generate
 
@@ -165,6 +167,7 @@ def test_simulate_smoke(tmp_path, capsys):
     "grid.count = ten\n",
     "test.alpha_levels = a,b\n",
     "rng.seed = -1\n",
+    "npreg.bandwidth_scale = 2\n",
 ])
 def test_bad_config_values_exit_one(null_csv, tmp_path, capsys, config):
     cfg = tmp_path / "bad.cfg"
@@ -175,6 +178,10 @@ def test_bad_config_values_exit_one(null_csv, tmp_path, capsys, config):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_every_test_config_field_has_a_config_key():
+    assert set(_TEST_CONFIG_FIELDS.values()) == {f.name for f in dataclasses.fields(Cfg)}
 
 
 def test_seed_flag_overrides_config(null_csv, tmp_path):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -160,3 +163,6 @@ def test_config_keys_documented():
     for key in ("grid.count", "test.alpha_levels", "npreg.method", "sim.replications",
                 "sim.multiplier_draws", "rng.seed"):
         assert key in CONFIG_KEYS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("Recognized keys:", 1)[1].split("A value that does not parse", 1)[0]
+    assert set(re.findall(r"`([a-z_]+\.[a-z_]+)`", listed)) == set(CONFIG_KEYS)

@@ -4,7 +4,7 @@ import pytest
 from ivcheck.data import Dataset, RngSpec
 from ivcheck.errors import DomainError, RankDeficient, RelevanceWarning
 from ivcheck.estimators import (
-    DEFAULT_LAMBDA_GRID,
+    LAMBDA_GRID,
     FitMethod,
     boxcox_transform,
     fit_boxcox,
@@ -203,9 +203,9 @@ def test_boxcox_domain_error():
 
 
 def test_boxcox_default_grid():
-    assert len(DEFAULT_LAMBDA_GRID) == 81
-    assert DEFAULT_LAMBDA_GRID[0] == -2.0 and DEFAULT_LAMBDA_GRID[-1] == 2.0
-    assert np.allclose(np.diff(DEFAULT_LAMBDA_GRID), 0.05)
+    assert len(LAMBDA_GRID) == 81
+    assert LAMBDA_GRID[0] == -2.0 and LAMBDA_GRID[-1] == 2.0
+    assert np.allclose(np.diff(LAMBDA_GRID), 0.05)
 
 
 def test_affine_equivariance():

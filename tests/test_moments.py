@@ -136,6 +136,15 @@ def test_parametric_grid_rejects_homoskedasticity():
         build_parametric_grid(spec, ds, (0.0, 2.0))
 
 
+def test_parametric_grid_rejects_boxcox_form():
+    # the evaluator carries the functional form; a Box-Cox spec form is not read
+    ds = generate(DgpSpec(family=DgpFamily.BOXCOX_OLS_NULL, n=200, lam=0.5), RngSpec(seed=10))
+    spec = ModelSpec(form=ModelForm.BOXCOX, conditioning=Conditioning.ON_X,
+                     evaluator=boxcox_evaluator)
+    with pytest.raises(IvcheckError, match="form"):
+        build_parametric_grid(spec, ds, (0.0, 2.0, 0.5))
+
+
 def test_build_for_spec_dispatch():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_OLS_NULL, n=300), RngSpec(seed=8))
     fit = fit_ols(ds)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ivcheck.data import Dataset
-from ivcheck.errors import InsufficientData, MissingBounds, OffSupport
+from ivcheck.errors import InsufficientData, IvcheckError, MissingBounds, OffSupport
 from ivcheck.mte import (
+    P_GRID,
     condition1_diagnostic,
     estimate_asf,
     estimate_mte,
@@ -95,6 +96,30 @@ def test_propensity_needs_two_instrument_grid_points(method, binary):
         fit_propensity(Dataset(y=x + g.standard_normal(n), x=x, z=z), method=method)
 
 
+def test_propensity_warns_on_dropped_grid_points():
+    # no instrument in (-1, 1): the z-grid points there have empty kernel windows
+    g = np.random.default_rng(0)
+    n = 500
+    z = np.where(g.random(n) < 0.5, g.uniform(-3, -1, n), g.uniform(1, 3, n))
+    x = z + g.standard_normal(n)
+    with pytest.warns(UserWarning, match="dropping 6 grid points with empty kernel windows"):
+        pf = fit_propensity(Dataset(y=x, x=x, z=z))
+    assert len(pf.z_grid) == 44
+
+
+def test_propensity_grid_sizes():
+    ds, _ = _heterogeneous_ds(2000, 2)
+    pf = fit_propensity(ds)
+    assert (len(pf.z_grid), len(pf.x_grid)) == (50, 40)
+    assert pf.surface.shape == (50, 40)
+
+
+def test_propensity_unknown_method():
+    ds, _ = _heterogeneous_ds(200, 2)
+    with pytest.raises(IvcheckError, match="local-linear, cell-means"):
+        fit_propensity(ds, method="kernel")
+
+
 def test_propensity_monotone_after_isotonization():
     ds, _ = _heterogeneous_ds(2000, 2)
     pf = fit_propensity(ds)
@@ -108,6 +133,13 @@ def test_uniformity_diagnostic_valid_dgp():
     pf = fit_propensity(ds)
     rep = uniformity_diagnostic(pf)
     assert rep.overall < 0.05
+
+
+def test_diagnostic_bins_and_ranks():
+    ds, _ = _heterogeneous_ds(2000, 2)
+    pf = fit_propensity(ds)
+    assert len(uniformity_diagnostic(pf, ds.z[:, 0]).by_bin) == 4
+    assert np.array_equal(condition1_diagnostic(pf, ds).v_grid, np.arange(1, 10) / 10)
 
 
 def test_ks_uniform_sorted_grid():
@@ -140,6 +172,22 @@ def test_control_function_rejects_nonpositive_bandwidth(bandwidths):
     pf = fit_propensity(ds)
     with pytest.raises(InsufficientData):
         fit_control_function(ds, pf, **bandwidths)
+
+
+def test_control_function_rule_of_thumb_bandwidths():
+    # 1.06 sd n^(-1/6) per coordinate, the rank's sd floored at 0.05
+    ds, _ = _heterogeneous_ds(2000, 2)
+    cf = fit_control_function(ds, fit_propensity(ds))
+    assert cf.bandwidth_x == pytest.approx(0.2777776926902765, rel=1e-12)
+    assert cf.bandwidth_p == pytest.approx(0.08347339907232283, rel=1e-12)
+
+
+def test_asf_integrates_over_99_rank_points():
+    ds, _ = _heterogeneous_ds(2000, 2)
+    pf = fit_propensity(ds)
+    asf = estimate_asf(fit_control_function(ds, pf), pf, 2.0)
+    assert asf.value == pytest.approx(3.0079520597289795, rel=1e-12)
+    assert np.array_equal(P_GRID, np.arange(1, 100) / 100)
 
 
 def test_cond_cdf_monotone_in_y():
