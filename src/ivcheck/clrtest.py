@@ -104,6 +104,9 @@ class TestReport:
         for key in ("conditioning_column", "series_order", "bandwidth", "mult_draws", "seed", "n"):
             if key in diag:
                 lines.append(f"  {key} = {diag[key]}")
+        dropped = diag.get("dropped_grid_points", 0)
+        if dropped > 0:
+            lines.append(f"  dropped_grid_points = {dropped} (empty kernel windows)")
         lines.append(f"  adaptive selection: gamma_n = {self.gamma_n:.6f}, kappa_n = {self.kappa:.4f}")
         for alpha in self.alpha_levels:
             res = self.levels[alpha]
@@ -191,7 +194,8 @@ def run_test(
     """Precision-corrected sup test of H0: sup_v theta(v) <= 0 over the moment system.
 
     A series fit without `cfg.series_order` uses `npreg.default_series_order(n)`;
-    the spec-dependent orders are set by `test_model`.
+    the spec-dependent orders are set by `test_model`. Either is capped at the
+    number of distinct conditioning values minus one.
     """
     if cfg.mult_draws < 200:
         raise SimulationBudgetTooSmall("need at least 200 multiplier draws")
@@ -204,6 +208,9 @@ def run_test(
     gen = rng.generator()
 
     if method == "cell-means":
+        if grid is not None:
+            raise IvcheckError("cell-means evaluates at the distinct conditioning values; "
+                               "pass grid=None")
         smoother = npreg.cell_means_smoother(c, ms.base)
         grid = np.unique(c)
     else:
@@ -216,6 +223,8 @@ def run_test(
             order = cfg.series_order
             if order is None:
                 order = npreg.default_series_order(n)
+            # degree d - 1 already fits d support points exactly; more is collinear
+            order = min(order, len(np.unique(c)) - 1)
             diagnostics["series_order"] = order
             smoother = npreg.series_smoother(c, ms.base, order, float(grid.min()), float(grid.max()))
         else:  # local-linear
@@ -225,6 +234,7 @@ def run_test(
             diagnostics["bandwidth"] = bandwidth
             smoother, ok = npreg.local_linear_smoother(c, ms.base, grid, bandwidth)
             grid = npreg.drop_empty_windows(grid, ok)
+            diagnostics["dropped_grid_points"] = int((~ok).sum())
             if grid.size == 0:
                 raise EmptyGrid("all grid points have empty kernel windows")
     theta_base, s_base, zstar_base = _process(smoother, grid, gen, cfg.mult_draws)

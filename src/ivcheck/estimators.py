@@ -56,16 +56,23 @@ def _design(x: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(x.shape[0]), x])
 
 
-def _check_rank(mat: np.ndarray, what: str) -> None:
+def _check_rank(mat: np.ndarray, what: str, error=RankDeficient) -> None:
     sv = np.linalg.svd(mat, compute_uv=False)
     n = mat.shape[0]
     if sv[-1] <= n * np.finfo(float).eps * sv[0]:
-        raise RankDeficient(f"{what} is rank deficient (min singular value {sv[-1]:.3g})")
+        raise error(f"{what} is rank deficient (min singular value {sv[-1]:.3g})")
 
 
-def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+def _linear_step(dx: np.ndarray, y: np.ndarray, dz: np.ndarray | None, what: str) -> np.ndarray:
+    """OLS of y on dx when dz is None, else just-identified IV: E_n[Z X']^-1 E_n[Z Y]."""
+    if dz is None:
+        _check_rank(dx, what)
+        beta, *_ = np.linalg.lstsq(dx, y, rcond=None)
+        return beta
+    n = dx.shape[0]
+    a = dz.T @ dx / n
     _check_rank(a, what)
-    return np.linalg.solve(a, b)
+    return np.linalg.solve(a, dz.T @ y / n)
 
 
 def _sandwich(design_z: np.ndarray, design_x: np.ndarray, resid: np.ndarray) -> np.ndarray:
@@ -80,8 +87,7 @@ def _sandwich(design_z: np.ndarray, design_x: np.ndarray, resid: np.ndarray) -> 
 def fit_ols(ds: Dataset) -> LinearFit:
     """Least squares of y on x, robust (sandwich) covariance."""
     d = _design(ds.x)
-    _check_rank(d, "OLS design matrix")
-    beta, *_ = np.linalg.lstsq(d, ds.y, rcond=None)
+    beta = _linear_step(d, ds.y, None, "OLS design matrix")
     resid = ds.y - d @ beta
     vcov = _sandwich(d, d, resid)
     return LinearFit(
@@ -120,8 +126,7 @@ def fit_iv(ds: Dataset) -> LinearFit:
         )
     dz = _design(ds.z)
     dx = _design(ds.x)
-    n = ds.n
-    beta = _solve(dz.T @ dx / n, dz.T @ ds.y / n, "E_n[ZX']")
+    beta = _linear_step(dx, ds.y, dz, "E_n[ZX']")
     resid = ds.y - dx @ beta
     f_stat = _first_stage_f(ds)
     if f_stat < RELEVANCE_F_THRESHOLD:
@@ -165,35 +170,45 @@ def gmm_beta(
     return np.linalg.solve(a, hx.T @ weight @ hy)
 
 
+def _two_sls(ds: Dataset, instrument_fn):
+    """2SLS on E[h(Z) U] = 0: (h, dx, w1, beta1) with w1 = (E_n[hh'])^-1.
+
+    The columns of h are put in root-mean-square units first. No estimate or
+    J statistic depends on their scale, but the rank check of E_n[hh'] would.
+    """
+    h = _design((instrument_fn or polynomial_instruments(3))(ds.z))
+    dx = _design(ds.x)
+    if h.shape[1] < dx.shape[1]:
+        raise RankDeficient("dim h(Z) below the number of parameters")
+    rms = np.sqrt(np.einsum("ij,ij->j", h, h) / ds.n)
+    h = h / np.where(rms > 0, rms, 1.0)
+    hh = h.T @ h / ds.n
+    _check_rank(hh, "E_n[hh']")
+    w1 = np.linalg.inv(hh)
+    return h, dx, w1, gmm_beta(h, dx, ds.y, w1)
+
+
+def _gmm_steps(ds: Dataset, instrument_fn):
+    """2SLS, then the efficient step: (h, dx, beta1, w2, beta2), w2 = Omega^-1 at beta1."""
+    h, dx, _, beta1 = _two_sls(ds, instrument_fn)
+    hr = h * (ds.y - dx @ beta1)[:, None]
+    omega = hr.T @ hr / ds.n
+    _check_rank(omega, "second-step weight matrix", SingularWeight)
+    w2 = np.linalg.inv(omega)
+    return h, dx, beta1, w2, gmm_beta(h, dx, ds.y, w2)
+
+
 def fit_gmm2step(ds: Dataset, instrument_fn=None) -> LinearFit:
     """Two-step efficient GMM on moments E[h(Z) U] = 0.
 
     First step weights by (E_n[hh'])^-1; second step by the inverse of the
     first-step residual outer-product matrix.
     """
-    if instrument_fn is None:
-        instrument_fn = polynomial_instruments(3)
-    h_raw = instrument_fn(ds.z)
-    h_design = _design(h_raw)
-    dx = _design(ds.x)
-    n = ds.n
-    if h_design.shape[1] < dx.shape[1]:
-        raise RankDeficient("dim h(Z) below the number of parameters")
-    hh = h_design.T @ h_design / n
-    _check_rank(hh, "E_n[hh']")
-    w1 = np.linalg.inv(hh)
-    beta1 = gmm_beta(h_design, dx, ds.y, w1)
-    r1 = ds.y - dx @ beta1
-    omega = (h_design * r1[:, None]).T @ (h_design * r1[:, None]) / n
-    sv = np.linalg.svd(omega, compute_uv=False)
-    if sv[-1] <= n * np.finfo(float).eps * sv[0]:
-        raise SingularWeight("second-step weight matrix is singular")
-    w2 = np.linalg.inv(omega)
-    beta2 = gmm_beta(h_design, dx, ds.y, w2)
+    h, dx, beta1, w2, beta2 = _gmm_steps(ds, instrument_fn)
     resid = ds.y - dx @ beta2
     # Asymptotic covariance of efficient GMM: (G' Omega^-1 G)^-1 / n.
-    g = h_design.T @ dx / n
-    vcov = np.linalg.inv(g.T @ w2 @ g) / n
+    g = h.T @ dx / ds.n
+    vcov = np.linalg.inv(g.T @ w2 @ g) / ds.n
     return LinearFit(
         beta=beta2,
         vcov=vcov,
@@ -228,7 +243,6 @@ def fit_boxcox(ds: Dataset, use_iv: bool = False) -> BoxCoxFit:
     if np.any(x <= 0):
         raise DomainError("Box-Cox transform requires strictly positive x")
     y = ds.y
-    n = ds.n
     dz = _design(ds.z[:, :1]) if use_iv else None
 
     def sweep(grid):
@@ -237,11 +251,7 @@ def fit_boxcox(ds: Dataset, use_iv: bool = False) -> BoxCoxFit:
         for i, lam in enumerate(grid):
             xt = boxcox_transform(x, lam)
             d = _design(xt)
-            if use_iv:
-                beta = _solve(dz.T @ d / n, dz.T @ y / n, "E_n[Z X^(lambda)']")
-            else:
-                _check_rank(d, "Box-Cox design matrix")
-                beta, *_ = np.linalg.lstsq(d, y, rcond=None)
+            beta = _linear_step(d, y, dz, "Box-Cox linear step")
             resid = y - d @ beta
             sse = float(resid @ resid)
             rows[i] = (lam, sse)

@@ -9,8 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset
-from .errors import RankDeficient
-from .estimators import _check_rank, _design, fit_gmm2step, polynomial_instruments
+from .estimators import _gmm_steps, _two_sls
 
 JUST_IDENTIFIED_TOL = 1e-8
 
@@ -51,49 +50,26 @@ def chi2_sf(x: float, dof: int) -> float:
     return min(math.fsum(terms), 1.0)
 
 
-def _finish(statistic: float, dof: int, method: OveridMethod) -> OveridReport:
-    statistic = max(float(statistic), 0.0)
-    if dof == 0 or abs(statistic) < JUST_IDENTIFIED_TOL:
-        return OveridReport(statistic=statistic, dof=dof, p_value=1.0, method=method)
-    p = chi2_sf(statistic, dof)
+def _j_statistic(h, dx, u, weight, method: OveridMethod) -> OveridReport:
+    """n gbar' W gbar with gbar = E_n[h u], on dim h - dim x degrees of freedom."""
+    gbar = h.T @ u / len(u)
+    statistic = max(len(u) * float(gbar @ weight @ gbar), 0.0)
+    dof = h.shape[1] - dx.shape[1]
+    p = 1.0 if dof == 0 or statistic < JUST_IDENTIFIED_TOL else chi2_sf(statistic, dof)
     return OveridReport(statistic=statistic, dof=dof, p_value=p, method=method)
 
 
 def sargan(ds: Dataset, instrument_fn=None) -> OveridReport:
-    """Sargan statistic: n R^2 of the 2SLS residual regressed on the instruments."""
-    if instrument_fn is None:
-        instrument_fn = polynomial_instruments(3)
-    h = _design(instrument_fn(ds.z))
-    dx = _design(ds.x)
-    n = ds.n
-    if h.shape[1] < dx.shape[1]:
-        raise RankDeficient("dim h(Z) below the number of parameters")
-    _check_rank(h, "instrument matrix")
-    # 2SLS through the instrument projection
-    hth_inv = np.linalg.inv(h.T @ h)
-    px = h @ (hth_inv @ (h.T @ dx))
-    _check_rank(px.T @ dx / n, "projected design")
-    beta = np.linalg.solve(px.T @ dx, px.T @ ds.y)
+    """Sargan statistic: J at 2SLS with the homoskedastic weight (E_n[hh'] E_n[u^2])^-1.
+
+    This equals n R^2 of the 2SLS residual regressed on the instruments.
+    """
+    h, dx, w1, beta = _two_sls(ds, instrument_fn)
     u = ds.y - dx @ beta
-    fitted = h @ (hth_inv @ (h.T @ u))
-    statistic = n * float(u @ fitted) / float(u @ u)
-    dof = h.shape[1] - dx.shape[1]
-    return _finish(statistic, dof, OveridMethod.SARGAN)
+    return _j_statistic(h, dx, u, w1 / np.mean(u**2), OveridMethod.SARGAN)
 
 
 def hansen_j(ds: Dataset, instrument_fn=None) -> OveridReport:
-    """Hansen J: n gbar' W gbar at the two-step efficient GMM estimate."""
-    if instrument_fn is None:
-        instrument_fn = polynomial_instruments(3)
-    fit = fit_gmm2step(ds, instrument_fn)
-    h = _design(instrument_fn(ds.z))
-    dx = _design(ds.x)
-    n = ds.n
-    # weight from first-step residuals, as used in the second step
-    r1 = ds.y - dx @ fit.beta_first_step
-    omega = (h * r1[:, None]).T @ (h * r1[:, None]) / n
-    w = np.linalg.inv(omega)
-    gbar = h.T @ fit.residuals / n
-    statistic = n * float(gbar @ w @ gbar)
-    dof = h.shape[1] - dx.shape[1]
-    return _finish(statistic, dof, OveridMethod.HANSEN_J)
+    """Hansen J: n gbar' W gbar at the two-step efficient GMM estimate, W its weight."""
+    h, dx, _, w2, beta = _gmm_steps(ds, instrument_fn)
+    return _j_statistic(h, dx, ds.y - dx @ beta, w2, OveridMethod.HANSEN_J)

@@ -232,3 +232,38 @@ def test_identified_set_empty_grid():
                      evaluator=lambda x, th: th[0] + th[1] * x[:, 0])
     with pytest.raises(EmptyGrid):
         identified_set(ds, spec, [], rng=RngSpec(seed=21))
+
+
+@pytest.mark.parametrize("levels", [2, 7, 11])
+def test_series_order_capped_on_discrete_conditioning(levels):
+    ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=400), RngSpec(seed=5))
+    z = ds.z[:, 0]
+    z = np.round((z - z.min()) / (z.max() - z.min()) * (levels - 1))
+    report = model_test(Dataset(y=ds.y, x=ds.x, z=z), IV_SPEC, Cfg(), RngSpec(seed=6))
+    # degree levels - 1 fits every support point; the default of 16 is collinear
+    assert report.diagnostics["series_order"] == levels - 1
+    _report_invariants(report)
+
+
+def test_local_linear_records_dropped_grid_points():
+    g = np.random.default_rng(24)
+    n = 600
+    z = np.where(g.random(n) < 0.5, g.uniform(-3, -1, n), g.uniform(1, 3, n))
+    ms = _one_sided(g.standard_normal(n), z, "w")
+    with pytest.warns(UserWarning, match="empty kernel windows"):
+        report = run_test(ms, None, Cfg(method="local-linear", bandwidth=0.3), RngSpec(seed=0))
+    dropped = report.diagnostics["dropped_grid_points"]
+    assert dropped > 0 and dropped + len(report.grid) == 100
+    assert f"dropped_grid_points = {dropped}" in report.summary()
+    full = run_test(_one_sided(g.standard_normal(n), g.uniform(-3, 3, n), "w"), None,
+                    Cfg(method="local-linear", bandwidth=0.3), RngSpec(seed=0))
+    assert full.diagnostics["dropped_grid_points"] == 0
+    assert "dropped_grid_points" not in full.summary()
+
+
+def test_cell_means_refuses_a_grid():
+    g = np.random.default_rng(25)
+    z = np.round(4 * g.uniform(-1, 1, 300))
+    ms = _one_sided(g.standard_normal(300), z, "w")
+    with pytest.raises(IvcheckError, match="cell-means"):
+        run_test(ms, np.array([-1.0, 0.0, 1.0]), Cfg(method="cell-means"), RngSpec(seed=0))

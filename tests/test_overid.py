@@ -3,7 +3,7 @@ import pytest
 
 from ivcheck.data import Dataset, RngSpec
 from ivcheck.errors import RankDeficient
-from ivcheck.estimators import polynomial_instruments
+from ivcheck.estimators import fit_gmm2step, polynomial_instruments
 from ivcheck.overid import OveridMethod, chi2_sf, hansen_j, sargan
 from ivcheck.simulate import DgpFamily, DgpSpec, generate
 
@@ -110,3 +110,27 @@ def test_rank_deficient_instruments():
     x = np.arange(n, dtype=float)
     with pytest.raises(RankDeficient):
         sargan(Dataset(y=x.copy(), x=x, z=z))
+
+
+def test_statistics_do_not_depend_on_instrument_units():
+    g = np.random.default_rng(8)
+    n = 2000
+    z = g.uniform(0, 10, n)
+    x = 3.0 * z + g.standard_normal(n)
+    y = 2.0 * x + g.standard_normal(n)
+    base = Dataset(y=y, x=x, z=z)
+    ref = (sargan(base).statistic, hansen_j(base).statistic, fit_gmm2step(base).beta)
+    for scale in (10.0, 100.0, 1000.0):
+        ds = Dataset(y=y, x=x, z=scale * z)
+        np.testing.assert_allclose(sargan(ds).statistic, ref[0], rtol=1e-8)
+        np.testing.assert_allclose(hansen_j(ds).statistic, ref[1], rtol=1e-8)
+        np.testing.assert_allclose(fit_gmm2step(ds).beta, ref[2], rtol=1e-8)
+
+
+def test_zero_instrument_column_is_rank_deficient():
+    g = np.random.default_rng(9)
+    x = g.standard_normal(200)
+    ds = Dataset(y=2.0 * x + g.standard_normal(200), x=x, z=np.zeros(200))
+    for fn in (sargan, hansen_j, fit_gmm2step):
+        with pytest.raises(RankDeficient):
+            fn(ds)
