@@ -5,6 +5,7 @@ computes) and writes its rows to `--out` and a run record to `--manifest`. A
 flag overrides the config file: `--seed`, `--reps` and `--method` beat
 `rng.seed`, `sim.replications` and `npreg.method`. `test` and `identified-set`
 decide at `--alpha` (default 0.05), added to the computed levels if missing.
+Library warnings print as one `warning: <message>` line each on stderr.
 
 Exit codes: 0 success (including a test that fails to reject), 2 when the
 `test` subcommand rejects its null hypothesis, 1 on any error.
@@ -17,6 +18,7 @@ import csv
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -227,6 +229,8 @@ def _cmd_mte(args, config):
     coverage = min(cond1.coverage.values()) if cond1.coverage else float("nan")
     print(f"invertibility: {cond1.injectivity_violations} injectivity violations, "
           f"minimum rank coverage = {coverage:.4f}")
+    if pf.dropped_grid_points > 0:
+        print(f"dropped_grid_points = {pf.dropped_grid_points} (empty kernel windows)")
     rows = []
     if args.x is not None and args.x_prime is not None:
         for p in np.linspace(0.1, 0.9, 9):
@@ -348,6 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -362,7 +370,10 @@ def main(argv=None) -> int:
             args.seed = config.get("rng.seed", 0)
         if args.seed < 0:
             raise IvcheckError(f"seed must be a non-negative integer, got {args.seed}")
-        code, rows, extra = args.func(args, config)
+        with warnings.catch_warnings():
+            # one line per library warning, without Python's file:line source echo
+            warnings.showwarning = _show_warning
+            code, rows, extra = args.func(args, config)
         if args.out and rows:
             _write_csv(args.out, rows)
         if args.manifest:

@@ -185,6 +185,15 @@ def _process(smoother: npreg.Smoother, grid, rng, draws):
     return theta_base, s_base, zstar_base
 
 
+def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
+    """Per-draw max over the columns of sign * z, for z of shape (draws, columns).
+
+    Reducing first and scaling after is exact (rounding is monotone), so the
+    signed copy of the draws is never built.
+    """
+    return sign * (z.max(axis=1) if sign > 0 else z.min(axis=1))
+
+
 def run_test(
     ms: MomentSystem,
     grid=None,
@@ -243,35 +252,35 @@ def run_test(
     if np.all(s_base <= floor):
         raise DegenerateVariance("all standard errors at the numerical floor")
 
-    # expand the +/- pairs
     signs = np.array([m[2] for m in ms.moments])
     bases = np.array([m[1] for m in ms.moments])
     labels = tuple(m[0] for m in ms.moments)
     theta = signs[:, None] * theta_base[bases]
     s = s_base[bases]
-    zstar = signs[None, :, None] * zstar_base[:, bases, :]
 
-    flat_theta = theta.reshape(-1)
-    flat_s = s.reshape(-1)
-    flat_z = zstar.reshape(cfg.mult_draws, -1)
-
-    sups_full = flat_z.max(axis=1)
+    per_moment = [_signed_sup(zstar_base[:, b, :], sign) for _, b, sign in ms.moments]
+    sups_full = np.maximum.reduce(per_moment)
     gamma_n = 1.0 - 0.1 / np.log(n) if n > 1 else 0.5
-    kappa = float(np.quantile(sups_full, gamma_n))
+    upper = [1.0 - alpha for alpha in cfg.alpha_levels]
+    kappa, *k_full = np.quantile(sups_full, [gamma_n, *upper]).tolist()
     # plug-in estimate of the kappa-close-to-binding set: keep inequalities
     # whose estimate is within kappa standard errors of the largest one
-    selected = flat_theta >= float(flat_theta.max()) - kappa * flat_s
-    sups_sel = flat_z[:, selected].max(axis=1)
+    selected = theta >= float(theta.max()) - kappa * s
+    parts = []
+    for (_, b, sign), keep, full in zip(ms.moments, selected, per_moment):
+        if keep.all():
+            parts.append(full)
+        elif keep.any():
+            parts.append(_signed_sup(zstar_base[:, b, keep], sign))
+    k_sel = np.quantile(np.maximum.reduce(parts), upper).tolist()
 
     levels = {}
-    for alpha in cfg.alpha_levels:
-        k_sel = float(np.quantile(sups_sel, 1.0 - alpha))
-        k_full = float(np.quantile(sups_full, 1.0 - alpha))
-        theta_corr = float(np.max(flat_theta - k_sel * flat_s))
+    for alpha, k, k_f in zip(cfg.alpha_levels, k_sel, k_full):
+        theta_corr = float(np.max(theta - k * s))
         levels[alpha] = LevelResult(
             alpha=alpha,
-            k_crit=k_sel,
-            k_crit_full=k_full,
+            k_crit=k,
+            k_crit_full=k_f,
             theta_corrected=theta_corr,
             reject=bool(theta_corr > 0.0),
             selected_set_size=int(selected.sum()),

@@ -9,12 +9,14 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset
-from .errors import DomainError, RankDeficient, RelevanceWarning, SingularWeight
+from .errors import DegenerateVariance, DomainError, RankDeficient, RelevanceWarning, SingularWeight
 
 RELEVANCE_F_THRESHOLD = 10.0
 
 # Coarse lambda grid of the Box-Cox profile: 81 points on [-2, 2], step 0.05.
 LAMBDA_GRID = np.round(np.linspace(-2.0, 2.0, 81), 10)
+# Box-Cox profile fits at most about this many (lambda, row) cells at once.
+BOXCOX_BLOCK_CELLS = 2**20
 
 
 class FitMethod(Enum):
@@ -56,11 +58,18 @@ def _design(x: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(x.shape[0]), x])
 
 
-def _check_rank(mat: np.ndarray, what: str, error=RankDeficient) -> None:
+def _check_rank(mat: np.ndarray, what: str, error=RankDeficient, rows: int | None = None) -> None:
+    """Raise `error` when the smallest singular value of mat is <= rows * eps * the largest.
+
+    `mat` may be a stack of matrices, then any one of them raises. `rows`
+    defaults to the row count of mat.
+    """
     sv = np.linalg.svd(mat, compute_uv=False)
-    n = mat.shape[0]
-    if sv[-1] <= n * np.finfo(float).eps * sv[0]:
-        raise error(f"{what} is rank deficient (min singular value {sv[-1]:.3g})")
+    sv = sv.reshape(-1, sv.shape[-1])
+    rows = mat.shape[-2] if rows is None else rows
+    bad = sv[:, -1] <= rows * np.finfo(float).eps * sv[:, 0]
+    if np.any(bad):
+        raise error(f"{what} is rank deficient (min singular value {sv[bad][0, -1]:.3g})")
 
 
 def _linear_step(dx: np.ndarray, y: np.ndarray, dz: np.ndarray | None, what: str) -> np.ndarray:
@@ -171,10 +180,12 @@ def gmm_beta(
 
 
 def _two_sls(ds: Dataset, instrument_fn):
-    """2SLS on E[h(Z) U] = 0: (h, dx, w1, beta1) with w1 = (E_n[hh'])^-1.
+    """2SLS on E[h(Z) U] = 0: (h, dx, w1, beta1, u1) with w1 = (E_n[hh'])^-1, u1 its residuals.
 
     The columns of h are put in root-mean-square units first. No estimate or
     J statistic depends on their scale, but the rank check of E_n[hh'] would.
+    Residuals at rounding level, mean(u1^2) <= (n eps)^2 mean(y^2), raise
+    DegenerateVariance: any statistic built on them is rounding noise.
     """
     h = _design((instrument_fn or polynomial_instruments(3))(ds.z))
     dx = _design(ds.x)
@@ -185,13 +196,18 @@ def _two_sls(ds: Dataset, instrument_fn):
     hh = h.T @ h / ds.n
     _check_rank(hh, "E_n[hh']")
     w1 = np.linalg.inv(hh)
-    return h, dx, w1, gmm_beta(h, dx, ds.y, w1)
+    beta1 = gmm_beta(h, dx, ds.y, w1)
+    u1 = ds.y - dx @ beta1
+    if np.mean(u1**2) <= (ds.n * np.finfo(float).eps) ** 2 * np.mean(ds.y**2):
+        raise DegenerateVariance("2SLS residuals are at rounding level: the linear model "
+                                 "fits the data exactly")
+    return h, dx, w1, beta1, u1
 
 
 def _gmm_steps(ds: Dataset, instrument_fn):
     """2SLS, then the efficient step: (h, dx, beta1, w2, beta2), w2 = Omega^-1 at beta1."""
-    h, dx, _, beta1 = _two_sls(ds, instrument_fn)
-    hr = h * (ds.y - dx @ beta1)[:, None]
+    h, dx, _, beta1, u1 = _two_sls(ds, instrument_fn)
+    hr = h * u1[:, None]
     omega = hr.T @ hr / ds.n
     _check_rank(omega, "second-step weight matrix", SingularWeight)
     w2 = np.linalg.inv(omega)
@@ -229,35 +245,84 @@ def boxcox_transform(x: np.ndarray, lam: float) -> np.ndarray:
     return (x**lam - 1.0) / lam
 
 
+def _boxcox_rows(x: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """boxcox_transform(x, lam) for each lam of lams, as the rows of one array."""
+    zero = lams == 0.0
+    lam = np.where(zero, 1.0, lams)[:, None]
+    out = np.power(x, lam)
+    out -= 1.0
+    out /= lam
+    out[zero] = np.log(x)
+    return out
+
+
+def _boxcox_block(x: np.ndarray, lams: np.ndarray, y: np.ndarray, z: np.ndarray | None):
+    """The linear step of the Box-Cox profile at every lambda of lams, in closed form.
+
+    Regresses y on (1, x^(lambda)) by OLS when z is None, else by IV with
+    instruments (1, z), with the rank checks of `_linear_step`: on the 2x2
+    E_n[ZX'] for IV, and for OLS on the (n, 2) design through the R of its QR
+    decomposition, which has the same singular values. Returns the SSE of
+    every lambda, the index i of the first minimum, and beta and the residuals
+    at lams[i].
+    """
+    n = len(y)
+    what = "Box-Cox linear step"
+    xt = _boxcox_rows(x, lams)
+    x_bar = xt.mean(axis=1)
+    mats = np.zeros((len(lams), 2, 2))
+    if z is not None:
+        mats[:, 0, 0] = 1.0
+        mats[:, 0, 1] = x_bar
+        mats[:, 1, 0] = np.mean(z)
+        mats[:, 1, 1] = xt @ z / n
+        _check_rank(mats, what)
+    xt -= x_bar[:, None]
+    y_bar = np.mean(y)
+    y_c = y - y_bar
+    if z is None:
+        sxx = np.einsum("ij,ij->i", xt, xt)
+        mats[:, 0, 0] = np.sqrt(n)
+        mats[:, 0, 1] = np.sqrt(n) * x_bar
+        mats[:, 1, 1] = np.sqrt(sxx)
+        _check_rank(mats, what, rows=n)
+        beta1 = xt @ y_c / sxx
+    else:
+        z_c = z - np.mean(z)
+        beta1 = z_c @ y_c / (xt @ z_c)
+    xt *= beta1[:, None]
+    resid = np.subtract(y_c, xt, out=xt)
+    sse = np.einsum("ij,ij->i", resid, resid)
+    i = int(np.argmin(sse))
+    return sse, i, (y_bar - beta1[i] * x_bar[i], beta1[i]), resid[i].copy()
+
+
 def fit_boxcox(ds: Dataset, use_iv: bool = False) -> BoxCoxFit:
     """Profile grid search over lambda, linear step by OLS or just-identified IV.
 
     For each lambda of LAMBDA_GRID the outcome is regressed on the transformed
     regressor (instrumented by z when use_iv); the structural sum of squared
     residuals is profiled, and the coarse minimizer is polished on successively
-    finer local grids. Assumes a scalar regressor.
+    finer local grids. The first minimum of each grid wins. The lambdas are
+    fitted in blocks of BOXCOX_BLOCK_CELLS // n. Assumes a scalar regressor.
     """
     if ds.k_x != 1:
         raise DomainError("fit_boxcox expects a scalar regressor")
     x = ds.x[:, 0]
     if np.any(x <= 0):
         raise DomainError("Box-Cox transform requires strictly positive x")
-    y = ds.y
-    dz = _design(ds.z[:, :1]) if use_iv else None
+    z = ds.z[:, 0] if use_iv else None
+    block = max(1, BOXCOX_BLOCK_CELLS // ds.n)
 
     def sweep(grid):
-        rows = np.empty((len(grid), 2))
-        top = None
-        for i, lam in enumerate(grid):
-            xt = boxcox_transform(x, lam)
-            d = _design(xt)
-            beta = _linear_step(d, y, dz, "Box-Cox linear step")
-            resid = y - d @ beta
-            sse = float(resid @ resid)
-            rows[i] = (lam, sse)
-            if top is None or sse < top[0]:
-                top = (sse, float(lam), beta, resid)
-        return rows, top
+        sse, top = [], None
+        for start in range(0, len(grid), block):
+            lams = grid[start:start + block]
+            block_sse, i, beta, resid = _boxcox_block(x, lams, ds.y, z)
+            if top is None or block_sse[i] < top[0]:
+                top = (block_sse[i], float(lams[i]), beta, resid)
+            sse.append(block_sse)
+        return np.column_stack([grid, np.concatenate(sse)]), top
 
     curve, best = sweep(LAMBDA_GRID)
     # refine around the coarse minimizer: grid spacing otherwise dominates the

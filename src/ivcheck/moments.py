@@ -49,14 +49,13 @@ class ModelSpec:
 class MomentSystem:
     """Signed moment values W_j per row plus the scalar conditioning column.
 
-    Moments come in +/- pairs: columns of `base` hold the unsigned transforms
-    and `moments` lists (label, base_index, sign).
+    Columns of `base` hold the unsigned transforms and `moments` lists
+    (label, base_index, sign); the systems built here come in +/- pairs.
     """
 
     base: np.ndarray  # (n, n_base) unsigned moment values
     moments: tuple  # of (label, base_index, sign)
     conditioning: np.ndarray  # (n,) scalar conditioning values
-    v_set_desc: str = ""
     conditioning_column: str = ""  # name of the column the moments condition on
 
     @property
@@ -78,7 +77,7 @@ def _conditioning_column(ds: Dataset, spec: ModelSpec):
     return values[:, 0], names[0]
 
 
-def _paired(base_cols, labels, conditioning, desc, column="") -> MomentSystem:
+def _paired(base_cols, labels, conditioning, column) -> MomentSystem:
     base = np.column_stack(base_cols)
     moments = []
     for b, label in enumerate(labels):
@@ -88,7 +87,6 @@ def _paired(base_cols, labels, conditioning, desc, column="") -> MomentSystem:
         base=base,
         moments=tuple(moments),
         conditioning=np.asarray(conditioning, dtype=float),
-        v_set_desc=desc,
         conditioning_column=column,
     )
 
@@ -117,7 +115,7 @@ def build_parametric_grid(spec: ModelSpec, ds: Dataset, theta) -> MomentSystem:
         raise EvaluatorDomainError("evaluator produced non-finite values on data range")
     resid = ds.y - m
     cond, column = _conditioning_column(ds, spec)
-    return _paired([resid], ["resid"], cond, f"parametric residual at theta={theta}", column)
+    return _paired([resid], ["resid"], cond, column)
 
 
 def boxcox_evaluator(x, theta):
@@ -135,13 +133,12 @@ def build_for_spec(fit, spec: ModelSpec, ds: Dataset) -> MomentSystem:
     The moments condition on the instrument (or regressor).
     """
     resid = fit.residuals
-    cols, labels, desc = [resid], ["resid"], "exogeneity pair"
+    cols, labels = [resid], ["resid"]
     if Assumption.HOMOSKEDASTICITY in spec.assumptions:
         if isinstance(fit, BoxCoxFit):
             raise IvcheckError("homoskedasticity moments require a linear fit")
         sigma2 = float(np.mean(resid**2))  # 1/n, matching the population identity
         cols.append(resid**2 - sigma2)
         labels.append("var")
-        desc = "exogeneity + homoskedasticity"
     cond, column = _conditioning_column(ds, spec)
-    return _paired(cols, labels, cond, f"{desc} on {column}", column)
+    return _paired(cols, labels, cond, column)

@@ -89,6 +89,7 @@ class PropensityFit:
     v_hat: np.ndarray
     monotonicity_report: dict  # z-grid value -> raw violation fraction before isotonization
     method: str
+    dropped_grid_points: int = 0  # instrument grid points left out for empty kernel windows
 
     def evaluate(self, z, x):
         """Bilinear interpolation of the surface, clamped to [0, 1]; scalars give a float."""
@@ -106,9 +107,9 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
 
     `method` is one of PROPENSITY_METHODS. The local-linear fit uses the rule
     of thumb bandwidth and drops, with a warning, instrument grid points whose
-    kernel window is empty. Raw monotonicity violations are recorded per z
-    before the correction so the strict-monotonicity requirement stays
-    checkable.
+    kernel window is empty; `dropped_grid_points` counts them. Raw
+    monotonicity violations are recorded per z before the correction so the
+    strict-monotonicity requirement stays checkable.
     """
     if ds.k_x != 1 or ds.k_z != 1:
         raise IvcheckError("fit_propensity expects scalar x and z")
@@ -118,12 +119,14 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
         raise IvcheckError(f"propensity method must be one of {', '.join(PROPENSITY_METHODS)}, "
                            f"got {method!r}")
     x_grid = conditioning_grid(x, 0.01, 0.99, X_GRID_COUNT)
+    dropped = 0
     if method == "cell-means":
         z_grid, a = cell_means_weights(z)
     else:
         z_grid = conditioning_grid(z, 0.01, 0.99, Z_GRID_COUNT)
         a, ok = local_linear_weights(z, z_grid, rule_of_thumb_bandwidth(z))
         z_grid, a = drop_empty_windows(z_grid, ok), a[ok]
+        dropped = int((~ok).sum())
     if len(z_grid) < 2:
         raise InsufficientData(
             f"propensity needs 2 or more instrument grid points with data, got {len(z_grid)}"
@@ -144,6 +147,7 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
         v_hat=_bilinear(z_grid, x_grid, iso, z, x),
         monotonicity_report=mono,
         method=method,
+        dropped_grid_points=dropped,
     )
 
 

@@ -64,8 +64,7 @@ def sargan(ds: Dataset, instrument_fn=None) -> OveridReport:
 
     This equals n R^2 of the 2SLS residual regressed on the instruments.
     """
-    h, dx, w1, beta = _two_sls(ds, instrument_fn)
-    u = ds.y - dx @ beta
+    h, dx, w1, _, u = _two_sls(ds, instrument_fn)
     return _j_statistic(h, dx, u, w1 / np.mean(u**2), OveridMethod.SARGAN)
 
 

@@ -269,3 +269,42 @@ def test_cli_import_leaves_scipy_out():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def _run_cli(*argv):
+    src = str(Path(ivcheck.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "ivcheck.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_mte_reports_dropped_grid_points(tmp_path):
+    # the gapped instrument of the propensity tests: 44 of 50 z-grid points kept
+    g = np.random.default_rng(0)
+    n = 500
+    z = np.where(g.random(n) < 0.5, g.uniform(-3, -1, n), g.uniform(1, 3, n))
+    x = z + g.standard_normal(n)
+    from ivcheck.data import Dataset
+    p = tmp_path / "gapped.csv"
+    write_csv(Dataset(y=x, x=x, z=z), p)
+    run = _run_cli(*_args(str(p), "mte"))
+    assert run.returncode == EXIT_OK, run.stderr
+    assert "dropped_grid_points = 6" in run.stdout
+    assert run.stderr.splitlines() == [
+        "warning: dropping 6 grid points with empty kernel windows"]
+
+
+def test_overid_exact_fit_exits_one(tmp_path, capsys):
+    g = np.random.default_rng(0)
+    z = g.uniform(0, 1, 100)
+    x = z + g.standard_normal(100)
+    from ivcheck.data import Dataset
+    p = tmp_path / "exact.csv"
+    write_csv(Dataset(y=1.0 + 2.0 * x, x=x, z=z), p)
+    for statistic in ("sargan", "hansen-j"):
+        code = main(_args(str(p), "overid", "--statistic", statistic))
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from ivcheck import clrtest
 from ivcheck.clrtest import TestConfig as Cfg
 from ivcheck.clrtest import first_step_fit, identified_set, run_test
 from ivcheck.clrtest import test_model as model_test
@@ -21,14 +26,14 @@ from ivcheck.moments import (
     ModelForm,
     ModelSpec,
     MomentSystem,
+    _paired,
 )
 
 
-def _one_sided(w, cond, desc):
+def _one_sided(w, cond):
     return MomentSystem(base=np.asarray(w, dtype=float)[:, None],
                         moments=(("w+", 0, 1.0),),
-                        conditioning=np.asarray(cond, dtype=float),
-                        v_set_desc=desc)
+                        conditioning=np.asarray(cond, dtype=float))
 from ivcheck.simulate import DgpFamily, DgpSpec, generate, model_spec_for
 
 IV_SPEC = ModelSpec(form=ModelForm.LINEAR, conditioning=Conditioning.ON_Z)
@@ -54,7 +59,7 @@ def test_interior_null_never_rejects():
     n = 2000
     z = g.uniform(-1, 1, n)
     w = -1.0 + 0.1 * g.standard_normal(n)
-    ms = _one_sided(w, z, "interior null")
+    ms = _one_sided(w, z)
     report = run_test(ms, None, Cfg(), RngSpec(seed=1))
     for a in report.alpha_levels:
         assert not report.levels[a].reject
@@ -66,7 +71,7 @@ def test_two_cell_max_gaussian_critical_value():
     n = 4000
     z = np.repeat([0.0, 1.0], n // 2)
     w = g.standard_normal(n)
-    ms = _one_sided(w, z, "two gaussian cells")
+    ms = _one_sided(w, z)
     report = run_test(ms, None, Cfg(method="cell-means", mult_draws=4000),
                       RngSpec(seed=2))
     # analytic 95% quantile of the max of two independent standard normals:
@@ -131,7 +136,7 @@ def test_decision_invariant_under_affine_y():
 
 def test_simulation_budget_guard():
     g = np.random.default_rng(11)
-    ms = _one_sided(g.standard_normal(100), g.uniform(-1, 1, 100), "small budget")
+    ms = _one_sided(g.standard_normal(100), g.uniform(-1, 1, 100))
     with pytest.raises(SimulationBudgetTooSmall):
         run_test(ms, None, Cfg(mult_draws=50), RngSpec(seed=12))
 
@@ -148,7 +153,7 @@ def test_run_test_matches_public_fit(cfg, fitter):
     if cfg.method == "cell-means":
         z = np.round(4 * z)
     w = np.sin(2 * z) + (0.5 + z**2) * g.standard_normal(n)
-    report = run_test(_one_sided(w, z, "w"), None, cfg, RngSpec(seed=0))
+    report = run_test(_one_sided(w, z), None, cfg, RngSpec(seed=0))
     theta, s = fitter(w, z).evaluate(report.grid)
     assert np.allclose(report.theta[0], theta, rtol=0, atol=1e-10)
     assert np.allclose(report.s[0], s, rtol=0, atol=1e-10)
@@ -158,7 +163,7 @@ def test_run_test_matches_public_fit(cfg, fitter):
 def test_series_order_must_stay_below_n_minus_one(order):
     g = np.random.default_rng(13)
     z = g.uniform(-1, 1, 50)
-    ms = _one_sided(g.standard_normal(50), z, "w")
+    ms = _one_sided(g.standard_normal(50), z)
     with pytest.raises(InsufficientData):
         run_test(ms, None, Cfg(series_order=order), RngSpec(seed=0))
 
@@ -249,13 +254,13 @@ def test_local_linear_records_dropped_grid_points():
     g = np.random.default_rng(24)
     n = 600
     z = np.where(g.random(n) < 0.5, g.uniform(-3, -1, n), g.uniform(1, 3, n))
-    ms = _one_sided(g.standard_normal(n), z, "w")
+    ms = _one_sided(g.standard_normal(n), z)
     with pytest.warns(UserWarning, match="empty kernel windows"):
         report = run_test(ms, None, Cfg(method="local-linear", bandwidth=0.3), RngSpec(seed=0))
     dropped = report.diagnostics["dropped_grid_points"]
     assert dropped > 0 and dropped + len(report.grid) == 100
     assert f"dropped_grid_points = {dropped}" in report.summary()
-    full = run_test(_one_sided(g.standard_normal(n), g.uniform(-3, 3, n), "w"), None,
+    full = run_test(_one_sided(g.standard_normal(n), g.uniform(-3, 3, n)), None,
                     Cfg(method="local-linear", bandwidth=0.3), RngSpec(seed=0))
     assert full.diagnostics["dropped_grid_points"] == 0
     assert "dropped_grid_points" not in full.summary()
@@ -264,6 +269,122 @@ def test_local_linear_records_dropped_grid_points():
 def test_cell_means_refuses_a_grid():
     g = np.random.default_rng(25)
     z = np.round(4 * g.uniform(-1, 1, 300))
-    ms = _one_sided(g.standard_normal(300), z, "w")
+    ms = _one_sided(g.standard_normal(300), z)
     with pytest.raises(IvcheckError, match="cell-means"):
         run_test(ms, np.array([-1.0, 0.0, 1.0]), Cfg(method="cell-means"), RngSpec(seed=0))
+
+
+def _pinned_systems():
+    g = np.random.default_rng(2024)
+    n = 400
+    z = g.uniform(-1, 1, n)
+    u = g.standard_normal(n) * (1.0 + 0.5 * z**2)
+    w = u + 0.4 * np.maximum(z, 0.0)
+    pair = _paired([w], ["resid"], z, "z")
+    homo = _paired([u, u**2 - np.mean(u**2)], ["resid", "var"], z, "z")
+    cells = _paired([w], ["resid"], np.round(3 * z), "z")
+    return {
+        "series-pair": (pair, Cfg(grid_count=40)),
+        "series-homoskedastic": (homo, Cfg(grid_count=40, series_order=2)),
+        "series-one-sided": (_one_sided(w, z), Cfg(grid_count=40)),
+        "local-linear": (pair, Cfg(grid_count=40, method="local-linear")),
+        "cell-means": (cells, Cfg(method="cell-means")),
+    }
+
+
+# kappa, then (k_crit, k_crit_full, theta_corrected, |V_hat|) at alpha = .10, .05, .01,
+# as computed by the signed-copy sup of the earlier run_test (OpenBLAS, x86-64)
+PINNED = {
+    "series-pair": (3.3657238464776014, (
+        (2.8106566246970117, 2.909904168060711, -0.27052743202734175, 61),
+        (3.027714790407905, 3.1548790061487804, -0.3187469288539959, 61),
+        (3.376207194397649, 3.5250941377330247, -0.3783174017771933, 61),
+    )),
+    "series-homoskedastic": (3.415065628471269, (
+        (1.961412813996459, 2.608266596520607, 0.07570557059221267, 21),
+        (2.282597745560092, 2.9414917161141423, 0.027531184140842102, 21),
+        (2.924400232173286, 3.49916203508108, -0.06873248820839789, 21),
+    )),
+    "series-one-sided": (3.2426293176211316, (
+        (2.57876281388175, 2.616283901322113, -0.216517755344381, 36),
+        (2.8598365840356226, 2.9107385179467835, -0.28198178561194687, 36),
+        (3.286045335769584, 3.2950573102984553, -0.36290534545510944, 36),
+    )),
+    "local-linear": (3.4492734257575206, (
+        (2.7126019156790204, 2.846821071707525, -0.17690474699839237, 49),
+        (3.0195511213056565, 3.1289273926756063, -0.22370038368302686, 49),
+        (3.428668339318092, 3.5311298584560946, -0.28607194335673275, 49),
+    )),
+    "cell-means": (3.020847155436433, (
+        (2.392665673234702, 2.427699055865768, -0.11554713876833489, 13),
+        (2.693301782444026, 2.7156094719897754, -0.15800869609760426, 13),
+        (3.216218698442408, 3.2529601954992136, -0.23186498257465593, 13),
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_run_test_outputs_pinned(name):
+    ms, cfg = _pinned_systems()[name]
+    report = run_test(ms, None, cfg, RngSpec(seed=11))
+    kappa, levels = PINNED[name]
+    assert report.kappa == kappa
+    got = tuple((lv.k_crit, lv.k_crit_full, lv.theta_corrected, lv.selected_set_size)
+                for lv in (report.levels[a] for a in report.alpha_levels))
+    assert got == levels
+
+
+def _expanded_tail(ms, n, theta_base, s_base, zstar_base, alphas):
+    """Oracle: the sup test over the full signed copy of the draws."""
+    signs = np.array([m[2] for m in ms.moments])
+    bases = np.array([m[1] for m in ms.moments])
+    theta = (signs[:, None] * theta_base[bases]).ravel()
+    s = s_base[bases].ravel()
+    flat_z = (signs[None, :, None] * zstar_base[:, bases, :]).reshape(len(zstar_base), -1)
+    sups_full = flat_z.max(axis=1)
+    kappa = float(np.quantile(sups_full, 1.0 - 0.1 / np.log(n)))
+    selected = theta >= theta.max() - kappa * s
+    sups_sel = flat_z[:, selected].max(axis=1)
+    levels = []
+    for a in alphas:
+        k = float(np.quantile(sups_sel, 1.0 - a))
+        levels.append((k, float(np.quantile(sups_full, 1.0 - a)),
+                       float(np.max(theta - k * s)), int(selected.sum())))
+    return kappa, tuple(levels)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 150),
+    n_base=st.integers(1, 3),
+    picks=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1.0, -1.0])),
+                   min_size=1, max_size=5),
+    method=st.sampled_from(["series", "local-linear", "cell-means"]),
+)
+def test_sup_matches_expanded_oracle(seed, n, n_base, picks, method):
+    g = np.random.default_rng(seed)
+    z = g.uniform(-1, 1, n)
+    if method == "cell-means":
+        z = np.round(3 * z)
+    base = g.standard_normal((n, n_base)) + g.uniform(-1, 1, n_base) * z[:, None]
+    moments = tuple((f"m{j}", b % n_base, sign) for j, (b, sign) in enumerate(picks))
+    ms = MomentSystem(base=base, moments=moments, conditioning=z)
+    cfg = Cfg(grid_count=12, series_order=3, bandwidth=0.5, mult_draws=200, method=method)
+    seen, real = [], clrtest._process
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with mock.patch.object(clrtest, "_process", spy):
+        report = run_test(ms, None, cfg, RngSpec(seed=seed % 1000))
+    kappa, levels = _expanded_tail(ms, n, *seen[0], cfg.alpha_levels)
+    assert report.kappa == kappa
+    assert tuple((lv.k_crit, lv.k_crit_full, lv.theta_corrected, lv.selected_set_size)
+                 for lv in (report.levels[a] for a in report.alpha_levels)) == levels
+    # V_hat as the report states it. It holds the arg-max of theta_hat, but not
+    # always that of theta_hat - k s: the rule drops points whose s is small.
+    selected = report.theta >= report.theta.max() - report.kappa * report.s
+    assert selected.flat[np.argmax(report.theta)]
+    assert all(lv.selected_set_size == selected.sum() for lv in report.levels.values())

@@ -1,6 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from ivcheck import estimators
 from ivcheck.data import Dataset, RngSpec
 from ivcheck.errors import DomainError, RankDeficient, RelevanceWarning
 from ivcheck.estimators import (
@@ -195,6 +199,78 @@ def test_boxcox_residuals_consistent():
     fit = fit_boxcox(ds, use_iv=True)
     xt = boxcox_transform(ds.x[:, 0], fit.lam)
     assert np.allclose(fit.residuals, ds.y - fit.beta0 - fit.beta1 * xt, atol=1e-10)
+
+
+def _boxcox_reference(ds, use_iv):
+    """Per-lambda loop of the Box-Cox profile: (lam, beta, residuals) at the first minimum."""
+    x, y = ds.x[:, 0], ds.y
+    dz = np.column_stack([np.ones(ds.n), ds.z[:, 0]])
+
+    def sweep(grid):
+        top = None
+        for lam in grid:
+            d = np.column_stack([np.ones(ds.n), boxcox_transform(x, lam)])
+            if use_iv:
+                beta = np.linalg.solve(dz.T @ d, dz.T @ y)
+            else:
+                beta = np.linalg.lstsq(d, y, rcond=None)[0]
+            resid = y - d @ beta
+            if top is None or resid @ resid < top[0]:
+                top = (resid @ resid, float(lam), beta, resid)
+        return top
+
+    best = sweep(LAMBDA_GRID)
+    span = float(np.max(np.diff(LAMBDA_GRID)))
+    for _ in range(3):
+        span /= 4.0
+        best = sweep(np.linspace(best[1] - 4.0 * span, best[1] + 4.0 * span, 17))
+    return best[1:]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("use_iv", [False, True], ids=["ols", "iv"])
+def test_boxcox_matches_per_lambda_loop(use_iv, seed):
+    family = DgpFamily.BOXCOX_IV_NULL if use_iv else DgpFamily.BOXCOX_OLS_NULL
+    ds = generate(DgpSpec(family=family, n=500, lam=0.0), RngSpec(seed=seed))
+    fit = fit_boxcox(ds, use_iv=use_iv)
+    lam, beta, resid = _boxcox_reference(ds, use_iv)
+    assert 0.0 in fit.profile_sse_curve[:, 0]
+    assert fit.lam == lam
+    assert np.max(np.abs(np.array([fit.beta0, fit.beta1]) - beta)) < 1e-10
+    assert np.max(np.abs(fit.residuals - resid)) < 1e-10
+    # lambda blocks of 7 rows: the first minimum must survive the block edges
+    with mock.patch.object(estimators, "BOXCOX_BLOCK_CELLS", 7 * ds.n):
+        small = fit_boxcox(ds, use_iv=use_iv)
+    assert small.lam == fit.lam
+    assert np.max(np.abs(small.residuals - fit.residuals)) < 1e-12
+    assert np.allclose(small.profile_sse_curve, fit.profile_sse_curve, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("use_iv", [False, True], ids=["ols", "iv"])
+def test_boxcox_rank_deficient_step(use_iv):
+    g = np.random.default_rng(15)
+    x = g.uniform(0.5, 5.0, 100)
+    # OLS: a constant regressor; IV: a constant instrument
+    ds = Dataset(y=g.standard_normal(100), x=np.full(100, 2.0) if not use_iv else x,
+                 z=np.full(100, 3.0) if use_iv else x)
+    with pytest.raises(RankDeficient, match="Box-Cox linear step"):
+        fit_boxcox(ds, use_iv=use_iv)
+
+
+@pytest.mark.parametrize("use_iv", [False, True], ids=["ols", "iv"])
+def test_boxcox_memory_bounded_at_200k(use_iv):
+    g = np.random.default_rng(16)
+    n = 200_000
+    z = g.uniform(0.0, 1.0, n)
+    x = 0.5 + 2.0 * z + g.uniform(0.0, 1.0, n)
+    ds = Dataset(y=np.log(x) + 0.1 * g.standard_normal(n), x=x, z=z)
+    tracemalloc.start()
+    try:
+        fit_boxcox(ds, use_iv=use_iv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_boxcox_domain_error():

@@ -105,6 +105,9 @@ def test_propensity_warns_on_dropped_grid_points():
     with pytest.warns(UserWarning, match="dropping 6 grid points with empty kernel windows"):
         pf = fit_propensity(Dataset(y=x, x=x, z=z))
     assert len(pf.z_grid) == 44
+    assert pf.dropped_grid_points == 6
+    assert fit_propensity(Dataset(y=x, x=x, z=np.round(z)), method="cell-means"
+                          ).dropped_grid_points == 0
 
 
 def test_propensity_grid_sizes():

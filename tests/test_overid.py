@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ivcheck.data import Dataset, RngSpec
-from ivcheck.errors import RankDeficient
+from ivcheck.errors import DegenerateVariance, RankDeficient
 from ivcheck.estimators import fit_gmm2step, polynomial_instruments
 from ivcheck.overid import OveridMethod, chi2_sf, hansen_j, sargan
 from ivcheck.simulate import DgpFamily, DgpSpec, generate
@@ -134,3 +134,23 @@ def test_zero_instrument_column_is_rank_deficient():
     for fn in (sargan, hansen_j, fit_gmm2step):
         with pytest.raises(RankDeficient):
             fn(ds)
+
+
+def _exact_fit_ds(noise_sd, n=100, seed=0):
+    g = np.random.default_rng(seed)
+    z = g.uniform(0, 1, n)
+    x = z + g.standard_normal(n)
+    return Dataset(y=1.0 + 2.0 * x + noise_sd * g.standard_normal(n), x=x, z=z)
+
+
+@pytest.mark.parametrize("fn", [sargan, hansen_j, fit_gmm2step])
+def test_exact_fit_is_degenerate(fn):
+    # residuals near 1e-15 would give a statistic made of rounding noise
+    with pytest.raises(DegenerateVariance, match="rounding level"):
+        fn(_exact_fit_ds(0.0))
+
+
+@pytest.mark.parametrize("fn", [sargan, hansen_j])
+def test_tiny_noise_still_gives_a_statistic(fn):
+    rep = fn(_exact_fit_ds(1e-6))
+    assert np.isfinite(rep.statistic) and 0.0 <= rep.p_value <= 1.0
