@@ -40,7 +40,6 @@ from .estimators import (
     polynomial_instruments,
 )
 from .moments import (
-    Assumption,
     Conditioning,
     ModelForm,
     ModelSpec,

@@ -27,7 +27,7 @@ from .clrtest import METHODS, TestConfig, identified_set, test_model
 from .data import CONFIG_KEYS, RngSpec, load_csv, parse_config
 from .errors import IvcheckError
 from .estimators import fit_boxcox, fit_gmm2step, fit_iv, fit_ols, polynomial_instruments
-from .moments import Assumption, Conditioning, ModelForm, ModelSpec
+from .moments import Conditioning, ModelForm, ModelSpec
 from .mte import (
     PROPENSITY_METHODS,
     condition1_diagnostic,
@@ -158,13 +158,10 @@ def _cmd_fit(args, config):
 
 def _cmd_test(args, config):
     cfg = _test_config(args, config)
-    assumptions = {Assumption.EXOGENEITY}
-    if args.homoskedastic:
-        assumptions.add(Assumption.HOMOSKEDASTICITY)
     spec = ModelSpec(
         form=ModelForm.BOXCOX if args.form == "boxcox" else ModelForm.LINEAR,
         conditioning=Conditioning(args.conditioning),
-        assumptions=frozenset(assumptions),
+        homoskedastic=args.homoskedastic,
     )
     report = test_model(_load(args), spec, cfg, RngSpec(seed=args.seed))
     print(report.summary())
@@ -199,13 +196,10 @@ def _cmd_identified_set(args, config):
     y = ds.y
 
     def slope_evaluator(x, theta):
-        xv = np.asarray(x, dtype=float)
-        if xv.ndim == 2:
-            xv = xv[:, 0]
-        return theta * xv + float(np.mean(y - theta * x_col))
+        return theta * x[:, 0] + float(np.mean(y - theta * x_col))
 
-    spec = ModelSpec(conditioning=Conditioning(args.conditioning), evaluator=slope_evaluator)
-    result = identified_set(ds, spec, grid, args.alpha, cfg, RngSpec(seed=args.seed))
+    result = identified_set(ds, slope_evaluator, grid, args.alpha, cfg, RngSpec(seed=args.seed),
+                            Conditioning(args.conditioning))
     if result.empty:
         print(f"identified set at alpha = {args.alpha}: empty (specification rejected "
               f"everywhere on the grid)")

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .estimators import fit_boxcox, fit_iv, fit_ols
 from .moments import (
-    Assumption,
     Conditioning,
     ModelForm,
     ModelSpec,
@@ -37,6 +36,8 @@ from .moments import (
 DEFAULT_ALPHAS = (0.10, 0.05, 0.01)
 METHODS = ("series", "local-linear", "cell-means")
 VARIANCE_SERIES_ORDER = 2
+# why a method leaves grid points out, for the warning, the error and summary()
+DROP_REASONS = {"local-linear": "empty kernel windows", "cell-means": "one-row cells"}
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,16 @@ class TestConfig:
             raise IvcheckError(f"grid count must be at least 2, got {self.grid_count}")
         if self.method not in METHODS:
             raise IvcheckError(f"method must be one of {', '.join(METHODS)}, got {self.method!r}")
+        if not 0.0 <= self.centile_lo < self.centile_hi <= 1.0:
+            raise IvcheckError("grid centiles must satisfy 0 <= lo < hi <= 1, "
+                               f"got {self.centile_lo} and {self.centile_hi}")
+        if self.series_order is not None and self.series_order < 1:
+            raise IvcheckError(f"series order must be at least 1, got {self.series_order}")
+        if self.bandwidth is not None and not self.bandwidth > 0:
+            raise IvcheckError(f"bandwidth must be positive, got {self.bandwidth}")
+        if self.mult_draws < 200:
+            raise SimulationBudgetTooSmall(f"need at least 200 multiplier draws, "
+                                           f"got {self.mult_draws}")
 
     def with_level(self, alpha: float) -> TestConfig:
         """This config with `alpha` added to the computed levels if missing."""
@@ -106,7 +117,7 @@ class TestReport:
                 lines.append(f"  {key} = {diag[key]}")
         dropped = diag.get("dropped_grid_points", 0)
         if dropped > 0:
-            lines.append(f"  dropped_grid_points = {dropped} (empty kernel windows)")
+            lines.append(f"  dropped_grid_points = {dropped} ({DROP_REASONS[diag['method']]})")
         lines.append(f"  adaptive selection: gamma_n = {self.gamma_n:.6f}, kappa_n = {self.kappa:.4f}")
         for alpha in self.alpha_levels:
             res = self.levels[alpha]
@@ -204,10 +215,10 @@ def run_test(
 
     A series fit without `cfg.series_order` uses `npreg.default_series_order(n)`;
     the spec-dependent orders are set by `test_model`. Either is capped at the
-    number of distinct conditioning values minus one.
+    number of distinct conditioning values minus one. Local-linear grid points
+    with empty kernel windows and cell-means cells with one row are dropped,
+    with a warning, and counted in `diagnostics["dropped_grid_points"]`.
     """
-    if cfg.mult_draws < 200:
-        raise SimulationBudgetTooSmall("need at least 200 multiplier draws")
     c = ms.conditioning
     n = len(c)
     method = cfg.method
@@ -216,11 +227,12 @@ def run_test(
                    "conditioning_column": ms.conditioning_column}
     gen = rng.generator()
 
+    ok = None  # which grid points the smoother can estimate, if it can miss some
     if method == "cell-means":
         if grid is not None:
             raise IvcheckError("cell-means evaluates at the distinct conditioning values; "
                                "pass grid=None")
-        smoother = npreg.cell_means_smoother(c, ms.base)
+        smoother, ok = npreg.cell_means_smoother(c, ms.base)
         grid = np.unique(c)
     else:
         if grid is None:
@@ -229,11 +241,7 @@ def run_test(
         if grid.size == 0:
             raise EmptyGrid("conditioning grid is empty")
         if method == "series":
-            order = cfg.series_order
-            if order is None:
-                order = npreg.default_series_order(n)
-            # degree d - 1 already fits d support points exactly; more is collinear
-            order = min(order, len(np.unique(c)) - 1)
+            order = npreg.capped_series_order(c, cfg.series_order)
             diagnostics["series_order"] = order
             smoother = npreg.series_smoother(c, ms.base, order, float(grid.min()), float(grid.max()))
         else:  # local-linear
@@ -242,10 +250,11 @@ def run_test(
                 bandwidth = npreg.rule_of_thumb_bandwidth(c)
             diagnostics["bandwidth"] = bandwidth
             smoother, ok = npreg.local_linear_smoother(c, ms.base, grid, bandwidth)
-            grid = npreg.drop_empty_windows(grid, ok)
-            diagnostics["dropped_grid_points"] = int((~ok).sum())
-            if grid.size == 0:
-                raise EmptyGrid("all grid points have empty kernel windows")
+    if ok is not None:
+        grid = npreg.drop_grid_points(grid, ok, DROP_REASONS[method])
+        diagnostics["dropped_grid_points"] = int((~ok).sum())
+        if grid.size == 0:
+            raise EmptyGrid(f"all grid points have {DROP_REASONS[method]}")
     theta_base, s_base, zstar_base = _process(smoother, grid, gen, cfg.mult_draws)
 
     floor = npreg.S_FLOOR * (1.0 + np.abs(theta_base))
@@ -322,7 +331,7 @@ def test_model(
     fit = first_step_fit(ds, spec)
     ms = build_for_spec(fit, spec, ds)
     if cfg.method == "series" and cfg.series_order is None:
-        if Assumption.HOMOSKEDASTICITY in spec.assumptions:
+        if spec.homoskedastic:
             # the heavy tails of squared residuals make a rich series fit
             # too noisy to detect smooth variance deviations
             cfg = replace(cfg, series_order=VARIANCE_SERIES_ORDER)
@@ -350,20 +359,21 @@ def _fit_summary(fit):
 
 def identified_set(
     ds: Dataset,
-    spec: ModelSpec,
+    evaluator,
     theta_grid,
     alpha: float = 0.05,
     cfg: TestConfig = TestConfig(),
     rng: RngSpec = RngSpec(),
+    conditioning: Conditioning = Conditioning.ON_Z,
 ) -> IdentifiedSet:
-    """Grid search: keep parameter points whose moment system is not rejected."""
+    """Grid search: keep the theta whose exogeneity moments Y - evaluator(X, theta) pass."""
     theta_grid = list(theta_grid)
     if not theta_grid:
         raise EmptyGrid("theta_grid is empty")
     cfg = cfg.with_level(alpha)
     accepted = []
     for i, theta in enumerate(theta_grid):
-        ms = build_parametric_grid(spec, ds, theta)
+        ms = build_parametric_grid(ds, evaluator, theta, conditioning)
         report = run_test(ms, None, cfg, rng.substream(i))
         if not report.reject(alpha):
             accepted.append(theta)

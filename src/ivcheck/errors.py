@@ -55,7 +55,7 @@ class TooManyCells(IvcheckError):
 
 class EmptyWindow(IvcheckError):
     def __init__(self, points):
-        super().__init__(f"no observations receive positive kernel weight at {points}")
+        super().__init__(f"too few observations to estimate at {points}")
         self.points = points
 
 

@@ -18,11 +18,6 @@ class ModelForm(Enum):
     BOXCOX = "box-cox"
 
 
-class Assumption(Enum):
-    EXOGENEITY = "exogeneity"
-    HOMOSKEDASTICITY = "homoskedasticity"
-
-
 class Conditioning(Enum):
     ON_Z = "z"
     ON_X = "x"
@@ -30,19 +25,15 @@ class Conditioning(Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    form: ModelForm = ModelForm.LINEAR
-    assumptions: frozenset = frozenset({Assumption.EXOGENEITY})
-    conditioning: Conditioning = Conditioning.ON_Z
-    evaluator: object = None  # m(x, theta) for build_parametric_grid
+    """The model a first step estimates and what its moments test.
 
-    def __post_init__(self):
-        assumptions = frozenset(self.assumptions)
-        if not assumptions:
-            raise IvcheckError("assumption set must be non-empty")
-        # homoskedasticity is tested jointly with exogeneity
-        if Assumption.HOMOSKEDASTICITY in assumptions:
-            assumptions = assumptions | {Assumption.EXOGENEITY}
-        object.__setattr__(self, "assumptions", assumptions)
+    Exogeneity of the error given the conditioning column is always tested;
+    `homoskedastic=True` tests constant conditional variance jointly with it.
+    """
+
+    form: ModelForm = ModelForm.LINEAR
+    conditioning: Conditioning = Conditioning.ON_Z
+    homoskedastic: bool = False
 
 
 @dataclass(frozen=True)
@@ -63,10 +54,10 @@ class MomentSystem:
         return len(self.moments)
 
 
-def _conditioning_column(ds: Dataset, spec: ModelSpec):
+def _conditioning_column(ds: Dataset, conditioning: Conditioning):
     """(values, name) of the first column of z (or x); the others are left out."""
-    block = spec.conditioning.value
-    values = ds.z if spec.conditioning is Conditioning.ON_Z else ds.x
+    block = conditioning.value
+    values = ds.z if conditioning is Conditioning.ON_Z else ds.x
     names = ds.column_names.get(block) or [f"{block}{i + 1}" for i in range(values.shape[1])]
     if len(names) > 1:
         warnings.warn(
@@ -91,22 +82,16 @@ def _paired(base_cols, labels, conditioning, column) -> MomentSystem:
     )
 
 
-def build_parametric_grid(spec: ModelSpec, ds: Dataset, theta) -> MomentSystem:
+def build_parametric_grid(
+    ds: Dataset, evaluator, theta, conditioning: Conditioning = Conditioning.ON_Z
+) -> MomentSystem:
     """W1 = Y - m(X, theta) at a fixed parameter point (no estimation step).
 
-    The evaluator m carries the functional form, so the spec must keep the
-    default LINEAR form. This route tests exogeneity only.
+    The evaluator m(x, theta), called with the (n, k_x) regressors, carries
+    the functional form. This route tests exogeneity only.
     """
-    if spec.form is not ModelForm.LINEAR:
-        raise IvcheckError("the parametric grid route takes its functional form from "
-                           f"the evaluator; ModelSpec.form must be linear, got {spec.form.value}")
-    if Assumption.HOMOSKEDASTICITY in spec.assumptions:
-        raise IvcheckError("the parametric grid route tests exogeneity only, "
-                           "not homoskedasticity")
-    if spec.evaluator is None:
-        raise IvcheckError("ModelSpec.evaluator required for the parametric grid route")
     try:
-        m = np.asarray(spec.evaluator(ds.x, theta), dtype=float).ravel()
+        m = np.asarray(evaluator(ds.x, theta), dtype=float).ravel()
     except (IvcheckError, ValueError, FloatingPointError) as exc:
         raise EvaluatorDomainError(f"evaluator failed on the data range: {exc}") from exc
     if m.shape != ds.y.shape:
@@ -114,7 +99,7 @@ def build_parametric_grid(spec: ModelSpec, ds: Dataset, theta) -> MomentSystem:
     if not np.all(np.isfinite(m)):
         raise EvaluatorDomainError("evaluator produced non-finite values on data range")
     resid = ds.y - m
-    cond, column = _conditioning_column(ds, spec)
+    cond, column = _conditioning_column(ds, conditioning)
     return _paired([resid], ["resid"], cond, column)
 
 
@@ -134,11 +119,11 @@ def build_for_spec(fit, spec: ModelSpec, ds: Dataset) -> MomentSystem:
     """
     resid = fit.residuals
     cols, labels = [resid], ["resid"]
-    if Assumption.HOMOSKEDASTICITY in spec.assumptions:
+    if spec.homoskedastic:
         if isinstance(fit, BoxCoxFit):
             raise IvcheckError("homoskedasticity moments require a linear fit")
         sigma2 = float(np.mean(resid**2))  # 1/n, matching the population identity
         cols.append(resid**2 - sigma2)
         labels.append("var")
-    cond, column = _conditioning_column(ds, spec)
+    cond, column = _conditioning_column(ds, spec.conditioning)
     return _paired(cols, labels, cond, column)

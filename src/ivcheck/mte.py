@@ -16,7 +16,7 @@ from .npreg import (
     MAX_CELLS,
     _positive,
     cell_means_weights,
-    drop_empty_windows,
+    drop_grid_points,
     epanechnikov,
     local_linear_weights,
     rule_of_thumb_bandwidth,
@@ -125,7 +125,7 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
     else:
         z_grid = conditioning_grid(z, 0.01, 0.99, Z_GRID_COUNT)
         a, ok = local_linear_weights(z, z_grid, rule_of_thumb_bandwidth(z))
-        z_grid, a = drop_empty_windows(z_grid, ok), a[ok]
+        z_grid, a = drop_grid_points(z_grid, ok), a[ok]
         dropped = int((~ok).sum())
     if len(z_grid) < 2:
         raise InsufficientData(

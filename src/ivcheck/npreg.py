@@ -35,6 +35,16 @@ def default_series_order(n: int) -> int:
     return int(min(16, np.ceil(7.0 * n**0.2), n - 2))
 
 
+def capped_series_order(z, order: int | None = None) -> int:
+    """`order`, else `default_series_order(n)`, capped at the distinct values of z minus one.
+
+    Degree d - 1 already fits d support points exactly; a higher one is collinear.
+    """
+    if order is None:
+        order = default_series_order(len(z))
+    return min(order, len(np.unique(z)) - 1)
+
+
 def nonlinear_step_series_order(n: int) -> int:
     """ceil(1.5 n^(1/5)), capped at n - 2.
 
@@ -171,14 +181,13 @@ def local_linear_weights(z, grid, bandwidth: float):
     return a, ok
 
 
-def drop_empty_windows(grid, ok) -> np.ndarray:
+def drop_grid_points(grid, ok, reason: str = "empty kernel windows") -> np.ndarray:
     """grid[ok], warning the caller's caller when some grid points are dropped.
 
     When every point is dropped the caller raises instead, so no warning.
     """
     if np.any(ok) and not np.all(ok):
-        warnings.warn(f"dropping {int((~ok).sum())} grid points with empty kernel windows",
-                      stacklevel=3)
+        warnings.warn(f"dropping {int((~ok).sum())} grid points with {reason}", stacklevel=3)
     return grid[ok]
 
 
@@ -208,15 +217,21 @@ def cell_means_weights(z):
     return values, member / counts[:, None]
 
 
-def cell_means_smoother(z, w) -> Smoother:
-    """Within-cell means of each column of w (n, m), with ddof=1 standard errors."""
+def cell_means_smoother(z, w):
+    """Within-cell means of each column of w (n, m), with ddof=1 standard errors.
+
+    Returns (smoother, ok) where ok flags the cells of `np.unique(z)` with at
+    least two rows; a one-row cell has no within-cell variance to estimate and
+    is left out of the smoother.
+    """
     values, a = cell_means_weights(z)
-    coef = a @ w
     counts = np.count_nonzero(a, axis=1)
-    # a singleton cell has no within-cell variance to estimate
-    ddof1 = np.where(counts > 1, np.sqrt(counts / np.maximum(counts - 1, 1)), 0.0)
+    ok = counts > 1
+    coef = (a @ w)[ok]
+    a, counts = a[ok], counts[ok]
     resid = w.T[:, None, :] - coef.T[:, :, None]
-    return Smoother(partial(_point_design, values), coef, (a * ddof1[:, None])[None] * resid)
+    psi = (a * np.sqrt(counts / (counts - 1))[:, None])[None] * resid
+    return Smoother(partial(_point_design, values[ok]), coef, psi), ok
 
 
 @dataclass(frozen=True)
@@ -239,11 +254,10 @@ def _column(x) -> np.ndarray:
 
 
 def fit_series(w, z, order: int | None = None) -> CondMeanFit:
-    """Polynomial series regression of w on z, HC0 standard errors."""
+    """Polynomial series regression of w on z, HC0 standard errors, of `capped_series_order`."""
     w, z = _column(w), _column(z)
-    if order is None:
-        order = default_series_order(len(z))
-    smoother = series_smoother(z, w[:, None], order, float(z.min()), float(z.max()))
+    smoother = series_smoother(z, w[:, None], capped_series_order(z, order),
+                               float(z.min()), float(z.max()))
     return CondMeanFit(lambda v: smoother)
 
 
@@ -261,6 +275,9 @@ def fit_local_linear(w, z, bandwidth=None) -> CondMeanFit:
 
 
 def fit_cell_means(w, z) -> CondMeanFit:
-    """Exact within-cell means for a discrete conditioning variable (<= MAX_CELLS cells)."""
-    smoother = cell_means_smoother(_column(z), _column(w)[:, None])
+    """Exact within-cell means for a discrete conditioning variable (<= MAX_CELLS cells).
+
+    Cells with one row are left out: evaluating there raises EmptyWindow.
+    """
+    smoother, _ = cell_means_smoother(_column(z), _column(w)[:, None])
     return CondMeanFit(lambda v: smoother)

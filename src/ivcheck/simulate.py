@@ -6,7 +6,7 @@ import ctypes
 import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -17,7 +17,7 @@ from .clrtest import TestConfig, test_model
 from .data import Dataset, RngSpec
 from .errors import IvcheckError
 from .estimators import boxcox_transform
-from .moments import Assumption, Conditioning, ModelForm, ModelSpec
+from .moments import Conditioning, ModelForm, ModelSpec
 from .overid import hansen_j, sargan
 
 # Covariance of the structural/first-stage errors: Sigma differs between the
@@ -124,13 +124,10 @@ def generate(spec: DgpSpec, rng: RngSpec | np.random.Generator) -> Dataset:
 def model_spec_for(spec: DgpSpec) -> ModelSpec:
     """The model specification each family is tested under."""
     design = DESIGNS[spec.family]
-    assumptions = {Assumption.EXOGENEITY}
-    if design.deviation is Deviation.HETERO:
-        assumptions.add(Assumption.HOMOSKEDASTICITY)
     return ModelSpec(
         form=design.form,
         conditioning=Conditioning.ON_Z if design.instrumented else Conditioning.ON_X,
-        assumptions=frozenset(assumptions),
+        homoskedastic=design.deviation is Deviation.HETERO,
     )
 
 
@@ -164,18 +161,7 @@ class StudyResult:
         raise KeyError((dgp_label, method, alpha))
 
     def to_rows(self):
-        return [
-            {
-                "dgp": c.dgp,
-                "method": c.method,
-                "alpha": c.alpha,
-                "rejection_rate": c.rejection_rate,
-                "replications": c.replications,
-                "mc_se": c.mc_se,
-                "failures": c.failures,
-            }
-            for c in self.cells
-        ]
+        return [asdict(c) for c in self.cells]
 
 
 def _one_replication(args):

@@ -154,8 +154,8 @@ def test_simulate_smoke(tmp_path, capsys):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3  # one row per alpha level
-    assert {"dgp", "method", "alpha", "rejection_rate", "replications",
-            "mc_se", "failures"} <= set(rows[0])
+    assert list(rows[0]) == ["dgp", "method", "alpha", "rejection_rate", "replications",
+                             "mc_se", "failures"]
 
 
 @pytest.mark.parametrize("config", [
@@ -177,6 +177,23 @@ def test_bad_config_values_exit_one(null_csv, tmp_path, capsys, config):
     assert code == EXIT_ERROR
     assert "Traceback" not in err
     lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("config", [
+    "sim.multiplier_draws = 100\n",
+    "grid.centile_lo = 0.9\ngrid.centile_hi = 0.1\n",
+], ids=["draws", "centiles"])
+def test_simulate_bad_config_exits_one(tmp_path, capsys, config):
+    # rejected when the config is read, not as a failure of every replication
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config)
+    code = main(["simulate", "--family", "linear-iv-null", "--n", "200", "--reps", "3",
+                 "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert "rejection rate" not in captured.out
+    lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 

@@ -21,7 +21,6 @@ from ivcheck.npreg import (
     nonlinear_step_series_order,
 )
 from ivcheck.moments import (
-    Assumption,
     Conditioning,
     ModelForm,
     ModelSpec,
@@ -171,8 +170,7 @@ def test_series_order_must_stay_below_n_minus_one(order):
 @pytest.mark.parametrize("family, spec, default", [
     (DgpFamily.LINEAR_IV_NULL, IV_SPEC, default_series_order),
     (DgpFamily.LINEAR_OLS_NULL,
-     ModelSpec(conditioning=Conditioning.ON_X,
-               assumptions=frozenset({Assumption.HOMOSKEDASTICITY})),
+     ModelSpec(conditioning=Conditioning.ON_X, homoskedastic=True),
      lambda n: 2),
     (DgpFamily.BOXCOX_IV_NULL, ModelSpec(form=ModelForm.BOXCOX), nonlinear_step_series_order),
 ], ids=["linear", "homoskedastic", "boxcox"])
@@ -188,6 +186,23 @@ def test_series_order_rule(family, spec, default):
 def test_config_rejects_unknown_method():
     with pytest.raises(IvcheckError, match="method must be one of"):
         Cfg(method="kernel")
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"mult_draws": 100}, SimulationBudgetTooSmall),
+    ({"centile_lo": 0.9, "centile_hi": 0.1}, IvcheckError),
+    ({"centile_lo": 0.5, "centile_hi": 0.5}, IvcheckError),
+    ({"centile_lo": -0.1}, IvcheckError),
+    ({"centile_hi": 1.5}, IvcheckError),
+    ({"bandwidth": 0.0}, IvcheckError),
+    ({"bandwidth": -1.0}, IvcheckError),
+    ({"bandwidth": float("nan")}, IvcheckError),
+    ({"series_order": 0}, IvcheckError),
+], ids=["draws", "centiles-reversed", "centiles-equal", "centile-lo", "centile-hi",
+        "bandwidth-zero", "bandwidth-negative", "bandwidth-nan", "series-order"])
+def test_config_rejects_out_of_range_values(kwargs, error):
+    with pytest.raises(error):
+        Cfg(**kwargs)
 
 
 def test_first_step_fit_dispatch():
@@ -209,10 +224,9 @@ def test_diagnostics_record_setup():
 def test_identified_set_contains_truth():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=1500), RngSpec(seed=16))
     fit = fit_iv(ds)
-    spec = ModelSpec(conditioning=Conditioning.ON_Z,
-                     evaluator=lambda x, th: th[0] + th[1] * x[:, 0])
     grid = [(0.0, 2.0), (fit.beta[0], fit.beta[1]), (0.0, -2.0)]
-    out = identified_set(ds, spec, grid, alpha=0.05, rng=RngSpec(seed=17))
+    out = identified_set(ds, lambda x, th: th[0] + th[1] * x[:, 0], grid, alpha=0.05,
+                         rng=RngSpec(seed=17), conditioning=Conditioning.ON_Z)
     assert (0.0, 2.0) in [tuple(t) for t in out.accepted]
     assert tuple(grid[1]) in [tuple(np.asarray(t, dtype=float)) for t in out.accepted]
     assert not out.empty
@@ -225,18 +239,15 @@ def test_identified_set_rejects_wrong_sign():
     x = 3.0 * z + g.standard_normal(n)
     y = 2.0 * x + g.standard_normal(n)
     ds = Dataset(y=y, x=x, z=z)
-    spec = ModelSpec(conditioning=Conditioning.ON_Z,
-                     evaluator=lambda xx, th: th[0] + th[1] * xx[:, 0])
-    out = identified_set(ds, spec, [(0.0, -2.0)], alpha=0.05, rng=RngSpec(seed=19))
+    out = identified_set(ds, lambda xx, th: th[0] + th[1] * xx[:, 0], [(0.0, -2.0)],
+                         alpha=0.05, rng=RngSpec(seed=19), conditioning=Conditioning.ON_Z)
     assert out.empty
 
 
 def test_identified_set_empty_grid():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=200), RngSpec(seed=20))
-    spec = ModelSpec(conditioning=Conditioning.ON_Z,
-                     evaluator=lambda x, th: th[0] + th[1] * x[:, 0])
     with pytest.raises(EmptyGrid):
-        identified_set(ds, spec, [], rng=RngSpec(seed=21))
+        identified_set(ds, lambda x, th: th[0] + th[1] * x[:, 0], [], rng=RngSpec(seed=21))
 
 
 @pytest.mark.parametrize("levels", [2, 7, 11])
@@ -264,6 +275,30 @@ def test_local_linear_records_dropped_grid_points():
                     Cfg(method="local-linear", bandwidth=0.3), RngSpec(seed=0))
     assert full.diagnostics["dropped_grid_points"] == 0
     assert "dropped_grid_points" not in full.summary()
+
+
+def test_cell_means_drops_one_row_cells():
+    # a cell of one row has no within-cell variance; kept, it bound at the
+    # standard-error floor and rejected on every seed
+    rejections = 0
+    for seed in range(40):
+        ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=500), RngSpec(seed=seed))
+        z = np.round(ds.z[:, 0] / 1.5) * 1.5
+        z[0] = 0.7
+        with pytest.warns(UserWarning, match="dropping 1 grid points with one-row cells"):
+            report = model_test(Dataset(y=ds.y, x=ds.x, z=z), IV_SPEC, Cfg(method="cell-means"),
+                                RngSpec(seed=seed))
+        assert report.diagnostics["dropped_grid_points"] == 1
+        assert 0.7 not in report.grid
+        rejections += report.reject(0.05)
+    assert "dropped_grid_points = 1 (one-row cells)" in report.summary()
+    assert rejections <= 4
+
+
+def test_cell_means_without_a_two_row_cell_is_an_empty_grid():
+    ms = _one_sided(np.arange(5.0), np.arange(5.0))
+    with pytest.raises(EmptyGrid, match="one-row cells"):
+        run_test(ms, None, Cfg(method="cell-means"), RngSpec(seed=0))
 
 
 def test_cell_means_refuses_a_grid():

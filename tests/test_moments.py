@@ -5,10 +5,9 @@ import pytest
 
 from ivcheck.clrtest import test_model as model_test
 from ivcheck.data import Dataset, RngSpec
-from ivcheck.errors import EvaluatorDomainError, IvcheckError
+from ivcheck.errors import EvaluatorDomainError
 from ivcheck.estimators import fit_iv, fit_ols
 from ivcheck.moments import (
-    Assumption,
     Conditioning,
     ModelForm,
     ModelSpec,
@@ -19,17 +18,8 @@ from ivcheck.moments import (
 from ivcheck.simulate import DgpFamily, DgpSpec, generate
 
 IV_SPEC = ModelSpec(form=ModelForm.LINEAR, conditioning=Conditioning.ON_Z)
-OLS_HOMO_SPEC = ModelSpec(
-    form=ModelForm.LINEAR,
-    conditioning=Conditioning.ON_X,
-    assumptions=frozenset({Assumption.EXOGENEITY, Assumption.HOMOSKEDASTICITY}),
-)
-
-
-def test_modelspec_requires_assumptions():
-    with pytest.raises(IvcheckError):
-        ModelSpec(form=ModelForm.LINEAR, conditioning=Conditioning.ON_Z,
-                  assumptions=frozenset())
+OLS_HOMO_SPEC = ModelSpec(form=ModelForm.LINEAR, conditioning=Conditioning.ON_X,
+                          homoskedastic=True)
 
 
 def test_exogeneity_sign_symmetry():
@@ -88,9 +78,8 @@ def test_hetero_signal_visible_in_variance_moment():
 def test_parametric_grid_matches_exogeneity_at_iv_estimate():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=400), RngSpec(seed=5))
     fit = fit_iv(ds)
-    spec = ModelSpec(conditioning=Conditioning.ON_Z,
-                     evaluator=lambda x, th: th[0] + th[1] * x[:, 0])
-    ms_grid = build_parametric_grid(spec, ds, (fit.beta[0], fit.beta[1]))
+    ms_grid = build_parametric_grid(ds, lambda x, th: th[0] + th[1] * x[:, 0],
+                                    (fit.beta[0], fit.beta[1]), Conditioning.ON_Z)
     ms_exo = build_for_spec(fit, IV_SPEC, ds)
     w_grid = ms_grid.moments[0][2] * ms_grid.base[:, ms_grid.moments[0][1]]
     w_exo = ms_exo.moments[0][2] * ms_exo.base[:, ms_exo.moments[0][1]]
@@ -102,8 +91,7 @@ def test_parametric_grid_boxcox_noiseless():
     x = g.uniform(0.5, 8.0, 100)
     y = 2.0 * (x - 1.0)
     ds = Dataset(y=y, x=x, z=x)
-    spec = ModelSpec(conditioning=Conditioning.ON_X, evaluator=boxcox_evaluator)
-    ms = build_parametric_grid(spec, ds, (0.0, 2.0, 1.0))
+    ms = build_parametric_grid(ds, boxcox_evaluator, (0.0, 2.0, 1.0), Conditioning.ON_X)
     w1 = ms.moments[0][2] * ms.base[:, ms.moments[0][1]]
     assert np.allclose(w1, 0.0, atol=1e-12)
 
@@ -113,9 +101,8 @@ def test_parametric_grid_off_truth_sample_mean_oracle():
     x = g.uniform(-1, 1, 200)
     y = 2.0 * x
     ds = Dataset(y=y, x=x, z=x)
-    spec = ModelSpec(conditioning=Conditioning.ON_X,
-                     evaluator=lambda xx, th: th[0] + th[1] * xx[:, 0])
-    ms = build_parametric_grid(spec, ds, (1.0, 0.0))
+    ms = build_parametric_grid(ds, lambda xx, th: th[0] + th[1] * xx[:, 0], (1.0, 0.0),
+                               Conditioning.ON_X)
     w1 = ms.moments[0][2] * ms.base[:, ms.moments[0][1]]
     assert abs(np.mean(w1) - np.mean(y - 1.0)) < 1e-12
     assert abs(np.mean(w1)) > 0.5
@@ -123,26 +110,8 @@ def test_parametric_grid_off_truth_sample_mean_oracle():
 
 def test_parametric_grid_domain_error():
     ds = Dataset(y=np.arange(4.0), x=np.array([-1.0, 1.0, 2.0, 3.0]), z=np.arange(4.0))
-    spec = ModelSpec(conditioning=Conditioning.ON_X, evaluator=boxcox_evaluator)
     with pytest.raises(EvaluatorDomainError):
-        build_parametric_grid(spec, ds, (0.0, 2.0, 0.5))
-
-
-def test_parametric_grid_rejects_homoskedasticity():
-    ds = generate(DgpSpec(family=DgpFamily.LINEAR_OLS_NULL, n=200), RngSpec(seed=10))
-    spec = ModelSpec(conditioning=Conditioning.ON_X, assumptions=OLS_HOMO_SPEC.assumptions,
-                     evaluator=lambda xx, th: th[0] + th[1] * xx[:, 0])
-    with pytest.raises(IvcheckError, match="exogeneity only"):
-        build_parametric_grid(spec, ds, (0.0, 2.0))
-
-
-def test_parametric_grid_rejects_boxcox_form():
-    # the evaluator carries the functional form; a Box-Cox spec form is not read
-    ds = generate(DgpSpec(family=DgpFamily.BOXCOX_OLS_NULL, n=200, lam=0.5), RngSpec(seed=10))
-    spec = ModelSpec(form=ModelForm.BOXCOX, conditioning=Conditioning.ON_X,
-                     evaluator=boxcox_evaluator)
-    with pytest.raises(IvcheckError, match="form"):
-        build_parametric_grid(spec, ds, (0.0, 2.0, 0.5))
+        build_parametric_grid(ds, boxcox_evaluator, (0.0, 2.0, 0.5), Conditioning.ON_X)
 
 
 def test_build_for_spec_dispatch():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ivcheck.data import RngSpec
-from ivcheck.errors import InsufficientData, TooManyCells
+from ivcheck.errors import EmptyWindow, InsufficientData, TooManyCells
 from ivcheck.npreg import (
     default_series_order,
     epanechnikov,
@@ -60,6 +60,16 @@ def test_series_sup_shrinks_with_n():
 def test_series_insufficient_data():
     with pytest.raises(InsufficientData):
         fit_series(np.arange(3.0), np.arange(3.0), order=5)
+
+
+def test_series_order_capped_at_distinct_values():
+    g = np.random.default_rng(8)
+    z = g.integers(0, 7, 400).astype(float)
+    w = np.sin(z) + g.standard_normal(400)
+    levels = np.unique(z)
+    # degree 6 through 7 support points: the series fit is the cell means
+    theta, _ = fit_series(w, z).evaluate(levels)
+    assert np.allclose(theta, fit_cell_means(w, z).evaluate(levels)[0], atol=1e-8)
 
 
 def test_series_default_orders():
@@ -142,6 +152,15 @@ def test_cell_means_group_by_oracle():
         cell = w[z == v]
         assert abs(th - cell.mean()) < 1e-12
         assert abs(s - cell.std(ddof=1) / np.sqrt(len(cell))) < 1e-10
+
+
+def test_cell_means_leaves_out_one_row_cells():
+    z = np.array([1.0, 1.0, 2.0, 3.0, 3.0])
+    w = np.array([0.5, 1.5, 7.0, 2.5, 3.5])
+    fit = fit_cell_means(w, z)
+    assert fit.evaluate(3.0)[0] == 3.0
+    with pytest.raises(EmptyWindow, match="too few observations"):
+        fit.evaluate(2.0)
 
 
 def test_cell_means_too_many_cells():

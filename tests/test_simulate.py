@@ -10,7 +10,7 @@ from scipy import stats
 from ivcheck.clrtest import TestConfig as Cfg
 from ivcheck.data import RngSpec
 from ivcheck.errors import IvcheckError
-from ivcheck.moments import Assumption, Conditioning, ModelForm
+from ivcheck.moments import Conditioning, ModelForm
 from ivcheck.simulate import (
     DESIGNS,
     DgpFamily,
@@ -91,8 +91,7 @@ def test_model_spec_for_families():
         spec = model_spec_for(DgpSpec(family=family, n=100, rho=0.5))
         assert spec.form is form
         assert spec.conditioning is conditioning
-        assert Assumption.EXOGENEITY in spec.assumptions
-        assert (Assumption.HOMOSKEDASTICITY in spec.assumptions) is homoskedastic
+        assert spec.homoskedastic is homoskedastic
 
 
 def test_readme_family_table_matches_designs():
@@ -102,7 +101,7 @@ def test_readme_family_table_matches_designs():
     expected = {}
     for family, d in DESIGNS.items():
         spec = model_spec_for(DgpSpec(family=family, n=100))
-        assumptions = "exogeneity and homoskedasticity" if len(spec.assumptions) == 2 else "exogeneity"
+        assumptions = "exogeneity and homoskedasticity" if spec.homoskedastic else "exogeneity"
         form = "linear" if spec.form is ModelForm.LINEAR else "Box-Cox"
         tested = f"{form}, {assumptions} given {spec.conditioning.value}"
         expected[family] = (d.instrumented, d.form.value, d.deviation.value, tested)
