@@ -261,7 +261,12 @@ def _cmd_simulate(args, config):
         sigma=args.sigma,
         rho=args.rho,
     )
-    methods = [Method(m.strip()) for m in args.methods.split(",")]
+    try:
+        methods = [Method(m.strip()) for m in args.methods.split(",")]
+    except ValueError:
+        valid = ", ".join(m.value for m in Method)
+        raise IvcheckError(f"--methods takes a comma-separated subset of {valid}, "
+                           f"got {args.methods!r}") from None
     result = run_study([spec], methods, reps, cfg, RngSpec(seed=args.seed), jobs=args.jobs)
     for cell in result.cells:
         print(f"{cell.dgp}  {cell.method:>9s}  alpha = {cell.alpha:5.2%}  "

@@ -207,6 +207,38 @@ def _pin_blas(lib: str, name: str):
     setter(1)
 
 
+_pool = None  # (jobs, executor): the one live worker pool of this process, see _worker_pool
+
+
+def _worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """The process's pool of `jobs` BLAS-pinned workers, forked on first use and then reused.
+
+    A pool of another size, or one that a dead worker broke, is shut down and
+    replaced first.
+    """
+    global _pool
+    if _pool is not None:
+        held, pool = _pool
+        # The executor marks itself broken only once its manager thread notices a
+        # dead worker, so ask the workers first; that thread reaps a worker only
+        # after marking the pool, so reading the mark second misses no death.
+        alive = all(p.is_alive() for p in pool._processes.values())
+        if held != jobs or not alive or pool._broken:
+            _drop_pool()
+    if _pool is None:
+        setter = _openblas_setter()
+        pinning = {"initializer": _pin_blas, "initargs": setter} if setter else {}
+        _pool = (jobs, ProcessPoolExecutor(max_workers=jobs, **pinning))
+    return _pool[1]
+
+
+def _drop_pool():
+    """Shut the live pool down and wait for its threads, so none is alive at the next fork."""
+    global _pool
+    pool, _pool = _pool[1], None
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_study(
     specs,
     methods=(Method.CMI,),
@@ -221,9 +253,15 @@ def run_study(
     per-replication RNG substreams are derived from the replication index.
     With jobs > 1 every (spec, replication) runs in one process pool whose
     workers use a single BLAS thread; the calling process keeps its own.
+    The workers are forked on first use and kept for the life of the process:
+    later run_study and power_curve calls reuse them, and a call with another
+    `jobs` replaces them. They run the code as it was when they were forked,
+    so a function monkeypatched later is not seen by them.
     """
     if reps < 1:
         raise IvcheckError("reps must be >= 1")
+    if jobs < 1:
+        raise IvcheckError("jobs must be >= 1")
     started = time.perf_counter()
     specs = list(specs)
     methods = list(methods)
@@ -232,13 +270,14 @@ def run_study(
         for si, spec in enumerate(specs)
         for rep in range(reps)
     ]
-    setter = None
     if jobs > 1:
-        setter = _openblas_setter()
-        pinning = {"initializer": _pin_blas, "initargs": setter} if setter else {}
-        with ProcessPoolExecutor(max_workers=jobs, **pinning) as pool:
-            chunksize = max(1, len(tasks) // (4 * jobs))
+        pool = _worker_pool(jobs)
+        chunksize = max(1, len(tasks) // (4 * jobs))
+        try:
             raw = list(pool.map(_one_replication, tasks, chunksize=chunksize))
+        except BaseException:
+            _drop_pool()
+            raise
     else:
         raw = [_one_replication(t) for t in tasks]
     cells = []
@@ -274,7 +313,7 @@ def run_study(
             "method": cfg.method,
             "mult_draws": cfg.mult_draws,
             "jobs": jobs,
-            "worker_blas_threads": 1 if setter else None,
+            "worker_blas_threads": 1 if jobs > 1 and _openblas_setter() else None,
         },
     )
 

@@ -197,6 +197,23 @@ def test_simulate_bad_config_exits_one(tmp_path, capsys, config):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--jobs", "0"],
+    ["--jobs", "-3"],
+    ["--methods", "cmi,foo"],
+    ["--methods", "cmi,,sargan"],
+], ids=["jobs-zero", "jobs-negative", "unknown-method", "empty-method"])
+def test_simulate_bad_flags_exit_one(capsys, flags):
+    code = main(["simulate", "--family", "linear-iv-null", "--n", "200", "--reps", "3", *flags])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert "rejection rate" not in captured.out
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    if "--methods" in flags:
+        assert "cmi, sargan, hansen-j" in lines[0]
+
+
 def test_every_test_config_field_has_a_config_key():
     assert set(_TEST_CONFIG_FIELDS.values()) == {f.name for f in dataclasses.fields(Cfg)}
 

@@ -1,5 +1,8 @@
 import ctypes
+import multiprocessing
+import os
 import re
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -211,6 +214,45 @@ def test_run_study_records_worker_blas_threads():
             assert pool.submit(_blas_threads).result(timeout=60) == 1
 
 
+def _worker_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _study(jobs, seed=12):
+    spec = [DgpSpec(family=DgpFamily.HETERO_POWER, n=300, rho=0.9)]
+    return run_study(spec, [Method.CMI, Method.SARGAN], reps=8, rng=RngSpec(seed=seed),
+                     jobs=jobs).to_rows()
+
+
+def test_run_study_reuses_its_workers():
+    serial = _study(1)
+    first = _study(2)
+    workers = _worker_pids()
+    second = _study(2)
+    assert len(workers) == 2 and _worker_pids() == workers
+    assert first == second == serial
+
+
+def test_run_study_replaces_workers_when_jobs_changes():
+    serial = _study(1, seed=13)
+    seen = []
+    for jobs in (2, 3, 2):
+        assert _study(jobs, seed=13) == serial
+        seen.append(_worker_pids())
+        assert len(seen[-1]) == jobs
+    assert not seen[0] & seen[1] and not seen[1] & seen[2]
+
+
+def test_run_study_replaces_a_pool_whose_worker_died():
+    first = _study(2, seed=14)
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=60)
+    assert not victim.is_alive()
+    assert _study(2, seed=14) == first
+    assert victim.pid not in _worker_pids()
+
+
 def test_run_study_failure_counting():
     # n below the validity floor triggers per-replication failures, not a crash
     specs = [DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=50)]
@@ -228,6 +270,13 @@ def test_power_curve_rows_and_dominance():
     assert {r["n"] for r in rows} == {250, 500}
     for r in rows:
         assert set(r) >= {"n", "method", "alpha", "rate", "mc_se"}
+
+
+def test_power_curve_same_rows_in_workers():
+    spec = DgpSpec(family=DgpFamily.LINEAR_IV_POWER, n=200, L=1.0, sigma=0.25)
+    rows = [power_curve(spec, [200, 300, 400], [Method.CMI, Method.SARGAN], reps=6,
+                        rng=RngSpec(seed=15), jobs=jobs) for jobs in (1, 2)]
+    assert rows[0] == rows[1]
 
 
 def test_power_curve_requires_increasing_n():
