@@ -4,81 +4,52 @@ Public surface: data containers and RNG plumbing, parametric first-step
 estimators, nonparametric conditional means, moment-system construction, the
 precision-corrected sup test, classical overidentification statistics, the
 control-function module, and a Monte Carlo harness.
+
+`import ivcheck` loads no submodule. Each public name below is resolved on
+first access by importing the submodule that defines it (PEP 562), so a
+program pays only for the modules it uses.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .clrtest import (
-    IdentifiedSet,
-    LevelResult,
-    TestConfig,
-    TestReport,
-    identified_set,
-    run_test,
-    test_model,
-)
-from .data import (
-    CONFIG_KEYS,
-    Dataset,
-    RngSpec,
-    conditioning_grid,
-    empirical_quantile,
-    load_csv,
-    parse_config,
-    write_csv,
-)
-from .errors import IvcheckError, RelevanceWarning
-from .estimators import (
-    BoxCoxFit,
-    FitMethod,
-    LinearFit,
-    boxcox_transform,
-    fit_boxcox,
-    fit_gmm2step,
-    fit_iv,
-    fit_ols,
-    polynomial_instruments,
-)
-from .moments import (
-    Conditioning,
-    ModelForm,
-    ModelSpec,
-    MomentSystem,
-    build_for_spec,
-    build_parametric_grid,
-)
-from .mte import (
-    AsfEstimate,
-    Condition1Report,
-    ControlFunctionFit,
-    PropensityFit,
-    UniformityReport,
-    condition1_diagnostic,
-    estimate_asf,
-    estimate_mte,
-    fit_control_function,
-    fit_propensity,
-    quantile_roundtrip_check,
-    uniformity_diagnostic,
-)
-from .npreg import (
-    CondMeanFit,
-    default_series_order,
-    fit_cell_means,
-    fit_local_linear,
-    fit_series,
-    rule_of_thumb_bandwidth,
-)
-from .overid import OveridReport, hansen_j, sargan
-from .simulate import (
-    DgpFamily,
-    DgpSpec,
-    Method,
-    StudyResult,
-    generate,
-    model_spec_for,
-    power_curve,
-    run_study,
-)
+# submodule -> the public names it defines
+_EXPORTS = {
+    "clrtest": ("IdentifiedSet", "LevelResult", "TestConfig", "TestReport", "identified_set",
+                "run_test", "test_model"),
+    "data": ("CONFIG_KEYS", "Dataset", "RngSpec", "conditioning_grid", "empirical_quantile",
+             "load_csv", "parse_config", "write_csv"),
+    "errors": ("IvcheckError", "RelevanceWarning"),
+    "estimators": ("BoxCoxFit", "FitMethod", "LinearFit", "boxcox_transform", "fit_boxcox",
+                   "fit_gmm2step", "fit_iv", "fit_ols", "polynomial_instruments"),
+    "moments": ("Conditioning", "ModelForm", "ModelSpec", "MomentSystem", "build_for_spec",
+                "build_parametric_grid"),
+    "mte": ("AsfEstimate", "Condition1Report", "ControlFunctionFit", "PropensityFit",
+            "UniformityReport", "condition1_diagnostic", "estimate_asf", "estimate_mte",
+            "fit_control_function", "fit_propensity", "quantile_roundtrip_check",
+            "uniformity_diagnostic"),
+    "npreg": ("CondMeanFit", "default_series_order", "fit_cell_means", "fit_local_linear",
+              "fit_series", "rule_of_thumb_bandwidth"),
+    "overid": ("OveridReport", "hansen_j", "sargan"),
+    "simulate": ("DgpFamily", "DgpSpec", "Method", "StudyResult", "generate", "model_spec_for",
+                 "power_curve", "run_study"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_OWNER])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        # importing a submodule also binds it as an attribute of this package
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

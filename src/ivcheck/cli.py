@@ -25,20 +25,9 @@ import numpy as np
 from . import __version__
 from .clrtest import METHODS, TestConfig, identified_set, test_model
 from .data import CONFIG_KEYS, RngSpec, load_csv, parse_config
-from .errors import IvcheckError
+from .errors import IvcheckError, OffSupport
 from .estimators import fit_boxcox, fit_gmm2step, fit_iv, fit_ols, polynomial_instruments
 from .moments import Conditioning, ModelForm, ModelSpec
-from .mte import (
-    PROPENSITY_METHODS,
-    condition1_diagnostic,
-    estimate_asf,
-    estimate_mte,
-    fit_control_function,
-    fit_propensity,
-    uniformity_diagnostic,
-)
-from .overid import hansen_j, sargan
-from .simulate import DgpFamily, DgpSpec, Method, run_study
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -170,6 +159,8 @@ def _cmd_test(args, config):
 
 
 def _cmd_overid(args, config):
+    from .overid import hansen_j, sargan
+
     ds = _load(args)
     instrument_fn = polynomial_instruments(args.degree)
     report = (sargan(ds, instrument_fn=instrument_fn) if args.statistic == "sargan"
@@ -187,6 +178,8 @@ def _cmd_overid(args, config):
 
 def _cmd_identified_set(args, config):
     cfg = _test_config(args, config)
+    if args.theta_count < 1:
+        raise IvcheckError(f"--theta-count must be at least 1, got {args.theta_count}")
     ds = _load(args)
     if ds.k_x != 1:
         raise IvcheckError(f"identified-set takes one regressor, got {ds.k_x}: "
@@ -213,6 +206,15 @@ def _cmd_identified_set(args, config):
 
 
 def _cmd_mte(args, config):
+    from .mte import (
+        condition1_diagnostic,
+        estimate_asf,
+        estimate_mte,
+        fit_control_function,
+        fit_propensity,
+        uniformity_diagnostic,
+    )
+
     ds = _load(args)
     pf = fit_propensity(ds, method=args.propensity_method)
     cf = fit_control_function(ds, pf)
@@ -230,7 +232,8 @@ def _cmd_mte(args, config):
         for p in np.linspace(0.1, 0.9, 9):
             try:
                 value = estimate_mte(cf, float(p), args.x, args.x_prime)
-            except IvcheckError:
+            except OffSupport:
+                print(f"  MTE(p={p:.2f}; {args.x}, {args.x_prime}): off the rank support")
                 continue
             rows.append({"p": float(p), "mte": value})
             print(f"  MTE(p={p:.2f}; {args.x}, {args.x_prime}) = {value:+.6f}")
@@ -251,10 +254,17 @@ def _cmd_mte(args, config):
 
 
 def _cmd_simulate(args, config):
+    from .simulate import DgpFamily, DgpSpec, Method, run_study
+
     reps = args.reps if args.reps is not None else config.get("sim.replications", 200)
     cfg = _test_config(args, config)
+    try:
+        family = DgpFamily(args.family)
+    except ValueError:
+        valid = ", ".join(f.value for f in DgpFamily)
+        raise IvcheckError(f"--family takes one of {valid}, got {args.family!r}") from None
     spec = DgpSpec(
-        family=DgpFamily(args.family),
+        family=family,
         n=args.n,
         lam=args.lam,
         L=args.deviation,
@@ -322,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mte", help="control-function marginal effects and average "
                                    "structural function")
     _add_data_args(p)
-    p.add_argument("--propensity-method", choices=PROPENSITY_METHODS, default="local-linear")
+    p.add_argument("--propensity-method", default="local-linear",
+                   help="first-stage rank estimator (default: local-linear)")
     p.add_argument("--x", type=float, default=None, help="first evaluation point for the MTE")
     p.add_argument("--x-prime", type=float, default=None, help="second evaluation point")
     p.add_argument("--asf-x", type=float, default=None,
@@ -334,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mte)
 
     p = sub.add_parser("simulate", help="Monte Carlo size/power study")
-    p.add_argument("--family", choices=[f.value for f in DgpFamily], required=True)
+    p.add_argument("--family", required=True, help="data-generating process, e.g. linear-iv-null")
     p.add_argument("--n", type=int, required=True, help="sample size per replication")
     p.add_argument("--reps", type=int, default=None,
                    help="replications per cell; overrides sim.replications "

@@ -9,7 +9,14 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateVariance, DomainError, RankDeficient, RelevanceWarning, SingularWeight
+from .errors import (
+    DegenerateVariance,
+    DomainError,
+    IvcheckError,
+    RankDeficient,
+    RelevanceWarning,
+    SingularWeight,
+)
 
 RELEVANCE_F_THRESHOLD = 10.0
 
@@ -157,6 +164,8 @@ def fit_iv(ds: Dataset) -> LinearFit:
 
 def polynomial_instruments(degree: int = 3):
     """h(z) = (z, z^2, ..., z^degree) applied columnwise; degree 3 by default."""
+    if degree < 1:
+        raise IvcheckError(f"instrument degree must be at least 1, got {degree}")
 
     def h(z):
         z = np.asarray(z, dtype=float)

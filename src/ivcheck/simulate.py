@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import functools
+import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,9 @@ from .errors import IvcheckError
 from .estimators import boxcox_transform
 from .moments import Conditioning, ModelForm, ModelSpec
 from .overid import hansen_j, sargan
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 # Covariance of the structural/first-stage errors: Sigma differs between the
 # size design ((1, .5; .5, 2)) and the power design ((1, .5; .5, 1)), exactly
@@ -73,6 +77,10 @@ class DgpSpec:
     rho: float = 0.0  # heteroskedasticity strength
 
     def __post_init__(self):
+        for name in ("lam", "L", "sigma", "rho"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise IvcheckError(f"{name} must be finite, got {value}")
         if self.n < 50:
             raise IvcheckError("n must be at least 50")
         if self.L < 0 or self.sigma <= 0 or not 0 <= self.rho <= 1:
@@ -214,9 +222,12 @@ def _worker_pool(jobs: int) -> ProcessPoolExecutor:
     """The process's pool of `jobs` BLAS-pinned workers, forked on first use and then reused.
 
     A pool of another size, or one that a dead worker broke, is shut down and
-    replaced first.
+    replaced first. The executor is imported here, not at module level, because
+    it loads multiprocessing: a jobs=1 study never does.
     """
     global _pool
+    from concurrent.futures import ProcessPoolExecutor
+
     if _pool is not None:
         held, pool = _pool
         # The executor marks itself broken only once its manager thread notices a
@@ -233,10 +244,23 @@ def _worker_pool(jobs: int) -> ProcessPoolExecutor:
 
 
 def _drop_pool():
-    """Shut the live pool down and wait for its threads, so none is alive at the next fork."""
+    """Shut the live pool down and wait for its threads, so none is alive at the next fork.
+
+    A no-op without a live pool. Also run at exit, before module teardown: the
+    executor's weakref callback reads multiprocessing, which is imported after
+    this module and so is torn down before it.
+    """
     global _pool
-    pool, _pool = _pool[1], None
-    pool.shutdown(wait=True, cancel_futures=True)
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        # A killed worker may die holding the call queue's read lock; the others would then
+        # never read their shutdown sentinel, and shutdown would wait for them forever.
+        for process in pool._processes.values():
+            process.terminate()
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+atexit.register(_drop_pool)
 
 
 def run_study(

@@ -305,11 +305,11 @@ def test_cli_import_leaves_scipy_out():
     assert run.stdout.strip() == "[]"
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, flags=()):
     src = str(Path(ivcheck.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-m", "ivcheck.cli", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "ivcheck.cli", *argv],
                           capture_output=True, text=True, env=env)
 
 
@@ -342,3 +342,93 @@ def test_overid_exact_fit_exits_one(tmp_path, capsys):
         assert code == EXIT_ERROR
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _one_error_line(err):
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    p = tmp_path_factory.mktemp("fixtures") / "small.csv"
+    write_csv(generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=200), RngSpec(seed=0)), p)
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["--version", "test"])
+def test_cli_request_imports_only_its_subcommand(small_csv, command):
+    argv = [command] if command == "--version" else _args(small_csv, command)
+    run = _run_cli(*argv, flags=("-X", "importtime"))
+    assert run.returncode in (EXIT_OK, EXIT_REJECT), run.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+    assert "ivcheck.clrtest" in imported  # the test pipeline, imported by every request
+    heavy = {"ivcheck.mte", "ivcheck.simulate", "ivcheck.overid", "multiprocessing",
+             "concurrent.futures.process"}
+    assert not imported & heavy
+
+
+def test_bad_family_names_the_families(capsys):
+    code = main(["simulate", "--family", "linear-iv", "--n", "200", "--reps", "2"])
+    line = _one_error_line(capsys.readouterr().err)
+    assert code == EXIT_ERROR and line.startswith("error: ")
+    assert all(f.value in line for f in DgpFamily)
+
+
+def test_bad_propensity_method_names_the_methods(null_csv, capsys):
+    from ivcheck.mte import PROPENSITY_METHODS
+
+    code = main(_args(null_csv, "mte", "--propensity-method", "series"))
+    line = _one_error_line(capsys.readouterr().err)
+    assert code == EXIT_ERROR and line.startswith("error: ")
+    assert all(m in line for m in PROPENSITY_METHODS)
+
+
+def test_bad_method_names_the_methods(null_csv, capsys):
+    from ivcheck.clrtest import METHODS
+
+    code = main(_args(null_csv, "test", "--method", "kernel"))
+    line = _one_error_line(capsys.readouterr().err)
+    assert code == EXIT_ERROR
+    assert all(m in line for m in METHODS)
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_identified_set_refuses_empty_theta_grid(null_csv, capsys, count):
+    code = main(_args(null_csv, "identified-set", "--theta-lo", "1.0", "--theta-hi", "3.0",
+                      "--theta-count", count))
+    line = _one_error_line(capsys.readouterr().err)
+    assert code == EXIT_ERROR and line.startswith("error: ") and "--theta-count" in line
+
+
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_overid_refuses_degree_below_one(null_csv, capsys, degree):
+    code = main(_args(null_csv, "overid", "--degree", degree))
+    line = _one_error_line(capsys.readouterr().err)
+    assert code == EXIT_ERROR and line.startswith("error: ") and "degree" in line
+
+
+def test_mte_reports_points_off_the_rank_support(null_csv, capsys):
+    code = main(_args(null_csv, "mte", "--x", "100", "--x-prime", "0"))
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    skipped = [line for line in out.splitlines() if line.startswith("  MTE(")]
+    assert skipped == [f"  MTE(p={p:.2f}; 100.0, 0.0): off the rank support"
+                       for p in np.linspace(0.1, 0.9, 9)]
+
+
+@pytest.mark.parametrize("flag, family, name", [
+    ("--sigma", "linear-iv-power", "sigma"),
+    ("--deviation", "linear-iv-power", "L"),
+    ("--lam", "boxcox-iv-null", "lam"),
+    ("--rho", "hetero-power", "rho"),
+])
+def test_simulate_refuses_non_finite_parameters(capsys, flag, family, name):
+    code = main(["simulate", "--family", family, "--n", "200", "--reps", "2", flag, "nan"])
+    captured = capsys.readouterr()
+    line = _one_error_line(captured.err)
+    assert code == EXIT_ERROR and "rejection rate" not in captured.out
+    assert line == f"error: {name} must be finite, got nan"

@@ -3,6 +3,8 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ivcheck import simulate
 from ivcheck.clrtest import TestConfig as Cfg
 from ivcheck.data import RngSpec
 from ivcheck.errors import IvcheckError
@@ -251,6 +254,26 @@ def test_run_study_replaces_a_pool_whose_worker_died():
     assert not victim.is_alive()
     assert _study(2, seed=14) == first
     assert victim.pid not in _worker_pids()
+
+
+def test_dropping_a_pool_right_after_a_worker_died_returns():
+    # A worker killed while idle may hold the call queue's read lock; which of the two holds
+    # it varies, so each is killed in turn. In a subprocess, so that a hang fails the test.
+    code = """
+import multiprocessing, os, signal
+from ivcheck import simulate
+from ivcheck.data import RngSpec
+spec = [simulate.DgpSpec(family=simulate.DgpFamily.LINEAR_IV_NULL, n=200)]
+for victim in (0, 1, 0, 1):
+    simulate.run_study(spec, [simulate.Method.SARGAN], reps=4, rng=RngSpec(seed=1), jobs=2)
+    os.kill(multiprocessing.active_children()[victim].pid, signal.SIGKILL)
+    simulate._drop_pool()  # before the pool's manager thread has seen the death
+"""
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def test_run_study_failure_counting():
