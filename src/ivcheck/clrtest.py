@@ -18,6 +18,7 @@ import numpy as np
 from . import npreg
 from .data import Dataset, RngSpec, conditioning_grid
 from .errors import (
+    ArrayTooLarge,
     DegenerateVariance,
     EmptyGrid,
     IvcheckError,
@@ -38,6 +39,9 @@ METHODS = ("series", "local-linear", "cell-means")
 VARIANCE_SERIES_ORDER = 2
 # why a method leaves grid points out, for the warning, the error and summary()
 DROP_REASONS = {"local-linear": "empty kernel windows", "cell-means": "one-row cells"}
+# run_test refuses a draw tensor or a local-linear influence array above this
+# many bytes before it allocates anything, rather than fail in numpy's allocator
+ARRAY_BUDGET_BYTES = 2**32
 
 
 @dataclass(frozen=True)
@@ -205,6 +209,24 @@ def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
     return sign * (z.max(axis=1) if sign > 0 else z.min(axis=1))
 
 
+def _check_array_budget(cfg: TestConfig, ms: MomentSystem, n_grid: int) -> None:
+    """Raise ArrayTooLarge if run_test's largest arrays would exceed ARRAY_BUDGET_BYTES.
+
+    These are the standardized draws (draws x base moments x grid points) and,
+    for local-linear, the influence array (base moments x grid points x rows),
+    both of float64.
+    """
+    n_base = ms.base.shape[1]
+    sizes = {"draw tensor": 8 * cfg.mult_draws * n_base * n_grid}
+    if cfg.method == "local-linear":
+        sizes["local-linear influence array"] = 8 * n_base * n_grid * len(ms.conditioning)
+    what, size = max(sizes.items(), key=lambda item: item[1])
+    if size > ARRAY_BUDGET_BYTES:
+        raise ArrayTooLarge(f"the {what} would take {size / 2**30:.3g} GiB, above the "
+                            f"{ARRAY_BUDGET_BYTES / 2**30:.3g} GiB budget; lower "
+                            "sim.multiplier_draws or grid.count")
+
+
 def run_test(
     ms: MomentSystem,
     grid=None,
@@ -217,7 +239,9 @@ def run_test(
     the spec-dependent orders are set by `test_model`. Either is capped at the
     number of distinct conditioning values minus one. Local-linear grid points
     with empty kernel windows and cell-means cells with one row are dropped,
-    with a warning, and counted in `diagnostics["dropped_grid_points"]`.
+    with a warning, and counted in `diagnostics["dropped_grid_points"]`. A draw
+    tensor or local-linear influence array above ARRAY_BUDGET_BYTES raises
+    ArrayTooLarge before anything is allocated.
     """
     c = ms.conditioning
     n = len(c)
@@ -232,9 +256,12 @@ def run_test(
         if grid is not None:
             raise IvcheckError("cell-means evaluates at the distinct conditioning values; "
                                "pass grid=None")
+        # at most MAX_CELLS cells, so the smoother itself stays small
         smoother, ok = npreg.cell_means_smoother(c, ms.base)
         grid = np.unique(c)
+        _check_array_budget(cfg, ms, len(grid))
     else:
+        _check_array_budget(cfg, ms, cfg.grid_count if grid is None else np.size(grid))
         if grid is None:
             grid = conditioning_grid(c, cfg.centile_lo, cfg.centile_hi, cfg.grid_count)
         grid = np.asarray(grid, dtype=float)

@@ -67,6 +67,10 @@ class SimulationBudgetTooSmall(IvcheckError):
     pass
 
 
+class ArrayTooLarge(IvcheckError):
+    pass
+
+
 class EvaluatorDomainError(IvcheckError):
     pass
 

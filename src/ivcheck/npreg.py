@@ -12,7 +12,7 @@ The `fit_*` functions wrap the same smoothers for a single column.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable
 
@@ -22,6 +22,9 @@ from .errors import EmptyWindow, InsufficientData, RankDeficient, TooManyCells
 
 S_FLOOR = 1e-12
 MAX_CELLS = 50
+# the local-linear kernel runs over blocks of about this many (grid point, row)
+# cells, so its temporaries stay small whatever n and the grid size are
+LOCAL_LINEAR_BLOCK_CELLS = 2**15
 
 
 def default_series_order(n: int) -> int:
@@ -147,28 +150,63 @@ def _positive(bandwidth) -> float:
     return float(bandwidth)
 
 
-def _local_linear_pass(z, grid, bandwidth):
-    """Intercept and slope weights of the kernel-weighted line at each grid point.
+@dataclass(frozen=True)
+class _LocalLines:
+    """Kernel-weighted local lines of z at grid points, built in blocks of grid points.
 
-    Returns (a, slope, du, ok) with du = z - grid; ok flags grid points whose
-    kernel window supports a non-degenerate local line, and the weight rows
-    of the others are zero.
+    Holds each point's kernel sums s0, s1, s2 and `ok`, which flags points whose
+    kernel window supports a non-degenerate local line. `intercept` and `slope`
+    turn a block of `blocks()` into weight rows; intercept rows of points with
+    ok=False are zero. Every step is elementwise or a sum along one point's
+    row, so no value depends on the block size.
     """
-    bandwidth = _positive(bandwidth)
-    z = np.asarray(z, dtype=float).ravel()
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    du = z[None, :] - grid[:, None]
-    k = epanechnikov(du / bandwidth)
-    s0 = k.sum(axis=1)
-    s1 = (k * du).sum(axis=1)
-    s2 = (k * du**2).sum(axis=1)
-    denom = s0 * s2 - s1**2
-    scale = np.maximum(s0 * np.maximum(s2, bandwidth**2), 1e-300)
-    ok = (s0 > 0) & (denom > 1e-12 * scale)
-    safe = np.where(ok, denom, 1.0)[:, None]
-    a = np.where(ok[:, None], k * (s2[:, None] - s1[:, None] * du) / safe, 0.0)
-    slope = np.where(ok[:, None], k * (s0[:, None] * du - s1[:, None]) / safe, 0.0)
-    return a, slope, du, ok
+
+    z: np.ndarray
+    grid: np.ndarray
+    bandwidth: float
+    sums: np.ndarray  # (3, G): s0, s1, s2
+    denom: np.ndarray | None = None  # (G,): s0 s2 - s1^2, 1 where not ok
+    ok: np.ndarray | None = None
+
+    @classmethod
+    def at(cls, z, grid, bandwidth) -> _LocalLines:
+        z = np.asarray(z, dtype=float).ravel()
+        grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        lines = cls(z, grid, _positive(bandwidth), np.empty((3, len(grid))))
+        for rows, du, k in lines.blocks():
+            lines.sums[:, rows] = k.sum(axis=1), (k * du).sum(axis=1), (k * du**2).sum(axis=1)
+        s0, s1, s2 = lines.sums
+        denom = s0 * s2 - s1**2
+        scale = np.maximum(s0 * np.maximum(s2, lines.bandwidth**2), 1e-300)
+        ok = (s0 > 0) & (denom > 1e-12 * scale)
+        return replace(lines, denom=np.where(ok, denom, 1.0), ok=ok)
+
+    def kept(self) -> _LocalLines:
+        """The same lines at the grid points with ok=True only."""
+        ok = self.ok
+        return replace(self, grid=self.grid[ok], sums=self.sums[:, ok],
+                       denom=self.denom[ok], ok=ok[ok])
+
+    def offsets(self):
+        """(rows, du) for blocks of LOCAL_LINEAR_BLOCK_CELLS // n points, du = z - grid[rows]."""
+        step = max(1, LOCAL_LINEAR_BLOCK_CELLS // max(len(self.z), 1))
+        for start in range(0, len(self.grid), step):
+            rows = slice(start, start + step)
+            yield rows, self.z[None, :] - self.grid[rows, None]
+
+    def blocks(self):
+        """(rows, du, k) for the blocks of `offsets`, k the kernel weight of du."""
+        for rows, du in self.offsets():
+            yield rows, du, epanechnikov(du / self.bandwidth)
+
+    def intercept(self, rows, du, k) -> np.ndarray:
+        _, s1, s2 = self.sums[:, rows, None]
+        return np.where(self.ok[rows, None], k * (s2 - s1 * du) / self.denom[rows, None], 0.0)
+
+    def slope(self, rows, du, k) -> np.ndarray:
+        """Slope weight rows; only called on `kept()` lines, where every point is ok."""
+        s0, s1, _ = self.sums[:, rows, None]
+        return k * (s0 * du - s1) / self.denom[rows, None]
 
 
 def local_linear_weights(z, grid, bandwidth: float):
@@ -177,8 +215,11 @@ def local_linear_weights(z, grid, bandwidth: float):
     Returns (A, ok) where ok flags grid points whose kernel window supports a
     non-degenerate local line; rows with ok=False are zero.
     """
-    a, _, _, ok = _local_linear_pass(z, grid, bandwidth)
-    return a, ok
+    lines = _LocalLines.at(z, grid, bandwidth)
+    a = np.empty((len(lines.grid), len(lines.z)))
+    for rows, du, k in lines.blocks():
+        a[rows] = lines.intercept(rows, du, k)
+    return a, lines.ok
 
 
 def drop_grid_points(grid, ok, reason: str = "empty kernel windows") -> np.ndarray:
@@ -197,13 +238,24 @@ def local_linear_smoother(z, w, grid, bandwidth: float):
     Returns (smoother, ok). Each residual comes from the grid point's own
     local line. Grid points with ok=False are left out of the smoother.
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    a, slope, du, ok = _local_linear_pass(z, grid, bandwidth)
-    a, slope, du = a[ok], slope[ok], du[ok]
-    coef = a @ w  # (G, m)
-    beta = slope @ w
-    resid = w.T[:, None, :] - coef.T[:, :, None] - beta.T[:, :, None] * du[None]
-    return Smoother(partial(_point_design, grid[ok]), coef, a[None] * resid), ok
+    lines = _LocalLines.at(z, grid, bandwidth)
+    ok, lines = lines.ok, lines.kept()
+    psi = np.empty((w.shape[1], len(lines.grid), len(lines.z)))
+    # psi's first slice holds the slope weights and then the intercept weights,
+    # so that beta and coef each come from one product over every kept point
+    # (products over blocks of points round differently); psi is then the
+    # intercept weights times the residuals
+    weights = psi[0]
+    for rows, du, k in lines.blocks():
+        weights[rows] = lines.slope(rows, du, k)
+    beta = weights @ w
+    for rows, du, k in lines.blocks():
+        weights[rows] = lines.intercept(rows, du, k)
+    coef = weights @ w  # (G, m)
+    for rows, du in lines.offsets():
+        resid = w.T[:, None, :] - coef[rows].T[:, :, None] - beta[rows].T[:, :, None] * du[None]
+        psi[:, rows] = weights[rows][None] * resid
+    return Smoother(partial(_point_design, lines.grid), coef, psi), ok
 
 
 def cell_means_weights(z):

@@ -168,6 +168,9 @@ def test_simulate_smoke(tmp_path, capsys):
     "test.alpha_levels = a,b\n",
     "rng.seed = -1\n",
     "npreg.bandwidth_scale = 2\n",
+    # refused by their computed size, before the arrays are allocated
+    "sim.multiplier_draws = 100000000000\n",
+    "npreg.method = local-linear\ngrid.count = 100000000\n",
 ])
 def test_bad_config_values_exit_one(null_csv, tmp_path, capsys, config):
     cfg = tmp_path / "bad.cfg"

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,13 @@ from ivcheck.clrtest import TestConfig as Cfg
 from ivcheck.clrtest import first_step_fit, identified_set, run_test
 from ivcheck.clrtest import test_model as model_test
 from ivcheck.data import Dataset, RngSpec
-from ivcheck.errors import EmptyGrid, InsufficientData, IvcheckError, SimulationBudgetTooSmall
+from ivcheck.errors import (
+    ArrayTooLarge,
+    EmptyGrid,
+    InsufficientData,
+    IvcheckError,
+    SimulationBudgetTooSmall,
+)
 from ivcheck.estimators import fit_iv
 from ivcheck.npreg import (
     default_series_order,
@@ -138,6 +145,34 @@ def test_simulation_budget_guard():
     ms = _one_sided(g.standard_normal(100), g.uniform(-1, 1, 100))
     with pytest.raises(SimulationBudgetTooSmall):
         run_test(ms, None, Cfg(mult_draws=50), RngSpec(seed=12))
+
+
+@pytest.mark.parametrize("cfg, size", [
+    (Cfg(grid_count=40), 8 * 1000 * 40),  # draws x base moments x grid points
+    (Cfg(method="local-linear", grid_count=40, mult_draws=200), 8 * 40 * 300),  # x rows
+], ids=["draw-tensor", "local-linear-influence"])
+def test_array_budget_is_the_computed_size(cfg, size):
+    g = np.random.default_rng(11)
+    ms = _one_sided(g.standard_normal(300), g.uniform(-1, 1, 300))
+    with mock.patch.object(clrtest, "ARRAY_BUDGET_BYTES", size):
+        run_test(ms, None, cfg, RngSpec(seed=12))
+    with mock.patch.object(clrtest, "ARRAY_BUDGET_BYTES", size - 1):
+        with pytest.raises(ArrayTooLarge, match=f"{size / 2**30:.3g} GiB"):
+            run_test(ms, None, cfg, RngSpec(seed=12))
+
+
+def test_local_linear_memory_bounded_at_200k():
+    g = np.random.default_rng(32)
+    n = 200_000
+    ms = _paired([g.standard_normal(n)], ["resid"], g.uniform(-3, 3, n), "z")
+    tracemalloc.start()
+    try:
+        report = run_test(ms, None, Cfg(method="local-linear"), RngSpec(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    psi = 8 * ms.base.shape[1] * len(report.grid) * n  # the influence array it must hold
+    assert peak <= 1.5 * psi + 32 * 2**20
 
 
 @pytest.mark.parametrize("cfg, fitter", [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from ivcheck.data import Dataset
 from ivcheck.errors import InsufficientData, IvcheckError, MissingBounds, OffSupport
 from ivcheck.mte import (
     P_GRID,
+    X_GRID_COUNT,
+    Z_GRID_COUNT,
     condition1_diagnostic,
     estimate_asf,
     estimate_mte,
@@ -115,6 +119,24 @@ def test_propensity_grid_sizes():
     pf = fit_propensity(ds)
     assert (len(pf.z_grid), len(pf.x_grid)) == (50, 40)
     assert pf.surface.shape == (50, 40)
+
+
+def test_local_linear_propensity_memory_bounded_at_200k():
+    g = np.random.default_rng(33)
+    n = 200_000
+    z = g.uniform(0, 1, n)
+    x = 3.0 * z + g.uniform(0, 1, n)
+    ds = Dataset(y=x + 0.1 * g.standard_normal(n), x=x, z=z)
+    tracemalloc.start()
+    try:
+        fit_propensity(ds, method="local-linear")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the surface is the product of two arrays it must hold: the (z grid x n)
+    # kernel weights and the (x grid x n) indicators
+    result = 8 * (Z_GRID_COUNT + X_GRID_COUNT) * n
+    assert peak <= 1.5 * result + 32 * 2**20
 
 
 def test_propensity_unknown_method():

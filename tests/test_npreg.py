@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from ivcheck import npreg
 from ivcheck.data import RngSpec
 from ivcheck.errors import EmptyWindow, InsufficientData, TooManyCells
 from ivcheck.npreg import (
@@ -9,6 +12,7 @@ from ivcheck.npreg import (
     fit_cell_means,
     fit_local_linear,
     fit_series,
+    local_linear_smoother,
     local_linear_weights,
     nonlinear_step_series_order,
     rule_of_thumb_bandwidth,
@@ -126,6 +130,46 @@ def test_local_linear_empty_window_reported():
     grid = np.array([0.1, 2.5, 5.3])
     a, ok = local_linear_weights(z, grid, bandwidth=0.5)
     assert ok[0] and ok[2] and not ok[1]
+
+
+def _dense_local_linear(z, w, grid, h):
+    """The local-linear kernel as one dense (grid x n) pass: (a, ok, coef, psi)."""
+    du = z[None, :] - grid[:, None]
+    k = epanechnikov(du / h)
+    s0 = k.sum(axis=1)
+    s1 = (k * du).sum(axis=1)
+    s2 = (k * du**2).sum(axis=1)
+    denom = s0 * s2 - s1**2
+    scale = np.maximum(s0 * np.maximum(s2, h**2), 1e-300)
+    ok = (s0 > 0) & (denom > 1e-12 * scale)
+    safe = np.where(ok, denom, 1.0)[:, None]
+    a = np.where(ok[:, None], k * (s2[:, None] - s1[:, None] * du) / safe, 0.0)
+    slope = np.where(ok[:, None], k * (s0[:, None] * du - s1[:, None]) / safe, 0.0)
+    coef = a[ok] @ w
+    beta = slope[ok] @ w
+    resid = w.T[:, None, :] - coef.T[:, :, None] - beta.T[:, :, None] * du[ok][None]
+    return a, ok, coef, a[ok][None] * resid
+
+
+@pytest.mark.parametrize("points_per_block", [1, 7])
+@pytest.mark.parametrize("m", [1, 2])
+def test_blocked_local_linear_equals_dense(points_per_block, m):
+    g = np.random.default_rng(31)
+    n = 300
+    # a gap in z empties the windows of the grid points inside it
+    z = np.concatenate([g.uniform(-3, -1, n // 2), g.uniform(1, 3, n - n // 2)])
+    w = g.standard_normal((n, m))
+    grid = np.linspace(-2.9, 2.9, 60)  # 60 blocks, or 9 with a short last one
+    h = 0.4
+    a, ok, coef, psi = _dense_local_linear(z, w, grid, h)
+    assert 0 < (~ok).sum() < len(grid)
+    with mock.patch.object(npreg, "LOCAL_LINEAR_BLOCK_CELLS", points_per_block * n):
+        smoother, ok_smoother = local_linear_smoother(z, w, grid, h)
+        a_blocked, ok_weights = local_linear_weights(z, grid, h)
+    assert np.array_equal(ok_smoother, ok) and np.array_equal(ok_weights, ok)
+    assert np.array_equal(smoother.coef, coef)
+    assert np.array_equal(smoother.psi, psi)
+    assert np.array_equal(a_blocked, a)
 
 
 def test_rule_of_thumb_bandwidth():
