@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import npreg
+from .npreg import ARRAY_BUDGET_BYTES
 from .data import Dataset, RngSpec, conditioning_grid
 from .errors import (
     ArrayTooLarge,
@@ -39,9 +40,6 @@ METHODS = ("series", "local-linear", "cell-means")
 VARIANCE_SERIES_ORDER = 2
 # why a method leaves grid points out, for the warning, the error and summary()
 DROP_REASONS = {"local-linear": "empty kernel windows", "cell-means": "one-row cells"}
-# run_test refuses a draw tensor or a local-linear influence array above this
-# many bytes before it allocates anything, rather than fail in numpy's allocator
-ARRAY_BUDGET_BYTES = 2**32
 
 
 @dataclass(frozen=True)
@@ -185,19 +183,29 @@ def _chol_psd(cov: np.ndarray) -> np.ndarray:
 def _process(smoother: npreg.Smoother, grid, rng, draws):
     """theta, s and standardized draws of the smoother's Gaussian process on the grid.
 
-    Given the data, the estimate is linear in the moment values, so its
-    sampling noise is drawn exactly as N(0, cov) in coefficient space and
-    mapped to the grid through the design.
+    Given the data, the estimate is linear in the moment values: with
+    cov = chol chol' in coefficient space and L the design, the standardized
+    draws are N(0, I) normals times the fixed map chol' L' / s, one product.
     """
     design = smoother.design(grid)  # (G, k)
-    theta_base, s_base = smoother.evaluate(grid)  # (n_base, G)
+    theta_base, s_base = smoother.evaluate_design(design)  # (n_base, G)
     n_base, k = theta_base.shape[0], design.shape[1]
-    chol = _chol_psd(smoother.cov)
-    eps = rng.standard_normal((draws, n_base * k)) @ chol.T
-    # one (draws * n_base, k) product; a batched matmul over draws is far slower
-    zstar_base = (eps.reshape(-1, k) @ design.T).reshape(draws, n_base, -1)
-    zstar_base /= s_base
-    return theta_base, s_base, zstar_base
+    chol_t = _chol_psd(smoother.cov).T
+    draw_map = (chol_t.reshape(n_base * k, n_base, k) @ design.T) / s_base
+    zstar_base = rng.standard_normal((draws, n_base * k)) @ draw_map.reshape(n_base * k, -1)
+    return theta_base, s_base, zstar_base.reshape(draws, n_base, -1)
+
+
+def _quantiles(x: np.ndarray, qs) -> list:
+    """np.quantile(x, qs) bit for bit, from one sort: numpy's linear rule and t >= 0.5 branch."""
+    xs = np.sort(x)
+    pos = (len(xs) - 1) * np.asarray(qs, dtype=float)
+    lo = np.floor(pos)
+    t = pos - lo
+    lo = lo.astype(np.intp)
+    below, above = xs[lo], xs[np.minimum(lo + 1, len(xs) - 1)]
+    diff = above - below
+    return np.where(t >= 0.5, above - diff * (1 - t), below + diff * t).tolist()
 
 
 def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
@@ -298,7 +306,7 @@ def run_test(
     sups_full = np.maximum.reduce(per_moment)
     gamma_n = 1.0 - 0.1 / np.log(n) if n > 1 else 0.5
     upper = [1.0 - alpha for alpha in cfg.alpha_levels]
-    kappa, *k_full = np.quantile(sups_full, [gamma_n, *upper]).tolist()
+    kappa, *k_full = _quantiles(sups_full, [gamma_n, *upper])
     # plug-in estimate of the kappa-close-to-binding set: keep inequalities
     # whose estimate is within kappa standard errors of the largest one
     selected = theta >= float(theta.max()) - kappa * s
@@ -308,7 +316,7 @@ def run_test(
             parts.append(full)
         elif keep.any():
             parts.append(_signed_sup(zstar_base[:, b, keep], sign))
-    k_sel = np.quantile(np.maximum.reduce(parts), upper).tolist()
+    k_sel = _quantiles(np.maximum.reduce(parts), upper)
 
     levels = {}
     for alpha, k, k_f in zip(cfg.alpha_levels, k_sel, k_full):

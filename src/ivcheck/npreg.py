@@ -25,6 +25,9 @@ MAX_CELLS = 50
 # the local-linear kernel runs over blocks of about this many (grid point, row)
 # cells, so its temporaries stay small whatever n and the grid size are
 LOCAL_LINEAR_BLOCK_CELLS = 2**15
+# run_test and fit_propensity refuse arrays above this many bytes before they
+# allocate them, rather than fail in numpy's allocator
+ARRAY_BUDGET_BYTES = 2**32
 
 
 def default_series_order(n: int) -> int:
@@ -82,7 +85,14 @@ def series_basis(z: np.ndarray, order: int, lo: float, hi: float) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float).ravel()
     t = 2.0 * (z - lo) / (hi - lo) - 1.0
-    return np.polynomial.legendre.legvander(t, order)
+    # legvander's recurrence, operation for operation, without importing numpy.polynomial
+    v = np.empty((order + 1, len(t)))
+    v[0] = 1.0
+    if order > 0:
+        v[1] = t
+        for i in range(2, order + 1):
+            v[i] = (v[i - 1] * t * (2 * i - 1) - v[i - 2] * (i - 1)) / i
+    return np.ascontiguousarray(v.T)
 
 
 @dataclass(frozen=True)
@@ -105,7 +115,10 @@ class Smoother:
 
     def evaluate(self, v):
         """theta and floored pointwise standard errors at v, each (m, len(v))."""
-        design = self.design(np.atleast_1d(np.asarray(v, dtype=float)))
+        return self.evaluate_design(self.design(np.atleast_1d(np.asarray(v, dtype=float))))
+
+    def evaluate_design(self, design):
+        """`evaluate` at the points whose design rows are `design` (G, k)."""
         k = len(self.coef)
         theta = (design @ self.coef).T
         s = np.empty_like(theta)
@@ -133,11 +146,13 @@ def series_smoother(z, w, order: int, lo: float, hi: float) -> Smoother:
     if not lo < hi:
         raise RankDeficient("conditioning variable is constant")
     b = series_basis(z, order, lo, hi)
-    # one thin SVD gives the rank check, the pseudo-inverse and the coefficients
-    u, sv, vt = np.linalg.svd(b, full_matrices=False)
+    # R of b = QR has b's singular values, and pinv = R^-1 R^-T b' needs no tall SVD
+    r = np.linalg.qr(b, mode="r")
+    sv = np.linalg.svd(r, compute_uv=False)
     if sv[-1] <= n * np.finfo(float).eps * sv[0]:
         raise RankDeficient("collinear series basis; lower the order")
-    pinv = (vt.T / sv) @ u.T  # (k, n)
+    r_inv = np.linalg.inv(r)
+    pinv = r_inv @ (r_inv.T @ b.T)  # (k, n)
     coef = pinv @ w
     resid = w - b @ coef
     design = partial(series_basis, order=order, lo=lo, hi=hi)

@@ -29,6 +29,9 @@ if TYPE_CHECKING:
 # as printed in the source tables.
 SIGMA_SIZE = np.array([[1.0, 0.5], [0.5, 2.0]])
 SIGMA_POWER = np.array([[1.0, 0.5], [0.5, 1.0]])
+# normals @ L.T with their Cholesky factors is multivariate_normal(method="cholesky")
+CHOL_SIZE = np.linalg.cholesky(SIGMA_SIZE)
+CHOL_POWER = np.linalg.cholesky(SIGMA_POWER)
 
 
 class DgpFamily(Enum):
@@ -113,8 +116,8 @@ def generate(spec: DgpSpec, rng: RngSpec | np.random.Generator) -> Dataset:
     else:
         c = gen.uniform(-3.0, 3.0, n)
     if design.instrumented:
-        cov = SIGMA_SIZE if design.deviation is Deviation.NONE else SIGMA_POWER
-        u, v = gen.multivariate_normal([0.0, 0.0], cov, size=n, method="cholesky").T
+        chol = CHOL_SIZE if design.deviation is Deviation.NONE else CHOL_POWER
+        u, v = (gen.standard_normal((n, 2)) @ chol.T).T
         x = 2.0 * c + np.maximum(v, 0.0) if boxcox else 3.0 * c + v
     else:
         u = gen.standard_normal(n)

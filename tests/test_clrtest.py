@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from ivcheck import clrtest
+from ivcheck import clrtest, npreg
 from ivcheck.clrtest import TestConfig as Cfg
 from ivcheck.clrtest import first_step_fit, identified_set, run_test
 from ivcheck.clrtest import test_model as model_test
@@ -363,8 +363,9 @@ def _pinned_systems():
 
 
 # kappa, then (k_crit, k_crit_full, theta_corrected, |V_hat|) at alpha = .10, .05, .01,
-# as computed by the signed-copy sup of the earlier run_test (OpenBLAS, x86-64)
-PINNED = {
+# as computed by the signed-copy sup of the earlier run_test (OpenBLAS, x86-64),
+# which drew through two products and a division and fitted series by a tall SVD
+PINNED_PARENT = {
     "series-pair": (3.3657238464776014, (
         (2.8106566246970117, 2.909904168060711, -0.27052743202734175, 61),
         (3.027714790407905, 3.1548790061487804, -0.3187469288539959, 61),
@@ -393,15 +394,116 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_run_test_outputs_pinned(name):
+# the same, from the fused draw map chol' L' / s and the series fit from the QR's R
+PINNED = {
+    "series-pair": (3.365723846477604, (
+        (2.810656624697008, 2.9099041680607094, -0.2705274320273408, 61),
+        (3.0277147904079076, 3.154879006148779, -0.31874692885399636, 61),
+        (3.376207194397651, 3.5250941377330203, -0.37831740177719353, 61),
+    )),
+    "series-homoskedastic": (3.4150656284712726, (
+        (1.9614128139964528, 2.608266596520607, 0.075705570592214, 21),
+        (2.2825977455601043, 2.9414917161141396, 0.027531184140840548, 21),
+        (2.9244002321732867, 3.4991620350810804, -0.06873248820839778, 21),
+    )),
+    "series-one-sided": (3.2426293176211316, (
+        (2.5787628138817498, 2.6162839013221117, -0.21651775534438084, 36),
+        (2.8598365840356212, 2.9107385179467804, -0.2819817856119465, 36),
+        (3.2860453357695842, 3.2950573102984566, -0.36290534545510955, 36),
+    )),
+    "local-linear": (3.44927342575752, (
+        (2.71260191567902, 2.8468210717075255, -0.17690474699839226, 49),
+        (3.019551121305656, 3.1289273926756063, -0.2237003836830268, 49),
+        (3.428668339318092, 3.531129858456094, -0.28607194335673275, 49),
+    )),
+    "cell-means": (3.0208471554364333, (
+        (2.392665673234702, 2.427699055865768, -0.11554713876833489, 13),
+        (2.6933017824440255, 2.7156094719897754, -0.1580086960976042, 13),
+        (3.2162186984424084, 3.2529601954992136, -0.231864982574656, 13),
+    )),
+}
+
+
+def _pinned_outputs(name):
     ms, cfg = _pinned_systems()[name]
     report = run_test(ms, None, cfg, RngSpec(seed=11))
-    kappa, levels = PINNED[name]
-    assert report.kappa == kappa
-    got = tuple((lv.k_crit, lv.k_crit_full, lv.theta_corrected, lv.selected_set_size)
-                for lv in (report.levels[a] for a in report.alpha_levels))
-    assert got == levels
+    return report.kappa, tuple((lv.k_crit, lv.k_crit_full, lv.theta_corrected,
+                                lv.selected_set_size)
+                               for lv in (report.levels[a] for a in report.alpha_levels))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_run_test_outputs_pinned(name):
+    assert _pinned_outputs(name) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PARENT))
+def test_run_test_outputs_near_parent_pins(name):
+    """The new arithmetic moves the outputs in the last bits only: same |V_hat| and decisions."""
+    kappa, levels = _pinned_outputs(name)
+    kappa_parent, levels_parent = PINNED_PARENT[name]
+    assert kappa == pytest.approx(kappa_parent, rel=1e-12, abs=0)
+    for got, parent in zip(levels, levels_parent, strict=True):
+        assert got[:3] == pytest.approx(parent[:3], rel=1e-12, abs=0)
+        assert got[3] == parent[3]
+        assert (got[2] > 0.0) == (parent[2] > 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(200, 5000),
+    kind=st.sampled_from(["continuous", "ties", "constant"]),
+    n=st.integers(2, 10**6),
+)
+def test_quantiles_equal_numpy(seed, size, kind, n):
+    g = np.random.default_rng(seed)
+    x = g.standard_normal(size)
+    if kind == "ties":
+        x = np.round(x, 1)
+    elif kind == "constant":
+        x = np.full(size, x[0])
+    qs = [0.0, 1.0, 1.0 - 0.1 / np.log(n), 0.9, 0.95, 0.99]
+    assert clrtest._quantiles(x, qs) == np.quantile(x, qs).tolist()
+
+
+def _two_product_draws(smoother, grid, rng, draws):
+    """Oracle: coefficient noise chol @ normals, then the design, then a division by s."""
+    design = smoother.design(grid)
+    _, s_base = smoother.evaluate(grid)
+    n_base, k = s_base.shape[0], design.shape[1]
+    eps = rng.standard_normal((draws, n_base * k)) @ clrtest._chol_psd(smoother.cov).T
+    return (eps.reshape(-1, k) @ design.T).reshape(draws, n_base, -1) / s_base
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 300),
+    n_base=st.integers(1, 3),
+    method=st.sampled_from(["series", "local-linear", "cell-means"]),
+)
+def test_process_matches_two_product_oracle(seed, n, n_base, method):
+    g = np.random.default_rng(seed)
+    z = g.uniform(-1, 1, n)
+    if method == "cell-means":
+        z = np.round(3 * z)
+    base = g.standard_normal((n, n_base)) * (1.0 + z[:, None] ** 2)
+    grid = np.linspace(-0.9, 0.9, 15)
+    if method == "series":
+        smoother = npreg.series_smoother(z, base, 4, -0.9, 0.9)
+    elif method == "local-linear":
+        smoother, ok = npreg.local_linear_smoother(z, base, grid, 0.5)
+        grid = grid[ok]
+    else:
+        smoother, ok = npreg.cell_means_smoother(z, base)
+        grid = np.unique(z)[ok]
+    theta, s, zstar = clrtest._process(smoother, grid, np.random.default_rng(seed), 300)
+    oracle = _two_product_draws(smoother, grid, np.random.default_rng(seed), 300)
+    assert zstar.shape == oracle.shape == (300, n_base, len(grid))
+    assert np.max(np.abs(zstar - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    theta_eval, s_eval = smoother.evaluate(grid)
+    assert np.array_equal(theta, theta_eval) and np.array_equal(s, s_eval)
 
 
 def _expanded_tail(ms, n, theta_base, s_base, zstar_base, alphas):

@@ -1,10 +1,18 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ivcheck import mte
 from ivcheck.data import Dataset
-from ivcheck.errors import InsufficientData, IvcheckError, MissingBounds, OffSupport
+from ivcheck.errors import (
+    ArrayTooLarge,
+    InsufficientData,
+    IvcheckError,
+    MissingBounds,
+    OffSupport,
+)
 from ivcheck.mte import (
     P_GRID,
     X_GRID_COUNT,
@@ -137,6 +145,41 @@ def test_local_linear_propensity_memory_bounded_at_200k():
     # kernel weights and the (x grid x n) indicators
     result = 8 * (Z_GRID_COUNT + X_GRID_COUNT) * n
     assert peak <= 1.5 * result + 32 * 2**20
+
+
+def test_local_linear_propensity_holds_one_copy_of_the_weights():
+    # no grid point is dropped, so the weights are not copied, and they and the
+    # indicators are released before v_hat is interpolated
+    g = np.random.default_rng(34)
+    n = 100_000
+    z = g.uniform(-3, 3, n)
+    x = 3.0 * z + g.standard_normal(n)
+    ds = Dataset(y=x, x=x, z=z)
+    tracemalloc.start()
+    try:
+        pf = fit_propensity(ds, method="local-linear")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pf.dropped_grid_points == 0
+    # float weights and indicators, and the boolean indicators cast to float
+    needed = 8 * (Z_GRID_COUNT + X_GRID_COUNT) * n + X_GRID_COUNT * n
+    assert peak <= needed + 2**20
+
+
+@pytest.mark.parametrize("method", ["local-linear", "cell-means"])
+def test_propensity_array_budget_is_the_computed_size(method):
+    g = np.random.default_rng(35)
+    n = 300
+    z = np.round(4 * g.uniform(0, 1, n)) if method == "cell-means" else g.uniform(0, 1, n)
+    x = 3.0 * z + g.uniform(0, 1, n)
+    ds = Dataset(y=x, x=x, z=z)
+    size = 8 * (Z_GRID_COUNT + X_GRID_COUNT) * n  # weights and indicators, float64
+    with mock.patch.object(mte, "ARRAY_BUDGET_BYTES", size):
+        fit_propensity(ds, method=method)
+    with mock.patch.object(mte, "ARRAY_BUDGET_BYTES", size - 1):
+        with pytest.raises(ArrayTooLarge, match=f"{size / 2**30:.3g} GiB"):
+            fit_propensity(ds, method=method)
 
 
 def test_propensity_unknown_method():

@@ -92,6 +92,16 @@ def test_series_basis_span_matches_raw_powers():
     assert np.allclose(proj, raw, atol=1e-8)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 7, 16])
+def test_series_basis_is_legvander(order):
+    g = np.random.default_rng(order)
+    z = np.concatenate([g.uniform(-2.0, 3.0, 500), [-2.0, 3.0, 0.5]])
+    b = series_basis(z, order, -2.0, 3.0)
+    t = 2.0 * (z - -2.0) / (3.0 - -2.0) - 1.0
+    assert np.array_equal(b, np.polynomial.legendre.legvander(t, order))
+    assert b.flags.c_contiguous
+
+
 def test_local_linear_constant():
     g = np.random.default_rng(2)
     z = g.uniform(-1, 1, 60)

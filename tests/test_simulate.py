@@ -160,6 +160,25 @@ STREAM_HEADS = {
 }
 
 
+@pytest.mark.parametrize("family, cov", [
+    (DgpFamily.LINEAR_IV_NULL, [[1.0, 0.5], [0.5, 2.0]]),
+    (DgpFamily.LINEAR_IV_POWER, [[1.0, 0.5], [0.5, 1.0]]),
+], ids=["size", "power"])
+def test_generate_draws_errors_as_multivariate_normal(family, cov):
+    # L = 0 leaves the power design's errors at clip(u, -3, 3)
+    spec = DgpSpec(family=family, n=500, L=0.0, sigma=0.25)
+    for seed in range(20):
+        ds = generate(spec, RngSpec(seed=seed))
+        gen = RngSpec(seed=seed).generator()
+        c = gen.uniform(-3.0, 3.0, spec.n)
+        u, v = gen.multivariate_normal([0.0, 0.0], cov, size=spec.n, method="cholesky").T
+        x = 3.0 * c + v
+        if family is DgpFamily.LINEAR_IV_POWER:
+            u = np.clip(u, -3.0, 3.0)
+        assert np.array_equal(ds.x[:, 0], x)
+        assert np.array_equal(ds.y, 2.0 * x + u)
+
+
 @pytest.mark.parametrize("family", list(DgpFamily), ids=lambda f: f.value)
 def test_generate_stream_pinned(family):
     spec = DgpSpec(family=family, n=50, lam=0.5, L=0.5, sigma=0.25, rho=1.0)
