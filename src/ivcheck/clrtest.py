@@ -22,6 +22,7 @@ from .errors import (
     ArrayTooLarge,
     DegenerateVariance,
     EmptyGrid,
+    InvalidGrid,
     IvcheckError,
     SimulationBudgetTooSmall,
 )
@@ -120,6 +121,8 @@ class TestReport:
         dropped = diag.get("dropped_grid_points", 0)
         if dropped > 0:
             lines.append(f"  dropped_grid_points = {dropped} ({DROP_REASONS[diag['method']]})")
+        if diag.get("s_floored", 0) > 0:
+            lines.append(f"  s_floored = {diag['s_floored']} (standard errors at the floor)")
         lines.append(f"  adaptive selection: gamma_n = {self.gamma_n:.6f}, kappa_n = {self.kappa:.4f}")
         for alpha in self.alpha_levels:
             res = self.levels[alpha]
@@ -235,13 +238,26 @@ def _check_array_budget(cfg: TestConfig, ms: MomentSystem, n_grid: int) -> None:
                             "sim.multiplier_draws or grid.count")
 
 
-def run_test(
-    ms: MomentSystem,
-    grid=None,
-    cfg: TestConfig = TestConfig(),
-    rng: RngSpec = RngSpec(),
-) -> TestReport:
-    """Precision-corrected sup test of H0: sup_v theta(v) <= 0 over the moment system.
+def run_test(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
+             rng: RngSpec = RngSpec()) -> TestReport:
+    """Precision-corrected sup test of H0: sup_v theta(v) <= 0: `decide` on `estimate`."""
+    return decide(estimate(ms, grid, cfg, rng), ms.moments, cfg.alpha_levels)
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """The base moments on the grid and their standardized process: run_test's first stage."""
+    grid: np.ndarray  # conditioning grid actually used
+    theta: np.ndarray  # (n_base, len(grid))
+    s: np.ndarray
+    zstar: np.ndarray  # (draws, n_base, len(grid))
+    n: int
+    diagnostics: dict
+
+
+def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
+             rng: RngSpec = RngSpec()) -> Estimate:
+    """Fit the smoother of every base moment on the grid and draw its process.
 
     A series fit without `cfg.series_order` uses `npreg.default_series_order(n)`;
     the spec-dependent orders are set by `test_model`. Either is capped at the
@@ -249,7 +265,8 @@ def run_test(
     with empty kernel windows and cell-means cells with one row are dropped,
     with a warning, and counted in `diagnostics["dropped_grid_points"]`. A draw
     tensor or local-linear influence array above ARRAY_BUDGET_BYTES raises
-    ArrayTooLarge before anything is allocated.
+    ArrayTooLarge before anything is allocated. A grid with a non-finite point,
+    or a series grid without two distinct points, raises InvalidGrid.
     """
     c = ms.conditioning
     n = len(c)
@@ -275,7 +292,12 @@ def run_test(
         grid = np.asarray(grid, dtype=float)
         if grid.size == 0:
             raise EmptyGrid("conditioning grid is empty")
+        if not np.isfinite(grid).all():
+            raise InvalidGrid("conditioning grid has non-finite points "
+                              f"{grid[~np.isfinite(grid)].tolist()}")
         if method == "series":
+            if not grid.min() < grid.max():
+                raise InvalidGrid("a series fit needs a conditioning grid of two distinct points")
             order = npreg.capped_series_order(c, cfg.series_order)
             diagnostics["series_order"] = order
             smoother = npreg.series_smoother(c, ms.base, order, float(grid.min()), float(grid.max()))
@@ -292,34 +314,37 @@ def run_test(
             raise EmptyGrid(f"all grid points have {DROP_REASONS[method]}")
     theta_base, s_base, zstar_base = _process(smoother, grid, gen, cfg.mult_draws)
 
-    floor = npreg.S_FLOOR * (1.0 + np.abs(theta_base))
-    if np.all(s_base <= floor):
+    floored = s_base <= npreg.S_FLOOR * (1.0 + np.abs(theta_base))
+    if np.all(floored):
         raise DegenerateVariance("all standard errors at the numerical floor")
+    diagnostics["s_floored"] = int(floored.sum())
+    return Estimate(grid, theta_base, s_base, zstar_base, n, diagnostics)
 
-    signs = np.array([m[2] for m in ms.moments])
-    bases = np.array([m[1] for m in ms.moments])
-    labels = tuple(m[0] for m in ms.moments)
-    theta = signs[:, None] * theta_base[bases]
-    s = s_base[bases]
 
-    per_moment = [_signed_sup(zstar_base[:, b, :], sign) for _, b, sign in ms.moments]
+def decide(est: Estimate, moments, alpha_levels) -> TestReport:
+    """The sup test on an estimate: the signed moments, their sup, kappa, V_hat and k per level."""
+    labels, bases, signs = zip(*moments)
+    theta = np.array(signs)[:, None] * est.theta[list(bases)]
+    s = est.s[list(bases)]
+
+    per_moment = [_signed_sup(est.zstar[:, b, :], sign) for _, b, sign in moments]
     sups_full = np.maximum.reduce(per_moment)
-    gamma_n = 1.0 - 0.1 / np.log(n) if n > 1 else 0.5
-    upper = [1.0 - alpha for alpha in cfg.alpha_levels]
+    gamma_n = 1.0 - 0.1 / np.log(est.n) if est.n > 1 else 0.5
+    upper = [1.0 - alpha for alpha in alpha_levels]
     kappa, *k_full = _quantiles(sups_full, [gamma_n, *upper])
     # plug-in estimate of the kappa-close-to-binding set: keep inequalities
     # whose estimate is within kappa standard errors of the largest one
     selected = theta >= float(theta.max()) - kappa * s
     parts = []
-    for (_, b, sign), keep, full in zip(ms.moments, selected, per_moment):
+    for (_, b, sign), keep, full in zip(moments, selected, per_moment):
         if keep.all():
             parts.append(full)
         elif keep.any():
-            parts.append(_signed_sup(zstar_base[:, b, keep], sign))
+            parts.append(_signed_sup(est.zstar[:, b, keep], sign))
     k_sel = _quantiles(np.maximum.reduce(parts), upper)
 
     levels = {}
-    for alpha, k, k_f in zip(cfg.alpha_levels, k_sel, k_full):
+    for alpha, k, k_f in zip(alpha_levels, k_sel, k_full):
         theta_corr = float(np.max(theta - k * s))
         levels[alpha] = LevelResult(
             alpha=alpha,
@@ -330,15 +355,15 @@ def run_test(
             selected_set_size=int(selected.sum()),
         )
     return TestReport(
-        alpha_levels=tuple(cfg.alpha_levels),
+        alpha_levels=tuple(alpha_levels),
         levels=levels,
-        grid=grid,
+        grid=est.grid,
         theta=theta,
         s=s,
         moment_labels=labels,
         kappa=kappa,
         gamma_n=gamma_n,
-        diagnostics=diagnostics,
+        diagnostics=dict(est.diagnostics),
     )
 
 

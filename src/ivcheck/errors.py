@@ -79,6 +79,10 @@ class EmptyGrid(IvcheckError):
     pass
 
 
+class InvalidGrid(IvcheckError):
+    pass
+
+
 class OffSupport(IvcheckError):
     def __init__(self, x, p):
         super().__init__(f"point (x={x}, p={p}) is outside the estimated support")

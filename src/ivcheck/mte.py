@@ -305,11 +305,15 @@ def estimate_asf(
     width (Y_u - Y_l) (1 - p_hi + p_lo) exactly.
     """
     p_lo, p_hi = pf.support_p_given_x(x)
-    pts = [p for p in P_GRID if p_lo <= p <= p_hi and cf.on_support(x, p)]
+    pts, means = [], []
+    for p in P_GRID[(p_lo <= P_GRID) & (P_GRID <= p_hi)]:
+        k = cf._weights(x, p)  # one product-kernel pass serves both the support and the mean
+        if k is not None:
+            pts.append(p)
+            means.append(cf._local_plane(cf.y, k, x, p))
     if len(pts) < 2:
         raise OffSupport(x, (p_lo + p_hi) / 2.0)
-    pts = np.asarray(pts)
-    means = np.array([cf.cond_mean(x, p) for p in pts])
+    pts, means = np.asarray(pts), np.asarray(means)
     partial = float(np.trapezoid(means, pts))
     full = p_lo <= FULL_SUPPORT_LO and p_hi >= FULL_SUPPORT_HI
     if full:

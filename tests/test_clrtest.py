@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,13 +10,14 @@ from scipy import stats
 
 from ivcheck import clrtest, npreg
 from ivcheck.clrtest import TestConfig as Cfg
-from ivcheck.clrtest import first_step_fit, identified_set, run_test
+from ivcheck.clrtest import decide, estimate, first_step_fit, identified_set, run_test
 from ivcheck.clrtest import test_model as model_test
 from ivcheck.data import Dataset, RngSpec
 from ivcheck.errors import (
     ArrayTooLarge,
     EmptyGrid,
     InsufficientData,
+    InvalidGrid,
     IvcheckError,
     SimulationBudgetTooSmall,
 )
@@ -543,15 +545,9 @@ def test_sup_matches_expanded_oracle(seed, n, n_base, picks, method):
     moments = tuple((f"m{j}", b % n_base, sign) for j, (b, sign) in enumerate(picks))
     ms = MomentSystem(base=base, moments=moments, conditioning=z)
     cfg = Cfg(grid_count=12, series_order=3, bandwidth=0.5, mult_draws=200, method=method)
-    seen, real = [], clrtest._process
-
-    def spy(*args):
-        seen.append(real(*args))
-        return seen[-1]
-
-    with mock.patch.object(clrtest, "_process", spy):
-        report = run_test(ms, None, cfg, RngSpec(seed=seed % 1000))
-    kappa, levels = _expanded_tail(ms, n, *seen[0], cfg.alpha_levels)
+    est = estimate(ms, None, cfg, RngSpec(seed=seed % 1000))
+    report = decide(est, ms.moments, cfg.alpha_levels)
+    kappa, levels = _expanded_tail(ms, n, est.theta, est.s, est.zstar, cfg.alpha_levels)
     assert report.kappa == kappa
     assert tuple((lv.k_crit, lv.k_crit_full, lv.theta_corrected, lv.selected_set_size)
                  for lv in (report.levels[a] for a in report.alpha_levels)) == levels
@@ -560,3 +556,66 @@ def test_sup_matches_expanded_oracle(seed, n, n_base, picks, method):
     selected = report.theta >= report.theta.max() - report.kappa * report.s
     assert selected.flat[np.argmax(report.theta)]
     assert all(lv.selected_set_size == selected.sum() for lv in report.levels.values())
+
+
+def _assert_same_report(got, want):
+    assert (got.alpha_levels, got.levels, got.moment_labels, got.kappa, got.gamma_n,
+            got.diagnostics) == (want.alpha_levels, want.levels, want.moment_labels,
+                                 want.kappa, want.gamma_n, want.diagnostics)
+    for field in ("grid", "theta", "s"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("name", ["series-pair", "local-linear", "cell-means"])
+def test_decide_on_one_estimate_equals_run_test(name):
+    """One Estimate serves the +/- pair and its + moment alone, each as run_test gives it."""
+    pair, cfg = _pinned_systems()[name]
+    plus = replace(pair, moments=pair.moments[:1])
+    est = estimate(pair, None, cfg, RngSpec(seed=11))
+    for ms in (pair, plus):
+        report = decide(est, ms.moments, cfg.alpha_levels)
+        _assert_same_report(report, run_test(ms, None, cfg, RngSpec(seed=11)))
+    # a report owns its diagnostics, so decorating one leaves the estimate's alone
+    report.diagnostics["first_step"] = {}
+    assert "first_step" not in est.diagnostics
+
+
+@pytest.mark.parametrize("method", ["series", "local-linear"])
+@pytest.mark.parametrize("grid", [[0.1, np.nan, 0.5], [0.1, np.inf], [-np.inf, 0.2, 0.4]])
+def test_non_finite_grid_is_refused(method, grid):
+    g = np.random.default_rng(31)
+    z = g.uniform(-1, 1, 300)
+    ms = _one_sided(g.standard_normal(300), z)
+    for stage in (run_test, estimate):
+        with pytest.raises(InvalidGrid, match="grid has non-finite points"):
+            stage(ms, np.array(grid), Cfg(method=method), RngSpec(seed=0))
+
+
+@pytest.mark.parametrize("grid", [[0.3], [0.3, 0.3, 0.3]])
+def test_series_grid_needs_two_distinct_points(grid):
+    g = np.random.default_rng(32)
+    z = g.uniform(-1, 1, 300)
+    ms = _one_sided(g.standard_normal(300), z)
+    for stage in (run_test, estimate):
+        with pytest.raises(InvalidGrid, match="series fit needs a conditioning grid"):
+            stage(ms, np.array(grid), Cfg(), RngSpec(seed=0))
+    # local-linear estimates at a single point
+    report = run_test(ms, np.array(grid), Cfg(method="local-linear"), RngSpec(seed=0))
+    assert len(report.grid) == len(grid)
+
+
+def test_floored_standard_errors_are_reported():
+    """A cell whose w is constant has s at the floor: counted and shown by summary()."""
+    g = np.random.default_rng(3)
+    z = np.round(3 * g.uniform(-1, 1, 400))
+    w = g.standard_normal(400)
+    w[z == 0] = 0.25
+    ms = _paired([w], ["resid"], z, "z")
+    report = run_test(ms, None, Cfg(method="cell-means"), RngSpec(seed=0))
+    assert len(report.grid) == 7
+    assert report.diagnostics["s_floored"] == 1
+    assert "s_floored = 1 (standard errors at the floor)" in report.summary()
+    clean = run_test(_paired([g.standard_normal(400)], ["resid"], z, "z"), None,
+                     Cfg(method="cell-means"), RngSpec(seed=0))
+    assert clean.diagnostics["s_floored"] == 0
+    assert "s_floored" not in clean.summary()

@@ -258,6 +258,33 @@ def test_asf_integrates_over_99_rank_points():
     assert np.array_equal(P_GRID, np.arange(1, 100) / 100)
 
 
+def _two_pass_asf(cf, pf, x):
+    """Oracle: a support scan over the rank points, then the means, each its own kernel pass."""
+    p_lo, p_hi = pf.support_p_given_x(x)
+    pts = np.asarray([p for p in P_GRID if p_lo <= p <= p_hi and cf.on_support(x, p)])
+    means = np.array([cf.cond_mean(x, p) for p in pts])
+    partial = float(np.trapezoid(means, pts))
+    return partial, float(partial + means[0] * pts[0] + means[-1] * (1.0 - pts[-1]))
+
+
+@pytest.mark.parametrize("x", [2.0, 1.2, 0.5, 3.4])
+def test_asf_one_kernel_pass_per_rank_point(x):
+    ds, _ = _heterogeneous_ds(2000, 2)
+    pf = fit_propensity(ds)
+    cf = fit_control_function(ds, pf)
+    p_lo, p_hi = pf.support_p_given_x(x)
+    with mock.patch.object(mte.ControlFunctionFit, "_weights", autospec=True,
+                           side_effect=mte.ControlFunctionFit._weights) as weights:
+        asf = estimate_asf(cf, pf, x, outcome_bounds=(0.0, 1.0))
+    assert weights.call_count == np.count_nonzero((p_lo <= P_GRID) & (P_GRID <= p_hi))
+    partial, value = _two_pass_asf(cf, pf, x)
+    if asf.is_point:
+        assert asf.value == value
+    else:
+        # the lower end adds 0.0 times the gap, so it is the partial integral itself
+        assert asf.interval[0] == partial
+
+
 def test_cond_cdf_monotone_in_y():
     ds, _ = _heterogeneous_ds(2000, 5)
     pf = fit_propensity(ds)
