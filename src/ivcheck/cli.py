@@ -250,6 +250,8 @@ def _cmd_mte(args, config):
             print(f"  ASF({args.asf_x}) in [{lo:+.6f}, {hi:+.6f}] (partial rank support "
                   f"[{asf.support[0]:.3f}, {asf.support[1]:.3f}])")
             rows.append({"x": args.asf_x, "asf_lower": lo, "asf_upper": hi})
+        if asf.dropped_points > 0:
+            print(f"dropped_rank_points = {asf.dropped_points} (off the rank support)")
     return EXIT_OK, rows, {}
 
 

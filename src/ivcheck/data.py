@@ -134,18 +134,17 @@ def write_csv(ds: Dataset, path) -> None:
             )
 
 
-def empirical_quantile(values: np.ndarray, u: float) -> float:
-    """Left-continuous inverse CDF: inf{a : F(a) >= u}."""
+def empirical_quantile(values: np.ndarray, u):
+    """Left-continuous inverse CDF inf{a : F(a) >= u} at a scalar u (a float) or an array.
+
+    u <= 0 gives the minimum; u > 1 and NaN give the maximum.
+    """
     srt = np.sort(np.asarray(values, dtype=float))
     n = len(srt)
-    if not 0.0 < u <= 1.0:
-        if u <= 0.0:
-            return float(srt[0])
-        return float(srt[-1])
     # first index with F = (k+1)/n >= u; comparing against the same float
     # quotients keeps F(Q(F(x))) round-trips exact
-    k = int(np.searchsorted(np.arange(1, n + 1) / n, u, side="left"))
-    return float(srt[min(k, n - 1)])
+    q = srt[np.minimum(np.searchsorted(np.arange(1, n + 1) / n, u, side="left"), n - 1)]
+    return float(q) if q.ndim == 0 else q
 
 
 def conditioning_grid(values, centile_lo=0.01, centile_hi=0.99, count=100):

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, conditioning_grid, empirical_quantile
-from .errors import ArrayTooLarge, InsufficientData, IvcheckError, MissingBounds, OffSupport
+from .errors import (ArrayTooLarge, InsufficientData, IvcheckError, MissingBounds, OffSupport,
+                     RankDeficient)
+from .estimators import _check_rank
 from .npreg import (
     ARRAY_BUDGET_BYTES,
     MAX_CELLS,
@@ -203,81 +205,79 @@ class ControlFunctionFit:
     bandwidth_x: float
     bandwidth_p: float
 
-    def _weights(self, x0: float, p0: float) -> np.ndarray | None:
-        k = (epanechnikov((self.x - x0) / self.bandwidth_x)
-             * epanechnikov((self.v_hat - p0) / self.bandwidth_p))
-        if np.count_nonzero(k) < MIN_EFFECTIVE_OBS:
-            return None
-        return k
+    def __post_init__(self):
+        _positive(self.bandwidth_x)
+        _positive(self.bandwidth_p)
 
-    def on_support(self, x0: float, p0: float) -> bool:
-        return self._weights(x0, p0) is not None
+    def planes(self, x0: float, p0s, w: np.ndarray):
+        """Local planes in (x, rank) of w, (n,) or (n, m), at (x0, p) for each p in p0s.
 
-    def _local_plane(self, w: np.ndarray, k: np.ndarray, x0: float, p0: float) -> float:
-        d = np.column_stack([np.ones(len(w)), self.x - x0, self.v_hat - p0])
-        dk = d * k[:, None]
-        a = dk.T @ d
-        try:
-            b = np.linalg.solve(a, dk.T @ w)
-        except np.linalg.LinAlgError:
-            return float(np.average(w, weights=k))
-        return float(b[0])
+        values[i] is the plane's intercept at p0s[i], a float or a row of m.
+        ok[i] is False, and values[i] NaN, where under MIN_EFFECTIVE_OBS rows
+        carry weight or the weighted rows do not span a plane (_check_rank).
+        """
+        kx = epanechnikov((self.x - x0) / self.bandwidth_x)
+        d = np.column_stack([np.ones(len(self.x)), self.x - x0, np.empty(len(self.x))])
+        values = np.full((len(p0s), *np.shape(w)[1:]), np.nan)
+        ok = np.zeros(len(p0s), dtype=bool)
+        for i, p0 in enumerate(p0s):
+            d[:, 2] = self.v_hat - p0
+            k = kx * epanechnikov(d[:, 2] / self.bandwidth_p)
+            if np.count_nonzero(k) < MIN_EFFECTIVE_OBS:
+                continue
+            dk = d * k[:, None]
+            a = dk.T @ d
+            try:
+                _check_rank(a, "the local plane's normal matrix")
+            except RankDeficient:
+                continue
+            values[i] = np.linalg.solve(a, dk.T @ w)[0]
+            ok[i] = True
+        return values, ok
 
     def cond_mean(self, x0: float, p0: float) -> float:
         """E[Y | X = x0, first-stage rank = p0] by bivariate local linear regression."""
-        k = self._weights(x0, p0)
-        if k is None:
+        values, ok = self.planes(x0, [p0], self.y)
+        if not ok[0]:
             raise OffSupport(x0, p0)
-        return self._local_plane(self.y, k, x0, p0)
+        return float(values[0])
 
     def cond_cdf(self, x0: float, p0: float, y_points) -> np.ndarray:
         """P(Y <= y | X = x0, rank = p0) over y_points; isotone in y and in [0, 1]."""
-        k = self._weights(x0, p0)
-        if k is None:
-            raise OffSupport(x0, p0)
         y_points = np.atleast_1d(np.asarray(y_points, dtype=float))
         order = np.argsort(y_points)
-        raw = np.array(
-            [self._local_plane((self.y <= yv).astype(float), k, x0, p0) for yv in y_points[order]]
-        )
-        iso = np.clip(pava_increasing(np.clip(raw, 0.0, 1.0)), 0.0, 1.0)
+        values, ok = self.planes(x0, [p0], (self.y[:, None] <= y_points[order]).astype(float))
+        if not ok[0]:
+            raise OffSupport(x0, p0)
+        iso = np.clip(pava_increasing(np.clip(values[0], 0.0, 1.0)), 0.0, 1.0)
         out = np.empty_like(iso)
         out[order] = iso
         return out
 
 
-def fit_control_function(
-    ds: Dataset,
-    pf: PropensityFit,
-    bandwidth_x: float | None = None,
-    bandwidth_p: float | None = None,
-) -> ControlFunctionFit:
-    """Bivariate local-linear surfaces of Y (and of 1{Y<=y}) on (X, v_hat)."""
+def fit_control_function(ds: Dataset, pf: PropensityFit) -> ControlFunctionFit:
+    """Bivariate local-linear surfaces of Y (and of 1{Y<=y}) on (X, v_hat).
+
+    Each coordinate's bandwidth is the rule of thumb 1.06 sd n^(-1/6), the
+    rank's sd floored at 0.05.
+    """
     if len(pf.v_hat) != ds.n:
         raise InsufficientData("propensity fit does not match the dataset")
     x = ds.x[:, 0]
     n = ds.n
-    # per-coordinate rule of thumb for the bivariate fit
-    if bandwidth_x is None:
-        bandwidth_x = 1.06 * np.std(x) * n ** (-1.0 / 6.0)
-    if bandwidth_p is None:
-        bandwidth_p = 1.06 * max(np.std(pf.v_hat), 0.05) * n ** (-1.0 / 6.0)
     return ControlFunctionFit(
         x=x,
         v_hat=pf.v_hat,
         y=ds.y,
-        bandwidth_x=_positive(bandwidth_x),
-        bandwidth_p=_positive(bandwidth_p),
+        bandwidth_x=float(1.06 * np.std(x) * n ** (-1.0 / 6.0)),
+        bandwidth_p=float(1.06 * max(np.std(pf.v_hat), 0.05) * n ** (-1.0 / 6.0)),
     )
 
 
 def estimate_mte(cf: ControlFunctionFit, p: float, x: float, x_prime: float) -> float:
     """MTE(p; x, x') = cond_mean(x, p) - cond_mean(x', p); zero exactly at x = x'."""
-    if x == x_prime:
-        if not cf.on_support(x, p):
-            raise OffSupport(x, p)
-        return 0.0
-    return cf.cond_mean(x, p) - cf.cond_mean(x_prime, p)
+    at_x = cf.cond_mean(x, p)
+    return 0.0 if x == x_prime else at_x - cf.cond_mean(x_prime, p)
 
 
 @dataclass(frozen=True)
@@ -286,6 +286,7 @@ class AsfEstimate:
     value: float | None  # point estimate when the rank support is (conventionally) full
     interval: tuple | None  # (lower, upper) under partial support with outcome bounds
     support: tuple  # (p_lo, p_hi)
+    dropped_points: int = 0  # points of P_GRID in the support left out: no local plane there
 
     @property
     def is_point(self) -> bool:
@@ -302,36 +303,30 @@ def estimate_asf(
 
     Full support (operationally p_lo <= 0.02 and p_hi >= 0.98) gives a point;
     otherwise the partial-identification interval needs outcome bounds and has
-    width (Y_u - Y_l) (1 - p_hi + p_lo) exactly.
+    width (Y_u - Y_l) (1 - p_hi + p_lo) exactly. Points of the support without
+    a local plane are left out of the integral and counted in dropped_points.
     """
     p_lo, p_hi = pf.support_p_given_x(x)
-    pts, means = [], []
-    for p in P_GRID[(p_lo <= P_GRID) & (P_GRID <= p_hi)]:
-        k = cf._weights(x, p)  # one product-kernel pass serves both the support and the mean
-        if k is not None:
-            pts.append(p)
-            means.append(cf._local_plane(cf.y, k, x, p))
+    pts = P_GRID[(p_lo <= P_GRID) & (P_GRID <= p_hi)]
+    means, ok = cf.planes(x, pts, cf.y)
+    pts, means, dropped = pts[ok], means[ok], int((~ok).sum())
     if len(pts) < 2:
         raise OffSupport(x, (p_lo + p_hi) / 2.0)
-    pts, means = np.asarray(pts), np.asarray(means)
     partial = float(np.trapezoid(means, pts))
-    full = p_lo <= FULL_SUPPORT_LO and p_hi >= FULL_SUPPORT_HI
-    if full:
+    value = interval = None
+    if p_lo <= FULL_SUPPORT_LO and p_hi >= FULL_SUPPORT_HI:
         # extend the trapezoid to [0, 1] with flat tails over the tiny gaps
-        value = partial + means[0] * pts[0] + means[-1] * (1.0 - pts[-1])
-        return AsfEstimate(x=x, value=float(value), interval=None, support=(p_lo, p_hi))
-    if outcome_bounds is None:
+        value = float(partial + means[0] * pts[0] + means[-1] * (1.0 - pts[-1]))
+    elif outcome_bounds is None:
         raise MissingBounds(
             f"rank support [{p_lo:.3f}, {p_hi:.3f}] at x={x} is partial; supply outcome bounds"
         )
-    y_l, y_u = float(outcome_bounds[0]), float(outcome_bounds[1])
-    gap = 1.0 - p_hi + p_lo
-    return AsfEstimate(
-        x=x,
-        value=None,
-        interval=(partial + y_l * gap, partial + y_u * gap),
-        support=(p_lo, p_hi),
-    )
+    else:
+        gap = 1.0 - p_hi + p_lo
+        interval = (partial + float(outcome_bounds[0]) * gap,
+                    partial + float(outcome_bounds[1]) * gap)
+    return AsfEstimate(x=x, value=value, interval=interval, support=(p_lo, p_hi),
+                       dropped_points=dropped)
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
@@ -363,17 +358,16 @@ def condition1_diagnostic(pf: PropensityFit, ds: Dataset) -> Condition1Report:
     z = ds.z[:, 0]
     _, cell = _quantile_bins(z, Z_BINS)
     members = [cell == b for b in range(Z_BINS)]
-    x_lo = empirical_quantile(x, 0.01)
-    x_hi = empirical_quantile(x, 0.99)
+    x_lo, x_hi = empirical_quantile(x, [0.01, 0.99])
     spacing = (pf.x_grid[-1] - pf.x_grid[0]) / max(len(pf.x_grid) - 1, 1)
     tol = 0.5 * spacing
     coverage = {}
     violations = 0
     flagged = []
-    for v in V_GRID:
-        h = np.array(
-            [empirical_quantile(x[m], v) if m.sum() >= 5 else np.nan for m in members]
-        )
+    # h_v of every instrument bin (rows) at every rank of V_GRID (columns)
+    quantiles = np.array([empirical_quantile(x[m], V_GRID) if m.sum() >= 5
+                          else np.full(len(V_GRID), np.nan) for m in members])
+    for v, h in zip(V_GRID, quantiles.T):
         valid = ~np.isnan(h)
         hv = h[valid]
         if len(hv) == 0:
@@ -420,12 +414,7 @@ def quantile_roundtrip_check(ds: Dataset) -> int:
         cells = np.searchsorted(values, z)
     violations = 0
     for cell in np.unique(cells):
-        xc = np.sort(x[cells == cell])
-        nc = len(xc)
-        f = np.searchsorted(xc, x[cells == cell], side="right") / nc
-        # left-continuous inverse CDF: first index with (k+1)/nc >= f, compared
-        # against the same float quotients so the round-trip is exact
-        k = np.searchsorted(np.arange(1, nc + 1) / nc, f, side="left")
-        q = xc[np.clip(k, 0, nc - 1)]
-        violations += int(np.sum(q != x[cells == cell]))
+        xc = x[cells == cell]
+        f = np.searchsorted(np.sort(xc), xc, side="right") / len(xc)
+        violations += int(np.sum(empirical_quantile(xc, f) != xc))
     return violations

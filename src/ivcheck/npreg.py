@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyWindow, InsufficientData, RankDeficient, TooManyCells
+from .estimators import _check_rank
 
 S_FLOOR = 1e-12
 MAX_CELLS = 50
@@ -148,9 +149,7 @@ def series_smoother(z, w, order: int, lo: float, hi: float) -> Smoother:
     b = series_basis(z, order, lo, hi)
     # R of b = QR has b's singular values, and pinv = R^-1 R^-T b' needs no tall SVD
     r = np.linalg.qr(b, mode="r")
-    sv = np.linalg.svd(r, compute_uv=False)
-    if sv[-1] <= n * np.finfo(float).eps * sv[0]:
-        raise RankDeficient("collinear series basis; lower the order")
+    _check_rank(r, "the series basis of this order", rows=n)
     r_inv = np.linalg.inv(r)
     pinv = r_inv @ (r_inv.T @ b.T)  # (k, n)
     coef = pinv @ w

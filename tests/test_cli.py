@@ -449,6 +449,42 @@ def test_mte_reports_points_off_the_rank_support(null_csv, capsys):
                        for p in np.linspace(0.1, 0.9, 9)]
 
 
+def test_mte_reports_a_window_without_a_plane_off_the_rank_support(tmp_path, capsys):
+    # x in {0, 10}: the rows near x = 0 all have x = 0 and span no local plane
+    g = np.random.default_rng(0)
+    n = 1000
+    z = g.uniform(0, 1, n)
+    x = np.where(g.uniform(0, 1, n) < 0.5 + 0.3 * (z - 0.5), 0.0, 10.0)
+    from ivcheck.data import Dataset
+    p = tmp_path / "two-point-x.csv"
+    write_csv(Dataset(y=x + g.standard_normal(n), x=x, z=z), p)
+    # x' = 0 takes the x = x' path, which needs the same plane as an MTE at x
+    for x_prime in (10.0, 0.0):
+        code = main(_args(str(p), "mte", "--x", "0", "--x-prime", str(x_prime)))
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert f"  MTE(p=0.50; 0.0, {x_prime}): off the rank support" in out.splitlines()
+
+
+def test_mte_reports_dropped_rank_points(tmp_path, capsys):
+    # few rows near x = 0.05: 6 rank points of the support have no local plane
+    g = np.random.default_rng(7)
+    n = 500
+    z = g.uniform(0, 1, n)
+    v = g.uniform(0, 1, n)
+    x = 3.0 * z + v
+    from ivcheck.data import Dataset
+    p = tmp_path / "edge.csv"
+    write_csv(Dataset(y=x * (1.0 + v) + 0.1 * g.standard_normal(n), x=x, z=z), p)
+    code = main(_args(str(p), "mte", "--asf-x", "0.05", "--y-lower", "0", "--y-upper", "1"))
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "dropped_rank_points = 6 (off the rank support)" in out.splitlines()
+    code = main(_args(str(p), "mte", "--asf-x", "2.0"))
+    assert code == EXIT_OK
+    assert "dropped_rank_points" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag, family, name", [
     ("--sigma", "linear-iv-power", "sigma"),
     ("--deviation", "linear-iv-power", "L"),

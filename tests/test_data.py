@@ -127,6 +127,14 @@ def test_empirical_quantile_left_continuous():
     assert empirical_quantile(v, 0.0) == 1.0
 
 
+def test_empirical_quantile_array_matches_scalar():
+    v = np.array([3.0, 1.0, 2.0])
+    u = np.array([-1.0, 0.0, 1 / 3, 1.0, 1.5, np.nan])
+    q = empirical_quantile(v, u)
+    assert np.array_equal(q, [empirical_quantile(v, a) for a in u])
+    assert np.array_equal(q, [1.0, 1.0, 1.0, 3.0, 3.0, 3.0])
+
+
 def test_rng_spec_reproducible():
     a = RngSpec(seed=11, stream=2).generator().standard_normal(5)
     b = RngSpec(seed=11, stream=2).generator().standard_normal(5)

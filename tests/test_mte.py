@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -14,6 +15,7 @@ from ivcheck.errors import (
     OffSupport,
 )
 from ivcheck.mte import (
+    MIN_EFFECTIVE_OBS,
     P_GRID,
     X_GRID_COUNT,
     Z_GRID_COUNT,
@@ -27,6 +29,7 @@ from ivcheck.mte import (
     quantile_roundtrip_check,
     uniformity_diagnostic,
 )
+from ivcheck.npreg import epanechnikov
 
 
 def _heterogeneous_ds(n=5000, seed=42):
@@ -237,9 +240,18 @@ def test_control_function_closed_form():
                                         {"bandwidth_x": -0.5}, {"bandwidth_p": -0.1}])
 def test_control_function_rejects_nonpositive_bandwidth(bandwidths):
     ds, _ = _heterogeneous_ds(500, 7)
+    cf = fit_control_function(ds, fit_propensity(ds))
+    with pytest.raises(InsufficientData, match="bandwidth must be positive"):
+        dataclasses.replace(cf, **bandwidths)
+
+
+def test_control_function_rejects_constant_regressor():
+    # a constant regressor has sd 0, so its rule-of-thumb bandwidth is 0
+    ds, _ = _heterogeneous_ds(500, 7)
     pf = fit_propensity(ds)
-    with pytest.raises(InsufficientData):
-        fit_control_function(ds, pf, **bandwidths)
+    flat = Dataset(y=ds.y, x=np.full(ds.n, 2.0), z=ds.z)
+    with pytest.raises(InsufficientData, match="bandwidth must be positive"):
+        fit_control_function(flat, pf)
 
 
 def test_control_function_rule_of_thumb_bandwidths():
@@ -258,13 +270,27 @@ def test_asf_integrates_over_99_rank_points():
     assert np.array_equal(P_GRID, np.arange(1, 100) / 100)
 
 
-def _two_pass_asf(cf, pf, x):
-    """Oracle: a support scan over the rank points, then the means, each its own kernel pass."""
+def _per_point_asf(cf, pf, x):
+    """Oracle: each rank point of the support with its own product kernel and local plane.
+
+    Returns the partial integral, the point value and the count of points left out.
+    """
     p_lo, p_hi = pf.support_p_given_x(x)
-    pts = np.asarray([p for p in P_GRID if p_lo <= p <= p_hi and cf.on_support(x, p)])
-    means = np.array([cf.cond_mean(x, p) for p in pts])
+    inside = P_GRID[(p_lo <= P_GRID) & (P_GRID <= p_hi)]
+    pts, means = [], []
+    for p in inside:
+        k = (epanechnikov((cf.x - x) / cf.bandwidth_x)
+             * epanechnikov((cf.v_hat - p) / cf.bandwidth_p))
+        if np.count_nonzero(k) < MIN_EFFECTIVE_OBS:
+            continue
+        d = np.column_stack([np.ones(len(k)), cf.x - x, cf.v_hat - p])
+        dk = d * k[:, None]
+        pts.append(p)
+        means.append(np.linalg.solve(dk.T @ d, dk.T @ cf.y)[0])
+    pts, means = np.asarray(pts), np.asarray(means)
     partial = float(np.trapezoid(means, pts))
-    return partial, float(partial + means[0] * pts[0] + means[-1] * (1.0 - pts[-1]))
+    value = float(partial + means[0] * pts[0] + means[-1] * (1.0 - pts[-1]))
+    return partial, value, len(inside) - len(pts)
 
 
 @pytest.mark.parametrize("x", [2.0, 1.2, 0.5, 3.4])
@@ -273,11 +299,14 @@ def test_asf_one_kernel_pass_per_rank_point(x):
     pf = fit_propensity(ds)
     cf = fit_control_function(ds, pf)
     p_lo, p_hi = pf.support_p_given_x(x)
-    with mock.patch.object(mte.ControlFunctionFit, "_weights", autospec=True,
-                           side_effect=mte.ControlFunctionFit._weights) as weights:
+    with mock.patch.object(mte.ControlFunctionFit, "planes", autospec=True,
+                           side_effect=mte.ControlFunctionFit.planes) as planes:
         asf = estimate_asf(cf, pf, x, outcome_bounds=(0.0, 1.0))
-    assert weights.call_count == np.count_nonzero((p_lo <= P_GRID) & (P_GRID <= p_hi))
-    partial, value = _two_pass_asf(cf, pf, x)
+    # one call, with every rank point of the support
+    planes.assert_called_once()
+    assert np.array_equal(planes.call_args.args[2], P_GRID[(p_lo <= P_GRID) & (P_GRID <= p_hi)])
+    partial, value, dropped = _per_point_asf(cf, pf, x)
+    assert asf.dropped_points == dropped
     if asf.is_point:
         assert asf.value == value
     else:
@@ -285,13 +314,52 @@ def test_asf_one_kernel_pass_per_rank_point(x):
         assert asf.interval[0] == partial
 
 
+def test_asf_reports_dropped_rank_points():
+    # few rows near x = 0.05: some rank windows there hold under MIN_EFFECTIVE_OBS rows
+    ds, _ = _heterogeneous_ds(500, 7)
+    pf = fit_propensity(ds)
+    cf = fit_control_function(ds, pf)
+    asf = estimate_asf(cf, pf, 0.05, outcome_bounds=(0.0, 1.0))
+    partial, _, dropped = _per_point_asf(cf, pf, 0.05)
+    assert asf.dropped_points == dropped == 6
+    assert asf.interval[0] == partial
+
+
 def test_cond_cdf_monotone_in_y():
     ds, _ = _heterogeneous_ds(2000, 5)
     pf = fit_propensity(ds)
     cf = fit_control_function(ds, pf)
-    vals = [cf.cond_cdf(2.0, 0.5, y) for y in np.linspace(ds.y.min(), ds.y.max(), 15)]
-    assert np.all(np.diff(vals) >= -1e-12)
-    assert all(0.0 <= v <= 1.0 for v in vals)
+    y = np.random.default_rng(0).permutation(np.linspace(ds.y.min(), ds.y.max(), 15))
+    vals = cf.cond_cdf(2.0, 0.5, y)
+    order = np.argsort(y)
+    # in input order: the same values as for the sorted points, moved back
+    assert np.array_equal(vals[order], cf.cond_cdf(2.0, 0.5, y[order]))
+    assert np.all(np.diff(vals[order]) >= 0.0)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+def _two_point_regressor_ds(n=1000, seed=0):
+    """x in {0, 10} with P(x = 0 | z) = 0.5 + 0.3 (z - 0.5)."""
+    g = np.random.default_rng(seed)
+    z = g.uniform(0, 1, n)
+    x = np.where(g.uniform(0, 1, n) < 0.5 + 0.3 * (z - 0.5), 0.0, 10.0)
+    return Dataset(y=x + g.standard_normal(n), x=x, z=z)
+
+
+def test_cond_mean_without_a_local_plane_is_off_support():
+    # the x-kernel at 0 keeps only rows with x = 0, so the weighted rows do not span a
+    # plane; a kernel-weighted mean (-0.1098 here) is no local-plane estimate
+    ds = _two_point_regressor_ds()
+    pf = fit_propensity(ds)
+    cf = fit_control_function(ds, pf)
+    assert np.count_nonzero(epanechnikov((cf.v_hat - 0.5) / cf.bandwidth_p)
+                            * (cf.x == 0.0)) >= MIN_EFFECTIVE_OBS
+    values, ok = cf.planes(0.0, [0.5], cf.y)
+    assert not ok[0] and np.isnan(values[0])
+    with pytest.raises(OffSupport):
+        cf.cond_mean(0.0, 0.5)
+    with pytest.raises(OffSupport):
+        estimate_mte(cf, 0.5, 0.0, 10.0)
 
 
 def test_mte_zero_at_equal_points():
@@ -388,6 +456,35 @@ def test_condition1_additive_no_violations():
     ds = Dataset(y=np.zeros(n), x=x, z=z)
     rep = condition1_diagnostic(fit_propensity(ds), ds)
     assert rep.injectivity_violations == 0
+
+
+def test_cond_mean_on_collinear_rows_is_off_support():
+    # cell-means ranks are piecewise linear in x within a z cell: the window here holds
+    # 24 rows of one cell, on one line in (x, v_hat) up to rounding, and solving anyway
+    # gave 62.4 for E[Y | X = 4.4, rank 0.5] with Y = X + noise
+    g = np.random.default_rng(0)
+    n = 1000
+    z = np.round(4 * g.uniform(0, 1, n))
+    x = z + g.standard_normal(n)
+    ds = Dataset(y=x + g.standard_normal(n), x=x, z=z)
+    cf = fit_control_function(ds, fit_propensity(ds, method="cell-means"))
+    k = epanechnikov((cf.x - 4.4) / cf.bandwidth_x) * epanechnikov((cf.v_hat - 0.5) / cf.bandwidth_p)
+    assert np.count_nonzero(k) == 24 and np.unique(z[k > 0]).tolist() == [4.0]
+    with pytest.raises(OffSupport):
+        cf.cond_mean(4.4, 0.5)
+
+
+def test_condition1_flags_pairs_when_x_ignores_z():
+    # x independent of z: every bin has the same quantiles up to noise
+    g = np.random.default_rng(0)
+    n = 1000
+    z = g.uniform(0, 1, n)
+    x = g.standard_normal(n)
+    ds = Dataset(y=g.standard_normal(n), x=x, z=z)
+    rep = condition1_diagnostic(fit_propensity(ds), ds)
+    assert rep.injectivity_violations == 84
+    assert len(rep.flagged_pairs) == 24
+    assert all(0.0 <= ks <= 1.0 for *_, ks in rep.flagged_pairs)
 
 
 def test_quantile_roundtrip_distinct_values():

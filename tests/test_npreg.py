@@ -5,7 +5,7 @@ import pytest
 
 from ivcheck import npreg
 from ivcheck.data import RngSpec
-from ivcheck.errors import EmptyWindow, InsufficientData, TooManyCells
+from ivcheck.errors import EmptyWindow, InsufficientData, RankDeficient, TooManyCells
 from ivcheck.npreg import (
     default_series_order,
     epanechnikov,
@@ -17,6 +17,7 @@ from ivcheck.npreg import (
     nonlinear_step_series_order,
     rule_of_thumb_bandwidth,
     series_basis,
+    series_smoother,
 )
 from ivcheck.simulate import DgpFamily, DgpSpec, generate
 from ivcheck.estimators import fit_iv
@@ -31,6 +32,13 @@ def test_series_exact_linear():
         th, s = fit.evaluate(v)
         assert abs(th - (2.0 + 3.0 * v)) < 1e-10
         assert s <= 1e-8
+
+
+def test_series_basis_collinear_on_three_values():
+    # degree 5 on 3 distinct z values: the basis has rank 3, not 6
+    z = np.repeat([-1.0, 0.0, 1.0], 20)
+    with pytest.raises(RankDeficient, match="series basis"):
+        series_smoother(z, z[:, None], 5, -1.0, 1.0)
 
 
 def test_series_normal_equations_oracle():
