@@ -17,7 +17,7 @@ import numpy as np
 
 from . import npreg
 from .npreg import ARRAY_BUDGET_BYTES
-from .data import Dataset, RngSpec, conditioning_grid
+from .data import Dataset, RngSpec, _quantiles, conditioning_grid, distinct
 from .errors import (
     ArrayTooLarge,
     DegenerateVariance,
@@ -199,18 +199,6 @@ def _process(smoother: npreg.Smoother, grid, rng, draws):
     return theta_base, s_base, zstar_base.reshape(draws, n_base, -1)
 
 
-def _quantiles(x: np.ndarray, qs) -> list:
-    """np.quantile(x, qs) bit for bit, from one sort: numpy's linear rule and t >= 0.5 branch."""
-    xs = np.sort(x)
-    pos = (len(xs) - 1) * np.asarray(qs, dtype=float)
-    lo = np.floor(pos)
-    t = pos - lo
-    lo = lo.astype(np.intp)
-    below, above = xs[lo], xs[np.minimum(lo + 1, len(xs) - 1)]
-    diff = above - below
-    return np.where(t >= 0.5, above - diff * (1 - t), below + diff * t).tolist()
-
-
 def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
     """Per-draw max over the columns of sign * z, for z of shape (draws, columns).
 
@@ -221,19 +209,13 @@ def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
 
 
 def _check_array_budget(cfg: TestConfig, ms: MomentSystem, n_grid: int) -> None:
-    """Raise ArrayTooLarge if run_test's largest arrays would exceed ARRAY_BUDGET_BYTES.
+    """Raise ArrayTooLarge if run_test's largest array would exceed ARRAY_BUDGET_BYTES.
 
-    These are the standardized draws (draws x base moments x grid points) and,
-    for local-linear, the influence array (base moments x grid points x rows),
-    both of float64.
+    That is the standardized draws: draws x base moments x grid points of float64.
     """
-    n_base = ms.base.shape[1]
-    sizes = {"draw tensor": 8 * cfg.mult_draws * n_base * n_grid}
-    if cfg.method == "local-linear":
-        sizes["local-linear influence array"] = 8 * n_base * n_grid * len(ms.conditioning)
-    what, size = max(sizes.items(), key=lambda item: item[1])
+    size = 8 * cfg.mult_draws * ms.base.shape[1] * n_grid
     if size > ARRAY_BUDGET_BYTES:
-        raise ArrayTooLarge(f"the {what} would take {size / 2**30:.3g} GiB, above the "
+        raise ArrayTooLarge(f"the draw tensor would take {size / 2**30:.3g} GiB, above the "
                             f"{ARRAY_BUDGET_BYTES / 2**30:.3g} GiB budget; lower "
                             "sim.multiplier_draws or grid.count")
 
@@ -264,9 +246,9 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     number of distinct conditioning values minus one. Local-linear grid points
     with empty kernel windows and cell-means cells with one row are dropped,
     with a warning, and counted in `diagnostics["dropped_grid_points"]`. A draw
-    tensor or local-linear influence array above ARRAY_BUDGET_BYTES raises
-    ArrayTooLarge before anything is allocated. A grid with a non-finite point,
-    or a series grid without two distinct points, raises InvalidGrid.
+    tensor above ARRAY_BUDGET_BYTES raises ArrayTooLarge before anything is
+    allocated. A grid with a non-finite point, or a series grid without two
+    distinct points, raises InvalidGrid.
     """
     c = ms.conditioning
     n = len(c)
@@ -283,7 +265,7 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
                                "pass grid=None")
         # at most MAX_CELLS cells, so the smoother itself stays small
         smoother, ok = npreg.cell_means_smoother(c, ms.base)
-        grid = np.unique(c)
+        grid = distinct(c)
         _check_array_budget(cfg, ms, len(grid))
     else:
         _check_array_budget(cfg, ms, cfg.grid_count if grid is None else np.size(grid))

@@ -162,8 +162,36 @@ def conditioning_grid(values, centile_lo=0.01, centile_hi=0.99, count=100):
         raise DegenerateSupport(
             f"centile {centile_lo} and {centile_hi} quantiles coincide at {lo}"
         )
-    grid = np.linspace(lo, hi, count)
-    return np.unique(grid)
+    return distinct(np.linspace(lo, hi, count))
+
+
+def distinct(values) -> np.ndarray:
+    """The sorted distinct values of a NaN-free array, as `np.unique(values)` gives them.
+
+    One sort and a mask of neighbours that differ, `np.unique`'s own sort path;
+    `np.unique` itself, called without `return_inverse` or `return_counts`,
+    asks `np.ma.is_masked` and so imports numpy.ma into a cold process.
+    """
+    srt = np.sort(np.asarray(values).ravel())
+    new = np.empty(len(srt), dtype=bool)
+    new[:1] = True
+    np.not_equal(srt[1:], srt[:-1], out=new[1:])
+    return srt[new]
+
+
+def _quantiles(x: np.ndarray, qs) -> list:
+    """np.quantile(x, qs) bit for bit, from one sort: numpy's linear rule and t >= 0.5 branch.
+
+    np.quantile partitions at the `np.unique` of its indices, which imports numpy.ma.
+    """
+    xs = np.sort(x)
+    pos = (len(xs) - 1) * np.asarray(qs, dtype=float)
+    lo = np.floor(pos)
+    t = pos - lo
+    lo = lo.astype(np.intp)
+    below, above = xs[lo], xs[np.minimum(lo + 1, len(xs) - 1)]
+    diff = above - below
+    return np.where(t >= 0.5, above - diff * (1 - t), below + diff * t).tolist()
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, conditioning_grid, empirical_quantile
+from .data import Dataset, _quantiles, conditioning_grid, distinct, empirical_quantile
 from .errors import (ArrayTooLarge, InsufficientData, IvcheckError, MissingBounds, OffSupport,
                      RankDeficient)
 from .estimators import _check_rank
@@ -59,7 +59,7 @@ def pava_increasing(y: np.ndarray) -> np.ndarray:
 
 def _quantile_bins(z: np.ndarray, bins: int):
     """(edges, cell): bins between sample quantiles of z, each [lo, hi) but the last [lo, hi]."""
-    edges = np.quantile(z, np.linspace(0, 1, bins + 1))
+    edges = np.array(_quantiles(z, np.linspace(0, 1, bins + 1)))
     return edges, np.clip(np.searchsorted(edges, z, side="right") - 1, 0, bins - 1)
 
 
@@ -407,13 +407,13 @@ def quantile_roundtrip_check(ds: Dataset) -> int:
     """
     x = ds.x[:, 0]
     z = ds.z[:, 0]
-    values = np.unique(z)
+    values = distinct(z)
     if len(values) > MAX_CELLS:
         _, cells = _quantile_bins(z, Z_BINS)
     else:
         cells = np.searchsorted(values, z)
     violations = 0
-    for cell in np.unique(cells):
+    for cell in distinct(cells):
         xc = x[cells == cell]
         f = np.searchsorted(np.sort(xc), xc, side="right") / len(xc)
         violations += int(np.sum(empirical_quantile(xc, f) != xc))

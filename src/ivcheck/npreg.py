@@ -3,28 +3,32 @@
 Polynomial series regression, local linear regression with an Epanechnikov
 kernel, and exact cell means for discrete conditioning variables are all
 linear in the values they smooth: theta(v) = L(v) @ coef with coef = P @ W.
-A `Smoother` holds the design map L, the coefficients and each observation's
-influence on them. Pointwise standard errors, and the Gaussian process the
-sup test simulates, both come from the one coefficient covariance this gives.
-The `fit_*` functions wrap the same smoothers for a single column.
+A `Smoother` holds the design map L, the coefficients and their covariance,
+summed from each observation's influence on them. Pointwise standard errors,
+and the Gaussian process the sup test simulates, both come from it. The
+local-linear kernel works on the rows sorted by z, in blocks that meet only
+the grid points whose kernel windows reach them, so none of its arrays grows
+with grid points x rows. The `fit_*` functions wrap the same smoothers for a
+single column.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from .data import distinct
 from .errors import EmptyWindow, InsufficientData, RankDeficient, TooManyCells
 from .estimators import _check_rank
 
 S_FLOOR = 1e-12
 MAX_CELLS = 50
-# the local-linear kernel runs over blocks of about this many (grid point, row)
-# cells, so its temporaries stay small whatever n and the grid size are
+# the local-linear kernel runs over blocks of this many (grid point, row) cells
+# at most, so its temporaries stay small whatever n and the grid size are
 LOCAL_LINEAR_BLOCK_CELLS = 2**15
 # run_test and fit_propensity refuse arrays above this many bytes before they
 # allocate them, rather than fail in numpy's allocator
@@ -49,7 +53,7 @@ def capped_series_order(z, order: int | None = None) -> int:
     """
     if order is None:
         order = default_series_order(len(z))
-    return min(order, len(np.unique(z)) - 1)
+    return min(order, len(distinct(z)) - 1)
 
 
 def nonlinear_step_series_order(n: int) -> int:
@@ -96,23 +100,24 @@ def series_basis(z: np.ndarray, order: int, lo: float, hi: float) -> np.ndarray:
     return np.ascontiguousarray(v.T)
 
 
+def _influence_cov(psi: np.ndarray) -> np.ndarray:
+    """flat(psi) @ flat(psi).T, for psi[a, j, i] observation i's influence on coef[j, a]."""
+    flat = psi.reshape(-1, psi.shape[-1])
+    return flat @ flat.T
+
+
 @dataclass(frozen=True)
 class Smoother:
     """theta(v) = design(v) @ coef for each column of W, with coef = P @ W.
 
-    psi[a, j, i] is observation i's influence on coef[j, a], so the HC0
-    covariance of the coefficients, stacked column by column of W, is
-    flat(psi) @ flat(psi).T.
+    cov is the HC0 covariance of the coefficients, stacked column by column of
+    W: the sum over observations of the outer product of each one's influence
+    on them (`_influence_cov`).
     """
 
     design: Callable  # v (G,) -> L (G, k)
     coef: np.ndarray  # (k, m)
-    psi: np.ndarray  # (m, k, n)
-
-    @cached_property
-    def cov(self) -> np.ndarray:
-        flat = self.psi.reshape(-1, self.psi.shape[-1])
-        return flat @ flat.T
+    cov: np.ndarray  # (m k, m k)
 
     def evaluate(self, v):
         """theta and floored pointwise standard errors at v, each (m, len(v))."""
@@ -155,7 +160,7 @@ def series_smoother(z, w, order: int, lo: float, hi: float) -> Smoother:
     coef = pinv @ w
     resid = w - b @ coef
     design = partial(series_basis, order=order, lo=lo, hi=hi)
-    return Smoother(design, coef, pinv[None] * resid.T[:, None, :])
+    return Smoother(design, coef, _influence_cov(pinv[None] * resid.T[:, None, :]))
 
 
 def _positive(bandwidth) -> float:
@@ -166,17 +171,23 @@ def _positive(bandwidth) -> float:
 
 @dataclass(frozen=True)
 class _LocalLines:
-    """Kernel-weighted local lines of z at grid points, built in blocks of grid points.
+    """Kernel-weighted local lines of z at grid points, built on blocks of rows sorted by z.
 
-    Holds each point's kernel sums s0, s1, s2 and `ok`, which flags points whose
-    kernel window supports a non-degenerate local line. `intercept` and `slope`
-    turn a block of `blocks()` into weight rows; intercept rows of points with
-    ok=False are zero. Every step is elementwise or a sum along one point's
-    row, so no value depends on the block size.
+    The rows and the grid points are each sorted once. A block of rows meets
+    only the grid points whose windows [g - h, g + h] can reach it, so every
+    pass touches the in-window (point, row) cells and the few more of a padded
+    window, which the kernel zeroes. Holds each sorted point's kernel sums s0,
+    s1, s2 and `ok`, which flags points whose window supports a non-degenerate
+    local line. `intercept` and `slope` turn a block of `blocks()` into weight
+    rows; intercept rows of points with ok=False are zero. A point's sums, and
+    the products over its rows, add up block by block, so the last bits of a
+    result depend on the block size.
     """
 
-    z: np.ndarray
-    grid: np.ndarray
+    z: np.ndarray  # (n,) sorted
+    order: np.ndarray  # (n,) the caller's row of each sorted row
+    grid: np.ndarray  # (G,) sorted
+    index: np.ndarray  # (G,) the caller's position of each sorted grid point
     bandwidth: float
     sums: np.ndarray  # (3, G): s0, s1, s2
     denom: np.ndarray | None = None  # (G,): s0 s2 - s1^2, 1 where not ok
@@ -186,41 +197,59 @@ class _LocalLines:
     def at(cls, z, grid, bandwidth) -> _LocalLines:
         z = np.asarray(z, dtype=float).ravel()
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
-        lines = cls(z, grid, _positive(bandwidth), np.empty((3, len(grid))))
-        for rows, du, k in lines.blocks():
-            lines.sums[:, rows] = k.sum(axis=1), (k * du).sum(axis=1), (k * du**2).sum(axis=1)
+        order, index = np.argsort(z, kind="stable"), np.argsort(grid, kind="stable")
+        lines = cls(z[order], order, grid[index], index, _positive(bandwidth),
+                    np.zeros((3, len(grid))))
+        for points, _, du, k in lines.blocks():
+            lines.sums[:, points] += k.sum(axis=1), (k * du).sum(axis=1), (k * du**2).sum(axis=1)
         s0, s1, s2 = lines.sums
         denom = s0 * s2 - s1**2
         scale = np.maximum(s0 * np.maximum(s2, lines.bandwidth**2), 1e-300)
         ok = (s0 > 0) & (denom > 1e-12 * scale)
         return replace(lines, denom=np.where(ok, denom, 1.0), ok=ok)
 
+    @property
+    def caller_ok(self) -> np.ndarray:
+        """`ok` in the caller's grid order."""
+        ok = np.empty_like(self.ok)
+        ok[self.index] = self.ok
+        return ok
+
     def kept(self) -> _LocalLines:
         """The same lines at the grid points with ok=True only."""
         ok = self.ok
-        return replace(self, grid=self.grid[ok], sums=self.sums[:, ok],
+        return replace(self, grid=self.grid[ok], index=self.index[ok], sums=self.sums[:, ok],
                        denom=self.denom[ok], ok=ok[ok])
 
-    def offsets(self):
-        """(rows, du) for blocks of LOCAL_LINEAR_BLOCK_CELLS // n points, du = z - grid[rows]."""
-        step = max(1, LOCAL_LINEAR_BLOCK_CELLS // max(len(self.z), 1))
-        for start in range(0, len(self.grid), step):
-            rows = slice(start, start + step)
-            yield rows, self.z[None, :] - self.grid[rows, None]
-
     def blocks(self):
-        """(rows, du, k) for the blocks of `offsets`, k the kernel weight of du."""
-        for rows, du in self.offsets():
-            yield rows, du, epanechnikov(du / self.bandwidth)
+        """(points, rows, du, k) per block of LOCAL_LINEAR_BLOCK_CELLS // G sorted rows.
 
-    def intercept(self, rows, du, k) -> np.ndarray:
-        _, s1, s2 = self.sums[:, rows, None]
-        return np.where(self.ok[rows, None], k * (s2 - s1 * du) / self.denom[rows, None], 0.0)
+        `points` slices the grid points whose windows can reach the rows,
+        du = z[rows] - grid[points] and k is its kernel weight.
+        """
+        h = self.bandwidth
+        # past h by more than any rounding of z - g, so no in-window row is missed
+        ends = np.abs(np.concatenate([self.z[:1], self.z[-1:], self.grid[:1], self.grid[-1:]]))
+        pad = h * (1.0 + 1e-6) + 4 * np.finfo(float).eps * ends.max(initial=0.0)
+        step = max(1, LOCAL_LINEAR_BLOCK_CELLS // max(len(self.grid), 1))
+        for start in range(0, len(self.z), step):
+            rows = slice(start, start + step)
+            z = self.z[rows]
+            lo = np.searchsorted(self.grid, z[0] - pad, side="left")
+            hi = np.searchsorted(self.grid, z[-1] + pad, side="right")
+            if lo < hi:
+                points = slice(lo, hi)
+                du = z[None, :] - self.grid[points, None]
+                yield points, rows, du, epanechnikov(du / h)
 
-    def slope(self, rows, du, k) -> np.ndarray:
+    def intercept(self, points, du, k) -> np.ndarray:
+        _, s1, s2 = self.sums[:, points, None]
+        return np.where(self.ok[points, None], k * (s2 - s1 * du) / self.denom[points, None], 0.0)
+
+    def slope(self, points, du, k) -> np.ndarray:
         """Slope weight rows; only called on `kept()` lines, where every point is ok."""
-        s0, s1, _ = self.sums[:, rows, None]
-        return k * (s0 * du - s1) / self.denom[rows, None]
+        s0, s1, _ = self.sums[:, points, None]
+        return k * (s0 * du - s1) / self.denom[points, None]
 
 
 def local_linear_weights(z, grid, bandwidth: float):
@@ -230,10 +259,10 @@ def local_linear_weights(z, grid, bandwidth: float):
     non-degenerate local line; rows with ok=False are zero.
     """
     lines = _LocalLines.at(z, grid, bandwidth)
-    a = np.empty((len(lines.grid), len(lines.z)))
-    for rows, du, k in lines.blocks():
-        a[rows] = lines.intercept(rows, du, k)
-    return a, lines.ok
+    a = np.zeros((len(lines.grid), len(lines.z)))
+    for points, rows, du, k in lines.blocks():
+        a[lines.index[points, None], lines.order[rows]] = lines.intercept(points, du, k)
+    return a, lines.caller_ok
 
 
 def drop_grid_points(grid, ok, reason: str = "empty kernel windows") -> np.ndarray:
@@ -250,26 +279,26 @@ def local_linear_smoother(z, w, grid, bandwidth: float):
     """Local lines of each column of w (n, m) at the grid points.
 
     Returns (smoother, ok). Each residual comes from the grid point's own
-    local line. Grid points with ok=False are left out of the smoother.
+    local line. Grid points with ok=False are left out of the smoother, which
+    holds the others in sorted order, so its process does not depend on the
+    order of the grid.
     """
     lines = _LocalLines.at(z, grid, bandwidth)
-    ok, lines = lines.ok, lines.kept()
-    psi = np.empty((w.shape[1], len(lines.grid), len(lines.z)))
-    # psi's first slice holds the slope weights and then the intercept weights,
-    # so that beta and coef each come from one product over every kept point
-    # (products over blocks of points round differently); psi is then the
-    # intercept weights times the residuals
-    weights = psi[0]
-    for rows, du, k in lines.blocks():
-        weights[rows] = lines.slope(rows, du, k)
-    beta = weights @ w
-    for rows, du, k in lines.blocks():
-        weights[rows] = lines.intercept(rows, du, k)
-    coef = weights @ w  # (G, m)
-    for rows, du in lines.offsets():
-        resid = w.T[:, None, :] - coef[rows].T[:, :, None] - beta[rows].T[:, :, None] * du[None]
-        psi[:, rows] = weights[rows][None] * resid
-    return Smoother(partial(_point_design, lines.grid), coef, psi), ok
+    ok, lines = lines.caller_ok, lines.kept()
+    w = w[lines.order]
+    m, g = w.shape[1], len(lines.grid)
+    beta, coef = np.zeros((g, m)), np.zeros((g, m))
+    for points, rows, du, k in lines.blocks():
+        beta[points] += lines.slope(points, du, k) @ w[rows]
+        coef[points] += lines.intercept(points, du, k) @ w[rows]
+    # the influences are the intercept weights times the residuals of each
+    # point's own line; a block adds their products to its points' covariance
+    cov = np.zeros((m, g, m, g))
+    for points, rows, du, k in lines.blocks():
+        resid = w[rows].T[:, None, :] - coef[points].T[:, :, None] - beta[points].T[:, :, None] * du
+        block = _influence_cov(lines.intercept(points, du, k) * resid)
+        cov[:, points, :, points] += block.reshape(m, len(du), m, len(du))
+    return Smoother(partial(_point_design, lines.grid), coef, cov.reshape(m * g, m * g)), ok
 
 
 def cell_means_weights(z):
@@ -297,7 +326,7 @@ def cell_means_smoother(z, w):
     a, counts = a[ok], counts[ok]
     resid = w.T[:, None, :] - coef.T[:, :, None]
     psi = (a * np.sqrt(counts / (counts - 1))[:, None])[None] * resid
-    return Smoother(partial(_point_design, values[ok]), coef, psi), ok
+    return Smoother(partial(_point_design, values[ok]), coef, _influence_cov(psi)), ok
 
 
 @dataclass(frozen=True)

@@ -151,8 +151,7 @@ def test_simulation_budget_guard():
 
 @pytest.mark.parametrize("cfg, size", [
     (Cfg(grid_count=40), 8 * 1000 * 40),  # draws x base moments x grid points
-    (Cfg(method="local-linear", grid_count=40, mult_draws=200), 8 * 40 * 300),  # x rows
-], ids=["draw-tensor", "local-linear-influence"])
+], ids=["draw-tensor"])
 def test_array_budget_is_the_computed_size(cfg, size):
     g = np.random.default_rng(11)
     ms = _one_sided(g.standard_normal(300), g.uniform(-1, 1, 300))
@@ -173,8 +172,30 @@ def test_local_linear_memory_bounded_at_200k():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    psi = 8 * ms.base.shape[1] * len(report.grid) * n  # the influence array it must hold
-    assert peak <= 1.5 * psi + 32 * 2**20
+    # a few copies of the rows and blocks of bounded size: nothing of grid points x rows
+    assert peak <= 32 * n + 16 * 2**20
+
+
+def test_local_linear_report_is_the_sorted_grids_permuted():
+    g = np.random.default_rng(35)
+    n = 400
+    z = g.uniform(-1, 1, n)
+    ms = _paired([g.standard_normal(n) + 0.3 * z], ["resid"], z, "z")
+    # a duplicate point, and one beyond the data that is dropped
+    grid = np.sort(np.r_[np.linspace(-0.95, 0.95, 30), 0.2, 3.0])
+    shuffle = g.permutation(len(grid))
+    cfg = Cfg(method="local-linear")
+    with pytest.warns(UserWarning, match="dropping 1 grid points"):
+        report = run_test(ms, grid, cfg, RngSpec(seed=3))
+    with pytest.warns(UserWarning, match="dropping 1 grid points"):
+        shuffled = run_test(ms, grid[shuffle], cfg, RngSpec(seed=3))
+    place = np.searchsorted(report.grid, shuffled.grid)  # in the sorted grid's report
+    assert np.array_equal(shuffled.grid, report.grid[place])
+    assert np.array_equal(shuffled.theta, report.theta[:, place])
+    assert np.array_equal(shuffled.s, report.s[:, place])
+    assert (shuffled.kappa, shuffled.levels) == (report.kappa, report.levels)
+    assert shuffled.diagnostics == report.diagnostics
+    assert report.diagnostics["dropped_grid_points"] == 1
 
 
 @pytest.mark.parametrize("cfg, fitter", [
@@ -413,10 +434,11 @@ PINNED = {
         (2.8598365840356212, 2.9107385179467804, -0.2819817856119465, 36),
         (3.2860453357695842, 3.2950573102984566, -0.36290534545510955, 36),
     )),
-    "local-linear": (3.44927342575752, (
-        (2.71260191567902, 2.8468210717075255, -0.17690474699839226, 49),
-        (3.019551121305656, 3.1289273926756063, -0.2237003836830268, 49),
-        (3.428668339318092, 3.531129858456094, -0.28607194335673275, 49),
+    # the kernel summed over blocks of rows sorted by z
+    "local-linear": (3.4492734257575464, (
+        (2.712601915679045, 2.8468210717074958, -0.1769047469983961, 49),
+        (3.0195511213056574, 3.1289273926756054, -0.22370038368302703, 49),
+        (3.428668339318103, 3.5311298584560764, -0.2860719433567344, 49),
     )),
     "cell-means": (3.0208471554364333, (
         (2.392665673234702, 2.427699055865768, -0.11554713876833489, 13),

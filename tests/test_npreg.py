@@ -169,25 +169,55 @@ def _dense_local_linear(z, w, grid, h):
     return a, ok, coef, a[ok][None] * resid
 
 
-@pytest.mark.parametrize("points_per_block", [1, 7])
+def _assert_near_dense(z, w, grid, h):
+    """Both kernel entry points against the dense oracle, within 1e-12 of the largest value.
+
+    The smoother holds the kept points in sorted order, so its coef and cov
+    are compared with the oracle's on the sorted grid.
+    """
+    a, ok, _, _ = _dense_local_linear(z, w, grid, h)
+    _, _, coef, psi = _dense_local_linear(z, w, np.sort(grid), h)
+    flat = psi.reshape(-1, len(z))
+    smoother, ok_smoother = local_linear_smoother(z, w, grid, h)
+    a_blocked, ok_weights = local_linear_weights(z, grid, h)
+    assert np.array_equal(ok_smoother, ok) and np.array_equal(ok_weights, ok)
+    theta = smoother.evaluate(grid[ok])[0].T  # at the kept points in the caller's order
+    for got, want in ((smoother.coef, coef), (smoother.cov, flat @ flat.T), (a_blocked, a),
+                      (theta, a[ok] @ w)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    return ok
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7, 1000])
 @pytest.mark.parametrize("m", [1, 2])
-def test_blocked_local_linear_equals_dense(points_per_block, m):
+def test_blocked_local_linear_equals_dense(rows_per_block, m):
     g = np.random.default_rng(31)
     n = 300
     # a gap in z empties the windows of the grid points inside it
     z = np.concatenate([g.uniform(-3, -1, n // 2), g.uniform(1, 3, n - n // 2)])
     w = g.standard_normal((n, m))
-    grid = np.linspace(-2.9, 2.9, 60)  # 60 blocks, or 9 with a short last one
+    grid = np.linspace(-2.9, 2.9, 60)
     h = 0.4
-    a, ok, coef, psi = _dense_local_linear(z, w, grid, h)
+    # blocks of 1 row, of 7, or one block of every row
+    with mock.patch.object(npreg, "LOCAL_LINEAR_BLOCK_CELLS", rows_per_block * len(grid)):
+        ok = _assert_near_dense(z, w, grid, h)
     assert 0 < (~ok).sum() < len(grid)
-    with mock.patch.object(npreg, "LOCAL_LINEAR_BLOCK_CELLS", points_per_block * n):
-        smoother, ok_smoother = local_linear_smoother(z, w, grid, h)
-        a_blocked, ok_weights = local_linear_weights(z, grid, h)
-    assert np.array_equal(ok_smoother, ok) and np.array_equal(ok_weights, ok)
-    assert np.array_equal(smoother.coef, coef)
-    assert np.array_equal(smoother.psi, psi)
-    assert np.array_equal(a_blocked, a)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7, 1000])
+def test_local_linear_window_edges_equal_dense(rows_per_block):
+    """An unsorted grid with a duplicate point, rows at g +- h and a point beyond the data."""
+    g = np.random.default_rng(33)
+    h = 0.3
+    grid = np.array([0.7, -1.1, 2.9, 0.1, 0.7, -2.35, 9.0])
+    # rows at each window's rounded ends, and one float step to either side of them
+    ends = np.concatenate([grid[:-1] - h, grid[:-1] + h])
+    edges = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+    z = g.permutation(np.concatenate([edges, g.uniform(-3, 3, 200)]))
+    w = g.standard_normal((len(z), 2))
+    with mock.patch.object(npreg, "LOCAL_LINEAR_BLOCK_CELLS", rows_per_block * len(grid)):
+        ok = _assert_near_dense(z, w, grid, h)
+    assert ok.tolist() == [True] * 6 + [False]  # no row within h of 9.0
 
 
 def test_rule_of_thumb_bandwidth():
