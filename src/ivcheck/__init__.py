@@ -16,10 +16,11 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
+    "_config": ("CONFIG_KEYS", "parse_config"),
     "clrtest": ("IdentifiedSet", "LevelResult", "TestConfig", "TestReport", "identified_set",
                 "run_test", "test_model"),
-    "data": ("CONFIG_KEYS", "Dataset", "RngSpec", "conditioning_grid", "empirical_quantile",
-             "load_csv", "parse_config", "write_csv"),
+    "data": ("Dataset", "RngSpec", "conditioning_grid", "empirical_quantile", "load_csv",
+             "write_csv"),
     "errors": ("IvcheckError", "RelevanceWarning"),
     "estimators": ("BoxCoxFit", "FitMethod", "LinearFit", "boxcox_transform", "fit_boxcox",
                    "fit_gmm2step", "fit_iv", "fit_ols", "polynomial_instruments"),
@@ -37,7 +38,8 @@ _EXPORTS = {
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted([*_EXPORTS, *_OWNER])
+# a private module's names are public, the module itself is not
+__all__ = sorted([*(m for m in _EXPORTS if not m.startswith("_")), *_OWNER])
 
 
 def __getattr__(name):

@@ -40,7 +40,8 @@ DEFAULT_ALPHAS = (0.10, 0.05, 0.01)
 METHODS = ("series", "local-linear", "cell-means")
 VARIANCE_SERIES_ORDER = 2
 # why a method leaves grid points out, for the warning, the error and summary()
-DROP_REASONS = {"local-linear": "empty kernel windows", "cell-means": "one-row cells"}
+DROP_REASONS = {"local-linear": "empty kernel windows",
+                "cell-means": "one-row cells or cells of one value"}
 
 
 @dataclass(frozen=True)
@@ -208,16 +209,26 @@ def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
     return sign * (z.max(axis=1) if sign > 0 else z.min(axis=1))
 
 
-def _check_array_budget(cfg: TestConfig, ms: MomentSystem, n_grid: int) -> None:
-    """Raise ArrayTooLarge if run_test's largest array would exceed ARRAY_BUDGET_BYTES.
+def _check_array_budget(cfg: TestConfig, ms: MomentSystem, n_grid: int, n_coef: int) -> None:
+    """Raise ArrayTooLarge if one of run_test's largest arrays would exceed ARRAY_BUDGET_BYTES.
 
-    That is the standardized draws: draws x base moments x grid points of float64.
+    Those are, in float64, the standardized draws (draws x base moments x grid
+    points), the coefficient covariance and its Cholesky factor ((base moments
+    x coefficients) squared) and the draw map of `_process` (base moments x
+    coefficients by base moments x grid points). A local-linear smoother has
+    one coefficient per grid point.
     """
-    size = 8 * cfg.mult_draws * ms.base.shape[1] * n_grid
-    if size > ARRAY_BUDGET_BYTES:
-        raise ArrayTooLarge(f"the draw tensor would take {size / 2**30:.3g} GiB, above the "
-                            f"{ARRAY_BUDGET_BYTES / 2**30:.3g} GiB budget; lower "
-                            "sim.multiplier_draws or grid.count")
+    m = ms.base.shape[1]
+    arrays = [
+        (cfg.mult_draws * m * n_grid, "the draw tensor", "sim.multiplier_draws or grid.count"),
+        ((m * n_coef) ** 2, "the coefficient covariance",
+         "npreg.series_order" if cfg.method == "series" else "grid.count"),
+        (m * n_coef * m * n_grid, "the draw map", "grid.count"),
+    ]
+    size, name, keys = max(arrays, key=lambda array: array[0])
+    if 8 * size > ARRAY_BUDGET_BYTES:
+        raise ArrayTooLarge(f"{name} would take {8 * size / 2**30:.3g} GiB, above the "
+                            f"{ARRAY_BUDGET_BYTES / 2**30:.3g} GiB budget; lower {keys}")
 
 
 def run_test(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
@@ -244,10 +255,11 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     A series fit without `cfg.series_order` uses `npreg.default_series_order(n)`;
     the spec-dependent orders are set by `test_model`. Either is capped at the
     number of distinct conditioning values minus one. Local-linear grid points
-    with empty kernel windows and cell-means cells with one row are dropped,
-    with a warning, and counted in `diagnostics["dropped_grid_points"]`. A draw
-    tensor above ARRAY_BUDGET_BYTES raises ArrayTooLarge before anything is
-    allocated. A grid with a non-finite point, or a series grid without two
+    with empty kernel windows, and cell-means cells with one row or one value
+    of a base moment, are dropped, with a warning, and counted in
+    `diagnostics["dropped_grid_points"]`. A draw tensor or coefficient
+    covariance above ARRAY_BUDGET_BYTES raises ArrayTooLarge before anything
+    is allocated. A grid with a non-finite point, or a series grid without two
     distinct points, raises InvalidGrid.
     """
     c = ms.conditioning
@@ -266,9 +278,13 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
         # at most MAX_CELLS cells, so the smoother itself stays small
         smoother, ok = npreg.cell_means_smoother(c, ms.base)
         grid = distinct(c)
-        _check_array_budget(cfg, ms, len(grid))
+        _check_array_budget(cfg, ms, len(grid), len(grid))
     else:
-        _check_array_budget(cfg, ms, cfg.grid_count if grid is None else np.size(grid))
+        n_grid = n_coef = cfg.grid_count if grid is None else np.size(grid)
+        if method == "series":
+            order = npreg.capped_series_order(c, cfg.series_order)
+            n_coef = order + 1
+        _check_array_budget(cfg, ms, n_grid, n_coef)
         if grid is None:
             grid = conditioning_grid(c, cfg.centile_lo, cfg.centile_hi, cfg.grid_count)
         grid = np.asarray(grid, dtype=float)
@@ -280,7 +296,6 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
         if method == "series":
             if not grid.min() < grid.max():
                 raise InvalidGrid("a series fit needs a conditioning grid of two distinct points")
-            order = npreg.capped_series_order(c, cfg.series_order)
             diagnostics["series_order"] = order
             smoother = npreg.series_smoother(c, ms.base, order, float(grid.min()), float(grid.max()))
         else:  # local-linear

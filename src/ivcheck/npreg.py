@@ -315,13 +315,15 @@ def cell_means_weights(z):
 def cell_means_smoother(z, w):
     """Within-cell means of each column of w (n, m), with ddof=1 standard errors.
 
-    Returns (smoother, ok) where ok flags the cells of `np.unique(z)` with at
-    least two rows; a one-row cell has no within-cell variance to estimate and
-    is left out of the smoother.
+    Returns (smoother, ok) where ok flags the cells of `np.unique(z)` whose
+    rows take at least two values in every column of w. A one-row cell, or one
+    whose rows share a value of some column, has no within-cell variance to
+    estimate: its standard error would sit at the floor and decide a sup test
+    alone. It is left out of the smoother.
     """
     values, a = cell_means_weights(z)
     counts = np.count_nonzero(a, axis=1)
-    ok = counts > 1
+    ok = np.array([np.ptp(w[row > 0], axis=0).min() > 0 for row in a])
     coef = (a @ w)[ok]
     a, counts = a[ok], counts[ok]
     resid = w.T[:, None, :] - coef.T[:, :, None]
@@ -372,7 +374,8 @@ def fit_local_linear(w, z, bandwidth=None) -> CondMeanFit:
 def fit_cell_means(w, z) -> CondMeanFit:
     """Exact within-cell means for a discrete conditioning variable (<= MAX_CELLS cells).
 
-    Cells with one row are left out: evaluating there raises EmptyWindow.
+    Cells with one row, or whose rows share one value of w, are left out:
+    evaluating there raises EmptyWindow.
     """
     smoother, _ = cell_means_smoother(_column(z), _column(w)[:, None])
     return CondMeanFit(lambda v: smoother)

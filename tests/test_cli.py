@@ -387,17 +387,44 @@ def small_csv(tmp_path_factory):
     return str(p)
 
 
-@pytest.mark.parametrize("command", ["--version", "test"])
-def test_cli_request_imports_only_its_subcommand(small_csv, command):
-    argv = [command] if command == "--version" else _args(small_csv, command)
+HEAVY = {"ivcheck.mte", "ivcheck.simulate", "ivcheck.overid", "multiprocessing",
+         "concurrent.futures.process"}
+# the sup test and what only it needs
+PIPELINE = {"ivcheck.clrtest", "ivcheck.npreg", "ivcheck.moments", "numpy.random"}
+
+
+@pytest.mark.parametrize("argv, codes, excluded", [
+    (["--version"], {EXIT_OK}, {"numpy"}),
+    (["--help"], {EXIT_OK}, {"numpy"}),
+    (["test", "--help"], {EXIT_OK}, {"numpy"}),
+    (["fit", "--definitely-not-a-flag"], {EXIT_ERROR}, {"numpy"}),
+    (["fit", "DATA"], {EXIT_OK}, PIPELINE | HEAVY),
+    (["overid", "DATA"], {EXIT_OK}, PIPELINE | HEAVY - {"ivcheck.overid"}),
+    (["mte", "DATA"], {EXIT_OK}, {"ivcheck.clrtest", "ivcheck.moments"} | HEAVY - {"ivcheck.mte"}),
+    (["test", "DATA"], {EXIT_OK, EXIT_REJECT}, HEAVY),
+    (["identified-set", "DATA", "--theta-lo", "1", "--theta-hi", "3", "--theta-count", "3"],
+     {EXIT_OK}, HEAVY),
+], ids=["--version", "--help", "test-help", "unknown-flag", "fit", "overid", "mte", "test",
+        "identified-set"])
+def test_cli_request_imports_only_its_subcommand(small_csv, argv, codes, excluded):
+    if "DATA" in argv:
+        argv = _args(small_csv, argv[0], *argv[2:])
     run = _run_cli(*argv, flags=("-X", "importtime"))
-    assert run.returncode in (EXIT_OK, EXIT_REJECT), run.stderr
+    assert run.returncode in codes, run.stderr
     imported = {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
                 if line.startswith("import time:") and "|" in line}
-    assert "ivcheck.clrtest" in imported  # the test pipeline, imported by every request
-    heavy = {"ivcheck.mte", "ivcheck.simulate", "ivcheck.overid", "multiprocessing",
-             "concurrent.futures.process"}
-    assert not imported & heavy
+    assert "ivcheck.errors" in imported
+    assert not imported & excluded
+
+
+def test_fit_boxcox_refuses_gmm(null_csv, capsys):
+    # the Box-Cox profile is fitted by OLS or IV: gmm is refused, not fitted as OLS
+    code = main(_args(null_csv, "fit", "--form", "boxcox", "--estimator", "gmm"))
+    captured = capsys.readouterr()
+    line = _one_error_line(captured.err)
+    assert code == EXIT_ERROR and line.startswith("error: ")
+    assert "ols" in line and "iv" in line
+    assert "box-cox fit" not in captured.out
 
 
 def test_bad_family_names_the_families(capsys):

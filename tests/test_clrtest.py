@@ -149,16 +149,20 @@ def test_simulation_budget_guard():
         run_test(ms, None, Cfg(mult_draws=50), RngSpec(seed=12))
 
 
-@pytest.mark.parametrize("cfg, size", [
-    (Cfg(grid_count=40), 8 * 1000 * 40),  # draws x base moments x grid points
-], ids=["draw-tensor"])
-def test_array_budget_is_the_computed_size(cfg, size):
+@pytest.mark.parametrize("cfg, size, keys", [
+    # draws x base moments x grid points
+    (Cfg(grid_count=40), 8 * 1000 * 40, "sim.multiplier_draws or grid.count"),
+    # (base moments x grid points)^2, a local line per grid point: here larger
+    # than the draw tensor
+    (Cfg(method="local-linear", grid_count=300, mult_draws=200), 8 * 300**2, "grid.count"),
+], ids=["draw-tensor", "local-linear-covariance"])
+def test_array_budget_is_the_computed_size(cfg, size, keys):
     g = np.random.default_rng(11)
     ms = _one_sided(g.standard_normal(300), g.uniform(-1, 1, 300))
     with mock.patch.object(clrtest, "ARRAY_BUDGET_BYTES", size):
         run_test(ms, None, cfg, RngSpec(seed=12))
     with mock.patch.object(clrtest, "ARRAY_BUDGET_BYTES", size - 1):
-        with pytest.raises(ArrayTooLarge, match=f"{size / 2**30:.3g} GiB"):
+        with pytest.raises(ArrayTooLarge, match=f"{size / 2**30:.3g} GiB .* lower {keys}$"):
             run_test(ms, None, cfg, RngSpec(seed=12))
 
 
@@ -349,8 +353,27 @@ def test_cell_means_drops_one_row_cells():
         assert report.diagnostics["dropped_grid_points"] == 1
         assert 0.7 not in report.grid
         rejections += report.reject(0.05)
-    assert "dropped_grid_points = 1 (one-row cells)" in report.summary()
+    assert "dropped_grid_points = 1 (one-row cells or cells of one value)" in report.summary()
     assert rejections <= 4
+
+
+def test_cell_means_drops_cells_of_one_value():
+    # a cell whose rows share one value of w has s at the floor, about 1e-12;
+    # kept, it set kappa near 2e6 and rejected pure noise on every seed
+    rejections = 0
+    for seed in range(20):
+        g = np.random.default_rng(seed)
+        z = np.round(3 * g.uniform(-1, 1, 400))
+        w = g.standard_normal(400)
+        w[z == 0] = -0.01
+        with pytest.warns(UserWarning,
+                          match="dropping 1 grid points with one-row cells or cells of one value"):
+            report = run_test(_paired([w], ["w"], z, "z"), None, Cfg(method="cell-means"),
+                              RngSpec(seed=seed))
+        assert report.diagnostics["dropped_grid_points"] == 1
+        assert 0.0 not in report.grid and report.kappa < 10
+        rejections += report.reject(0.01)
+    assert rejections <= 1
 
 
 def test_cell_means_without_a_two_row_cell_is_an_empty_grid():
@@ -627,17 +650,22 @@ def test_series_grid_needs_two_distinct_points(grid):
 
 
 def test_floored_standard_errors_are_reported():
-    """A cell whose w is constant has s at the floor: counted and shown by summary()."""
+    """A kernel window whose w is constant has s at the floor: counted and shown by summary().
+
+    (Cell means leave a cell of one value out instead.)
+    """
     g = np.random.default_rng(3)
-    z = np.round(3 * g.uniform(-1, 1, 400))
+    z = g.uniform(-1, 1, 400)
     w = g.standard_normal(400)
-    w[z == 0] = 0.25
+    w[z < -0.6] = 0.25
     ms = _paired([w], ["resid"], z, "z")
-    report = run_test(ms, None, Cfg(method="cell-means"), RngSpec(seed=0))
-    assert len(report.grid) == 7
-    assert report.diagnostics["s_floored"] == 1
-    assert "s_floored = 1 (standard errors at the floor)" in report.summary()
-    clean = run_test(_paired([g.standard_normal(400)], ["resid"], z, "z"), None,
-                     Cfg(method="cell-means"), RngSpec(seed=0))
+    cfg = Cfg(method="local-linear", bandwidth=0.1)
+    report = run_test(ms, None, cfg, RngSpec(seed=0))
+    assert len(report.grid) == 100
+    # the grid points below -0.7, whose windows hold only the constant rows
+    assert report.diagnostics["s_floored"] == 15 == np.sum(report.grid < -0.7)
+    assert "s_floored = 15 (standard errors at the floor)" in report.summary()
+    clean = run_test(_paired([g.standard_normal(400)], ["resid"], z, "z"), None, cfg,
+                     RngSpec(seed=0))
     assert clean.diagnostics["s_floored"] == 0
     assert "s_floored" not in clean.summary()

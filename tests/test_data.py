@@ -4,14 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ivcheck import CONFIG_KEYS, parse_config
 from ivcheck.data import (
-    CONFIG_KEYS,
     Dataset,
     RngSpec,
     conditioning_grid,
     empirical_quantile,
     load_csv,
-    parse_config,
     write_csv,
 )
 from ivcheck.errors import (
