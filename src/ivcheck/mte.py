@@ -18,7 +18,7 @@ from .npreg import (
     ARRAY_BUDGET_BYTES,
     MAX_CELLS,
     _positive,
-    cell_means_weights,
+    cells,
     drop_grid_points,
     epanechnikov,
     local_linear_weights,
@@ -112,8 +112,10 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
     of thumb bandwidth and drops, with a warning, instrument grid points whose
     kernel window is empty; `dropped_grid_points` counts them. Raw
     monotonicity violations are recorded per z before the correction so the
-    strict-monotonicity requirement stays checkable. Weights and indicators
-    above ARRAY_BUDGET_BYTES raise ArrayTooLarge before anything is allocated.
+    strict-monotonicity requirement stays checkable. Local-linear weights and
+    indicators above ARRAY_BUDGET_BYTES raise ArrayTooLarge before anything is
+    allocated. Cell means need neither: a cell's surface is the share of its
+    rows with x at or below each x-grid point, counted in one pass.
     """
     if ds.k_x != 1 or ds.k_z != 1:
         raise IvcheckError("fit_propensity expects scalar x and z")
@@ -122,29 +124,34 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
     if method not in PROPENSITY_METHODS:
         raise IvcheckError(f"propensity method must be one of {', '.join(PROPENSITY_METHODS)}, "
                            f"got {method!r}")
-    # float64 weights (Z_GRID_COUNT points or MAX_CELLS cells) and indicators, over every row
-    size = 8 * (Z_GRID_COUNT + X_GRID_COUNT) * len(x)
-    if size > ARRAY_BUDGET_BYTES:
-        raise ArrayTooLarge(f"the propensity weights and indicators would take {size / 2**30:.3g} "
-                            f"GiB, above the {ARRAY_BUDGET_BYTES / 2**30:.3g} GiB budget; "
-                            "use fewer rows")
     x_grid = conditioning_grid(x, 0.01, 0.99, X_GRID_COUNT)
     dropped = 0
     if method == "cell-means":
-        z_grid, a = cell_means_weights(z)
+        z_grid, cell, counts = cells(z)
+        # x <= x_grid[j] exactly when the first grid point at or above x is j or before it,
+        # so a cell's count at j sums its rows' first points up to j
+        hits = np.bincount(cell * (len(x_grid) + 1) + np.searchsorted(x_grid, x),
+                            minlength=len(z_grid) * (len(x_grid) + 1))
+        surface = np.cumsum(hits.reshape(len(z_grid), -1)[:, :-1], axis=1) / counts[:, None]
     else:
+        # float64 weights on Z_GRID_COUNT points and indicators on X_GRID_COUNT, over every row
+        size = 8 * (Z_GRID_COUNT + X_GRID_COUNT) * len(x)
+        if size > ARRAY_BUDGET_BYTES:
+            raise ArrayTooLarge(f"the propensity weights and indicators would take "
+                                f"{size / 2**30:.3g} GiB, above the "
+                                f"{ARRAY_BUDGET_BYTES / 2**30:.3g} GiB budget; use fewer rows")
         z_grid = conditioning_grid(z, 0.01, 0.99, Z_GRID_COUNT)
         a, ok = local_linear_weights(z, z_grid, rule_of_thumb_bandwidth(z))
         z_grid, dropped = drop_grid_points(z_grid, ok), int((~ok).sum())
         if dropped:
             a = a[ok]  # a copy of the weights, so only when a point was dropped
+        indicators = (x[None, :] <= x_grid[:, None]).astype(float)  # (gx, n)
+        surface = a @ indicators.T  # (gz, gx)
+        del a, indicators  # the two (grid x n) arrays are not needed for v_hat below
     if len(z_grid) < 2:
         raise InsufficientData(
             f"propensity needs 2 or more instrument grid points with data, got {len(z_grid)}"
         )
-    indicators = (x[None, :] <= x_grid[:, None]).astype(float)  # (gx, n)
-    surface = a @ indicators.T  # (gz, gx)
-    del a, indicators  # the two (grid x n) arrays are not needed for v_hat below
     surface = np.clip(surface, 0.0, 1.0)
     mono = {}
     iso = np.empty_like(surface)

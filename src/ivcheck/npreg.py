@@ -8,8 +8,10 @@ summed from each observation's influence on them. Pointwise standard errors,
 and the Gaussian process the sup test simulates, both come from it. The
 local-linear kernel works on the rows sorted by z, in blocks that meet only
 the grid points whose kernel windows reach them, so none of its arrays grows
-with grid points x rows. The `fit_*` functions wrap the same smoothers for a
-single column.
+with grid points x rows. Cell means group the rows by cell once and take each
+cell's mean and covariance block from sums over its rows divided by its count,
+so none of theirs grows with cells x rows. The `fit_*` functions wrap the same
+smoothers for a single column.
 """
 
 from __future__ import annotations
@@ -301,15 +303,14 @@ def local_linear_smoother(z, w, grid, bandwidth: float):
     return Smoother(partial(_point_design, lines.grid), coef, cov.reshape(m * g, m * g)), ok
 
 
-def cell_means_weights(z):
-    """Cell values and the weights (cells x n) that average within each cell."""
-    values, inverse, counts = np.unique(
+def cells(z):
+    """(values, cell, counts): the distinct values of z, each row's cell and each cell's rows."""
+    values, cell, counts = np.unique(
         np.asarray(z, dtype=float).ravel(), return_inverse=True, return_counts=True
     )
     if len(values) > MAX_CELLS:
         raise TooManyCells(f"{len(values)} distinct values exceed the cap of {MAX_CELLS}")
-    member = inverse[None, :] == np.arange(len(values))[:, None]
-    return values, member / counts[:, None]
+    return values, cell, counts
 
 
 def cell_means_smoother(z, w):
@@ -319,16 +320,24 @@ def cell_means_smoother(z, w):
     rows take at least two values in every column of w. A one-row cell, or one
     whose rows share a value of some column, has no within-cell variance to
     estimate: its standard error would sit at the floor and decide a sup test
-    alone. It is left out of the smoother.
+    alone. It is left out of the smoother. The rows are grouped by cell once,
+    and every cell quantity is a sum over its rows divided by its count: the
+    mean, and the covariance block sum(r_a r_b) / (n_c (n_c - 1)) of its
+    residuals r, so the covariance is block-diagonal, one (m x m) block per cell.
     """
-    values, a = cell_means_weights(z)
-    counts = np.count_nonzero(a, axis=1)
-    ok = np.array([np.ptp(w[row > 0], axis=0).min() > 0 for row in a])
-    coef = (a @ w)[ok]
-    a, counts = a[ok], counts[ok]
-    resid = w.T[:, None, :] - coef.T[:, :, None]
-    psi = (a * np.sqrt(counts / (counts - 1))[:, None])[None] * resid
-    return Smoother(partial(_point_design, values[ok]), coef, _influence_cov(psi)), ok
+    values, cell, counts = cells(z)
+    # a float copy of w with each cell's rows together
+    w = np.asarray(w, dtype=float)[np.argsort(cell, kind="stable")]
+    m, starts = w.shape[1], np.cumsum(counts) - counts
+    ok = np.all(np.maximum.reduceat(w, starts) > np.minimum.reduceat(w, starts), axis=1)
+    coef = np.add.reduceat(w, starts) / counts[:, None]
+    w -= np.repeat(coef, counts, axis=0)  # the residuals
+    kept = counts[ok]
+    k = len(kept)
+    blocks = np.stack([np.add.reduceat(w * w[:, [a]], starts)[ok] for a in range(m)], axis=1)
+    cov = np.zeros((m, k, m, k))
+    cov[:, np.arange(k), :, np.arange(k)] = blocks / (kept * (kept - 1))[:, None, None]
+    return Smoother(partial(_point_design, values[ok]), coef[ok], cov.reshape(m * k, m * k)), ok
 
 
 @dataclass(frozen=True)

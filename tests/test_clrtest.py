@@ -463,10 +463,11 @@ PINNED = {
         (3.0195511213056574, 3.1289273926756054, -0.22370038368302703, 49),
         (3.428668339318103, 3.5311298584560764, -0.2860719433567344, 49),
     )),
+    # the cell means and covariance blocks as per-cell sums over the rows divided by counts
     "cell-means": (3.0208471554364333, (
-        (2.392665673234702, 2.427699055865768, -0.11554713876833489, 13),
-        (2.6933017824440255, 2.7156094719897754, -0.1580086960976042, 13),
-        (3.2162186984424084, 3.2529601954992136, -0.231864982574656, 13),
+        (2.392665673234702, 2.427699055865768, -0.11554713876833486, 13),
+        (2.6933017824440255, 2.7156094719897754, -0.15800869609760418, 13),
+        (3.2162186984424075, 3.2529601954992136, -0.23186498257465585, 13),
     )),
 }
 

@@ -170,6 +170,46 @@ def test_local_linear_propensity_holds_one_copy_of_the_weights():
     assert peak <= needed + 2**20
 
 
+@pytest.mark.parametrize("ties", [False, True])
+def test_cell_means_propensity_equals_dense(ties):
+    """Counts per cell against dense cell weights times (x grid x n) indicators.
+
+    With ties, x takes few values, so rows sit exactly on x-grid points.
+    """
+    g = np.random.default_rng(37)
+    n = 3000
+    z = np.concatenate([g.integers(0, 12, n), [20.0]])
+    x = 0.3 * z + g.standard_normal(n + 1)
+    if ties:
+        x = np.round(x)
+    pf = fit_propensity(Dataset(y=x, x=x, z=z), method="cell-means")
+    values, inverse, counts = np.unique(z, return_inverse=True, return_counts=True)
+    a = (inverse[None, :] == np.arange(len(values))[:, None]) / counts[:, None]
+    indicators = (x[None, :] <= pf.x_grid[:, None]).astype(float)
+    surface = np.clip(a @ indicators.T, 0.0, 1.0)
+    assert np.array_equal(pf.z_grid, values)
+    assert np.abs(pf.surface - surface).max() <= 1e-12
+    assert np.abs(pf.v_hat - mte._bilinear(values, pf.x_grid, surface, z, x)).max() <= 1e-12
+    # a count of rows at or below an increasing grid never falls
+    assert set(pf.monotonicity_report.values()) == {0.0}
+
+
+def test_cell_means_propensity_memory_bounded_at_100k():
+    g = np.random.default_rng(38)
+    n = 100_000
+    z = g.integers(0, 50, n).astype(float)
+    x = 0.1 * z + g.standard_normal(n)
+    ds = Dataset(y=x, x=x, z=z)
+    tracemalloc.start()
+    try:
+        fit_propensity(ds, method="cell-means")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few (n,) arrays; dense (cells x n) weights and (x grid x n) indicators took 49-72 MiB
+    assert peak <= 24 * 2**20
+
+
 @pytest.mark.parametrize("method", ["local-linear", "cell-means"])
 def test_propensity_array_budget_is_the_computed_size(method):
     g = np.random.default_rng(35)
@@ -178,6 +218,11 @@ def test_propensity_array_budget_is_the_computed_size(method):
     x = 3.0 * z + g.uniform(0, 1, n)
     ds = Dataset(y=x, x=x, z=z)
     size = 8 * (Z_GRID_COUNT + X_GRID_COUNT) * n  # weights and indicators, float64
+    if method == "cell-means":
+        # counted per cell, with neither array, so below that size too
+        with mock.patch.object(mte, "ARRAY_BUDGET_BYTES", size - 1):
+            fit_propensity(ds, method=method)
+        return
     with mock.patch.object(mte, "ARRAY_BUDGET_BYTES", size):
         fit_propensity(ds, method=method)
     with mock.patch.object(mte, "ARRAY_BUDGET_BYTES", size - 1):

@@ -1,7 +1,10 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivcheck import npreg
 from ivcheck.data import RngSpec
@@ -12,6 +15,7 @@ from ivcheck.npreg import (
     fit_cell_means,
     fit_local_linear,
     fit_series,
+    cell_means_smoother,
     local_linear_smoother,
     local_linear_weights,
     nonlinear_step_series_order,
@@ -259,6 +263,62 @@ def test_cell_means_too_many_cells():
     z = np.arange(100.0)
     with pytest.raises(TooManyCells):
         fit_cell_means(np.zeros(100), z)
+
+
+def _dense_cell_means(z, w):
+    """Cell means as dense (cells x n) weights and (m x cells x n) influences: (ok, coef, cov)."""
+    values, inverse, counts = np.unique(z, return_inverse=True, return_counts=True)
+    member = inverse[None, :] == np.arange(len(values))[:, None]
+    ok = np.array([np.ptp(w[row], axis=0).min() > 0 for row in member])
+    a, counts = (member / counts[:, None])[ok], counts[ok]
+    coef = a @ w
+    resid = w.T[:, None, :] - coef.T[:, :, None]
+    psi = (a * np.sqrt(counts / (counts - 1))[:, None])[None] * resid
+    return ok, coef, npreg._influence_cov(psi)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 400), m=st.integers(1, 3),
+       decimals=st.sampled_from([0, 1, None]))
+def test_cell_means_equal_dense(seed, n, m, decimals):
+    """Per-cell sums over counts against the dense weights, within 1e-12 of the largest value.
+
+    Beside the random cells: a one-row cell, a cell constant in the first
+    column, one constant in the last column only when m > 1, and w rounded to
+    ties.
+    """
+    g = np.random.default_rng(seed)
+    z = np.concatenate([np.round(3 * g.uniform(-1, 1, n)), [9.0], [-7.0] * 4, [8.0] * 3])
+    w = g.standard_normal((len(z), m)) * (1.0 + z[:, None] ** 2)
+    if decimals is not None:
+        w = np.round(w, decimals)
+    w[z == -7.0, 0] = 0.25
+    w[z == 8.0, -1] = -1.5
+    w[z == 8.0, 0] = [0.0, 1.0, 2.0]
+    ok, coef, cov = _dense_cell_means(z, w)
+    smoother, ok_smoother = cell_means_smoother(z, w)
+    assert np.array_equal(ok_smoother, ok)
+    assert not ok[np.unique(z) == 9.0] and not ok[np.unique(z) == -7.0]
+    assert ok[np.unique(z) == 8.0] == (m == 1)
+    for got, want in ((smoother.coef, coef), (smoother.cov, cov)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_cell_means_memory_bounded_at_200k():
+    g = np.random.default_rng(36)
+    n = 200_000
+    z = g.integers(0, 50, n).astype(float)
+    w = g.standard_normal((n, 2))
+    tracemalloc.start()
+    try:
+        smoother, ok = cell_means_smoother(z, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all() and smoother.cov.shape == (100, 100)
+    # a few (n,) and (n, 2) arrays; dense (cells x n) weights alone would take 76 MiB
+    assert peak <= 32 * 2**20
 
 
 def test_smoother_linearity_and_scale():
