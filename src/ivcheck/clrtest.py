@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import npreg
-from .npreg import ARRAY_BUDGET_BYTES
 from .data import Dataset, RngSpec, _quantiles, conditioning_grid, distinct
 from .errors import (
     ArrayTooLarge,
@@ -38,6 +37,9 @@ from .moments import (
 
 DEFAULT_ALPHAS = (0.10, 0.05, 0.01)
 METHODS = ("series", "local-linear", "cell-means")
+# run_test refuses arrays above this many bytes before it allocates them,
+# rather than fail in numpy's allocator
+ARRAY_BUDGET_BYTES = 2**32
 VARIANCE_SERIES_ORDER = 2
 # why a method leaves grid points out, for the warning, the error and summary()
 DROP_REASONS = {"local-linear": "empty kernel windows",

@@ -11,17 +11,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _quantiles, conditioning_grid, distinct, empirical_quantile
-from .errors import (ArrayTooLarge, InsufficientData, IvcheckError, MissingBounds, OffSupport,
-                     RankDeficient)
+from .errors import InsufficientData, IvcheckError, MissingBounds, OffSupport, RankDeficient
 from .estimators import _check_rank
 from .npreg import (
-    ARRAY_BUDGET_BYTES,
     MAX_CELLS,
+    _LocalLines,
     _positive,
     cells,
     drop_grid_points,
     epanechnikov,
-    local_linear_weights,
     rule_of_thumb_bandwidth,
 )
 
@@ -112,10 +110,11 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
     of thumb bandwidth and drops, with a warning, instrument grid points whose
     kernel window is empty; `dropped_grid_points` counts them. Raw
     monotonicity violations are recorded per z before the correction so the
-    strict-monotonicity requirement stays checkable. Local-linear weights and
-    indicators above ARRAY_BUDGET_BYTES raise ArrayTooLarge before anything is
-    allocated. Cell means need neither: a cell's surface is the share of its
-    rows with x at or below each x-grid point, counted in one pass.
+    strict-monotonicity requirement stays checkable. Neither method holds an
+    array of grid points x rows. The local-linear surface is summed over the
+    kernel windows of the rows sorted by z, one block at a time, with the
+    (x <= x_grid) indicators of that block's rows only. A cell's surface is
+    the share of its rows with x at or below each x-grid point, counted in one pass.
     """
     if ds.k_x != 1 or ds.k_z != 1:
         raise IvcheckError("fit_propensity expects scalar x and z")
@@ -134,20 +133,16 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
                             minlength=len(z_grid) * (len(x_grid) + 1))
         surface = np.cumsum(hits.reshape(len(z_grid), -1)[:, :-1], axis=1) / counts[:, None]
     else:
-        # float64 weights on Z_GRID_COUNT points and indicators on X_GRID_COUNT, over every row
-        size = 8 * (Z_GRID_COUNT + X_GRID_COUNT) * len(x)
-        if size > ARRAY_BUDGET_BYTES:
-            raise ArrayTooLarge(f"the propensity weights and indicators would take "
-                                f"{size / 2**30:.3g} GiB, above the "
-                                f"{ARRAY_BUDGET_BYTES / 2**30:.3g} GiB budget; use fewer rows")
         z_grid = conditioning_grid(z, 0.01, 0.99, Z_GRID_COUNT)
-        a, ok = local_linear_weights(z, z_grid, rule_of_thumb_bandwidth(z))
+        lines = _LocalLines.at(z, z_grid, rule_of_thumb_bandwidth(z))
+        ok, lines = lines.caller_ok, lines.kept()
         z_grid, dropped = drop_grid_points(z_grid, ok), int((~ok).sum())
-        if dropped:
-            a = a[ok]  # a copy of the weights, so only when a point was dropped
-        indicators = (x[None, :] <= x_grid[:, None]).astype(float)  # (gx, n)
-        surface = a @ indicators.T  # (gz, gx)
-        del a, indicators  # the two (grid x n) arrays are not needed for v_hat below
+        # the sorted grid is z_grid itself; each block of sorted rows adds its
+        # intercept weights times its own rows' (x <= x_grid) indicators
+        x_sorted = x[lines.order]
+        surface = np.zeros((len(z_grid), len(x_grid)))
+        for points, rows, du, k in lines.blocks():
+            surface[points] += lines.intercept(points, du, k) @ (x_sorted[rows, None] <= x_grid)
     if len(z_grid) < 2:
         raise InsufficientData(
             f"propensity needs 2 or more instrument grid points with data, got {len(z_grid)}"

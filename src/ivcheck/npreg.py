@@ -8,7 +8,8 @@ summed from each observation's influence on them. Pointwise standard errors,
 and the Gaussian process the sup test simulates, both come from it. The
 local-linear kernel works on the rows sorted by z, in blocks that meet only
 the grid points whose kernel windows reach them, so none of its arrays grows
-with grid points x rows. Cell means group the rows by cell once and take each
+with grid points x rows; the local-linear propensity of `mte` sums its surface
+over the same blocks. Cell means group the rows by cell once and take each
 cell's mean and covariance block from sums over its rows divided by its count,
 so none of theirs grows with cells x rows. The `fit_*` functions wrap the same
 smoothers for a single column.
@@ -32,9 +33,6 @@ MAX_CELLS = 50
 # the local-linear kernel runs over blocks of this many (grid point, row) cells
 # at most, so its temporaries stay small whatever n and the grid size are
 LOCAL_LINEAR_BLOCK_CELLS = 2**15
-# run_test and fit_propensity refuse arrays above this many bytes before they
-# allocate them, rather than fail in numpy's allocator
-ARRAY_BUDGET_BYTES = 2**32
 
 
 def default_series_order(n: int) -> int:
@@ -255,10 +253,12 @@ class _LocalLines:
 
 
 def local_linear_weights(z, grid, bandwidth: float):
-    """Smoother weight matrix A (grid x n) with theta(grid) = A w.
+    """Smoother weight matrix A (grid x n) with theta(grid) = A w, held dense.
 
     Returns (A, ok) where ok flags grid points whose kernel window supports a
-    non-degenerate local line; rows with ok=False are zero.
+    non-degenerate local line; rows with ok=False are zero. Only the
+    `probe-npreg` request of bench/replay.py and the dense oracles of the
+    tests call it; the smoother and the propensity walk `blocks()`.
     """
     lines = _LocalLines.at(z, grid, bandwidth)
     a = np.zeros((len(lines.grid), len(lines.z)))
@@ -326,8 +326,10 @@ def cell_means_smoother(z, w):
     residuals r, so the covariance is block-diagonal, one (m x m) block per cell.
     """
     values, cell, counts = cells(z)
-    # a float copy of w with each cell's rows together
-    w = np.asarray(w, dtype=float)[np.argsort(cell, kind="stable")]
+    # a float copy of w with each cell's rows together; numpy radix-sorts the
+    # smallest unsigned type that holds a cell index, uint8 under MAX_CELLS
+    order = np.argsort(cell.astype(np.min_scalar_type(len(values) - 1)), kind="stable")
+    w = np.asarray(w, dtype=float)[order]
     m, starts = w.shape[1], np.cumsum(counts) - counts
     ok = np.all(np.maximum.reduceat(w, starts) > np.minimum.reduceat(w, starts), axis=1)
     coef = np.add.reduceat(w, starts) / counts[:, None]

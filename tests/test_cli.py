@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -320,18 +319,6 @@ def test_test_request_leaves_numpy_polynomial_out(null_csv):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] in ("0 False", "2 False")
-
-
-def test_mte_over_the_array_budget_exits_one(null_csv, capsys):
-    from ivcheck import mte
-
-    with mock.patch.object(mte, "ARRAY_BUDGET_BYTES", 2**20):
-        code = main(_args(null_csv, "mte"))
-    err = capsys.readouterr().err
-    assert code == EXIT_ERROR
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "budget" in lines[0]
 
 
 def _run_cli(*argv, flags=()):

@@ -1,14 +1,16 @@
 import dataclasses
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivcheck import mte
-from ivcheck.data import Dataset
+from ivcheck.data import Dataset, conditioning_grid
 from ivcheck.errors import (
-    ArrayTooLarge,
     InsufficientData,
     IvcheckError,
     MissingBounds,
@@ -29,7 +31,7 @@ from ivcheck.mte import (
     quantile_roundtrip_check,
     uniformity_diagnostic,
 )
-from ivcheck.npreg import epanechnikov
+from ivcheck.npreg import epanechnikov, local_linear_weights, rule_of_thumb_bandwidth
 
 
 def _heterogeneous_ds(n=5000, seed=42):
@@ -210,24 +212,70 @@ def test_cell_means_propensity_memory_bounded_at_100k():
     assert peak <= 24 * 2**20
 
 
-@pytest.mark.parametrize("method", ["local-linear", "cell-means"])
-def test_propensity_array_budget_is_the_computed_size(method):
-    g = np.random.default_rng(35)
-    n = 300
-    z = np.round(4 * g.uniform(0, 1, n)) if method == "cell-means" else g.uniform(0, 1, n)
-    x = 3.0 * z + g.uniform(0, 1, n)
-    ds = Dataset(y=x, x=x, z=z)
-    size = 8 * (Z_GRID_COUNT + X_GRID_COUNT) * n  # weights and indicators, float64
+def _dense_local_linear_propensity(z, x, x_grid):
+    """Dense (z grid x n) kernel weights at the kept points times (x grid x n) indicators."""
+    z_grid = conditioning_grid(z, 0.01, 0.99, Z_GRID_COUNT)
+    a, ok = local_linear_weights(z, z_grid, rule_of_thumb_bandwidth(z))
+    return a[ok] @ (x[None, :] <= x_grid[:, None]).T, z_grid[ok], int((~ok).sum())
+
+
+@pytest.mark.parametrize("gap", [False, True])
+def test_local_linear_propensity_equals_dense(gap):
+    """The blocked surface against the dense oracle, within 1e-12 of its largest value.
+
+    With a gap in z, the grid points inside it have empty kernel windows.
+    """
+    g = np.random.default_rng(39)
+    n = 3000
+    z = g.uniform(-3, 3, n)
+    if gap:
+        z = np.where(g.random(n) < 0.5, g.uniform(-3, -1, n), g.uniform(1, 3, n))
+    x = z + g.standard_normal(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore" if gap else "error")
+        pf = fit_propensity(Dataset(y=x, x=x, z=z), method="local-linear")
+    raw, z_grid, dropped = _dense_local_linear_propensity(z, x, pf.x_grid)
+    assert (dropped > 0) == gap and pf.dropped_grid_points == dropped
+    assert np.array_equal(pf.z_grid, z_grid)
+    iso = np.array([np.clip(pava_increasing(row), 0.0, 1.0) for row in np.clip(raw, 0.0, 1.0)])
+    assert np.abs(pf.surface - iso).max() <= 1e-12 * np.abs(iso).max()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 800),
+       method=st.sampled_from(["local-linear", "cell-means"]))
+def test_propensity_invariant_to_row_order(seed, n, method):
+    g = np.random.default_rng(seed)
+    z = g.uniform(-2, 2, n)
     if method == "cell-means":
-        # counted per cell, with neither array, so below that size too
-        with mock.patch.object(mte, "ARRAY_BUDGET_BYTES", size - 1):
-            fit_propensity(ds, method=method)
-        return
-    with mock.patch.object(mte, "ARRAY_BUDGET_BYTES", size):
-        fit_propensity(ds, method=method)
-    with mock.patch.object(mte, "ARRAY_BUDGET_BYTES", size - 1):
-        with pytest.raises(ArrayTooLarge, match=f"{size / 2**30:.3g} GiB"):
-            fit_propensity(ds, method=method)
+        z = np.round(2 * z)
+    x = z + g.standard_normal(n)
+    perm = g.permutation(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pf = fit_propensity(Dataset(y=x, x=x, z=z), method=method)
+        shuffled = fit_propensity(Dataset(y=x[perm], x=x[perm], z=z[perm]), method=method)
+    assert np.array_equal(shuffled.z_grid, pf.z_grid)
+    assert shuffled.dropped_grid_points == pf.dropped_grid_points
+    assert np.abs(shuffled.surface - pf.surface).max() <= 1e-12
+    assert np.abs(shuffled.v_hat - pf.v_hat[perm]).max() <= 1e-12
+
+
+def test_local_linear_propensity_holds_no_grid_by_rows_array():
+    g = np.random.default_rng(40)
+    n = 100_000
+    z = g.uniform(-3, 3, n)
+    x = 3.0 * z + g.standard_normal(n)
+    ds = Dataset(y=x, x=x, z=z)
+    tracemalloc.start()
+    try:
+        fit_propensity(ds, method="local-linear")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few (n,) arrays and one block's kernel arrays; the dense (z grid x n)
+    # weights and (x grid x n) indicators took 72.5 MiB
+    assert peak <= 24 * 2**20
 
 
 def test_propensity_unknown_method():
