@@ -241,6 +241,7 @@ def _cmd_mte(args, config):
         fit_propensity,
         uniformity_diagnostic,
     )
+    from .npreg import DROP_REASONS
 
     ds = _load(args)
     pf = fit_propensity(ds, method=args.propensity_method)
@@ -253,7 +254,7 @@ def _cmd_mte(args, config):
     print(f"invertibility: {cond1.injectivity_violations} injectivity violations, "
           f"minimum rank coverage = {coverage:.4f}")
     if pf.dropped_grid_points > 0:
-        print(f"dropped_grid_points = {pf.dropped_grid_points} (empty kernel windows)")
+        print(f"dropped_grid_points = {pf.dropped_grid_points} ({DROP_REASONS[pf.method]})")
     rows = []
     if args.x is not None and args.x_prime is not None:
         for p in np.linspace(0.1, 0.9, 9):

@@ -41,9 +41,6 @@ METHODS = ("series", "local-linear", "cell-means")
 # rather than fail in numpy's allocator
 ARRAY_BUDGET_BYTES = 2**32
 VARIANCE_SERIES_ORDER = 2
-# why a method leaves grid points out, for the warning, the error and summary()
-DROP_REASONS = {"local-linear": "empty kernel windows",
-                "cell-means": "one-row cells or cells of one value"}
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ class TestReport:
                 lines.append(f"  {key} = {diag[key]}")
         dropped = diag.get("dropped_grid_points", 0)
         if dropped > 0:
-            lines.append(f"  dropped_grid_points = {dropped} ({DROP_REASONS[diag['method']]})")
+            lines.append(f"  dropped_grid_points = {dropped} ({npreg.DROP_REASONS[diag['method']]})")
         if diag.get("s_floored", 0) > 0:
             lines.append(f"  s_floored = {diag['s_floored']} (standard errors at the floor)")
         lines.append(f"  adaptive selection: gamma_n = {self.gamma_n:.6f}, kappa_n = {self.kappa:.4f}")
@@ -216,9 +213,11 @@ def _check_array_budget(cfg: TestConfig, ms: MomentSystem, n_grid: int, n_coef: 
 
     Those are, in float64, the standardized draws (draws x base moments x grid
     points), the coefficient covariance and its Cholesky factor ((base moments
-    x coefficients) squared) and the draw map of `_process` (base moments x
-    coefficients by base moments x grid points). A local-linear smoother has
-    one coefficient per grid point.
+    x coefficients) squared), the draw map of `_process` (base moments x
+    coefficients by base moments x grid points) and, for series, the
+    influences of `npreg.series_smoother` (base moments x coefficients x
+    rows), the largest of the arrays it holds beside its basis and
+    pseudo-inverse. A local-linear smoother has one coefficient per grid point.
     """
     m = ms.base.shape[1]
     arrays = [
@@ -227,6 +226,9 @@ def _check_array_budget(cfg: TestConfig, ms: MomentSystem, n_grid: int, n_coef: 
          "npreg.series_order" if cfg.method == "series" else "grid.count"),
         (m * n_coef * m * n_grid, "the draw map", "grid.count"),
     ]
+    if cfg.method == "series":
+        arrays.append((m * n_coef * len(ms.conditioning), "the series influences",
+                       "npreg.series_order"))
     size, name, keys = max(arrays, key=lambda array: array[0])
     if 8 * size > ARRAY_BUDGET_BYTES:
         raise ArrayTooLarge(f"{name} would take {8 * size / 2**30:.3g} GiB, above the "
@@ -256,12 +258,12 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
 
     A series fit without `cfg.series_order` uses `npreg.default_series_order(n)`;
     the spec-dependent orders are set by `test_model`. Either is capped at the
-    number of distinct conditioning values minus one. Local-linear grid points
-    with empty kernel windows, and cell-means cells with one row or one value
-    of a base moment, are dropped, with a warning, and counted in
-    `diagnostics["dropped_grid_points"]`. A draw tensor or coefficient
-    covariance above ARRAY_BUDGET_BYTES raises ArrayTooLarge before anything
-    is allocated. A grid with a non-finite point, or a series grid without two
+    number of distinct conditioning values minus one. Grid points that the
+    local-linear or cell-means smoother cannot estimate are dropped, with the
+    warning of `npreg.drop_grid_points`, and counted in
+    `diagnostics["dropped_grid_points"]`. An array of `_check_array_budget`
+    above ARRAY_BUDGET_BYTES raises ArrayTooLarge before anything is
+    allocated. A grid with a non-finite point, or a series grid without two
     distinct points, raises InvalidGrid.
     """
     c = ms.conditioning
@@ -307,10 +309,9 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
             diagnostics["bandwidth"] = bandwidth
             smoother, ok = npreg.local_linear_smoother(c, ms.base, grid, bandwidth)
     if ok is not None:
-        grid = npreg.drop_grid_points(grid, ok, DROP_REASONS[method])
-        diagnostics["dropped_grid_points"] = int((~ok).sum())
+        grid, diagnostics["dropped_grid_points"] = npreg.drop_grid_points(grid, ok, method)
         if grid.size == 0:
-            raise EmptyGrid(f"all grid points have {DROP_REASONS[method]}")
+            raise EmptyGrid(f"all grid points have {npreg.DROP_REASONS[method]}")
     theta_base, s_base, zstar_base = _process(smoother, grid, gen, cfg.mult_draws)
 
     floored = s_base <= npreg.S_FLOOR * (1.0 + np.abs(theta_base))

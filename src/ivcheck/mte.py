@@ -90,7 +90,7 @@ class PropensityFit:
     v_hat: np.ndarray
     monotonicity_report: dict  # z-grid value -> raw violation fraction before isotonization
     method: str
-    dropped_grid_points: int = 0  # instrument grid points left out for empty kernel windows
+    dropped_grid_points: int = 0  # instrument grid points left out, for npreg.DROP_REASONS[method]
 
     def evaluate(self, z, x):
         """Bilinear interpolation of the surface, clamped to [0, 1]; scalars give a float."""
@@ -107,8 +107,8 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
     """Estimate P(z, x) = P(X <= x | Z = z) on a grid, clip and isotonize in x.
 
     `method` is one of PROPENSITY_METHODS. The local-linear fit uses the rule
-    of thumb bandwidth and drops, with a warning, instrument grid points whose
-    kernel window is empty; `dropped_grid_points` counts them. Raw
+    of thumb bandwidth and drops, with a warning, instrument grid points where
+    it builds no local line; `dropped_grid_points` counts them. Raw
     monotonicity violations are recorded per z before the correction so the
     strict-monotonicity requirement stays checkable. Neither method holds an
     array of grid points x rows. The local-linear surface is summed over the
@@ -134,9 +134,8 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
         surface = np.cumsum(hits.reshape(len(z_grid), -1)[:, :-1], axis=1) / counts[:, None]
     else:
         z_grid = conditioning_grid(z, 0.01, 0.99, Z_GRID_COUNT)
-        lines = _LocalLines.at(z, z_grid, rule_of_thumb_bandwidth(z))
-        ok, lines = lines.caller_ok, lines.kept()
-        z_grid, dropped = drop_grid_points(z_grid, ok), int((~ok).sum())
+        lines, ok = _LocalLines.at(z, z_grid, rule_of_thumb_bandwidth(z))
+        z_grid, dropped = drop_grid_points(z_grid, ok, method)
         # the sorted grid is z_grid itself; each block of sorted rows adds its
         # intercept weights times its own rows' (x <= x_grid) indicators
         x_sorted = x[lines.order]

@@ -12,7 +12,9 @@ with grid points x rows; the local-linear propensity of `mte` sums its surface
 over the same blocks. Cell means group the rows by cell once and take each
 cell's mean and covariance block from sums over its rows divided by its count,
 so none of theirs grows with cells x rows. The `fit_*` functions wrap the same
-smoothers for a single column.
+smoothers for a single column. A smoother that cannot estimate some grid
+points holds the others only; `drop_grid_points` leaves them out of the
+caller's grid, for the reason that `DROP_REASONS` gives per method.
 """
 
 from __future__ import annotations
@@ -173,53 +175,41 @@ def _positive(bandwidth) -> float:
 class _LocalLines:
     """Kernel-weighted local lines of z at grid points, built on blocks of rows sorted by z.
 
-    The rows and the grid points are each sorted once. A block of rows meets
-    only the grid points whose windows [g - h, g + h] can reach it, so every
-    pass touches the in-window (point, row) cells and the few more of a padded
-    window, which the kernel zeroes. Holds each sorted point's kernel sums s0,
-    s1, s2 and `ok`, which flags points whose window supports a non-degenerate
-    local line. `intercept` and `slope` turn a block of `blocks()` into weight
-    rows; intercept rows of points with ok=False are zero. A point's sums, and
-    the products over its rows, add up block by block, so the last bits of a
-    result depend on the block size.
+    `at` sorts the rows and the grid once and returns the lines at the points
+    whose window supports a non-degenerate local line, with their kernel sums
+    s0, s1, s2, and `ok`, which flags those points in the caller's order. A
+    block of rows meets only the points whose windows [g - h, g + h] can reach
+    it, so every pass touches the in-window (point, row) cells and the few more
+    of a padded window, which the kernel zeroes. `intercept` and `slope` turn a
+    block of `blocks()` into weight rows. A point's sums, and the products over
+    its rows, add up block by block, so the last bits depend on the block size.
     """
 
     z: np.ndarray  # (n,) sorted
     order: np.ndarray  # (n,) the caller's row of each sorted row
-    grid: np.ndarray  # (G,) sorted
-    index: np.ndarray  # (G,) the caller's position of each sorted grid point
+    grid: np.ndarray  # (G,) the kept grid points, sorted
+    index: np.ndarray  # (G,) the caller's position of each kept grid point
     bandwidth: float
     sums: np.ndarray  # (3, G): s0, s1, s2
-    denom: np.ndarray | None = None  # (G,): s0 s2 - s1^2, 1 where not ok
-    ok: np.ndarray | None = None
+    denom: np.ndarray  # (G,): s0 s2 - s1^2
 
     @classmethod
-    def at(cls, z, grid, bandwidth) -> _LocalLines:
+    def at(cls, z, grid, bandwidth) -> tuple[_LocalLines, np.ndarray]:
         z = np.asarray(z, dtype=float).ravel()
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
         order, index = np.argsort(z, kind="stable"), np.argsort(grid, kind="stable")
-        lines = cls(z[order], order, grid[index], index, _positive(bandwidth),
-                    np.zeros((3, len(grid))))
-        for points, _, du, k in lines.blocks():
-            lines.sums[:, points] += k.sum(axis=1), (k * du).sum(axis=1), (k * du**2).sum(axis=1)
-        s0, s1, s2 = lines.sums
+        sums = np.zeros((3, len(grid)))
+        # every sorted point, to sum the kernel over; its denom is set from the sums below
+        every = cls(z[order], order, grid[index], index, _positive(bandwidth), sums, sums[0])
+        for points, _, du, k in every.blocks():
+            sums[:, points] += k.sum(axis=1), (k * du).sum(axis=1), (k * du**2).sum(axis=1)
+        s0, s1, s2 = sums
         denom = s0 * s2 - s1**2
-        scale = np.maximum(s0 * np.maximum(s2, lines.bandwidth**2), 1e-300)
-        ok = (s0 > 0) & (denom > 1e-12 * scale)
-        return replace(lines, denom=np.where(ok, denom, 1.0), ok=ok)
-
-    @property
-    def caller_ok(self) -> np.ndarray:
-        """`ok` in the caller's grid order."""
-        ok = np.empty_like(self.ok)
-        ok[self.index] = self.ok
-        return ok
-
-    def kept(self) -> _LocalLines:
-        """The same lines at the grid points with ok=True only."""
-        ok = self.ok
-        return replace(self, grid=self.grid[ok], index=self.index[ok], sums=self.sums[:, ok],
-                       denom=self.denom[ok], ok=ok[ok])
+        scale = np.maximum(s0 * np.maximum(s2, every.bandwidth**2), 1e-300)
+        kept = (s0 > 0) & (denom > 1e-12 * scale)
+        ok = kept[np.argsort(index)]  # in the caller's grid order
+        return replace(every, grid=every.grid[kept], index=index[kept], sums=sums[:, kept],
+                       denom=denom[kept]), ok
 
     def blocks(self):
         """(points, rows, du, k) per block of LOCAL_LINEAR_BLOCK_CELLS // G sorted rows.
@@ -244,10 +234,9 @@ class _LocalLines:
 
     def intercept(self, points, du, k) -> np.ndarray:
         _, s1, s2 = self.sums[:, points, None]
-        return np.where(self.ok[points, None], k * (s2 - s1 * du) / self.denom[points, None], 0.0)
+        return k * (s2 - s1 * du) / self.denom[points, None]
 
     def slope(self, points, du, k) -> np.ndarray:
-        """Slope weight rows; only called on `kept()` lines, where every point is ok."""
         s0, s1, _ = self.sums[:, points, None]
         return k * (s0 * du - s1) / self.denom[points, None]
 
@@ -260,33 +249,38 @@ def local_linear_weights(z, grid, bandwidth: float):
     `probe-npreg` request of bench/replay.py and the dense oracles of the
     tests call it; the smoother and the propensity walk `blocks()`.
     """
-    lines = _LocalLines.at(z, grid, bandwidth)
-    a = np.zeros((len(lines.grid), len(lines.z)))
+    lines, ok = _LocalLines.at(z, grid, bandwidth)
+    a = np.zeros((len(ok), len(lines.z)))
     for points, rows, du, k in lines.blocks():
         a[lines.index[points, None], lines.order[rows]] = lines.intercept(points, du, k)
-    return a, lines.caller_ok
+    return a, ok
 
 
-def drop_grid_points(grid, ok, reason: str = "empty kernel windows") -> np.ndarray:
-    """grid[ok], warning the caller's caller when some grid points are dropped.
+# why a method's fit leaves grid points out: the warning, the error, summary() and `ivcheck mte`
+DROP_REASONS = {"local-linear": "empty kernel windows",
+                "cell-means": "one-row cells or cells of one value"}
+
+
+def drop_grid_points(grid, ok, method: str):
+    """(grid[ok], the number dropped), warning with `DROP_REASONS[method]` when some are.
 
     When every point is dropped the caller raises instead, so no warning.
     """
-    if np.any(ok) and not np.all(ok):
-        warnings.warn(f"dropping {int((~ok).sum())} grid points with {reason}", stacklevel=3)
-    return grid[ok]
+    dropped = int((~ok).sum())
+    if 0 < dropped < len(ok):
+        warnings.warn(f"dropping {dropped} grid points with {DROP_REASONS[method]}", stacklevel=3)
+    return grid[ok], dropped
 
 
 def local_linear_smoother(z, w, grid, bandwidth: float):
     """Local lines of each column of w (n, m) at the grid points.
 
     Returns (smoother, ok). Each residual comes from the grid point's own
-    local line. Grid points with ok=False are left out of the smoother, which
-    holds the others in sorted order, so its process does not depend on the
-    order of the grid.
+    local line. The lines are built only at the grid points whose window
+    supports one (ok=True), in sorted order, so the smoother's process does
+    not depend on the order of the grid.
     """
-    lines = _LocalLines.at(z, grid, bandwidth)
-    ok, lines = lines.caller_ok, lines.kept()
+    lines, ok = _LocalLines.at(z, grid, bandwidth)
     w = w[lines.order]
     m, g = w.shape[1], len(lines.grid)
     beta, coef = np.zeros((g, m)), np.zeros((g, m))

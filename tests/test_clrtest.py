@@ -155,7 +155,10 @@ def test_simulation_budget_guard():
     # (base moments x grid points)^2, a local line per grid point: here larger
     # than the draw tensor
     (Cfg(method="local-linear", grid_count=300, mult_draws=200), 8 * 300**2, "grid.count"),
-], ids=["draw-tensor", "local-linear-covariance"])
+    # base moments x coefficients x rows, the series influences: here larger
+    # than the draw tensor, the covariance and the draw map
+    (Cfg(series_order=15, grid_count=2, mult_draws=200), 8 * 16 * 300, "npreg.series_order"),
+], ids=["draw-tensor", "local-linear-covariance", "series-influences"])
 def test_array_budget_is_the_computed_size(cfg, size, keys):
     g = np.random.default_rng(11)
     ms = _one_sided(g.standard_normal(300), g.uniform(-1, 1, 300))

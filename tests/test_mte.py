@@ -19,7 +19,6 @@ from ivcheck.errors import (
 from ivcheck.mte import (
     MIN_EFFECTIVE_OBS,
     P_GRID,
-    X_GRID_COUNT,
     Z_GRID_COUNT,
     condition1_diagnostic,
     estimate_asf,
@@ -146,30 +145,9 @@ def test_local_linear_propensity_memory_bounded_at_200k():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the surface is the product of two arrays it must hold: the (z grid x n)
-    # kernel weights and the (x grid x n) indicators
-    result = 8 * (Z_GRID_COUNT + X_GRID_COUNT) * n
-    assert peak <= 1.5 * result + 32 * 2**20
-
-
-def test_local_linear_propensity_holds_one_copy_of_the_weights():
-    # no grid point is dropped, so the weights are not copied, and they and the
-    # indicators are released before v_hat is interpolated
-    g = np.random.default_rng(34)
-    n = 100_000
-    z = g.uniform(-3, 3, n)
-    x = 3.0 * z + g.standard_normal(n)
-    ds = Dataset(y=x, x=x, z=z)
-    tracemalloc.start()
-    try:
-        pf = fit_propensity(ds, method="local-linear")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert pf.dropped_grid_points == 0
-    # float weights and indicators, and the boolean indicators cast to float
-    needed = 8 * (Z_GRID_COUNT + X_GRID_COUNT) * n + X_GRID_COUNT * n
-    assert peak <= needed + 2**20
+    # a few (n,) arrays and one block's kernel arrays, about 22 MiB; the dense
+    # (z grid x n) weights and (x grid x n) indicators alone took 137 MiB
+    assert peak <= 48 * 2**20
 
 
 @pytest.mark.parametrize("ties", [False, True])
@@ -269,10 +247,11 @@ def test_local_linear_propensity_holds_no_grid_by_rows_array():
     ds = Dataset(y=x, x=x, z=z)
     tracemalloc.start()
     try:
-        fit_propensity(ds, method="local-linear")
+        pf = fit_propensity(ds, method="local-linear")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert pf.dropped_grid_points == 0
     # a few (n,) arrays and one block's kernel arrays; the dense (z grid x n)
     # weights and (x grid x n) indicators took 72.5 MiB
     assert peak <= 24 * 2**20

@@ -224,6 +224,44 @@ def test_local_linear_window_edges_equal_dense(rows_per_block):
     assert ok.tolist() == [True] * 6 + [False]  # no row within h of 9.0
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 300), m=st.integers(1, 2),
+       decimals=st.sampled_from([0, 1, None]), h=st.floats(0.2, 1.5))
+def test_local_linear_lines_at_a_permuted_grid(seed, n, m, decimals, h):
+    """Random z with a gap and ties, and a shuffled grid with duplicates and points beyond the data.
+
+    The smoother on a permuted grid holds the same lines bit for bit, with ok
+    permuted the same way, and the weights keep the same points, with rows at
+    them within 1e-12 of the dense oracle's largest value and zero elsewhere.
+    Rounding in the kernel sums grows with the condition of a line's design,
+    s0 max(s2, h^2) / (s0 s2 - s1^2), which is large where a few rows at the
+    edge of a window barely span a line, so such a row gets that factor of eps.
+    """
+    g = np.random.default_rng(seed)
+    z = np.where(g.random(n) < 0.5, g.uniform(-3, -1, n), g.uniform(1, 3, n))
+    if decimals is not None:
+        z = np.round(z, decimals)
+    w = g.standard_normal((n, m))
+    grid = np.concatenate([g.uniform(-4, 4, g.integers(2, 30)), [-6.0, 6.0]])
+    grid = g.permutation(np.concatenate([grid, grid[: g.integers(1, 4)]]))
+    perm = g.permutation(len(grid))
+    smoother, ok = local_linear_smoother(z, w, grid, h)
+    permuted, ok_permuted = local_linear_smoother(z, w, grid[perm], h)
+    assert np.array_equal(ok_permuted, ok[perm])
+    assert np.array_equal(permuted.coef, smoother.coef)
+    assert np.array_equal(permuted.cov, smoother.cov)
+    a, ok_weights = local_linear_weights(z, grid, h)
+    a_dense, ok_dense, _, _ = _dense_local_linear(z, w, grid, h)
+    assert np.array_equal(ok_weights, ok) and np.array_equal(ok_dense, ok)
+    assert not ok[np.abs(grid) == 6.0].any() and not a[~ok].any()
+    du = z[None, :] - grid[ok, None]
+    k = epanechnikov(du / h)
+    s0, s1, s2 = k.sum(axis=1), (k * du).sum(axis=1), (k * du**2).sum(axis=1)
+    cond = s0 * np.maximum(s2, h**2) / (s0 * s2 - s1**2)
+    tol = np.maximum(1e-12, 64 * np.finfo(float).eps * cond) * np.abs(a_dense[ok]).max(initial=0.0)
+    assert (np.abs(a[ok] - a_dense[ok]) <= tol[:, None]).all()
+
+
 def test_rule_of_thumb_bandwidth():
     z = np.random.default_rng(4).standard_normal(1000)
     assert abs(rule_of_thumb_bandwidth(z) - 1.06 * np.std(z) * 1000**-0.2) < 1e-12
