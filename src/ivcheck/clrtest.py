@@ -123,6 +123,9 @@ class TestReport:
             lines.append(f"  dropped_grid_points = {dropped} ({npreg.DROP_REASONS[diag['method']]})")
         if diag.get("s_floored", 0) > 0:
             lines.append(f"  s_floored = {diag['s_floored']} (standard errors at the floor)")
+        if diag.get("chol_jitter_raises", 0) > 0:
+            lines.append(f"  chol_jitter = {diag['chol_jitter']:.3g} (raised tenfold "
+                         f"{diag['chol_jitter_raises']} times: nearly singular covariance)")
         lines.append(f"  adaptive selection: gamma_n = {self.gamma_n:.6f}, kappa_n = {self.kappa:.4f}")
         for alpha in self.alpha_levels:
             res = self.levels[alpha]
@@ -172,31 +175,40 @@ class IdentifiedSet:
         return len(self.accepted) == 0
 
 
-def _chol_psd(cov: np.ndarray) -> np.ndarray:
-    """Cholesky factor with a small diagonal jitter for nearly singular covariances."""
+def _chol_psd(cov: np.ndarray):
+    """(Cholesky factor of cov + jitter I, jitter, how many times the jitter rose tenfold).
+
+    The jitter starts at max(trace / len, 1) 1e-12 and rises for nearly singular covariances.
+    """
     jitter = max(np.trace(cov) / len(cov), 1.0) * 1e-12
-    for _ in range(12):
+    for raises in range(12):
         try:
-            return np.linalg.cholesky(cov + jitter * np.eye(len(cov)))
+            return np.linalg.cholesky(cov + jitter * np.eye(len(cov))), jitter, raises
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise DegenerateVariance("coefficient covariance is not positive semidefinite")
 
 
 def _process(smoother: npreg.Smoother, grid, rng, draws):
-    """theta, s and standardized draws of the smoother's Gaussian process on the grid.
+    """theta, s, standardized draws of the smoother's Gaussian process on the grid, and the
+    diagnostics of the Cholesky jitter.
 
-    Given the data, the estimate is linear in the moment values: with
-    cov = chol chol' in coefficient space and L the design, the standardized
-    draws are N(0, I) normals times the fixed map chol' L' / s, one product.
+    Given the data, the estimate is linear in the moment values: with cov = chol chol'
+    of the coefficients and L the design, the standardized draws are N(0, I) normals
+    times the fixed map chol' L' / s, or chol'[:, L] / s where L indexes coefficients.
     """
-    design = smoother.design(grid)  # (G, k)
+    design = smoother.design(grid)  # (G, k), or (G,) coefficient indices
     theta_base, s_base = smoother.evaluate_design(design)  # (n_base, G)
-    n_base, k = theta_base.shape[0], design.shape[1]
-    chol_t = _chol_psd(smoother.cov).T
-    draw_map = (chol_t.reshape(n_base * k, n_base, k) @ design.T) / s_base
+    n_base, k = theta_base.shape[0], len(smoother.coef)
+    chol, jitter, raises = _chol_psd(smoother.cov)
+    chol_t = chol.T
+    if design.dtype.kind == "i":
+        draw_map = chol_t.reshape(n_base * k, n_base, k)[..., design] / s_base
+    else:
+        draw_map = (chol_t.reshape(n_base * k, n_base, k) @ design.T) / s_base
     zstar_base = rng.standard_normal((draws, n_base * k)) @ draw_map.reshape(n_base * k, -1)
-    return theta_base, s_base, zstar_base.reshape(draws, n_base, -1)
+    return (theta_base, s_base, zstar_base.reshape(draws, n_base, -1),
+            {"chol_jitter": jitter, "chol_jitter_raises": raises})
 
 
 def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
@@ -261,7 +273,9 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     number of distinct conditioning values minus one. Grid points that the
     local-linear or cell-means smoother cannot estimate are dropped, with the
     warning of `npreg.drop_grid_points`, and counted in
-    `diagnostics["dropped_grid_points"]`. An array of `_check_array_budget`
+    `diagnostics["dropped_grid_points"]`. The diagonal jitter of `_chol_psd`
+    is recorded in `diagnostics["chol_jitter"]`, and how many times it rose
+    tenfold in `diagnostics["chol_jitter_raises"]`. An array of `_check_array_budget`
     above ARRAY_BUDGET_BYTES raises ArrayTooLarge before anything is
     allocated. A grid with a non-finite point, or a series grid without two
     distinct points, raises InvalidGrid.
@@ -312,7 +326,8 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
         grid, diagnostics["dropped_grid_points"] = npreg.drop_grid_points(grid, ok, method)
         if grid.size == 0:
             raise EmptyGrid(f"all grid points have {npreg.DROP_REASONS[method]}")
-    theta_base, s_base, zstar_base = _process(smoother, grid, gen, cfg.mult_draws)
+    theta_base, s_base, zstar_base, chol = _process(smoother, grid, gen, cfg.mult_draws)
+    diagnostics.update(chol)
 
     floored = s_base <= npreg.S_FLOOR * (1.0 + np.abs(theta_base))
     if np.all(floored):

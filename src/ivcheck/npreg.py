@@ -117,7 +117,7 @@ class Smoother:
     on them (`_influence_cov`).
     """
 
-    design: Callable  # v (G,) -> L (G, k)
+    design: Callable  # v (G,) -> L (G, k), or a point smoother's coefficient indices (G,)
     coef: np.ndarray  # (k, m)
     cov: np.ndarray  # (m k, m k)
 
@@ -126,8 +126,11 @@ class Smoother:
         return self.evaluate_design(self.design(np.atleast_1d(np.asarray(v, dtype=float))))
 
     def evaluate_design(self, design):
-        """`evaluate` at the points whose design rows are `design` (G, k)."""
+        """`evaluate` at the points whose design rows are `design` (G, k), or coefficient indices (G,)."""
         k = len(self.coef)
+        if design.dtype.kind == "i":  # a point smoother: theta is the coefficients at the indices
+            theta, var = self.coef[design].T, self.cov.diagonal().reshape(-1, k)[:, design]
+            return theta, clamp_s(np.sqrt(var.clip(min=0.0)), theta)
         theta = (design @ self.coef).T
         s = np.empty_like(theta)
         for a in range(len(s)):
@@ -137,12 +140,12 @@ class Smoother:
 
 
 def _point_design(points, v):
-    """Selector rows: the coefficients are the fit at `points` themselves."""
-    hit = v[:, None] == points[None, :]
-    found = hit.any(axis=1)
+    """The index of each point of v into the sorted `points`, whose coefficients are the fit there."""
+    index = np.searchsorted(points, v)
+    found = np.append(points, np.nan)[index] == v  # past the end is NaN, equal to nothing
     if not np.all(found):
         raise EmptyWindow(v[~found].tolist())
-    return np.eye(len(points))[hit.argmax(axis=1)]
+    return index
 
 
 def series_smoother(z, w, order: int, lo: float, hi: float) -> Smoother:

@@ -360,6 +360,22 @@ def test_overid_exact_fit_exits_one(tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_singular_second_step_weight_exits_one(tmp_path, capsys):
+    z = np.repeat(np.arange(5.0), 40)
+    e = np.where(z <= 2, np.tile([1.0, -1.0], 100), 0.0)
+    from ivcheck.data import Dataset
+    p = tmp_path / "singular-weight.csv"
+    write_csv(Dataset(y=1.0 + 2.0 * z + e, x=z, z=z), p)
+    for argv in (("overid", "--statistic", "hansen-j"), ("fit", "--estimator", "gmm")):
+        code = main(_args(str(p), *argv))
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR, argv
+        lines = err.strip().splitlines()
+        # the singular value is rounding noise, about 1e-17
+        assert len(lines) == 1, argv
+        assert lines[0].startswith("error: second-step weight matrix is rank deficient"), argv
+
+
 def _one_error_line(err):
     assert "Traceback" not in err
     lines = [line for line in err.splitlines() if "error:" in line]

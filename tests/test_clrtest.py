@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -519,11 +520,17 @@ def test_quantiles_equal_numpy(seed, size, kind, n):
 
 
 def _two_product_draws(smoother, grid, rng, draws):
-    """Oracle: coefficient noise chol @ normals, then the design, then a division by s."""
+    """Oracle: coefficient noise chol @ normals, then the design, then a division by s.
+
+    A point smoother's design, the index of each grid point's coefficient, is
+    taken as the dense one-hot selector of those coefficients.
+    """
     design = smoother.design(grid)
+    if design.ndim == 1:
+        design = np.eye(len(smoother.coef))[design]
     _, s_base = smoother.evaluate(grid)
     n_base, k = s_base.shape[0], design.shape[1]
-    eps = rng.standard_normal((draws, n_base * k)) @ clrtest._chol_psd(smoother.cov).T
+    eps = rng.standard_normal((draws, n_base * k)) @ clrtest._chol_psd(smoother.cov)[0].T
     return (eps.reshape(-1, k) @ design.T).reshape(draws, n_base, -1) / s_base
 
 
@@ -549,7 +556,7 @@ def test_process_matches_two_product_oracle(seed, n, n_base, method):
     else:
         smoother, ok = npreg.cell_means_smoother(z, base)
         grid = np.unique(z)[ok]
-    theta, s, zstar = clrtest._process(smoother, grid, np.random.default_rng(seed), 300)
+    theta, s, zstar, _ = clrtest._process(smoother, grid, np.random.default_rng(seed), 300)
     oracle = _two_product_draws(smoother, grid, np.random.default_rng(seed), 300)
     assert zstar.shape == oracle.shape == (300, n_base, len(grid))
     assert np.max(np.abs(zstar - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -673,3 +680,86 @@ def test_floored_standard_errors_are_reported():
                      RngSpec(seed=0))
     assert clean.diagnostics["s_floored"] == 0
     assert "s_floored" not in clean.summary()
+
+
+def test_chol_psd_raises_the_jitter_of_an_indefinite_matrix():
+    """A symmetric matrix with smallest eigenvalue about -1e-9 of its scale needs a larger jitter."""
+    g = np.random.default_rng(4)
+    q, _ = np.linalg.qr(g.standard_normal((30, 30)))
+    eig = np.concatenate([g.uniform(0.5, 2.0, 29), [-1e-9]])
+    cov = (q * eig) @ q.T
+    cov = (cov + cov.T) / 2
+    first = max(np.trace(cov) / 30, 1.0) * 1e-12
+    chol, jitter, raises = clrtest._chol_psd(cov)
+    assert raises >= 3 and jitter > 1e-9
+    assert jitter == pytest.approx(first * 10.0**raises, rel=1e-12)
+    assert np.abs(chol @ chol.T - cov - jitter * np.eye(30)).max() <= 1e-12
+    assert clrtest._chol_psd(np.eye(30))[1:] == (1e-12, 0)
+
+
+def test_chol_jitter_is_reported():
+    """Every report records the jitter; summary() shows it only when it rose."""
+    g = np.random.default_rng(5)
+    z = g.uniform(-1, 1, 300)
+    ms = _paired([g.standard_normal(300)], ["resid"], z, "z")
+    cfg = Cfg(mult_draws=200)
+    report = run_test(ms, None, cfg, RngSpec(seed=0))
+    grid = report.grid
+    smoother = npreg.series_smoother(z, ms.base, report.diagnostics["series_order"],
+                                     float(grid.min()), float(grid.max()))
+    first = max(np.trace(smoother.cov) / len(smoother.cov), 1.0) * 1e-12
+    assert report.diagnostics["chol_jitter"] == first
+    assert report.diagnostics["chol_jitter_raises"] == 0
+    assert "chol_jitter" not in report.summary()
+    cholesky, calls = np.linalg.cholesky, []
+
+    def refuse_twice(a):
+        calls.append(a)
+        if len(calls) <= 2:
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(a)
+
+    with mock.patch("numpy.linalg.cholesky", side_effect=refuse_twice):
+        raised = run_test(ms, None, cfg, RngSpec(seed=0))
+    assert raised.diagnostics["chol_jitter"] == first * 10.0 * 10.0
+    assert raised.diagnostics["chol_jitter_raises"] == 2
+    assert (f"chol_jitter = {first * 100:.3g} (raised tenfold 2 times: nearly singular covariance)"
+            in raised.summary())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(60, 400),
+    n_base=st.integers(1, 2),
+    tied=st.booleans(),
+    method=st.sampled_from(["series", "local-linear", "cell-means"]),
+    bandwidth=st.sampled_from([None, 0.6]),
+)
+def test_decisions_invariant_to_row_permutation(seed, n, n_base, tied, method, bandwidth):
+    """Permuting the rows of the base moments and the conditioning column moves no decision.
+
+    theta_corrected moves by at most 1e-5 max(1, |theta|): rounding in
+    sums taken in row order, which a rank-deficient local-linear covariance
+    (n < base moments x grid points) amplifies through the jittered Cholesky.
+    A decision is compared wherever theta_corrected is farther than that from 0.
+    """
+    g = np.random.default_rng(seed)
+    z = g.uniform(-1, 1, n)
+    if tied or method == "cell-means":
+        z = np.round(z, 1)
+    base = g.standard_normal((n, n_base)) + g.uniform(-0.4, 0.4, n_base) * z[:, None]
+    ms = _paired(list(base.T), [f"w{b}" for b in range(n_base)], z, "z")
+    perm = g.permutation(n)
+    permuted = replace(ms, base=ms.base[perm], conditioning=z[perm])
+    cfg = Cfg(method=method, bandwidth=bandwidth, mult_draws=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # grid points dropped alike in both
+        report, report_permuted = (run_test(m, None, cfg, RngSpec(seed=seed % 1000))
+                                   for m in (ms, permuted))
+    tol = 1e-5 * max(1.0, np.abs(report.theta).max())
+    for alpha in cfg.alpha_levels:
+        got, want = report_permuted.theta_corrected(alpha), report.theta_corrected(alpha)
+        assert abs(got - want) <= tol
+        if abs(want) > tol:
+            assert report_permuted.reject(alpha) == report.reject(alpha)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivcheck import npreg
+from ivcheck import clrtest, npreg
 from ivcheck.data import RngSpec
 from ivcheck.errors import EmptyWindow, InsufficientData, RankDeficient, TooManyCells
 from ivcheck.npreg import (
@@ -357,6 +358,66 @@ def test_cell_means_memory_bounded_at_200k():
     assert ok.all() and smoother.cov.shape == (100, 100)
     # a few (n,) and (n, 2) arrays; dense (cells x n) weights alone would take 76 MiB
     assert peak <= 32 * 2**20
+
+
+def _selector(smoother):
+    """The smoother with its point design read through the dense one-hot selector of its coefficients."""
+    eye = np.eye(len(smoother.coef))
+    return replace(smoother, design=lambda v: eye[smoother.design(v)])
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 300), m=st.integers(1, 3),
+       method=st.sampled_from(["local-linear", "cell-means"]))
+def test_point_design_reads_the_selector_by_index(seed, n, m, method):
+    """A point smoother read at its points by index equals the dense one-hot selector bit for bit.
+
+    Local-linear grids are shuffled, with duplicates and points beyond the
+    data; cell means are read at their cells, shuffled and repeated. Points
+    that are not among the smoother's (beyond the data, a one-row cell, a
+    value between cells) raise EmptyWindow naming them.
+    """
+    g = np.random.default_rng(seed)
+    if method == "local-linear":
+        z = g.uniform(-2, 2, n)
+        grid = np.concatenate([g.uniform(-1.5, 1.5, g.integers(2, 30)), [-5.0, 5.0]])
+        grid = g.permutation(np.concatenate([grid, grid[: g.integers(1, 4)]]))
+        w = g.standard_normal((n, m)) * (1.0 + z[:, None] ** 2)
+        smoother, ok = local_linear_smoother(z, w, grid, g.uniform(0.3, 1.0))
+        points, missing = grid[ok], grid[~ok]
+    else:
+        z = np.concatenate([np.round(3 * g.uniform(-1, 1, n)), [9.0]])
+        w = g.standard_normal((len(z), m)) * (1.0 + z[:, None] ** 2)
+        smoother, ok = cell_means_smoother(z, w)
+        values = np.unique(z)
+        points = g.choice(values[ok], size=2 * ok.sum())
+        missing = np.concatenate([values[~ok], values[ok][:1] + 0.5])
+    assert points.size and missing.size
+    index = smoother.design(points)
+    assert index.dtype.kind == "i" and index.shape == points.shape
+    dense = _selector(smoother)
+    for got, want in zip(smoother.evaluate(points), dense.evaluate(points)):
+        assert _same_bits(got, want)
+    draws = [clrtest._process(s, points, np.random.default_rng(seed), 200) for s in (smoother, dense)]
+    for got, want in zip(*(d[:3] for d in draws)):
+        assert _same_bits(got, want)
+    assert draws[0][3] == draws[1][3]
+    with pytest.raises(EmptyWindow) as raised:
+        smoother.design(g.permutation(np.concatenate([points, missing])))
+    assert sorted(raised.value.points) == sorted(missing.tolist())
+
+
+def test_point_design_of_no_points_raises_empty_window():
+    z = w = np.linspace(0, 1, 50)
+    with pytest.raises(EmptyWindow) as raised:
+        fit_local_linear(w, z, bandwidth=0.1).evaluate(np.array([5.0, 6.0]))
+    assert raised.value.points == [5.0, 6.0]
+    with pytest.raises(EmptyWindow):
+        npreg._point_design(np.array([]), np.array([0.0]))
 
 
 def test_smoother_linearity_and_scale():

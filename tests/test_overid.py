@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ivcheck.data import Dataset, RngSpec
-from ivcheck.errors import DegenerateVariance, RankDeficient
+from ivcheck.errors import DegenerateVariance, RankDeficient, SingularWeight
 from ivcheck.estimators import fit_gmm2step, polynomial_instruments
 from ivcheck.overid import OveridMethod, chi2_sf, hansen_j, sargan
 from ivcheck.simulate import DgpFamily, DgpSpec, generate
@@ -154,3 +154,26 @@ def test_exact_fit_is_degenerate(fn):
 def test_tiny_noise_still_gives_a_statistic(fn):
     rep = fn(_exact_fit_ds(1e-6))
     assert np.isfinite(rep.statistic) and 0.0 <= rep.p_value <= 1.0
+
+
+def _singular_weight_ds():
+    """z in 0..4 with 40 rows each and x = z; the error alternates +-1 where z <= 2 and is 0 above.
+
+    The first-step residuals vanish in two of the five cells, so the
+    second-step weight matrix, the mean of h h' u^2, has rank 3 of 4.
+    """
+    z = np.repeat(np.arange(5.0), 40)
+    e = np.where(z <= 2, np.tile([1.0, -1.0], 100), 0.0)
+    return Dataset(y=1.0 + 2.0 * z + e, x=z, z=z)
+
+
+@pytest.mark.parametrize("fn", [hansen_j, fit_gmm2step])
+def test_rank_deficient_second_step_weight(fn):
+    with pytest.raises(SingularWeight, match="second-step weight matrix is rank deficient"):
+        fn(_singular_weight_ds())
+
+
+def test_sargan_needs_no_second_step_weight():
+    # the homoskedastic weight is E_n[hh'] E_n[u^2], full rank: 2SLS fits the cell means exactly
+    rep = sargan(_singular_weight_ds())
+    assert 0.0 <= rep.statistic < 1e-20 and rep.dof == 2 and rep.p_value == 1.0
