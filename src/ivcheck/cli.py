@@ -279,7 +279,7 @@ def _cmd_mte(args, config):
                   f"[{asf.support[0]:.3f}, {asf.support[1]:.3f}])")
             rows.append({"x": args.asf_x, "asf_lower": lo, "asf_upper": hi})
         if asf.dropped_points > 0:
-            print(f"dropped_rank_points = {asf.dropped_points} (off the rank support)")
+            print(f"dropped_rank_points = {asf.dropped_points} ({DROP_REASONS['control-function']})")
     return EXIT_OK, rows, {}
 
 

@@ -6,20 +6,18 @@ Used as the fallback when the parametric specification test rejects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, _quantiles, conditioning_grid, distinct, empirical_quantile
-from .errors import InsufficientData, IvcheckError, MissingBounds, OffSupport, RankDeficient
-from .estimators import _check_rank
+from .errors import InsufficientData, IvcheckError, MissingBounds, OffSupport
 from .npreg import (
     MAX_CELLS,
-    _LocalLines,
-    _positive,
+    MIN_EFFECTIVE_OBS,
+    _LocalLinear,
     cells,
     drop_grid_points,
-    epanechnikov,
     rule_of_thumb_bandwidth,
 )
 
@@ -28,7 +26,6 @@ X_GRID_COUNT = 40  # regressor grid of the propensity surface
 Z_GRID_COUNT = 50  # instrument grid of the local-linear propensity
 FULL_SUPPORT_LO = 0.02
 FULL_SUPPORT_HI = 0.98
-MIN_EFFECTIVE_OBS = 5
 P_GRID = np.round(np.arange(0.01, 1.0, 0.01), 10)  # 99 rank points of the ASF integral
 UNIFORMITY_BINS = 4  # instrument bins of uniformity_diagnostic
 V_GRID = np.round(np.arange(0.1, 1.0, 0.1), 10)  # ranks of condition1_diagnostic
@@ -134,14 +131,14 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
         surface = np.cumsum(hits.reshape(len(z_grid), -1)[:, :-1], axis=1) / counts[:, None]
     else:
         z_grid = conditioning_grid(z, 0.01, 0.99, Z_GRID_COUNT)
-        lines, ok = _LocalLines.at(z, z_grid, rule_of_thumb_bandwidth(z))
+        lines, ok = _LocalLinear.sort(z, rule_of_thumb_bandwidth(z)).at(z_grid)
         z_grid, dropped = drop_grid_points(z_grid, ok, method)
         # the sorted grid is z_grid itself; each block of sorted rows adds its
         # intercept weights times its own rows' (x <= x_grid) indicators
         x_sorted = x[lines.order]
         surface = np.zeros((len(z_grid), len(x_grid)))
         for points, rows, du, k in lines.blocks():
-            surface[points] += lines.intercept(points, du, k) @ (x_sorted[rows, None] <= x_grid)
+            surface[points] += lines.weights(points, du, k)[0] @ (x_sorted[rows, None] <= x_grid)
     if len(z_grid) < 2:
         raise InsufficientData(
             f"propensity needs 2 or more instrument grid points with data, got {len(z_grid)}"
@@ -205,35 +202,28 @@ class ControlFunctionFit:
     y: np.ndarray
     bandwidth_x: float
     bandwidth_p: float
+    rows: _LocalLinear = field(init=False, repr=False, compare=False)  # (x, v_hat), sorted on x
 
     def __post_init__(self):
-        _positive(self.bandwidth_x)
-        _positive(self.bandwidth_p)
+        rows = _LocalLinear.sort(np.column_stack([self.x, self.v_hat]),
+                                 [self.bandwidth_x, self.bandwidth_p])
+        object.__setattr__(self, "rows", rows)
 
     def planes(self, x0: float, p0s, w: np.ndarray):
         """Local planes in (x, rank) of w, (n,) or (n, m), at (x0, p) for each p in p0s.
 
         values[i] is the plane's intercept at p0s[i], a float or a row of m.
         ok[i] is False, and values[i] NaN, where under MIN_EFFECTIVE_OBS rows
-        carry weight or the weighted rows do not span a plane (_check_rank).
+        carry weight or the plane fails the determinant rule of
+        `npreg._LocalLinear`. Only the blocks of `rows` near x0 are visited.
         """
-        kx = epanechnikov((self.x - x0) / self.bandwidth_x)
-        d = np.column_stack([np.ones(len(self.x)), self.x - x0, np.empty(len(self.x))])
+        points = np.column_stack([np.full(len(p0s), x0), p0s])
+        planes, ok = self.rows.at(points, MIN_EFFECTIVE_OBS)
+        fit = np.zeros((len(planes.points), *np.shape(w)[1:]))
+        for block, rows, du, k in planes.blocks():
+            fit[block] += planes.weights(block, du, k)[0] @ w[planes.order[rows]]
         values = np.full((len(p0s), *np.shape(w)[1:]), np.nan)
-        ok = np.zeros(len(p0s), dtype=bool)
-        for i, p0 in enumerate(p0s):
-            d[:, 2] = self.v_hat - p0
-            k = kx * epanechnikov(d[:, 2] / self.bandwidth_p)
-            if np.count_nonzero(k) < MIN_EFFECTIVE_OBS:
-                continue
-            dk = d * k[:, None]
-            a = dk.T @ d
-            try:
-                _check_rank(a, "the local plane's normal matrix")
-            except RankDeficient:
-                continue
-            values[i] = np.linalg.solve(a, dk.T @ w)[0]
-            ok[i] = True
+        values[planes.index] = fit
         return values, ok
 
     def cond_mean(self, x0: float, p0: float) -> float:
@@ -287,7 +277,7 @@ class AsfEstimate:
     value: float | None  # point estimate when the rank support is (conventionally) full
     interval: tuple | None  # (lower, upper) under partial support with outcome bounds
     support: tuple  # (p_lo, p_hi)
-    dropped_points: int = 0  # points of P_GRID in the support left out: no local plane there
+    dropped_points: int = 0  # support points left out, for npreg.DROP_REASONS["control-function"]
 
     @property
     def is_point(self) -> bool:

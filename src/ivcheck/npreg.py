@@ -5,11 +5,12 @@ kernel, and exact cell means for discrete conditioning variables are all
 linear in the values they smooth: theta(v) = L(v) @ coef with coef = P @ W.
 A `Smoother` holds the design map L, the coefficients and their covariance,
 summed from each observation's influence on them. Pointwise standard errors,
-and the Gaussian process the sup test simulates, both come from it. The
-local-linear kernel works on the rows sorted by z, in blocks that meet only
-the grid points whose kernel windows reach them, so none of its arrays grows
-with grid points x rows; the local-linear propensity of `mte` sums its surface
-over the same blocks. Cell means group the rows by cell once and take each
+and the Gaussian process the sup test simulates, both come from it. One
+local-linear engine fits the lines in z of the sup test and of the propensity
+of `mte`, and the control function's planes in (x, rank): it works on rows
+sorted once, in blocks that meet only the points whose kernel windows reach
+them, so none of its arrays grows with points x rows, and one determinant rule
+decides where it can fit. Cell means group the rows by cell once and take each
 cell's mean and covariance block from sums over its rows divided by its count,
 so none of theirs grows with cells x rows. The `fit_*` functions wrap the same
 smoothers for a single column. A smoother that cannot estimate some grid
@@ -175,93 +176,100 @@ def _positive(bandwidth) -> float:
 
 
 @dataclass(frozen=True)
-class _LocalLines:
-    """Kernel-weighted local lines of z at grid points, built on blocks of rows sorted by z.
+class _LocalLinear:
+    """Kernel-weighted local-linear fits at points in d coordinates, on rows sorted on coordinate 0.
 
-    `at` sorts the rows and the grid once and returns the lines at the points
-    whose window supports a non-degenerate local line, with their kernel sums
-    s0, s1, s2, and `ok`, which flags those points in the caller's order. A
-    block of rows meets only the points whose windows [g - h, g + h] can reach
-    it, so every pass touches the in-window (point, row) cells and the few more
-    of a padded window, which the kernel zeroes. `intercept` and `slope` turn a
-    block of `blocks()` into weight rows. A point's sums, and the products over
-    its rows, add up block by block, so the last bits depend on the block size.
+    `sort` sorts the rows once. `at` sums each point's normal matrix A = D'KD,
+    D = [1, u - point] and K the product Epanechnikov kernel with one bandwidth
+    per axis, block by block, so its last bits depend on the block size. It
+    keeps the points where `min_rows` or more rows carry weight and
+    det A > 1e-12 A00 prod_j max(Ajj, h_j^2), and returns the fits there, sorted,
+    with `ok` flagging them in the caller's order. A block of `blocks()` meets
+    only the points whose coordinate-0 windows can reach its rows; `weights`
+    turns it into weight rows.
     """
 
-    z: np.ndarray  # (n,) sorted
+    u: np.ndarray  # (n, d) sorted on coordinate 0
     order: np.ndarray  # (n,) the caller's row of each sorted row
-    grid: np.ndarray  # (G,) the kept grid points, sorted
-    index: np.ndarray  # (G,) the caller's position of each kept grid point
-    bandwidth: float
-    sums: np.ndarray  # (3, G): s0, s1, s2
-    denom: np.ndarray  # (G,): s0 s2 - s1^2
+    bandwidth: np.ndarray  # (d,)
+    points: np.ndarray | None = None  # (G, d) the kept points, sorted on coordinate 0
+    index: np.ndarray | None = None  # (G,) the caller's position of each kept point
+    inverse: np.ndarray | None = None  # (G, d + 1, d + 1) the inverse of each kept A
 
     @classmethod
-    def at(cls, z, grid, bandwidth) -> tuple[_LocalLines, np.ndarray]:
-        z = np.asarray(z, dtype=float).ravel()
-        grid = np.atleast_1d(np.asarray(grid, dtype=float))
-        order, index = np.argsort(z, kind="stable"), np.argsort(grid, kind="stable")
-        sums = np.zeros((3, len(grid)))
-        # every sorted point, to sum the kernel over; its denom is set from the sums below
-        every = cls(z[order], order, grid[index], index, _positive(bandwidth), sums, sums[0])
-        for points, _, du, k in every.blocks():
-            sums[:, points] += k.sum(axis=1), (k * du).sum(axis=1), (k * du**2).sum(axis=1)
-        s0, s1, s2 = sums
-        denom = s0 * s2 - s1**2
-        scale = np.maximum(s0 * np.maximum(s2, every.bandwidth**2), 1e-300)
-        kept = (s0 > 0) & (denom > 1e-12 * scale)
-        ok = kept[np.argsort(index)]  # in the caller's grid order
-        return replace(every, grid=every.grid[kept], index=index[kept], sums=sums[:, kept],
-                       denom=denom[kept]), ok
+    def sort(cls, u, bandwidth) -> _LocalLinear:
+        """The rows of u, (n,) or (n, d), sorted on coordinate 0."""
+        u = np.asarray(u, dtype=float).reshape(len(u), -1)
+        order = np.argsort(u[:, 0], kind="stable")
+        return cls(u[order], order, np.array([_positive(h) for h in np.atleast_1d(bandwidth)]))
+
+    def at(self, points, min_rows: int = 0) -> tuple[_LocalLinear, np.ndarray]:
+        d = self.u.shape[1]
+        points = np.asarray(points, dtype=float).reshape(-1, d)
+        index = np.argsort(points[:, 0], kind="stable")
+        every = replace(self, points=points[index], index=index)
+        normal, count = np.zeros((len(points), d + 1, d + 1)), np.zeros(len(points), dtype=int)
+        for block, _, du, k in every.blocks():
+            design = np.concatenate([np.ones_like(du[..., :1]), du], axis=-1)  # (P, R, d + 1)
+            normal[block] += (k[:, None] * design.transpose(0, 2, 1)) @ design
+            count[block] += np.count_nonzero(k, axis=1)
+        diag = normal.diagonal(axis1=1, axis2=2)
+        scale = diag[:, 0] * np.prod(np.maximum(diag[:, 1:], self.bandwidth**2), axis=1)
+        kept = (count >= min_rows) & (np.linalg.det(normal) > 1e-12 * scale)
+        return replace(every, points=every.points[kept], index=index[kept],
+                       inverse=np.linalg.inv(normal[kept])), kept[np.argsort(index)]
 
     def blocks(self):
         """(points, rows, du, k) per block of LOCAL_LINEAR_BLOCK_CELLS // G sorted rows.
 
-        `points` slices the grid points whose windows can reach the rows,
-        du = z[rows] - grid[points] and k is its kernel weight.
+        `points` slices the points whose coordinate-0 windows can reach the rows,
+        du = u[rows] - points[points] is (P, R, d) and k (P, R) its kernel weight.
         """
-        h = self.bandwidth
-        # past h by more than any rounding of z - g, so no in-window row is missed
-        ends = np.abs(np.concatenate([self.z[:1], self.z[-1:], self.grid[:1], self.grid[-1:]]))
-        pad = h * (1.0 + 1e-6) + 4 * np.finfo(float).eps * ends.max(initial=0.0)
-        step = max(1, LOCAL_LINEAR_BLOCK_CELLS // max(len(self.grid), 1))
-        for start in range(0, len(self.z), step):
-            rows = slice(start, start + step)
-            z = self.z[rows]
-            lo = np.searchsorted(self.grid, z[0] - pad, side="left")
-            hi = np.searchsorted(self.grid, z[-1] + pad, side="right")
+        first, grid = self.u[:, 0], self.points[:, 0]
+        if not len(grid):
+            return
+        # past h by more than any rounding of u - point, so no in-window row is missed
+        ends = np.abs(np.concatenate([first[:1], first[-1:], grid[:1], grid[-1:]]))
+        pad = self.bandwidth[0] * (1.0 + 1e-6) + 4 * np.finfo(float).eps * ends.max()
+        lowest, stop = np.searchsorted(first, [grid[0] - pad, grid[-1] + pad], side="right")
+        step = max(1, LOCAL_LINEAR_BLOCK_CELLS // len(grid))
+        for start in range(lowest, stop, step):
+            rows = slice(start, min(start + step, stop))
+            lo = np.searchsorted(grid, first[start] - pad, side="left")
+            hi = np.searchsorted(grid, first[rows][-1] + pad, side="right")
             if lo < hi:
                 points = slice(lo, hi)
-                du = z[None, :] - self.grid[points, None]
-                yield points, rows, du, epanechnikov(du / h)
+                du = self.u[None, rows] - self.points[points, None]
+                yield points, rows, du, np.prod(epanechnikov(du / self.bandwidth), axis=-1)
 
-    def intercept(self, points, du, k) -> np.ndarray:
-        _, s1, s2 = self.sums[:, points, None]
-        return k * (s2 - s1 * du) / self.denom[points, None]
-
-    def slope(self, points, du, k) -> np.ndarray:
-        s0, s1, _ = self.sums[:, points, None]
-        return k * (s0 * du - s1) / self.denom[points, None]
+    def weights(self, points, du, k) -> np.ndarray:
+        """(d + 1, P, R): each row's weight in each local coefficient; row 0 is the intercept."""
+        inverse = self.inverse[points].transpose(1, 0, 2)[..., None]  # (d + 1, P, d + 1, 1)
+        terms = (inverse[:, :, j + 1] * du[..., j] for j in range(du.shape[-1]))
+        return k * sum(terms, inverse[:, :, 0])
 
 
 def local_linear_weights(z, grid, bandwidth: float):
     """Smoother weight matrix A (grid x n) with theta(grid) = A w, held dense.
 
     Returns (A, ok) where ok flags grid points whose kernel window supports a
-    non-degenerate local line; rows with ok=False are zero. Only the
+    local line (`_LocalLinear`); rows with ok=False are zero. Only the
     `probe-npreg` request of bench/replay.py and the dense oracles of the
     tests call it; the smoother and the propensity walk `blocks()`.
     """
-    lines, ok = _LocalLines.at(z, grid, bandwidth)
-    a = np.zeros((len(ok), len(lines.z)))
+    lines, ok = _LocalLinear.sort(z, bandwidth).at(grid)
+    a = np.zeros((len(ok), len(lines.u)))
     for points, rows, du, k in lines.blocks():
-        a[lines.index[points, None], lines.order[rows]] = lines.intercept(points, du, k)
+        a[lines.index[points, None], lines.order[rows]] = lines.weights(points, du, k)[0]
     return a, ok
 
 
+MIN_EFFECTIVE_OBS = 5  # rows with kernel weight that a control function's local plane needs
 # why a method's fit leaves grid points out: the warning, the error, summary() and `ivcheck mte`
 DROP_REASONS = {"local-linear": "empty kernel windows",
-                "cell-means": "one-row cells or cells of one value"}
+                "cell-means": "one-row cells or cells of one value",
+                "control-function": f"fewer than {MIN_EFFECTIVE_OBS} rows with kernel weight "
+                                    "or no plane by the determinant rule"}
 
 
 def drop_grid_points(grid, ok, method: str):
@@ -283,21 +291,22 @@ def local_linear_smoother(z, w, grid, bandwidth: float):
     supports one (ok=True), in sorted order, so the smoother's process does
     not depend on the order of the grid.
     """
-    lines, ok = _LocalLines.at(z, grid, bandwidth)
+    lines, ok = _LocalLinear.sort(z, bandwidth).at(grid)
     w = w[lines.order]
-    m, g = w.shape[1], len(lines.grid)
-    beta, coef = np.zeros((g, m)), np.zeros((g, m))
+    m, g = w.shape[1], len(lines.points)
+    fit = np.zeros((2, g, m))  # each kept point's intercept and slope, per column of w
     for points, rows, du, k in lines.blocks():
-        beta[points] += lines.slope(points, du, k) @ w[rows]
-        coef[points] += lines.intercept(points, du, k) @ w[rows]
+        fit[:, points] += lines.weights(points, du, k) @ w[rows]
     # the influences are the intercept weights times the residuals of each
     # point's own line; a block adds their products to its points' covariance
     cov = np.zeros((m, g, m, g))
     for points, rows, du, k in lines.blocks():
-        resid = w[rows].T[:, None, :] - coef[points].T[:, :, None] - beta[points].T[:, :, None] * du
-        block = _influence_cov(lines.intercept(points, du, k) * resid)
+        intercept, slope = fit[:, points].transpose(0, 2, 1)[..., None]
+        resid = w[rows].T[:, None, :] - intercept - slope * du[..., 0]
+        block = _influence_cov(lines.weights(points, du, k)[0] * resid)
         cov[:, points, :, points] += block.reshape(m, len(du), m, len(du))
-    return Smoother(partial(_point_design, lines.grid), coef, cov.reshape(m * g, m * g)), ok
+    design = partial(_point_design, lines.points[:, 0])
+    return Smoother(design, fit[0], cov.reshape(m * g, m * g)), ok
 
 
 def cells(z):

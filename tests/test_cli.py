@@ -504,12 +504,13 @@ def test_mte_reports_dropped_rank_points(tmp_path, capsys):
     v = g.uniform(0, 1, n)
     x = 3.0 * z + v
     from ivcheck.data import Dataset
+    from ivcheck.npreg import DROP_REASONS
     p = tmp_path / "edge.csv"
     write_csv(Dataset(y=x * (1.0 + v) + 0.1 * g.standard_normal(n), x=x, z=z), p)
     code = main(_args(str(p), "mte", "--asf-x", "0.05", "--y-lower", "0", "--y-upper", "1"))
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert "dropped_rank_points = 6 (off the rank support)" in out.splitlines()
+    assert f"dropped_rank_points = 6 ({DROP_REASONS['control-function']})" in out.splitlines()
     code = main(_args(str(p), "mte", "--asf-x", "2.0"))
     assert code == EXIT_OK
     assert "dropped_rank_points" not in capsys.readouterr().out

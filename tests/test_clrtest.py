@@ -461,11 +461,15 @@ PINNED = {
         (2.8598365840356212, 2.9107385179467804, -0.2819817856119465, 36),
         (3.2860453357695842, 3.2950573102984566, -0.36290534545510955, 36),
     )),
-    # the kernel summed over blocks of rows sorted by z
-    "local-linear": (3.4492734257575464, (
-        (2.712601915679045, 2.8468210717074958, -0.1769047469983961, 49),
-        (3.0195511213056574, 3.1289273926756054, -0.22370038368302703, 49),
-        (3.428668339318103, 3.5311298584560764, -0.2860719433567344, 49),
+    # the kernel summed over blocks of rows sorted by z, each line's weights from the inverse
+    # of its normal matrix; with the closed-form 2 x 2 solve of the lines before it, these were
+    # (3.4492734257575464, ((2.712601915679045, 2.8468210717074958, -0.1769047469983961, 49),
+    #  (3.0195511213056574, 3.1289273926756054, -0.22370038368302703, 49),
+    #  (3.428668339318103, 3.5311298584560764, -0.2860719433567344, 49)))
+    "local-linear": (3.449273425757533, (
+        (2.712601915679052, 2.84682107170751, -0.17690474699839714, 49),
+        (3.019551121305657, 3.1289273926756023, -0.22370038368302692, 49),
+        (3.4286683393181074, 3.5311298584560835, -0.286071943356735, 49),
     )),
     # the cell means and covariance blocks as per-cell sums over the rows divided by counts
     "cell-means": (3.0208471554364333, (

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivcheck import mte
+from ivcheck import mte, npreg
 from ivcheck.data import Dataset, conditioning_grid
 from ivcheck.errors import (
     InsufficientData,
@@ -342,27 +342,38 @@ def test_asf_integrates_over_99_rank_points():
     assert np.array_equal(P_GRID, np.arange(1, 100) / 100)
 
 
+def _dense_planes(cf, x0, p0s, w):
+    """Oracle: each point's plane from its own product kernel over every row, in row order.
+
+    Returns (values, ok, cond). A plane is kept where MIN_EFFECTIVE_OBS or more
+    rows carry weight and its normal matrix A has
+    det A > 1e-12 A00 max(A11, hx^2) max(A22, hp^2); cond is A's 2-norm condition.
+    """
+    values, ok, cond = np.full(len(p0s), np.nan), np.zeros(len(p0s), dtype=bool), np.ones(len(p0s))
+    for i, p in enumerate(p0s):
+        k = (epanechnikov((cf.x - x0) / cf.bandwidth_x)
+             * epanechnikov((cf.v_hat - p) / cf.bandwidth_p))
+        d = np.column_stack([np.ones(len(k)), cf.x - x0, cf.v_hat - p])
+        dk = d * k[:, None]
+        a = dk.T @ d
+        scale = a[0, 0] * max(a[1, 1], cf.bandwidth_x**2) * max(a[2, 2], cf.bandwidth_p**2)
+        if np.count_nonzero(k) >= MIN_EFFECTIVE_OBS and np.linalg.det(a) > 1e-12 * scale:
+            ok[i], values[i], cond[i] = True, np.linalg.solve(a, dk.T @ w)[0], np.linalg.cond(a)
+    return values, ok, cond
+
+
 def _per_point_asf(cf, pf, x):
-    """Oracle: each rank point of the support with its own product kernel and local plane.
+    """Oracle: the ASF from the dense planes at the rank points of the support.
 
     Returns the partial integral, the point value and the count of points left out.
     """
     p_lo, p_hi = pf.support_p_given_x(x)
     inside = P_GRID[(p_lo <= P_GRID) & (P_GRID <= p_hi)]
-    pts, means = [], []
-    for p in inside:
-        k = (epanechnikov((cf.x - x) / cf.bandwidth_x)
-             * epanechnikov((cf.v_hat - p) / cf.bandwidth_p))
-        if np.count_nonzero(k) < MIN_EFFECTIVE_OBS:
-            continue
-        d = np.column_stack([np.ones(len(k)), cf.x - x, cf.v_hat - p])
-        dk = d * k[:, None]
-        pts.append(p)
-        means.append(np.linalg.solve(dk.T @ d, dk.T @ cf.y)[0])
-    pts, means = np.asarray(pts), np.asarray(means)
+    means, ok, _ = _dense_planes(cf, x, inside, cf.y)
+    pts, means = inside[ok], means[ok]
     partial = float(np.trapezoid(means, pts))
     value = float(partial + means[0] * pts[0] + means[-1] * (1.0 - pts[-1]))
-    return partial, value, len(inside) - len(pts)
+    return partial, value, int((~ok).sum())
 
 
 @pytest.mark.parametrize("x", [2.0, 1.2, 0.5, 3.4])
@@ -379,11 +390,12 @@ def test_asf_one_kernel_pass_per_rank_point(x):
     assert np.array_equal(planes.call_args.args[2], P_GRID[(p_lo <= P_GRID) & (P_GRID <= p_hi)])
     partial, value, dropped = _per_point_asf(cf, pf, x)
     assert asf.dropped_points == dropped
+    # the oracle sums each plane's rows in row order, the engine in blocks of sorted rows
     if asf.is_point:
-        assert asf.value == value
+        assert asf.value == pytest.approx(value, rel=1e-11)
     else:
         # the lower end adds 0.0 times the gap, so it is the partial integral itself
-        assert asf.interval[0] == partial
+        assert asf.interval[0] == pytest.approx(partial, rel=1e-11)
 
 
 def test_asf_reports_dropped_rank_points():
@@ -394,7 +406,7 @@ def test_asf_reports_dropped_rank_points():
     asf = estimate_asf(cf, pf, 0.05, outcome_bounds=(0.0, 1.0))
     partial, _, dropped = _per_point_asf(cf, pf, 0.05)
     assert asf.dropped_points == dropped == 6
-    assert asf.interval[0] == partial
+    assert asf.interval[0] == pytest.approx(partial, rel=1e-11)
 
 
 def test_cond_cdf_monotone_in_y():
@@ -530,20 +542,66 @@ def test_condition1_additive_no_violations():
     assert rep.injectivity_violations == 0
 
 
+def _rounded_instrument(n, seed):
+    """z = round(4 U(0, 1)), x = z + N(0, 1), y = x + N(0, 1): (z, its cell-means control function)."""
+    g = np.random.default_rng(seed)
+    z = np.round(4 * g.uniform(0, 1, n))
+    x = z + g.standard_normal(n)
+    ds = Dataset(y=x + g.standard_normal(n), x=x, z=z)
+    return z, fit_control_function(ds, fit_propensity(ds, method="cell-means"))
+
+
 def test_cond_mean_on_collinear_rows_is_off_support():
     # cell-means ranks are piecewise linear in x within a z cell: the window here holds
     # 24 rows of one cell, on one line in (x, v_hat) up to rounding, and solving anyway
     # gave 62.4 for E[Y | X = 4.4, rank 0.5] with Y = X + noise
-    g = np.random.default_rng(0)
-    n = 1000
-    z = np.round(4 * g.uniform(0, 1, n))
-    x = z + g.standard_normal(n)
-    ds = Dataset(y=x + g.standard_normal(n), x=x, z=z)
-    cf = fit_control_function(ds, fit_propensity(ds, method="cell-means"))
+    z, cf = _rounded_instrument(1000, 0)
     k = epanechnikov((cf.x - 4.4) / cf.bandwidth_x) * epanechnikov((cf.v_hat - 0.5) / cf.bandwidth_p)
     assert np.count_nonzero(k) == 24 and np.unique(z[k > 0]).tolist() == [4.0]
     with pytest.raises(OffSupport):
         cf.cond_mean(4.4, 0.5)
+
+
+def test_cond_mean_of_a_near_singular_plane_is_off_support():
+    # 6 rows of one z cell, enough for MIN_EFFECTIVE_OBS, whose normal matrix passes a
+    # singular-value test at 3 eps but not the determinant rule: solving it anyway gave
+    # 47006.44 for E[Y | X = 4, rank 0.21] with y in [-4.2, 7.9]
+    z, cf = _rounded_instrument(3000, 14)
+    k = epanechnikov((cf.x - 4.0) / cf.bandwidth_x) * epanechnikov((cf.v_hat - 0.21) / cf.bandwidth_p)
+    assert np.count_nonzero(k) == 6 >= MIN_EFFECTIVE_OBS and np.unique(z[k > 0]).tolist() == [4.0]
+    with pytest.raises(OffSupport):
+        cf.cond_mean(4.0, 0.21)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7, 3000])
+def test_planes_equal_dense_oracle(rows_per_block):
+    """Blocks of 1 row, of 7, or one block of every row, against the dense planes.
+
+    Under cell-means ranks many windows hold rows of one cell, near one line in
+    (x, rank), so planes are both kept and dropped, and a kept plane's rounding
+    grows with the condition of its normal matrix.
+    """
+    _, cf = _rounded_instrument(3000, 14)
+    kept = dropped = 0
+    for x0 in (-1.0, 0.5, 2.0, 4.0, 6.5):
+        with mock.patch.object(npreg, "LOCAL_LINEAR_BLOCK_CELLS", rows_per_block * len(P_GRID)):
+            values, ok = cf.planes(x0, P_GRID, cf.y)
+        want, want_ok, cond = _dense_planes(cf, x0, P_GRID, cf.y)
+        assert np.array_equal(ok, want_ok) and np.isnan(values[~ok]).all()
+        tol = 64 * np.finfo(float).eps * cond[ok] * np.abs(cf.y).max()
+        assert (np.abs(values[ok] - want[ok]) <= tol).all()
+        kept, dropped = kept + ok.sum(), dropped + (~ok).sum()
+    assert kept > 0 and dropped > 0
+
+
+def test_planes_run_on_rows_sorted_once():
+    ds, _ = _heterogeneous_ds(2000, 2)
+    pf = fit_propensity(ds)
+    cf = fit_control_function(ds, pf)
+    with mock.patch.object(npreg._LocalLinear, "sort", side_effect=AssertionError("sorted again")):
+        estimate_mte(cf, 0.5, 2.0, 1.5)
+        estimate_asf(cf, pf, 2.0)
+        cf.cond_cdf(2.0, 0.5, [0.0, 5.0])
 
 
 def test_condition1_flags_pairs_when_x_ignores_z():

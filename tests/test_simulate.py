@@ -5,6 +5,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -269,8 +270,12 @@ def test_run_study_replaces_a_pool_whose_worker_died():
     first = _study(2, seed=14)
     victim = multiprocessing.active_children()[0]
     os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=60)
-    assert not victim.is_alive()
+    # the pool's manager thread may reap the worker first, and a join here then returns
+    # before that thread has stored the exit code, so wait on the exit code itself
+    deadline = time.monotonic() + 60
+    while victim.exitcode is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert victim.exitcode == -signal.SIGKILL
     assert _study(2, seed=14) == first
     assert victim.pid not in _worker_pids()
 
