@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 import warnings
@@ -118,6 +117,8 @@ def _write_csv(path, rows):
 
 
 def _write_manifest(path, command, seed, exit_code, extra):
+    import json
+
     manifest = {
         "tool": "ivcheck",
         "version": __version__,

@@ -150,8 +150,9 @@ def empirical_quantile(values: np.ndarray, u):
 def conditioning_grid(values, centile_lo=0.01, centile_hi=0.99, count=100):
     """Equally spaced grid between two empirical centiles of a scalar column.
 
-    Duplicate points (possible when the column is discrete) are collapsed;
-    the effective grid size may therefore be below `count`.
+    The centiles differ, so the points are distinct even on a discrete column,
+    unless the centiles are only a few ulps apart: duplicates are collapsed
+    then, and the grid has fewer than `count` points.
     """
     values = np.asarray(values, dtype=float).ravel()
     if not 0.0 <= centile_lo < centile_hi <= 1.0:

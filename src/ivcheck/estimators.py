@@ -79,49 +79,45 @@ def _check_rank(mat: np.ndarray, what: str, error=RankDeficient, rows: int | Non
         raise error(f"{what} is rank deficient (min singular value {sv[bad][0, -1]:.3g})")
 
 
-def _linear_step(dx: np.ndarray, y: np.ndarray, dz: np.ndarray | None, what: str) -> np.ndarray:
-    """OLS of y on dx when dz is None, else just-identified IV: E_n[Z X']^-1 E_n[Z Y]."""
+def _linear_step(dx: np.ndarray, y: np.ndarray, dz: np.ndarray | None, what: str):
+    """Just-identified linear step E_n[Z (Y - X'b)] = 0: OLS of y on dx when dz is None (Z = X).
+
+    Returns beta, the residuals u and each row's influence A^-1 z_i u_i / n, with
+    A = E_n[Z X'] built once. The influences' cross product is the HC0 sandwich
+    A^-1 E_n[z z' u^2] A^-T / n. OLS takes beta from least squares on dx.
+    """
+    n = dx.shape[0]
     if dz is None:
         _check_rank(dx, what)
         beta, *_ = np.linalg.lstsq(dx, y, rcond=None)
-        return beta
-    n = dx.shape[0]
-    a = dz.T @ dx / n
-    _check_rank(a, what)
-    return np.linalg.solve(a, dz.T @ y / n)
-
-
-def _sandwich(design_z: np.ndarray, design_x: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """Heteroskedasticity-robust covariance of beta solving E_n[Z (Y - X'b)] = 0."""
-    n = design_z.shape[0]
-    a = design_z.T @ design_x / n
-    meat = (design_z * resid[:, None]).T @ (design_z * resid[:, None]) / n
-    a_inv = np.linalg.inv(a)
-    return a_inv @ meat @ a_inv.T / n
+        dz = dx
+        a = dx.T @ dx / n
+    else:
+        a = dz.T @ dx / n
+        _check_rank(a, what)
+        beta = np.linalg.solve(a, dz.T @ y / n)
+    resid = y - dx @ beta
+    influence = (dz * resid[:, None]) @ (np.linalg.inv(a).T / n)
+    return beta, resid, influence
 
 
 def fit_ols(ds: Dataset) -> LinearFit:
-    """Least squares of y on x, robust (sandwich) covariance."""
-    d = _design(ds.x)
-    beta = _linear_step(d, ds.y, None, "OLS design matrix")
-    resid = ds.y - d @ beta
-    vcov = _sandwich(d, d, resid)
+    """Least squares of y on x, robust (HC0) covariance."""
+    beta, resid, influence = _linear_step(_design(ds.x), ds.y, None, "OLS design matrix")
     return LinearFit(
         beta=beta,
-        vcov=vcov,
+        vcov=influence.T @ influence,
         residuals=resid,
         method=FitMethod.OLS,
         sigma2_hat=float(np.mean(resid**2)),
     )
 
 
-def _first_stage_f(ds: Dataset) -> float:
-    """F-statistic of the excluded instruments in the first stage, minimum over x columns."""
-    dz = _design(ds.z)
+def _first_stage_f(dz: np.ndarray, x: np.ndarray) -> float:
+    """F-statistic of the excluded instruments of design dz, minimum over the columns of x."""
     n, kz = dz.shape
     fs = []
-    for j in range(ds.k_x):
-        xj = ds.x[:, j]
+    for xj in x.T:
         g, *_ = np.linalg.lstsq(dz, xj, rcond=None)
         rss1 = float(np.sum((xj - dz @ g) ** 2))
         rss0 = float(np.sum((xj - xj.mean()) ** 2))
@@ -135,26 +131,23 @@ def _first_stage_f(ds: Dataset) -> float:
 
 
 def fit_iv(ds: Dataset) -> LinearFit:
-    """Just-identified linear IV: beta = E_n[Z X']^-1 E_n[Z Y]."""
+    """Just-identified linear IV: beta = E_n[Z X']^-1 E_n[Z Y], robust (HC0) covariance."""
     if ds.k_z != ds.k_x:
         raise RankDeficient(
             f"fit_iv needs a just-identified system (k_z={ds.k_z}, k_x={ds.k_x})"
         )
     dz = _design(ds.z)
-    dx = _design(ds.x)
-    beta = _linear_step(dx, ds.y, dz, "E_n[ZX']")
-    resid = ds.y - dx @ beta
-    f_stat = _first_stage_f(ds)
+    beta, resid, influence = _linear_step(_design(ds.x), ds.y, dz, "E_n[ZX']")
+    f_stat = _first_stage_f(dz, ds.x)
     if f_stat < RELEVANCE_F_THRESHOLD:
         warnings.warn(
             f"first-stage F = {f_stat:.2f} < {RELEVANCE_F_THRESHOLD:g}: weak instrument",
             RelevanceWarning,
             stacklevel=2,
         )
-    vcov = _sandwich(dz, dx, resid)
     return LinearFit(
         beta=beta,
-        vcov=vcov,
+        vcov=influence.T @ influence,
         residuals=resid,
         method=FitMethod.IV,
         sigma2_hat=float(np.mean(resid**2)),

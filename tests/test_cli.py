@@ -309,16 +309,16 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_test_request_leaves_numpy_polynomial_out(null_csv):
-    # the series basis runs the Legendre recurrence itself
+    # the series basis runs the Legendre recurrence itself, and only --manifest writes JSON
     src = str(Path(ivcheck.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     code = ("import sys; from ivcheck.cli import main; "
             f"code = main({_args(null_csv, 'test')!r}); "
-            "print(code, 'numpy.polynomial' in sys.modules)")
+            "print(code, 'numpy.polynomial' in sys.modules, 'json' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] in ("0 False", "2 False")
+    assert run.stdout.splitlines()[-1] in ("0 False False", "2 False False")
 
 
 def _run_cli(*argv, flags=()):

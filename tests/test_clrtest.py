@@ -731,6 +731,27 @@ def test_chol_jitter_is_reported():
             in raised.summary())
 
 
+def _random_paired(seed, n, n_base, tied, method):
+    """(g, ms): paired moments of n_base columns on z ~ U(-1, 1), rounded to 0.1 when tied or
+    for cell means, and the generator that drew them."""
+    g = np.random.default_rng(seed)
+    z = g.uniform(-1, 1, n)
+    if tied or method == "cell-means":
+        z = np.round(z, 1)
+    base = g.standard_normal((n, n_base)) + g.uniform(-0.4, 0.4, n_base) * z[:, None]
+    return g, _paired(list(base.T), [f"w{b}" for b in range(n_base)], z, "z")
+
+
+def _assert_same_decisions(report, other, tol):
+    """theta_corrected within tol at every level, and the same decision wherever it is
+    farther than tol from 0."""
+    for alpha in report.alpha_levels:
+        got, want = other.theta_corrected(alpha), report.theta_corrected(alpha)
+        assert abs(got - want) <= tol
+        if abs(want) > tol:
+            assert other.reject(alpha) == report.reject(alpha)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -748,22 +769,46 @@ def test_decisions_invariant_to_row_permutation(seed, n, n_base, tied, method, b
     (n < base moments x grid points) amplifies through the jittered Cholesky.
     A decision is compared wherever theta_corrected is farther than that from 0.
     """
-    g = np.random.default_rng(seed)
-    z = g.uniform(-1, 1, n)
-    if tied or method == "cell-means":
-        z = np.round(z, 1)
-    base = g.standard_normal((n, n_base)) + g.uniform(-0.4, 0.4, n_base) * z[:, None]
-    ms = _paired(list(base.T), [f"w{b}" for b in range(n_base)], z, "z")
+    g, ms = _random_paired(seed, n, n_base, tied, method)
     perm = g.permutation(n)
-    permuted = replace(ms, base=ms.base[perm], conditioning=z[perm])
+    permuted = replace(ms, base=ms.base[perm], conditioning=ms.conditioning[perm])
     cfg = Cfg(method=method, bandwidth=bandwidth, mult_draws=200)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # grid points dropped alike in both
         report, report_permuted = (run_test(m, None, cfg, RngSpec(seed=seed % 1000))
                                    for m in (ms, permuted))
-    tol = 1e-5 * max(1.0, np.abs(report.theta).max())
-    for alpha in cfg.alpha_levels:
-        got, want = report_permuted.theta_corrected(alpha), report.theta_corrected(alpha)
-        assert abs(got - want) <= tol
-        if abs(want) > tol:
-            assert report_permuted.reject(alpha) == report.reject(alpha)
+    _assert_same_decisions(report, report_permuted, 1e-5 * max(1.0, np.abs(report.theta).max()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(150, 400),
+    n_base=st.integers(1, 2),
+    tied=st.booleans(),
+    method=st.sampled_from(["series", "local-linear", "cell-means"]),
+    bandwidth=st.sampled_from([None, 0.6]),
+    log_scale=st.floats(-2.0, 2.0),
+    shift=st.floats(-100.0, 100.0),
+)
+def test_decisions_invariant_to_affine_map_of_conditioning(seed, n, n_base, tied, method,
+                                                           bandwidth, log_scale, shift):
+    """An increasing affine map a z + b of the conditioning column moves no decision.
+
+    The series basis maps the grid's [lo, hi] onto [-1, 1], the rule-of-thumb
+    bandwidth scales with sd(z), a set bandwidth is mapped with z, and cells are
+    labels. theta_corrected may move by rounding only: at most
+    1e-8 max(1, |theta|). 30 grid points keep n above the base moments times the
+    grid points, so the covariance is not rank deficient. A decision is
+    compared wherever theta_corrected is farther than that from 0.
+    """
+    a = 10.0**log_scale
+    _, ms = _random_paired(seed, n, n_base, tied, method)
+    mapped = replace(ms, conditioning=a * ms.conditioning + shift)
+    cfgs = [Cfg(method=method, bandwidth=h, grid_count=30, mult_draws=200)
+            for h in (bandwidth, None if bandwidth is None else a * bandwidth)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # grid points dropped alike in both
+        report, report_mapped = (run_test(m, None, cfg, RngSpec(seed=seed % 1000))
+                                 for m, cfg in zip((ms, mapped), cfgs))
+    _assert_same_decisions(report, report_mapped, 1e-8 * max(1.0, np.abs(report.theta).max()))

@@ -85,6 +85,77 @@ def test_iv_covariance_ratio_oracle():
     assert abs(fit.beta[0] - (y.mean() - b1 * x.mean())) < 1e-10
 
 
+SIX_ROWS = Dataset(y=np.array([1.0, 2.0, 0.5, 3.0, 2.5, 1.5]),
+                   x=np.array([0.2, 1.1, -0.3, 2.0, 1.4, 0.7]),
+                   z=np.array([0.5, 1.0, 0.0, 1.8, 1.5, 0.9]))
+
+# beta of each first step, pinned bit for bit: computing the covariance from the
+# row influences must leave the estimates and residuals as they are
+PINNED_BETA = {
+    ("ols", "six"): (0.7966714905933439, 1.1215629522431254),
+    ("iv", "six"): (0.7923649906890134, 1.1266294227188076),
+    ("ols", 0): (0.035069700077650756, 2.004774618292409),
+    ("ols", 1): (0.02761162422846995, 1.9907502280966969),
+    ("ols", 2): (-0.002959351141405312, 2.0369421371856484),
+    ("ols", 3): (0.01064997316361524, 2.059549006232598),
+    ("ols", 4): (-0.0031513636403118295, 2.0053221811755715),
+    ("ols", 5): (-0.059357251628508086, 1.9608349171520982),
+    ("ols", 6): (-0.005070622664990154, 1.98473605454307),
+    ("ols", 7): (-0.09305494203503237, 2.010675011498154),
+    ("ols", 8): (0.05259450941079371, 1.969801735446157),
+    ("ols", 9): (0.015273247289228681, 1.9779963666936264),
+    ("iv", 0): (0.01919928013512456, 2.006608071924787),
+    ("iv", 1): (0.05509832180590693, 2.007003472413761),
+    ("iv", 2): (0.04117565382989533, 2.0031062921410143),
+    ("iv", 3): (0.03536655093416566, 2.0073664884809994),
+    ("iv", 4): (-0.03135373866948858, 1.9865057831246435),
+    ("iv", 5): (-0.05185381709584381, 2.0007847797726246),
+    ("iv", 6): (-0.01915109963636617, 2.0024728317606026),
+    ("iv", 7): (-0.07629780172986118, 2.006664661842427),
+    ("iv", 8): (0.009120172402472882, 2.0048428668193514),
+    ("iv", 9): (-0.003116135343077166, 2.0042302742245757),
+}
+PINNED_SIX_RESIDUALS = {
+    "ols": (-0.020984081041969027, -0.030390738060781963, 0.039797395079593734,
+            -0.0397973950795949, 0.1331403762662804, -0.08176555716353162),
+    "iv": (-0.017690875232774905, -0.03165735567970174, 0.04562383612662885,
+           -0.04562383612662879, 0.1303538175046559, -0.0810055865921786),
+}
+
+
+def _pinned_fit(method, case):
+    """(ds, fit) of a PINNED_BETA key: SIX_ROWS, or `generate` at n = 500 with that seed."""
+    if case == "six":
+        ds = SIX_ROWS
+    else:
+        family = DgpFamily.LINEAR_OLS_NULL if method == "ols" else DgpFamily.LINEAR_IV_NULL
+        ds = generate(DgpSpec(family=family, n=500), RngSpec(seed=case))
+    return ds, {"ols": fit_ols, "iv": fit_iv}[method](ds)
+
+
+@pytest.mark.parametrize("method, case", list(PINNED_BETA))
+def test_linear_fit_vcov_is_hc0_sandwich(method, case):
+    ds, fit = _pinned_fit(method, case)
+    # A^-1 (sum_i z_i z_i' u_i^2 / n) A^-T / n, A = E_n[Z X'] and Z = X for OLS
+    dx = np.column_stack([np.ones(ds.n), ds.x])
+    dz = dx if method == "ols" else np.column_stack([np.ones(ds.n), ds.z])
+    a_inv = np.linalg.inv(dz.T @ dx / ds.n)
+    meat = sum(np.outer(zi, zi) * ui**2 for zi, ui in zip(dz, fit.residuals)) / ds.n
+    want = a_inv @ meat @ a_inv.T / ds.n
+    assert np.abs(fit.vcov - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("method, case", list(PINNED_BETA))
+def test_linear_fit_beta_and_residuals_pinned(method, case):
+    ds, fit = _pinned_fit(method, case)
+    beta = np.array(PINNED_BETA[method, case])
+    assert np.array_equal(fit.beta, beta)
+    if case == "six":
+        assert np.array_equal(fit.residuals, np.array(PINNED_SIX_RESIDUALS[method]))
+    else:
+        assert np.array_equal(fit.residuals, ds.y - np.column_stack([np.ones(ds.n), ds.x]) @ beta)
+
+
 def test_iv_weak_instrument_warns():
     g = np.random.default_rng(15)
     n = 200
