@@ -55,8 +55,9 @@ class TestConfig:
     mult_draws: int = 1000
 
     def __post_init__(self):
-        if not all(0.0 < a < 1.0 for a in self.alpha_levels):
-            raise IvcheckError(f"every alpha level must lie in (0, 1), got {self.alpha_levels}")
+        if not self.alpha_levels or not all(0.0 < a < 1.0 for a in self.alpha_levels):
+            raise IvcheckError("alpha levels must be one or more values in (0, 1), "
+                               f"got {self.alpha_levels}")
         if self.grid_count < 2:
             raise IvcheckError(f"grid count must be at least 2, got {self.grid_count}")
         if self.method not in METHODS:

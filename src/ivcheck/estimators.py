@@ -79,31 +79,45 @@ def _check_rank(mat: np.ndarray, what: str, error=RankDeficient, rows: int | Non
         raise error(f"{what} is rank deficient (min singular value {sv[bad][0, -1]:.3g})")
 
 
-def _linear_step(dx: np.ndarray, y: np.ndarray, dz: np.ndarray | None, what: str):
-    """Just-identified linear step E_n[Z (Y - X'b)] = 0: OLS of y on dx when dz is None (Z = X).
+def _least_squares(b: np.ndarray, w: np.ndarray, what: str):
+    """Least squares of each column of w on the columns of b (n, k): (coef, resid, pinv).
 
-    Returns beta, the residuals u and each row's influence A^-1 z_i u_i / n, with
-    A = E_n[Z X'] built once. The influences' cross product is the HC0 sandwich
-    A^-1 E_n[z z' u^2] A^-T / n. OLS takes beta from least squares on dx.
+    R of b = QR has b's singular values, so the rank check reads the k x k R
+    with the threshold of the n rows, and pinv = R^-1 R^-T b' (k, n) needs no
+    tall SVD. coef = pinv @ w, so pinv[:, i] is row i's weight in every coef.
     """
-    n = dx.shape[0]
-    if dz is None:
-        _check_rank(dx, what)
-        beta, *_ = np.linalg.lstsq(dx, y, rcond=None)
-        dz = dx
-        a = dx.T @ dx / n
-    else:
-        a = dz.T @ dx / n
-        _check_rank(a, what)
-        beta = np.linalg.solve(a, dz.T @ y / n)
+    r = np.linalg.qr(b, mode="r")
+    _check_rank(r, what, rows=len(b))
+    r_inv = np.linalg.inv(r)
+    pinv = r_inv @ (r_inv.T @ b.T)
+    coef = pinv @ w
+    return coef, w - b @ coef, pinv
+
+
+def _linear_step(dx: np.ndarray, y: np.ndarray, dz: np.ndarray, what: str):
+    """Just-identified linear step E_n[Z (Y - X'b)] = 0 as its reduced form; OLS is dz = dx.
+
+    One least squares of (X, Y) on Z gives the first stage X = Z Pi + V and
+    Y = Z gamma + e, and beta = Pi^-1 gamma. Returns beta, the residuals u,
+    each row's influence Pi^-1 pinv[:, i] u_i = A^-1 z_i u_i / n with
+    A = E_n[Z X'], and the first-stage residuals V. The influences' cross
+    product is the HC0 sandwich A^-1 E_n[z z' u^2] A^-T / n.
+    """
+    k = dx.shape[1]
+    coef, first_resid, pinv = _least_squares(dz, np.column_stack([dx, y]), what)
+    pi = coef[:, :k]
+    _check_rank(pi, what)
+    pi_inv = np.linalg.inv(pi)  # a solve with the n rows as right-hand sides costs twice as much
+    beta = pi_inv @ coef[:, k]
     resid = y - dx @ beta
-    influence = (dz * resid[:, None]) @ (np.linalg.inv(a).T / n)
-    return beta, resid, influence
+    influence = (pinv * resid).T @ pi_inv.T
+    return beta, resid, influence, first_resid[:, :k]
 
 
 def fit_ols(ds: Dataset) -> LinearFit:
     """Least squares of y on x, robust (HC0) covariance."""
-    beta, resid, influence = _linear_step(_design(ds.x), ds.y, None, "OLS design matrix")
+    dx = _design(ds.x)
+    beta, resid, influence, _ = _linear_step(dx, ds.y, dx, "OLS design matrix")
     return LinearFit(
         beta=beta,
         vcov=influence.T @ influence,
@@ -113,32 +127,19 @@ def fit_ols(ds: Dataset) -> LinearFit:
     )
 
 
-def _first_stage_f(dz: np.ndarray, x: np.ndarray) -> float:
-    """F-statistic of the excluded instruments of design dz, minimum over the columns of x."""
-    n, kz = dz.shape
-    fs = []
-    for xj in x.T:
-        g, *_ = np.linalg.lstsq(dz, xj, rcond=None)
-        rss1 = float(np.sum((xj - dz @ g) ** 2))
-        rss0 = float(np.sum((xj - xj.mean()) ** 2))
-        q = kz - 1
-        dof = n - kz
-        if q <= 0 or dof <= 0 or rss1 <= 0:
-            fs.append(np.inf)
-        else:
-            fs.append((rss0 - rss1) / q / (rss1 / dof))
-    return float(min(fs))
-
-
 def fit_iv(ds: Dataset) -> LinearFit:
-    """Just-identified linear IV: beta = E_n[Z X']^-1 E_n[Z Y], robust (HC0) covariance."""
+    """Just-identified linear IV, robust (HC0) covariance, the first-stage F from the same fit."""
     if ds.k_z != ds.k_x:
         raise RankDeficient(
             f"fit_iv needs a just-identified system (k_z={ds.k_z}, k_x={ds.k_x})"
         )
     dz = _design(ds.z)
-    beta, resid, influence = _linear_step(_design(ds.x), ds.y, dz, "E_n[ZX']")
-    f_stat = _first_stage_f(dz, ds.x)
+    beta, resid, influence, v = _linear_step(_design(ds.x), ds.y, dz, "E_n[ZX']")
+    rss1 = np.einsum("ij,ij->j", v[:, 1:], v[:, 1:])
+    rss0 = np.sum((ds.x - ds.x.mean(axis=0)) ** 2, axis=0)
+    dof = ds.n - ds.k_z - 1
+    f_stat = float(min((r0 - r1) / ds.k_z / (r1 / dof) if dof > 0 and r1 > 0 else np.inf
+                       for r0, r1 in zip(rss0, rss1)))
     if f_stat < RELEVANCE_F_THRESHOLD:
         warnings.warn(
             f"first-stage F = {f_stat:.2f} < {RELEVANCE_F_THRESHOLD:g}: weak instrument",
@@ -238,23 +239,25 @@ def fit_gmm2step(ds: Dataset, instrument_fn=None) -> LinearFit:
 
 
 def boxcox_transform(x: np.ndarray, lam: float) -> np.ndarray:
-    """x^(lambda) with the log branch at lambda = 0; requires x > 0."""
+    """x^(lambda) = expm1(lambda log x) / lambda, log x at lambda = 0; requires x > 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("Box-Cox transform requires strictly positive x")
-    if lam == 0.0:
-        return np.log(x)
-    return (x**lam - 1.0) / lam
+    return _boxcox_rows(x.ravel(), np.array([float(lam)]))[0].reshape(x.shape)
 
 
 def _boxcox_rows(x: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """boxcox_transform(x, lam) for each lam of lams, as the rows of one array."""
+    """The Box-Cox transform of x (n,) at each lambda of lams, as the rows of one array.
+
+    expm1 keeps its precision next to lambda = 0, where x^lambda - 1 rounds to 0.
+    """
+    log_x = np.log(x)
     zero = lams == 0.0
     lam = np.where(zero, 1.0, lams)[:, None]
-    out = np.power(x, lam)
-    out -= 1.0
+    out = lam * log_x
+    np.expm1(out, out=out)
     out /= lam
-    out[zero] = np.log(x)
+    out[zero] = log_x
     return out
 
 
@@ -262,9 +265,9 @@ def _boxcox_block(x: np.ndarray, lams: np.ndarray, y: np.ndarray, z: np.ndarray 
     """The linear step of the Box-Cox profile at every lambda of lams, in closed form.
 
     Regresses y on (1, x^(lambda)) by OLS when z is None, else by IV with
-    instruments (1, z), with the rank checks of `_linear_step`: on the 2x2
-    E_n[ZX'] for IV, and for OLS on the (n, 2) design through the R of its QR
-    decomposition, which has the same singular values. Returns the SSE of
+    instruments (1, z). It checks the rank of each lambda's 2x2 E_n[ZX'] for
+    IV, and for OLS that of the (n, 2) design through the closed-form R of its
+    QR decomposition, which has the same singular values. Returns the SSE of
     every lambda, the index i of the first minimum, and beta and the residuals
     at lams[i].
     """

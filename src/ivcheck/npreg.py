@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import distinct
 from .errors import EmptyWindow, InsufficientData, RankDeficient, TooManyCells
-from .estimators import _check_rank
+from .estimators import _least_squares
 
 S_FLOOR = 1e-12
 MAX_CELLS = 50
@@ -158,13 +158,7 @@ def series_smoother(z, w, order: int, lo: float, hi: float) -> Smoother:
     if not lo < hi:
         raise RankDeficient("conditioning variable is constant")
     b = series_basis(z, order, lo, hi)
-    # R of b = QR has b's singular values, and pinv = R^-1 R^-T b' needs no tall SVD
-    r = np.linalg.qr(b, mode="r")
-    _check_rank(r, "the series basis of this order", rows=n)
-    r_inv = np.linalg.inv(r)
-    pinv = r_inv @ (r_inv.T @ b.T)  # (k, n)
-    coef = pinv @ w
-    resid = w - b @ coef
+    coef, resid, pinv = _least_squares(b, w, "the series basis of this order")
     design = partial(series_basis, order=order, lo=lo, hi=hi)
     return Smoother(design, coef, _influence_cov(pinv[None] * resid.T[:, None, :]))
 

@@ -271,6 +271,12 @@ def test_config_rejects_out_of_range_values(kwargs, error):
         Cfg(**kwargs)
 
 
+def test_config_rejects_empty_alpha_levels():
+    """No level, no decision: `summary()` would print none and `reject` raise KeyError."""
+    with pytest.raises(IvcheckError, match="alpha levels"):
+        Cfg(alpha_levels=())
+
+
 def test_first_step_fit_dispatch():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=300), RngSpec(seed=13))
     fit = first_step_fit(ds, IV_SPEC)

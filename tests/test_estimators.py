@@ -89,9 +89,41 @@ SIX_ROWS = Dataset(y=np.array([1.0, 2.0, 0.5, 3.0, 2.5, 1.5]),
                    x=np.array([0.2, 1.1, -0.3, 2.0, 1.4, 0.7]),
                    z=np.array([0.5, 1.0, 0.0, 1.8, 1.5, 0.9]))
 
-# beta of each first step, pinned bit for bit: computing the covariance from the
-# row influences must leave the estimates and residuals as they are
+# beta of each first step, pinned bit for bit, as the reduced form of `_linear_step`
+# computes it: one least squares of (X, Y) on Z, then beta = Pi^-1 gamma
 PINNED_BETA = {
+    ("ols", "six"): (0.7966714905933431, 1.121562952243126),
+    ("iv", "six"): (0.792364990689013, 1.126629422718808),
+    ("ols", 0): (0.03506970007765082, 2.00477461829241),
+    ("ols", 1): (0.02761162422846989, 1.9907502280966964),
+    ("ols", 2): (-0.0029593511414051053, 2.0369421371856493),
+    ("ols", 3): (0.010649973163615082, 2.0595490062325985),
+    ("ols", 4): (-0.0031513636403116955, 2.005322181175571),
+    ("ols", 5): (-0.05935725162850799, 1.9608349171520978),
+    ("ols", 6): (-0.005070622664990183, 1.9847360545430695),
+    ("ols", 7): (-0.0930549420350324, 2.0106750114981544),
+    ("ols", 8): (0.0525945094107937, 1.9698017354461559),
+    ("ols", 9): (0.01527324728922849, 1.9779963666936262),
+    ("iv", 0): (0.01919928013512464, 2.006608071924784),
+    ("iv", 1): (0.05509832180590659, 2.0070034724137598),
+    ("iv", 2): (0.04117565382989582, 2.0031062921410148),
+    ("iv", 3): (0.035366550934165415, 2.0073664884809985),
+    ("iv", 4): (-0.031353738669488665, 1.98650578312464),
+    ("iv", 5): (-0.0518538170958438, 2.0007847797726255),
+    ("iv", 6): (-0.019151099636365704, 2.002472831760603),
+    ("iv", 7): (-0.0762978017298612, 2.0066646618424278),
+    ("iv", 8): (0.00912017240247284, 2.0048428668193488),
+    ("iv", 9): (-0.0031161353430762184, 2.0042302742245774),
+}
+PINNED_SIX_RESIDUALS = {
+    "ols": (-0.02098408104196836, -0.030390738060781963, 0.03979739507959473,
+            -0.039797395079595344, 0.1331403762662804, -0.08176555716353118),
+    "iv": (-0.017690875232774683, -0.03165735567970218, 0.0456238361266294,
+           -0.045623836126629236, 0.1303538175046559, -0.0810055865921786),
+}
+# the same fits from lstsq (OLS) and the normal equations of E_n[Z X'] (IV), which
+# the reduced form replaced: it stays within 1e-12 relative of them
+PARENT_BETA = {
     ("ols", "six"): (0.7966714905933439, 1.1215629522431254),
     ("iv", "six"): (0.7923649906890134, 1.1266294227188076),
     ("ols", 0): (0.035069700077650756, 2.004774618292409),
@@ -115,7 +147,7 @@ PINNED_BETA = {
     ("iv", 8): (0.009120172402472882, 2.0048428668193514),
     ("iv", 9): (-0.003116135343077166, 2.0042302742245757),
 }
-PINNED_SIX_RESIDUALS = {
+PARENT_SIX_RESIDUALS = {
     "ols": (-0.020984081041969027, -0.030390738060781963, 0.039797395079593734,
             -0.0397973950795949, 0.1331403762662804, -0.08176555716353162),
     "iv": (-0.017690875232774905, -0.03165735567970174, 0.04562383612662885,
@@ -154,6 +186,61 @@ def test_linear_fit_beta_and_residuals_pinned(method, case):
         assert np.array_equal(fit.residuals, np.array(PINNED_SIX_RESIDUALS[method]))
     else:
         assert np.array_equal(fit.residuals, ds.y - np.column_stack([np.ones(ds.n), ds.x]) @ beta)
+    np.testing.assert_allclose(fit.beta, PARENT_BETA[method, case], rtol=1e-12, atol=0)
+    if case == "six":
+        np.testing.assert_allclose(fit.residuals, PARENT_SIX_RESIDUALS[method], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e2, 1e3, 1e4, 1e6])
+def test_linear_slopes_accurate_far_from_the_origin(mu):
+    """Regressors and instruments at mu + noise: the slopes stay within 1e-10 of the centred formula.
+
+    The reference is the centred covariance ratio in long double. Normal
+    equations of E_n[Z X'] square the conditioning that the mean brings in,
+    and refuse the fit as rank deficient from mu = 1e4.
+    """
+    g = np.random.default_rng(0)
+    n = 1000
+    x = mu + g.standard_normal(n)
+    z = x + 0.5 * g.standard_normal(n)
+    y = 2.0 * x + g.standard_normal(n)
+    ds = Dataset(y=y, x=x, z=z)
+    xl, zl, yl = (np.asarray(v, dtype=np.longdouble) for v in (x, z, y))
+    xc, zc, yc = xl - xl.mean(), zl - zl.mean(), yl - yl.mean()
+    for fit, want in ((fit_ols(ds), (xc @ yc) / (xc @ xc)), (fit_iv(ds), (zc @ yc) / (zc @ xc))):
+        assert abs(fit.beta[1] - float(want)) <= 1e-10 * abs(float(want)), fit.method
+
+
+def _lstsq_first_stage_f(ds):
+    """The first-stage F by one least squares per column of x: the minimum over the columns."""
+    dz = np.column_stack([np.ones(ds.n), ds.z])
+    kz = dz.shape[1]
+    fs = []
+    for xj in ds.x.T:
+        g, *_ = np.linalg.lstsq(dz, xj, rcond=None)
+        rss1 = float(np.sum((xj - dz @ g) ** 2))
+        rss0 = float(np.sum((xj - xj.mean()) ** 2))
+        fs.append((rss0 - rss1) / (kz - 1) / (rss1 / (ds.n - kz)))
+    return min(fs)
+
+
+def test_first_stage_f_matches_per_column_least_squares():
+    g = np.random.default_rng(16)
+    n = 500
+    z = g.standard_normal((n, 2))
+    x = z @ np.array([[1.0, 0.3], [0.2, 0.6]]) + g.standard_normal((n, 2))
+    y = x @ np.array([2.0, -1.0]) + g.standard_normal(n)
+    ds = Dataset(y=y, x=x, z=z)
+    fit = fit_iv(ds)
+    assert fit.first_stage_f == pytest.approx(_lstsq_first_stage_f(ds), rel=1e-10, abs=0)
+    # a weak instrument: the same F, below the threshold that warns
+    z = g.standard_normal(n)
+    x = 0.02 * z + g.standard_normal(n)
+    ds = Dataset(y=2.0 * x + g.standard_normal(n), x=x, z=z)
+    with pytest.warns(RelevanceWarning):
+        fit = fit_iv(ds)
+    assert fit.first_stage_f < estimators.RELEVANCE_F_THRESHOLD
+    assert fit.first_stage_f == pytest.approx(_lstsq_first_stage_f(ds), rel=1e-10, abs=0)
 
 
 def test_iv_weak_instrument_warns():
@@ -232,6 +319,29 @@ def test_boxcox_transform_branches():
     assert np.allclose(boxcox_transform(x, 1.0), x - 1.0)
     with pytest.raises(DomainError):
         boxcox_transform(np.array([-1.0, 2.0]), 0.5)
+
+
+def test_boxcox_transform_near_lambda_zero():
+    """At lambda = 4e-17 the transform is log x to rounding, not (x^lambda - 1) / lambda = 0."""
+    x = np.array([0.01, 0.5, 1.0, 1.5, 2.0, 4.0, 13.9, 1e3])
+    got = boxcox_transform(x, 4e-17)
+    assert np.all(np.abs(got - np.log(x)) <= 1e-15 * np.abs(np.log(x)))
+
+
+def test_boxcox_log_model_fits_next_to_lambda_zero():
+    """The first refinement grid around a coarse minimum of -0.05 ends at 4.2e-17, not at 0.
+
+    There x^lambda - 1 rounds to 0 on every row, which made the linear step
+    rank deficient and the fit raise.
+    """
+    g = np.random.default_rng(14)
+    n = 1000
+    x = 1.0 + g.uniform(0.2, 3.8, n)
+    y = 2.0 * np.log(x) + 0.3 * g.standard_normal(n)
+    fit = fit_boxcox(Dataset(y=y, x=x, z=x))
+    assert abs(fit.lam) < 0.05
+    d = np.column_stack([np.ones(n), boxcox_transform(x, fit.lam)])
+    assert np.allclose((fit.beta0, fit.beta1), np.linalg.lstsq(d, y, rcond=None)[0], rtol=1e-8)
 
 
 def test_boxcox_noiseless_lambda_one():
