@@ -73,13 +73,14 @@ def load_csv(path, y_col, x_cols, z_cols) -> Dataset:
     """Load a Dataset from a comma-delimited file with one header row.
 
     Raises MissingColumn, ParseError, NonFiniteValue or EmptyData; rows keep
-    file order.
+    file order. A leading UTF-8 byte-order mark, as spreadsheet exports write
+    it, is not part of the first header cell.
     """
     if isinstance(x_cols, str):
         x_cols = [x_cols]
     if isinstance(z_cols, str):
         z_cols = [z_cols]
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

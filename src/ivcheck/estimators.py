@@ -80,18 +80,37 @@ def _check_rank(mat: np.ndarray, what: str, error=RankDeficient, rows: int | Non
 
 
 def _least_squares(b: np.ndarray, w: np.ndarray, what: str):
-    """Least squares of each column of w on the columns of b (n, k): (coef, resid, pinv).
+    """Least squares of each column of w on the columns of b (n, k): (coef, resid, pinv, r).
 
     R of b = QR has b's singular values, so the rank check reads the k x k R
     with the threshold of the n rows, and pinv = R^-1 R^-T b' (k, n) needs no
     tall SVD. coef = pinv @ w, so pinv[:, i] is row i's weight in every coef.
+    With r the moments b'w = R'R coef need no second pass over the n rows.
     """
     r = np.linalg.qr(b, mode="r")
     _check_rank(r, what, rows=len(b))
     r_inv = np.linalg.inv(r)
     pinv = r_inv @ (r_inv.T @ b.T)
     coef = pinv @ w
-    return coef, w - b @ coef, pinv
+    return coef, w - b @ coef, pinv, r
+
+
+def series_basis(z: np.ndarray, order: int, lo: float, hi: float) -> np.ndarray:
+    """Degree-`order` polynomial basis with z mapped onto [-1, 1] via [lo, hi].
+
+    Legendre polynomials span the same space as raw powers but keep the design
+    matrix well conditioned at high orders.
+    """
+    z = np.asarray(z, dtype=float).ravel()
+    t = 2.0 * (z - lo) / (hi - lo) - 1.0
+    # legvander's recurrence, operation for operation, without importing numpy.polynomial
+    v = np.empty((order + 1, len(t)))
+    v[0] = 1.0
+    if order > 0:
+        v[1] = t
+        for i in range(2, order + 1):
+            v[i] = (v[i - 1] * t * (2 * i - 1) - v[i - 2] * (i - 1)) / i
+    return np.ascontiguousarray(v.T)
 
 
 def _linear_step(dx: np.ndarray, y: np.ndarray, dz: np.ndarray, what: str):
@@ -104,7 +123,7 @@ def _linear_step(dx: np.ndarray, y: np.ndarray, dz: np.ndarray, what: str):
     product is the HC0 sandwich A^-1 E_n[z z' u^2] A^-T / n.
     """
     k = dx.shape[1]
-    coef, first_resid, pinv = _least_squares(dz, np.column_stack([dx, y]), what)
+    coef, first_resid, pinv, _ = _least_squares(dz, np.column_stack([dx, y]), what)
     pi = coef[:, :k]
     _check_rank(pi, what)
     pi_inv = np.linalg.inv(pi)  # a solve with the n rows as right-hand sides costs twice as much
@@ -157,84 +176,89 @@ def fit_iv(ds: Dataset) -> LinearFit:
 
 
 def polynomial_instruments(degree: int = 3):
-    """h(z) = (z, z^2, ..., z^degree) applied columnwise; degree 3 by default."""
+    """h(z): the Legendre polynomials of degree 1..degree of each column of z over its range.
+
+    With an intercept they span (1, z, ..., z^degree) column by column, as the
+    raw powers do, so no estimate or J statistic differs in exact arithmetic,
+    while the basis stays well conditioned wherever z lies and whatever its
+    units. A constant column raises RankDeficient. Degree 3 by default.
+    """
     if degree < 1:
         raise IvcheckError(f"instrument degree must be at least 1, got {degree}")
 
     def h(z):
-        z = np.asarray(z, dtype=float)
-        if z.ndim == 1:
-            z = z[:, None]
-        return np.column_stack([z**d for d in range(1, degree + 1)])
+        z = np.asarray(z, dtype=float).reshape(len(z), -1)
+        if np.any(z.min(axis=0) == z.max(axis=0)):
+            raise RankDeficient("an instrument column is constant")
+        return np.hstack([series_basis(c, degree, c.min(), c.max())[:, 1:] for c in z.T])
 
     return h
 
 
-def gmm_beta(
-    h_design: np.ndarray, dx: np.ndarray, y: np.ndarray, weight: np.ndarray
-) -> np.ndarray:
-    """Linear GMM minimizer of g(b)' W g(b), g(b) = E_n[h (y - x'b)]."""
-    n = h_design.shape[0]
-    hx = h_design.T @ dx / n
-    hy = h_design.T @ y / n
-    a = hx.T @ weight @ hx
-    _check_rank(a, "GMM normal matrix")
-    return np.linalg.solve(a, hx.T @ weight @ hy)
+def _gmm(ds: Dataset, instrument_fn, efficient: bool):
+    """2SLS on E[h(Z) U] = 0, then with `efficient` the efficient step, each one least squares.
 
-
-def _two_sls(ds: Dataset, instrument_fn):
-    """2SLS on E[h(Z) U] = 0: (h, dx, w1, beta1, u1) with w1 = (E_n[hh'])^-1, u1 its residuals.
-
-    The columns of h are put in root-mean-square units first. No estimate or
-    J statistic depends on their scale, but the rank check of E_n[hh'] would.
+    x is centred, which moves only the intercept, and the columns of h are put
+    in root-mean-square units. One least squares of (X, y) on H = (1, h(Z)) = QR
+    gives the reduced form (Pi, gamma), and E_n[h (y - X b)] = R'R (gamma - Pi b) / n.
+    2SLS, weighted by E_n[hh']^-1, is the least squares of R gamma on R Pi: its
+    residual e1 has |e1| = |P_H u1|, so Sargan = n |e1|^2 / |u1|^2. The efficient
+    step is the least squares of L^-1 E_n[h y] on L^-1 E_n[h X'], LL' = Omega =
+    E_n[hh' u1^2]: Hansen J = n |e2|^2, and its pinv P gives the covariance
+    P P' / n = (G' Omega^-1 G)^-1 / n. Returns (beta, J, vcov, beta1, dof), both
+    betas with the intercept at the mean of x, and vcov None without `efficient`.
     Residuals at rounding level, mean(u1^2) <= (n eps)^2 mean(y^2), raise
     DegenerateVariance: any statistic built on them is rounding noise.
     """
     h = _design((instrument_fn or polynomial_instruments(3))(ds.z))
-    dx = _design(ds.x)
-    if h.shape[1] < dx.shape[1]:
+    dx = _design(ds.x - ds.x.mean(axis=0))
+    k, dof = dx.shape[1], h.shape[1] - dx.shape[1]
+    if dof < 0:
         raise RankDeficient("dim h(Z) below the number of parameters")
     rms = np.sqrt(np.einsum("ij,ij->j", h, h) / ds.n)
     h = h / np.where(rms > 0, rms, 1.0)
-    hh = h.T @ h / ds.n
-    _check_rank(hh, "E_n[hh']")
-    w1 = np.linalg.inv(hh)
-    beta1 = gmm_beta(h, dx, ds.y, w1)
+    what = ("the instruments (1, h(Z)), whose degree-d polynomials need d + 1 distinct "
+            "values of each instrument,")
+    coef, _, _, r = _least_squares(h, np.column_stack([dx, ds.y]), what)
+    reduced = r @ coef  # (R Pi, R gamma)
+    beta1, e1, _, _ = _least_squares(reduced[:, :k], reduced[:, k], "E_n[hX']")
     u1 = ds.y - dx @ beta1
     if np.mean(u1**2) <= (ds.n * np.finfo(float).eps) ** 2 * np.mean(ds.y**2):
         raise DegenerateVariance("2SLS residuals are at rounding level: the linear model "
                                  "fits the data exactly")
-    return h, dx, w1, beta1, u1
-
-
-def _gmm_steps(ds: Dataset, instrument_fn):
-    """2SLS, then the efficient step: (h, dx, beta1, w2, beta2), w2 = Omega^-1 at beta1."""
-    h, dx, _, beta1, u1 = _two_sls(ds, instrument_fn)
-    hr = h * u1[:, None]
-    omega = hr.T @ hr / ds.n
+    if not efficient:
+        return beta1, float(ds.n * (e1 @ e1) / (u1 @ u1)), None, beta1, dof
+    hu = h * u1[:, None]
+    omega = hu.T @ hu / ds.n
     _check_rank(omega, "second-step weight matrix", SingularWeight)
-    w2 = np.linalg.inv(omega)
-    return h, dx, beta1, w2, gmm_beta(h, dx, ds.y, w2)
+    try:
+        chol = np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
+        raise SingularWeight("second-step weight matrix is not positive definite") from None
+    white = np.linalg.solve(chol, r.T @ reduced / ds.n)  # L^-1 E_n[h (X, y)]
+    beta2, e2, pinv2, _ = _least_squares(white[:, :k], white[:, k], "the whitened E_n[hX']")
+    return beta2, float(ds.n * (e2 @ e2)), pinv2 @ pinv2.T / ds.n, beta1, dof
 
 
 def fit_gmm2step(ds: Dataset, instrument_fn=None) -> LinearFit:
-    """Two-step efficient GMM on moments E[h(Z) U] = 0.
+    """Two-step efficient GMM on moments E[h(Z) U] = 0 (`_gmm`), covariance (G' Omega^-1 G)^-1 / n.
 
-    First step weights by (E_n[hh'])^-1; second step by the inverse of the
-    first-step residual outer-product matrix.
+    The first step weights by (E_n[hh'])^-1, the second by the inverse of the
+    first-step residuals' E_n[hh' u^2]. `_gmm` fits at centred x: the intercept,
+    and its row and column of the covariance, are mapped back to x = 0 here.
     """
-    h, dx, beta1, w2, beta2 = _gmm_steps(ds, instrument_fn)
-    resid = ds.y - dx @ beta2
-    # Asymptotic covariance of efficient GMM: (G' Omega^-1 G)^-1 / n.
-    g = h.T @ dx / ds.n
-    vcov = np.linalg.inv(g.T @ w2 @ g) / ds.n
+    x_bar = ds.x.mean(axis=0)
+    beta, _, vcov, beta1, _ = _gmm(ds, instrument_fn, efficient=True)
+    resid = ds.y - _design(ds.x - x_bar) @ beta
+    back = np.eye(len(beta))
+    back[0, 1:] = -x_bar
     return LinearFit(
-        beta=beta2,
-        vcov=vcov,
+        beta=back @ beta,
+        vcov=back @ vcov @ back.T,
         residuals=resid,
         method=FitMethod.GMM2STEP,
         sigma2_hat=float(np.mean(resid**2)),
-        beta_first_step=beta1,
+        beta_first_step=back @ beta1,
     )
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import distinct
 from .errors import EmptyWindow, InsufficientData, RankDeficient, TooManyCells
-from .estimators import _least_squares
+from .estimators import _least_squares, series_basis
 
 S_FLOOR = 1e-12
 MAX_CELLS = 50
@@ -83,24 +83,6 @@ def clamp_s(s: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Floor degenerate standard errors so the standardized process stays finite."""
     floor = S_FLOOR * (1.0 + np.abs(theta))
     return np.maximum(s, floor)
-
-
-def series_basis(z: np.ndarray, order: int, lo: float, hi: float) -> np.ndarray:
-    """Degree-`order` polynomial basis with z mapped onto [-1, 1] via [lo, hi].
-
-    Legendre polynomials span the same space as raw powers but keep the design
-    matrix well conditioned at high orders.
-    """
-    z = np.asarray(z, dtype=float).ravel()
-    t = 2.0 * (z - lo) / (hi - lo) - 1.0
-    # legvander's recurrence, operation for operation, without importing numpy.polynomial
-    v = np.empty((order + 1, len(t)))
-    v[0] = 1.0
-    if order > 0:
-        v[1] = t
-        for i in range(2, order + 1):
-            v[i] = (v[i - 1] * t * (2 * i - 1) - v[i - 2] * (i - 1)) / i
-    return np.ascontiguousarray(v.T)
 
 
 def _influence_cov(psi: np.ndarray) -> np.ndarray:
@@ -158,7 +140,7 @@ def series_smoother(z, w, order: int, lo: float, hi: float) -> Smoother:
     if not lo < hi:
         raise RankDeficient("conditioning variable is constant")
     b = series_basis(z, order, lo, hi)
-    coef, resid, pinv = _least_squares(b, w, "the series basis of this order")
+    coef, resid, pinv, _ = _least_squares(b, w, "the series basis of this order")
     design = partial(series_basis, order=order, lo=lo, hi=hi)
     return Smoother(design, coef, _influence_cov(pinv[None] * resid.T[:, None, :]))
 

@@ -6,10 +6,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .data import Dataset
-from .estimators import _gmm_steps, _two_sls
+from .estimators import _gmm
 
 JUST_IDENTIFIED_TOL = 1e-8
 
@@ -50,11 +48,9 @@ def chi2_sf(x: float, dof: int) -> float:
     return min(math.fsum(terms), 1.0)
 
 
-def _j_statistic(h, dx, u, weight, method: OveridMethod) -> OveridReport:
-    """n gbar' W gbar with gbar = E_n[h u], on dim h - dim x degrees of freedom."""
-    gbar = h.T @ u / len(u)
-    statistic = max(len(u) * float(gbar @ weight @ gbar), 0.0)
-    dof = h.shape[1] - dx.shape[1]
+def _report(ds: Dataset, instrument_fn, method: OveridMethod) -> OveridReport:
+    """The J statistic of `_gmm` on dim h - dim x degrees of freedom."""
+    _, statistic, _, _, dof = _gmm(ds, instrument_fn, efficient=method is OveridMethod.HANSEN_J)
     p = 1.0 if dof == 0 or statistic < JUST_IDENTIFIED_TOL else chi2_sf(statistic, dof)
     return OveridReport(statistic=statistic, dof=dof, p_value=p, method=method)
 
@@ -64,11 +60,9 @@ def sargan(ds: Dataset, instrument_fn=None) -> OveridReport:
 
     This equals n R^2 of the 2SLS residual regressed on the instruments.
     """
-    h, dx, w1, _, u = _two_sls(ds, instrument_fn)
-    return _j_statistic(h, dx, u, w1 / np.mean(u**2), OveridMethod.SARGAN)
+    return _report(ds, instrument_fn, OveridMethod.SARGAN)
 
 
 def hansen_j(ds: Dataset, instrument_fn=None) -> OveridReport:
     """Hansen J: n gbar' W gbar at the two-step efficient GMM estimate, W its weight."""
-    h, dx, _, w2, beta = _gmm_steps(ds, instrument_fn)
-    return _j_statistic(h, dx, ds.y - dx @ beta, w2, OveridMethod.HANSEN_J)
+    return _report(ds, instrument_fn, OveridMethod.HANSEN_J)

@@ -376,6 +376,30 @@ def test_singular_second_step_weight_exits_one(tmp_path, capsys):
         assert lines[0].startswith("error: second-step weight matrix is rank deficient"), argv
 
 
+def test_fit_reads_a_csv_with_a_byte_order_mark(null_csv, tmp_path, capsys):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + Path(null_csv).read_bytes())
+    code = main(_args(str(p), "fit", "--estimator", "iv"))
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert "fit on n = 2000" in capsys.readouterr().out
+
+
+def test_too_few_instrument_values_name_their_cause(tmp_path, capsys):
+    # a binary z has 2 distinct values: its degree-3 polynomials are collinear with (1, z)
+    g = np.random.default_rng(0)
+    z = g.integers(0, 2, 500).astype(float)
+    x = z + g.standard_normal(500)
+    from ivcheck.data import Dataset
+    p = tmp_path / "binary.csv"
+    write_csv(Dataset(y=2.0 * x + g.standard_normal(500), x=x, z=z), p)
+    for argv in (("overid", "--statistic", "sargan"), ("overid", "--statistic", "hansen-j"),
+                 ("fit", "--estimator", "gmm")):
+        code = main(_args(str(p), *argv))
+        line = _one_error_line(capsys.readouterr().err)
+        assert code == EXIT_ERROR, argv
+        assert "degree-d polynomials need d + 1 distinct values" in line, line
+
+
 def _one_error_line(err):
     assert "Traceback" not in err
     lines = [line for line in err.splitlines() if "error:" in line]

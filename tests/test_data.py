@@ -33,6 +33,14 @@ def test_load_csv_three_rows(tmp_path):
     assert np.array_equal(ds.x[:, 0], [2.0, 5.0, 8.0])
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    # a spreadsheet's "CSV UTF-8" export starts with a BOM, which is no part of the first column name
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbfy,x,z\n1,2,3\n4,5,6\n")
+    ds = load_csv(p, "y", ["x"], ["z"])
+    assert np.array_equal(ds.y, [1.0, 4.0]) and np.array_equal(ds.z[:, 0], [3.0, 6.0])
+
+
 def test_load_csv_nan_cell_rejected(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("y,x,z\n1,NaN,3\n")

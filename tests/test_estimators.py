@@ -311,6 +311,13 @@ def test_gmm_eight_row_matrix_oracle():
     b2 = np.linalg.solve(g1.T @ w2 @ g1, g1.T @ w2 @ (h.T @ y / 8))
     assert np.allclose(fit.beta, b2, atol=1e-8)
     assert np.allclose(fit.beta_first_step, b1, atol=1e-8)
+    assert np.allclose(fit.vcov, np.linalg.inv(g1.T @ w2 @ g1) / 8, rtol=0.0, atol=1e-8)
+    # (z, x, y) + mu (1, 1, 2) moves only the intercept: beta0 -> beta0 + mu (2 - beta1), so
+    # the covariance is that of the reparametrisation T = [[1, -mu], [0, 1]]
+    mu = 100.0
+    far = fit_gmm2step(Dataset(y=y + 2.0 * mu, x=x + mu, z=z + mu))
+    t = np.array([[1.0, -mu], [0.0, 1.0]])
+    np.testing.assert_allclose(far.vcov, t @ fit.vcov @ t.T, rtol=1e-8, atol=0.0)
 
 
 def test_boxcox_transform_branches():

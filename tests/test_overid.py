@@ -127,6 +127,18 @@ def test_statistics_do_not_depend_on_instrument_units():
         np.testing.assert_allclose(fit_gmm2step(ds).beta, ref[2], rtol=1e-8)
 
 
+@pytest.mark.parametrize("mu, rtol", [(10.0, 1e-6), (1e2, 1e-6), (1e3, 1e-6), (1e4, 1e-6),
+                                      (1e6, 1e-5)])
+def test_statistics_do_not_depend_on_location(mu, rtol):
+    # (z, x, y) + mu (1, 1, 2) moves only the intercept; the J statistics and the slope stay
+    for seed in range(20):
+        ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=2000), RngSpec(seed=seed))
+        far = Dataset(y=ds.y + 2.0 * mu, x=ds.x + mu, z=ds.z + mu)
+        for fn in (lambda d: sargan(d).statistic, lambda d: hansen_j(d).statistic,
+                   lambda d: fit_gmm2step(d).beta[1]):
+            np.testing.assert_allclose(fn(far), fn(ds), rtol=rtol, atol=0.0)
+
+
 def test_zero_instrument_column_is_rank_deficient():
     g = np.random.default_rng(9)
     x = g.standard_normal(200)
