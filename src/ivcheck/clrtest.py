@@ -12,6 +12,7 @@ significance level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -180,7 +181,18 @@ def _chol_psd(cov: np.ndarray):
     """(Cholesky factor of cov + jitter I, jitter, how many times the jitter rose tenfold).
 
     The jitter starts at max(trace / len, 1) 1e-12 and rises for nearly singular covariances.
+    A stack of covariances (R, K, K) gives a jitter and a count per slice. It
+    tries one Cholesky of the whole stack first; if that fails, each slice is
+    redone alone, so that one slice's jitter never moves another's bits.
     """
+    if cov.ndim > 2:
+        jitter = np.maximum(np.trace(cov, axis1=-2, axis2=-1) / cov.shape[-1], 1.0) * 1e-12
+        try:
+            chol = np.linalg.cholesky(cov + jitter[:, None, None] * np.eye(cov.shape[-1]))
+            return chol, jitter, np.zeros(len(cov), dtype=int)
+        except np.linalg.LinAlgError:
+            chol, jitter, raises = zip(*map(_chol_psd, cov))
+            return np.stack(chol), np.array(jitter), np.array(raises)
     jitter = max(np.trace(cov) / len(cov), 1.0) * 1e-12
     for raises in range(12):
         try:
@@ -197,19 +209,28 @@ def _process(smoother: npreg.Smoother, grid, rng, draws):
     Given the data, the estimate is linear in the moment values: with cov = chol chol'
     of the coefficients and L the design, the standardized draws are N(0, I) normals
     times the fixed map chol' L' / s, or chol'[:, L] / s where L indexes coefficients.
+    A stacked series smoother, with grid (R, G), takes a sequence of R generators:
+    theta, s and the jitter get the stack's leading axis, and the draws come as
+    an iterator whose item i is drawn only when it is read, so one slice's
+    draws at a time need be held.
     """
     design = smoother.design(grid)  # (G, k), or (G,) coefficient indices
     theta_base, s_base = smoother.evaluate_design(design)  # (n_base, G)
-    n_base, k = theta_base.shape[0], len(smoother.coef)
+    n_base, k = theta_base.shape[-2], smoother.coef.shape[-2]
     chol, jitter, raises = _chol_psd(smoother.cov)
-    chol_t = chol.T
+    chol_t = chol.swapaxes(-1, -2).reshape(*chol.shape[:-2], n_base * k, n_base, k)
     if design.dtype.kind == "i":
-        draw_map = chol_t.reshape(n_base * k, n_base, k)[..., design] / s_base
+        draw_map = chol_t[..., design] / s_base
     else:
-        draw_map = (chol_t.reshape(n_base * k, n_base, k) @ design.T) / s_base
-    zstar_base = rng.standard_normal((draws, n_base * k)) @ draw_map.reshape(n_base * k, -1)
-    return (theta_base, s_base, zstar_base.reshape(draws, n_base, -1),
-            {"chol_jitter": jitter, "chol_jitter_raises": raises})
+        draw_map = (chol_t @ design.swapaxes(-1, -2)[..., None, :, :]) / s_base[..., None, :, :]
+    draw_map = draw_map.reshape(*draw_map.shape[:-3], n_base * k, -1)
+    diagnostics = {"chol_jitter": jitter, "chol_jitter_raises": raises}
+    if draw_map.ndim == 2:
+        zstar = (rng.standard_normal((draws, n_base * k)) @ draw_map).reshape(draws, n_base, -1)
+        return theta_base, s_base, zstar, diagnostics
+    zstars = ((gen.standard_normal((draws, n_base * k)) @ one).reshape(draws, n_base, -1)
+              for gen, one in zip(rng, draw_map))
+    return theta_base, s_base, zstars, diagnostics
 
 
 def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
@@ -232,7 +253,7 @@ def _check_array_budget(cfg: TestConfig, ms: MomentSystem, n_grid: int, n_coef: 
     rows), the largest of the arrays it holds beside its basis and
     pseudo-inverse. A local-linear smoother has one coefficient per grid point.
     """
-    m = ms.base.shape[1]
+    m = ms.base.shape[-1]
     arrays = [
         (cfg.mult_draws * m * n_grid, "the draw tensor", "sim.multiplier_draws or grid.count"),
         ((m * n_coef) ** 2, "the coefficient covariance",
@@ -240,7 +261,7 @@ def _check_array_budget(cfg: TestConfig, ms: MomentSystem, n_grid: int, n_coef: 
         (m * n_coef * m * n_grid, "the draw map", "grid.count"),
     ]
     if cfg.method == "series":
-        arrays.append((m * n_coef * len(ms.conditioning), "the series influences",
+        arrays.append((m * n_coef * ms.conditioning.shape[-1], "the series influences",
                        "npreg.series_order"))
     size, name, keys = max(arrays, key=lambda array: array[0])
     if 8 * size > ARRAY_BUDGET_BYTES:
@@ -249,9 +270,18 @@ def _check_array_budget(cfg: TestConfig, ms: MomentSystem, n_grid: int, n_coef: 
 
 
 def run_test(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
-             rng: RngSpec = RngSpec()) -> TestReport:
-    """Precision-corrected sup test of H0: sup_v theta(v) <= 0: `decide` on `estimate`."""
-    return decide(estimate(ms, grid, cfg, rng), ms.moments, cfg.alpha_levels)
+             rng: RngSpec = RngSpec()) -> TestReport | list[TestReport]:
+    """Precision-corrected sup test of H0: sup_v theta(v) <= 0: `decide` on `estimate`.
+
+    A stacked moment system takes one RngSpec per slice and gives one report
+    per slice, in a list, each equal to the slice's own run_test bit for bit.
+    Each slice's draws are made, decided and freed before the next slice's.
+    """
+    if ms.base.ndim == 2:
+        return decide(estimate(ms, grid, cfg, rng), ms.moments, cfg.alpha_levels)
+    # map, unlike a loop variable, lets go of each estimate before the next one is drawn
+    tail = partial(decide, moments=ms.moments, alpha_levels=cfg.alpha_levels)
+    return list(map(tail, _estimates(ms, grid, cfg, rng)))
 
 
 @dataclass(frozen=True)
@@ -267,7 +297,7 @@ class Estimate:
 
 def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
              rng: RngSpec = RngSpec()) -> Estimate:
-    """Fit the smoother of every base moment on the grid and draw its process.
+    """Fit the smoother of every base moment of one system on the grid and draw its process.
 
     A series fit without `cfg.series_order` uses `npreg.default_series_order(n)`;
     the spec-dependent orders are set by `test_model`. Either is capped at the
@@ -281,14 +311,32 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     allocated. A grid with a non-finite point, or a series grid without two
     distinct points, raises InvalidGrid.
     """
-    c = ms.conditioning
-    n = len(c)
-    method = cfg.method
-    diagnostics = {"method": method, "mult_draws": cfg.mult_draws, "n": n,
-                   "seed": rng.seed, "stream": rng.stream,
-                   "conditioning_column": ms.conditioning_column}
-    gen = rng.generator()
+    (est,) = _estimates(ms, grid, cfg, rng)
+    return est
 
+
+def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
+    """`estimate` of a moment system, or of each slice of a stacked one, in order.
+
+    A stacked system (base (R, n, m), conditioning (R, n)) takes a sequence
+    of one RngSpec per slice. Its series fit runs on the whole stack when the
+    slices share the series order and the grid size: the least squares, the
+    influence covariance, the grid design and the draw map. Local-linear and
+    cell means, whose windows differ per slice, and a series stack whose
+    slices differ in order or grid size go one slice at a time. Either way
+    each slice equals its own `estimate` bit for bit. This is a generator: a
+    slice's draws are made when it is reached.
+    """
+    c, method = ms.conditioning, cfg.method
+    stacked = c.ndim == 2
+    if stacked and method != "series":
+        yield from _slice_by_slice(ms, grid, cfg, rng)
+        return
+    rngs = rng if stacked else [rng]
+    rows = c.reshape(-1, c.shape[-1])  # each slice's conditioning column
+    diagnostics = [{"method": method, "mult_draws": cfg.mult_draws, "n": c.shape[-1],
+                    "seed": r.seed, "stream": r.stream,
+                    "conditioning_column": ms.conditioning_column} for r in rngs]
     ok = None  # which grid points the smoother can estimate, if it can miss some
     if method == "cell-means":
         if grid is not None:
@@ -301,40 +349,62 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     else:
         n_grid = n_coef = cfg.grid_count if grid is None else np.size(grid)
         if method == "series":
-            order = npreg.capped_series_order(c, cfg.series_order)
-            n_coef = order + 1
+            orders = [npreg.capped_series_order(ci, cfg.series_order) for ci in rows]
+            n_coef = max(orders) + 1
         _check_array_budget(cfg, ms, n_grid, n_coef)
         if grid is None:
-            grid = conditioning_grid(c, cfg.centile_lo, cfg.centile_hi, cfg.grid_count)
-        grid = np.asarray(grid, dtype=float)
+            grids = [conditioning_grid(ci, cfg.centile_lo, cfg.centile_hi, cfg.grid_count)
+                     for ci in rows]
+        else:
+            grids = [np.asarray(grid, dtype=float).ravel()] * len(rows)
+        if stacked and (len(set(orders)) > 1 or len({len(g) for g in grids}) > 1):
+            yield from _slice_by_slice(ms, grid, cfg, rng)
+            return
+        grid = np.stack(grids) if stacked else grids[0]
         if grid.size == 0:
             raise EmptyGrid("conditioning grid is empty")
         if not np.isfinite(grid).all():
             raise InvalidGrid("conditioning grid has non-finite points "
                               f"{grid[~np.isfinite(grid)].tolist()}")
         if method == "series":
-            if not grid.min() < grid.max():
+            lo, hi = grid.min(axis=-1), grid.max(axis=-1)
+            if not (lo < hi).all():
                 raise InvalidGrid("a series fit needs a conditioning grid of two distinct points")
-            diagnostics["series_order"] = order
-            smoother = npreg.series_smoother(c, ms.base, order, float(grid.min()), float(grid.max()))
+            for diag in diagnostics:
+                diag["series_order"] = orders[0]
+            smoother = npreg.series_smoother(c, ms.base, orders[0], lo, hi)
         else:  # local-linear
             bandwidth = cfg.bandwidth
             if bandwidth is None:
                 bandwidth = npreg.rule_of_thumb_bandwidth(c)
-            diagnostics["bandwidth"] = bandwidth
+            diagnostics[0]["bandwidth"] = bandwidth
             smoother, ok = npreg.local_linear_smoother(c, ms.base, grid, bandwidth)
     if ok is not None:
-        grid, diagnostics["dropped_grid_points"] = npreg.drop_grid_points(grid, ok, method)
+        grid, diagnostics[0]["dropped_grid_points"] = npreg.drop_grid_points(grid, ok, method)
         if grid.size == 0:
             raise EmptyGrid(f"all grid points have {npreg.DROP_REASONS[method]}")
-    theta_base, s_base, zstar_base, chol = _process(smoother, grid, gen, cfg.mult_draws)
-    diagnostics.update(chol)
-
-    floored = s_base <= npreg.S_FLOOR * (1.0 + np.abs(theta_base))
-    if np.all(floored):
+    gens = [r.generator() for r in rngs]
+    theta, s, zstar, chol = _process(smoother, grid, gens if stacked else gens[0],
+                                     cfg.mult_draws)
+    jitter, raises = chol["chol_jitter"], chol["chol_jitter_raises"]
+    if not stacked:
+        grid, theta, s, zstar = grid[None], theta[None], s[None], iter([zstar])
+        jitter, raises = [jitter], [raises]
+    floored = (s <= npreg.S_FLOOR * (1.0 + np.abs(theta))).sum(axis=(1, 2))
+    if (floored == s[0].size).any():
         raise DegenerateVariance("all standard errors at the numerical floor")
-    diagnostics["s_floored"] = int(floored.sum())
-    return Estimate(grid, theta_base, s_base, zstar_base, n, diagnostics)
+    for i, diag in enumerate(diagnostics):
+        diag.update(chol_jitter=float(jitter[i]), chol_jitter_raises=int(raises[i]),
+                    s_floored=int(floored[i]))
+        # no local name holds the draws, so they go with the estimate once it is decided
+        yield Estimate(grid[i], theta[i], s[i], next(zstar), c.shape[-1], diag)
+
+
+def _slice_by_slice(ms: MomentSystem, grid, cfg: TestConfig, rngs):
+    """`_estimates` of each slice of a stacked moment system alone."""
+    for i, rng in enumerate(rngs):
+        one = replace(ms, base=ms.base[i], conditioning=ms.conditioning[i])
+        yield from _estimates(one, grid, cfg, rng)
 
 
 def decide(est: Estimate, moments, alpha_levels) -> TestReport:
@@ -397,12 +467,14 @@ def test_model(
     spec: ModelSpec,
     cfg: TestConfig = TestConfig(),
     rng: RngSpec = RngSpec(),
-) -> TestReport:
+) -> TestReport | list[TestReport]:
     """Estimate, build the moment system, and run the sup test.
 
     A series fit without `series_order` takes the spec's default: the coarse
     VARIANCE_SERIES_ORDER under homoskedasticity, `nonlinear_step_series_order`
-    after a Box-Cox first step, else run_test's `default_series_order`.
+    after a Box-Cox first step, else run_test's `default_series_order`. A
+    stacked Dataset takes one RngSpec per slice and gives a list of reports,
+    each equal to the slice's own test_model bit for bit.
     """
     fit = first_step_fit(ds, spec)
     ms = build_for_spec(fit, spec, ds)
@@ -414,22 +486,28 @@ def test_model(
         elif spec.form is ModelForm.BOXCOX:
             cfg = replace(cfg, series_order=npreg.nonlinear_step_series_order(ds.n))
     report = run_test(ms, None, cfg, rng)
-    report.diagnostics["first_step"] = _fit_summary(fit)
+    if ds.y.ndim == 1:
+        report.diagnostics["first_step"] = _fit_summary(fit)
+        return report
+    for i, one in enumerate(report):
+        one.diagnostics["first_step"] = _fit_summary(fit, i)
     return report
 
 
-def _fit_summary(fit):
+def _fit_summary(fit, i=()):
+    """The first step's numbers: of slice i of a stacked fit, or with i = () of an unstacked one."""
     if hasattr(fit, "beta"):
+        f = fit.first_stage_f
         return {
             "method": fit.method.value,
-            "beta": [float(v) for v in fit.beta],
-            "sigma2_hat": fit.sigma2_hat,
-            "first_stage_f": fit.first_stage_f,
+            "beta": [float(v) for v in fit.beta[i]],
+            "sigma2_hat": float(np.asarray(fit.sigma2_hat)[i]),
+            "first_stage_f": None if f is None else float(np.asarray(f)[i]),
         }
     return {
         "method": "boxcox-profile",
-        "beta": [fit.beta0, fit.beta1],
-        "lambda": fit.lam,
+        "beta": [float(np.asarray(fit.beta0)[i]), float(np.asarray(fit.beta1)[i])],
+        "lambda": float(np.asarray(fit.lam)[i]),
     }
 
 

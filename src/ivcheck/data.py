@@ -23,7 +23,9 @@ class Dataset:
     """Immutable (y, x, z) sample.
 
     y is a length-n vector, x an (n, k_x) matrix and z an (n, k_z) matrix.
-    All entries are finite; the three blocks share the row count.
+    All entries are finite; the three blocks share the row count. A stack of
+    samples of one size puts a leading axis on all three: y (R, n), x (R, n, k_x)
+    and z (R, n, k_z).
     """
 
     y: np.ndarray
@@ -35,20 +37,20 @@ class Dataset:
         y = np.atleast_1d(np.asarray(self.y, dtype=float))
         x = np.asarray(self.x, dtype=float)
         z = np.asarray(self.z, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if z.ndim == 1:
-            z = z[:, None]
-        if y.ndim != 1:
-            raise IvcheckError("y must be one-dimensional")
-        if not (len(y) == x.shape[0] == z.shape[0]):
+        if y.ndim == 1:
+            x = x[:, None] if x.ndim == 1 else x
+            z = z[:, None] if z.ndim == 1 else z
+        if not (y.ndim <= 2 and x.ndim == z.ndim == y.ndim + 1):
+            raise IvcheckError("y must be one-dimensional, with x and z (n,) or (n, k), or a "
+                               "stack: y (R, n) with x and z (R, n, k)")
+        if not (y.shape == x.shape[:-1] == z.shape[:-1]):
             raise IvcheckError("y, x, z must share the row count")
-        if len(y) < 1:
+        if y.shape[-1] < 1:
             raise EmptyData("dataset has no rows")
         for name, block in (("y", y), ("x", x), ("z", z)):
             if not np.all(np.isfinite(block)):
-                idx = np.argwhere(~np.isfinite(np.atleast_2d(block.T).T))[0]
-                raise NonFiniteValue(int(idx[0]), name)
+                idx = np.argwhere(~np.isfinite(block.reshape(*y.shape, -1)))[0]
+                raise NonFiniteValue(int(idx[y.ndim - 1]), name)
         y.setflags(write=False)
         x.setflags(write=False)
         z.setflags(write=False)
@@ -58,15 +60,15 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return len(self.y)
+        return self.y.shape[-1]
 
     @property
     def k_x(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
     @property
     def k_z(self) -> int:
-        return self.z.shape[1]
+        return self.z.shape[-1]
 
 
 def load_csv(path, y_col, x_cols, z_cols) -> Dataset:
@@ -158,8 +160,8 @@ def conditioning_grid(values, centile_lo=0.01, centile_hi=0.99, count=100):
     values = np.asarray(values, dtype=float).ravel()
     if not 0.0 <= centile_lo < centile_hi <= 1.0:
         raise IvcheckError("need 0 <= centile_lo < centile_hi <= 1")
-    lo = empirical_quantile(values, centile_lo) if centile_lo > 0 else float(values.min())
-    hi = empirical_quantile(values, centile_hi)
+    # one sort for both centiles; centile 0 is the minimum
+    lo, hi = empirical_quantile(values, [centile_lo, centile_hi]).tolist()
     if not lo < hi:
         raise DegenerateSupport(
             f"centile {centile_lo} and {centile_hi} quantiles coincide at {lo}"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -34,20 +34,25 @@ class FitMethod(Enum):
 
 @dataclass(frozen=True)
 class LinearFit:
+    """A linear first step; that of a stacked Dataset has the stack's leading axis on each field."""
+
     beta: np.ndarray
     vcov: np.ndarray
     residuals: np.ndarray
     method: FitMethod
-    sigma2_hat: float
-    first_stage_f: float | None = None
+    sigma2_hat: float | np.ndarray
+    first_stage_f: float | np.ndarray | None = None
     beta_first_step: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class BoxCoxFit:
-    lam: float
-    beta0: float
-    beta1: float
+    """The Box-Cox profile fit; that of a stacked Dataset has the stack's leading axis on every
+    field but use_iv."""
+
+    lam: float | np.ndarray
+    beta0: float | np.ndarray
+    beta1: float | np.ndarray
     residuals: np.ndarray
     profile_sse_curve: np.ndarray  # (n_lambda, 2) columns (lambda, SSE)
     use_iv: bool
@@ -58,11 +63,9 @@ class BoxCoxFit:
 
 
 def _design(x: np.ndarray) -> np.ndarray:
-    """x with a leading column of ones: every first step fits an intercept."""
+    """x (..., n, k) with a leading column of ones: every first step fits an intercept."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    return np.column_stack([np.ones(x.shape[0]), x])
+    return np.concatenate([np.ones_like(x[..., :1]), x], axis=-1)
 
 
 def _check_rank(mat: np.ndarray, what: str, error=RankDeficient, rows: int | None = None) -> None:
@@ -80,37 +83,45 @@ def _check_rank(mat: np.ndarray, what: str, error=RankDeficient, rows: int | Non
 
 
 def _least_squares(b: np.ndarray, w: np.ndarray, what: str):
-    """Least squares of each column of w on the columns of b (n, k): (coef, resid, pinv, r).
+    """Least squares of each column of w (..., n, m) on those of b (..., n, k): (coef, pinv, r).
 
     R of b = QR has b's singular values, so the rank check reads the k x k R
     with the threshold of the n rows, and pinv = R^-1 R^-T b' (k, n) needs no
     tall SVD. coef = pinv @ w, so pinv[:, i] is row i's weight in every coef.
     With r the moments b'w = R'R coef need no second pass over the n rows.
+    Leading axes stack independent fits; one rank-deficient slice raises.
+    The residuals w - b @ coef are left to the callers that read them.
     """
     r = np.linalg.qr(b, mode="r")
-    _check_rank(r, what, rows=len(b))
+    _check_rank(r, what, rows=b.shape[-2])
     r_inv = np.linalg.inv(r)
-    pinv = r_inv @ (r_inv.T @ b.T)
-    coef = pinv @ w
-    return coef, w - b @ coef, pinv, r
+    pinv = r_inv @ (r_inv.swapaxes(-1, -2) @ b.swapaxes(-1, -2))
+    return pinv @ w, pinv, r
 
 
-def series_basis(z: np.ndarray, order: int, lo: float, hi: float) -> np.ndarray:
+def series_basis(z: np.ndarray, order: int, lo, hi) -> np.ndarray:
     """Degree-`order` polynomial basis with z mapped onto [-1, 1] via [lo, hi].
 
     Legendre polynomials span the same space as raw powers but keep the design
-    matrix well conditioned at high orders.
+    matrix well conditioned at high orders. z (..., n) gives (..., n, order + 1),
+    with lo and hi per slice of a stack, each of its leading shape.
     """
-    z = np.asarray(z, dtype=float).ravel()
+    z = np.asarray(z, dtype=float)
+    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
     t = 2.0 * (z - lo) / (hi - lo) - 1.0
     # legvander's recurrence, operation for operation, without importing numpy.polynomial
-    v = np.empty((order + 1, len(t)))
+    v = np.empty((order + 1, *t.shape))
     v[0] = 1.0
     if order > 0:
         v[1] = t
         for i in range(2, order + 1):
             v[i] = (v[i - 1] * t * (2 * i - 1) - v[i - 2] * (i - 1)) / i
-    return np.ascontiguousarray(v.T)
+    return np.ascontiguousarray(v.transpose(*range(1, v.ndim), 0))
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for a stack of matrices (..., p, q) and one of vectors (..., q)."""
+    return (a @ v[..., None])[..., 0]
 
 
 def _linear_step(dx: np.ndarray, y: np.ndarray, dz: np.ndarray, what: str):
@@ -119,60 +130,71 @@ def _linear_step(dx: np.ndarray, y: np.ndarray, dz: np.ndarray, what: str):
     One least squares of (X, Y) on Z gives the first stage X = Z Pi + V and
     Y = Z gamma + e, and beta = Pi^-1 gamma. Returns beta, the residuals u,
     each row's influence Pi^-1 pinv[:, i] u_i = A^-1 z_i u_i / n with
-    A = E_n[Z X'], and the first-stage residuals V. The influences' cross
-    product is the HC0 sandwich A^-1 E_n[z z' u^2] A^-T / n.
+    A = E_n[Z X'], and the first-stage coefficients (Pi, gamma). The
+    influences' cross product is the HC0 sandwich A^-1 E_n[z z' u^2] A^-T / n.
+    Leading axes of dx (..., n, k), y (..., n) and dz stack independent fits.
+    For OLS Pi is the identity up to rounding, and a rank-deficient X already
+    fails the check on R, so only IV checks the rank of Pi.
     """
-    k = dx.shape[1]
-    coef, first_resid, pinv, _ = _least_squares(dz, np.column_stack([dx, y]), what)
-    pi = coef[:, :k]
-    _check_rank(pi, what)
+    k = dx.shape[-1]
+    coef, pinv, _ = _least_squares(dz, np.concatenate([dx, y[..., None]], axis=-1), what)
+    pi = coef[..., :k]
+    if dz is not dx:
+        _check_rank(pi, what)
     pi_inv = np.linalg.inv(pi)  # a solve with the n rows as right-hand sides costs twice as much
-    beta = pi_inv @ coef[:, k]
-    resid = y - dx @ beta
-    influence = (pinv * resid).T @ pi_inv.T
-    return beta, resid, influence, first_resid[:, :k]
+    beta = _matvec(pi_inv, coef[..., k])
+    resid = y - _matvec(dx, beta)
+    influence = (pinv * resid[..., None, :]).swapaxes(-1, -2) @ pi_inv.swapaxes(-1, -2)
+    return beta, resid, influence, coef
+
+
+def _linear_fit(beta, resid, influence, method: FitMethod, first_stage_f=None) -> LinearFit:
+    """The LinearFit of `_linear_step`'s output: vcov = IF'IF and sigma2_hat = mean(u^2)."""
+    sigma2 = np.mean(resid**2, axis=-1)
+    return LinearFit(
+        beta=beta,
+        vcov=influence.swapaxes(-1, -2) @ influence,
+        residuals=resid,
+        method=method,
+        sigma2_hat=float(sigma2) if sigma2.ndim == 0 else sigma2,
+        first_stage_f=first_stage_f,
+    )
 
 
 def fit_ols(ds: Dataset) -> LinearFit:
     """Least squares of y on x, robust (HC0) covariance."""
     dx = _design(ds.x)
     beta, resid, influence, _ = _linear_step(dx, ds.y, dx, "OLS design matrix")
-    return LinearFit(
-        beta=beta,
-        vcov=influence.T @ influence,
-        residuals=resid,
-        method=FitMethod.OLS,
-        sigma2_hat=float(np.mean(resid**2)),
-    )
+    return _linear_fit(beta, resid, influence, FitMethod.OLS)
 
 
 def fit_iv(ds: Dataset) -> LinearFit:
-    """Just-identified linear IV, robust (HC0) covariance, the first-stage F from the same fit."""
+    """Just-identified linear IV, robust (HC0) covariance, the first-stage F from the same fit.
+
+    A stacked Dataset gets one F per slice, and one RelevanceWarning per weak slice.
+    """
     if ds.k_z != ds.k_x:
         raise RankDeficient(
             f"fit_iv needs a just-identified system (k_z={ds.k_z}, k_x={ds.k_x})"
         )
-    dz = _design(ds.z)
-    beta, resid, influence, v = _linear_step(_design(ds.x), ds.y, dz, "E_n[ZX']")
-    rss1 = np.einsum("ij,ij->j", v[:, 1:], v[:, 1:])
-    rss0 = np.sum((ds.x - ds.x.mean(axis=0)) ** 2, axis=0)
+    dz, dx = _design(ds.z), _design(ds.x)
+    beta, resid, influence, coef = _linear_step(dx, ds.y, dz, "E_n[ZX']")
+    v = (dx - (dz @ coef)[..., :-1])[..., 1:]  # the first-stage residuals of x
+    rss1 = np.einsum("...ij,...ij->...j", v, v)
+    rss0 = np.sum((ds.x - ds.x.mean(axis=-2, keepdims=True)) ** 2, axis=-2)
     dof = ds.n - ds.k_z - 1
-    f_stat = float(min((r0 - r1) / ds.k_z / (r1 / dof) if dof > 0 and r1 > 0 else np.inf
-                       for r0, r1 in zip(rss0, rss1)))
-    if f_stat < RELEVANCE_F_THRESHOLD:
-        warnings.warn(
-            f"first-stage F = {f_stat:.2f} < {RELEVANCE_F_THRESHOLD:g}: weak instrument",
-            RelevanceWarning,
-            stacklevel=2,
-        )
-    return LinearFit(
-        beta=beta,
-        vcov=influence.T @ influence,
-        residuals=resid,
-        method=FitMethod.IV,
-        sigma2_hat=float(np.mean(resid**2)),
-        first_stage_f=f_stat,
-    )
+    f_stats = [float(min((r0 - r1) / ds.k_z / (r1 / dof) if dof > 0 and r1 > 0 else np.inf
+                         for r0, r1 in zip(rss0_i, rss1_i)))
+               for rss0_i, rss1_i in zip(rss0.reshape(-1, ds.k_x), rss1.reshape(-1, ds.k_x))]
+    for f_stat in f_stats:
+        if f_stat < RELEVANCE_F_THRESHOLD:
+            warnings.warn(
+                f"first-stage F = {f_stat:.2f} < {RELEVANCE_F_THRESHOLD:g}: weak instrument",
+                RelevanceWarning,
+                stacklevel=2,
+            )
+    f_stat = f_stats[0] if ds.y.ndim == 1 else np.array(f_stats)
+    return _linear_fit(beta, resid, influence, FitMethod.IV, f_stat)
 
 
 def polynomial_instruments(degree: int = 3):
@@ -181,16 +203,21 @@ def polynomial_instruments(degree: int = 3):
     With an intercept they span (1, z, ..., z^degree) column by column, as the
     raw powers do, so no estimate or J statistic differs in exact arithmetic,
     while the basis stays well conditioned wherever z lies and whatever its
-    units. A constant column raises RankDeficient. Degree 3 by default.
+    units. A constant column raises RankDeficient. Degree 3 by default. h takes
+    z (n,) or (..., n, k), each slice of a stack over its own range.
     """
     if degree < 1:
         raise IvcheckError(f"instrument degree must be at least 1, got {degree}")
 
     def h(z):
-        z = np.asarray(z, dtype=float).reshape(len(z), -1)
-        if np.any(z.min(axis=0) == z.max(axis=0)):
+        z = np.asarray(z, dtype=float)
+        if z.ndim == 1:
+            z = z[:, None]
+        lo, hi = z.min(axis=-2), z.max(axis=-2)
+        if np.any(lo == hi):
             raise RankDeficient("an instrument column is constant")
-        return np.hstack([series_basis(c, degree, c.min(), c.max())[:, 1:] for c in z.T])
+        return np.concatenate([series_basis(z[..., j], degree, lo[..., j], hi[..., j])[..., 1:]
+                               for j in range(z.shape[-1])], axis=-1)
 
     return h
 
@@ -208,36 +235,47 @@ def _gmm(ds: Dataset, instrument_fn, efficient: bool):
     P P' / n = (G' Omega^-1 G)^-1 / n. Returns (beta, J, vcov, beta1, dof), both
     betas with the intercept at the mean of x, and vcov None without `efficient`.
     Residuals at rounding level, mean(u1^2) <= (n eps)^2 mean(y^2), raise
-    DegenerateVariance: any statistic built on them is rounding noise.
+    DegenerateVariance: any statistic built on them is rounding noise. A
+    stacked Dataset gives every output but dof per slice, J as an array.
     """
     h = _design((instrument_fn or polynomial_instruments(3))(ds.z))
-    dx = _design(ds.x - ds.x.mean(axis=0))
-    k, dof = dx.shape[1], h.shape[1] - dx.shape[1]
+    dx = _design(ds.x - ds.x.mean(axis=-2, keepdims=True))
+    k, dof = dx.shape[-1], h.shape[-1] - dx.shape[-1]
     if dof < 0:
         raise RankDeficient("dim h(Z) below the number of parameters")
-    rms = np.sqrt(np.einsum("ij,ij->j", h, h) / ds.n)
-    h = h / np.where(rms > 0, rms, 1.0)
+    rms = np.sqrt(np.einsum("...ij,...ij->...j", h, h) / ds.n)
+    h = h / np.where(rms > 0, rms, 1.0)[..., None, :]
     what = ("the instruments (1, h(Z)), whose degree-d polynomials need d + 1 distinct "
             "values of each instrument,")
-    coef, _, _, r = _least_squares(h, np.column_stack([dx, ds.y]), what)
+    coef, _, r = _least_squares(h, np.concatenate([dx, ds.y[..., None]], axis=-1), what)
     reduced = r @ coef  # (R Pi, R gamma)
-    beta1, e1, _, _ = _least_squares(reduced[:, :k], reduced[:, k], "E_n[hX']")
-    u1 = ds.y - dx @ beta1
-    if np.mean(u1**2) <= (ds.n * np.finfo(float).eps) ** 2 * np.mean(ds.y**2):
+    beta1, _, _ = _least_squares(reduced[..., :k], reduced[..., k:], "E_n[hX']")
+    e1 = reduced[..., k:] - reduced[..., :k] @ beta1
+    beta1 = beta1[..., 0]
+    u1 = ds.y - _matvec(dx, beta1)
+    if np.any(np.mean(u1**2, axis=-1)
+              <= (ds.n * np.finfo(float).eps) ** 2 * np.mean(ds.y**2, axis=-1)):
         raise DegenerateVariance("2SLS residuals are at rounding level: the linear model "
                                  "fits the data exactly")
     if not efficient:
-        return beta1, float(ds.n * (e1 @ e1) / (u1 @ u1)), None, beta1, dof
-    hu = h * u1[:, None]
-    omega = hu.T @ hu / ds.n
+        return beta1, ds.n * _sq_norm(e1[..., 0]) / _sq_norm(u1), None, beta1, dof
+    hu = h * u1[..., None]
+    omega = hu.swapaxes(-1, -2) @ hu / ds.n
     _check_rank(omega, "second-step weight matrix", SingularWeight)
     try:
         chol = np.linalg.cholesky(omega)
     except np.linalg.LinAlgError:
         raise SingularWeight("second-step weight matrix is not positive definite") from None
-    white = np.linalg.solve(chol, r.T @ reduced / ds.n)  # L^-1 E_n[h (X, y)]
-    beta2, e2, pinv2, _ = _least_squares(white[:, :k], white[:, k], "the whitened E_n[hX']")
-    return beta2, float(ds.n * (e2 @ e2)), pinv2 @ pinv2.T / ds.n, beta1, dof
+    white = np.linalg.solve(chol, r.swapaxes(-1, -2) @ reduced / ds.n)  # L^-1 E_n[h (X, y)]
+    beta2, pinv2, _ = _least_squares(white[..., :k], white[..., k:], "the whitened E_n[hX']")
+    e2 = white[..., k:] - white[..., :k] @ beta2
+    vcov = pinv2 @ pinv2.swapaxes(-1, -2) / ds.n
+    return beta2[..., 0], ds.n * _sq_norm(e2[..., 0]), vcov, beta1, dof
+
+
+def _sq_norm(v: np.ndarray) -> np.ndarray:
+    """v @ v for each vector of a stack (..., q), as the one dot product of an unstacked v."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def fit_gmm2step(ds: Dataset, instrument_fn=None) -> LinearFit:
@@ -334,7 +372,13 @@ def fit_boxcox(ds: Dataset, use_iv: bool = False) -> BoxCoxFit:
     residuals is profiled, and the coarse minimizer is polished on successively
     finer local grids. The first minimum of each grid wins. The lambdas are
     fitted in blocks of BOXCOX_BLOCK_CELLS // n. Assumes a scalar regressor.
+    Those blocks already vectorize, so a stacked Dataset is fitted slice by slice.
     """
+    if ds.y.ndim > 1:
+        fits = [fit_boxcox(Dataset(y, x, z), use_iv) for y, x, z in zip(ds.y, ds.x, ds.z)]
+        stacked = {f.name: np.stack([getattr(fit, f.name) for fit in fits])
+                   for f in fields(BoxCoxFit) if f.name != "use_iv"}
+        return BoxCoxFit(**stacked, use_iv=use_iv)
     if ds.k_x != 1:
         raise DomainError("fit_boxcox expects a scalar regressor")
     x = ds.x[:, 0]

@@ -41,7 +41,9 @@ class MomentSystem:
     """Signed moment values W_j per row plus the scalar conditioning column.
 
     Columns of `base` hold the unsigned transforms and `moments` lists
-    (label, base_index, sign); the systems built here come in +/- pairs.
+    (label, base_index, sign); the systems built here come in +/- pairs. The
+    system of a stacked Dataset has the stack's leading axis on base and
+    conditioning, and one tuple of moments shared by every slice.
     """
 
     base: np.ndarray  # (n, n_base) unsigned moment values
@@ -58,18 +60,18 @@ def _conditioning_column(ds: Dataset, conditioning: Conditioning):
     """(values, name) of the first column of z (or x); the others are left out."""
     block = conditioning.value
     values = ds.z if conditioning is Conditioning.ON_Z else ds.x
-    names = ds.column_names.get(block) or [f"{block}{i + 1}" for i in range(values.shape[1])]
+    names = ds.column_names.get(block) or [f"{block}{i + 1}" for i in range(values.shape[-1])]
     if len(names) > 1:
         warnings.warn(
             f"moments condition on {block} column {names[0]!r} only; "
             f"{', '.join(map(repr, names[1:]))} left out",
             stacklevel=2,
         )
-    return values[:, 0], names[0]
+    return values[..., 0], names[0]
 
 
 def _paired(base_cols, labels, conditioning, column) -> MomentSystem:
-    base = np.column_stack(base_cols)
+    base = np.stack(base_cols, axis=-1)
     moments = []
     for b, label in enumerate(labels):
         moments.append((f"{label}+", b, 1.0))
@@ -122,7 +124,7 @@ def build_for_spec(fit, spec: ModelSpec, ds: Dataset) -> MomentSystem:
     if spec.homoskedastic:
         if isinstance(fit, BoxCoxFit):
             raise IvcheckError("homoskedasticity moments require a linear fit")
-        sigma2 = float(np.mean(resid**2))  # 1/n, matching the population identity
+        sigma2 = np.mean(resid**2, axis=-1, keepdims=True)  # 1/n, matching the population identity
         cols.append(resid**2 - sigma2)
         labels.append("var")
     cond, column = _conditioning_column(ds, spec.conditioning)

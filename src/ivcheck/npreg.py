@@ -53,9 +53,13 @@ def capped_series_order(z, order: int | None = None) -> int:
     """`order`, else `default_series_order(n)`, capped at the distinct values of z minus one.
 
     Degree d - 1 already fits d support points exactly; a higher one is collinear.
+    The first rows usually hold order + 1 distinct values already, and then
+    the values of the other rows are not counted.
     """
     if order is None:
         order = default_series_order(len(z))
+    if len(distinct(z[: 4 * (order + 1)])) > order:
+        return order
     return min(order, len(distinct(z)) - 1)
 
 
@@ -86,9 +90,9 @@ def clamp_s(s: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def _influence_cov(psi: np.ndarray) -> np.ndarray:
-    """flat(psi) @ flat(psi).T, for psi[a, j, i] observation i's influence on coef[j, a]."""
-    flat = psi.reshape(-1, psi.shape[-1])
-    return flat @ flat.T
+    """flat(psi) @ flat(psi).T, for psi[..., a, j, i] row i's influence on coef[..., j, a]."""
+    flat = psi.reshape(*psi.shape[:-3], -1, psi.shape[-1])
+    return flat @ flat.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,8 @@ class Smoother:
 
     cov is the HC0 covariance of the coefficients, stacked column by column of
     W: the sum over observations of the outer product of each one's influence
-    on them (`_influence_cov`).
+    on them (`_influence_cov`). A series smoother of a stack of datasets has
+    the stack's leading axis on coef, cov, its design's v and L, and theta and s.
     """
 
     design: Callable  # v (G,) -> L (G, k), or a point smoother's coefficient indices (G,)
@@ -110,15 +115,16 @@ class Smoother:
 
     def evaluate_design(self, design):
         """`evaluate` at the points whose design rows are `design` (G, k), or coefficient indices (G,)."""
-        k = len(self.coef)
+        k = self.coef.shape[-2]
         if design.dtype.kind == "i":  # a point smoother: theta is the coefficients at the indices
             theta, var = self.coef[design].T, self.cov.diagonal().reshape(-1, k)[:, design]
             return theta, clamp_s(np.sqrt(var.clip(min=0.0)), theta)
-        theta = (design @ self.coef).T
+        theta = (design @ self.coef).swapaxes(-1, -2)
         s = np.empty_like(theta)
-        for a in range(len(s)):
-            block = self.cov[a * k : (a + 1) * k, a * k : (a + 1) * k]
-            s[a] = np.sqrt(np.einsum("ij,jk,ik->i", design, block, design).clip(min=0.0))
+        for a in range(s.shape[-2]):
+            block = self.cov[..., a * k : (a + 1) * k, a * k : (a + 1) * k]
+            s[..., a, :] = np.sqrt(np.einsum("...ij,...jk,...ik->...i", design, block, design)
+                                   .clip(min=0.0))
         return theta, clamp_s(s, theta)
 
 
@@ -131,18 +137,23 @@ def _point_design(points, v):
     return index
 
 
-def series_smoother(z, w, order: int, lo: float, hi: float) -> Smoother:
-    """Least squares of each column of w (n, m) on the Legendre basis over [lo, hi]."""
-    n = len(z)
+def series_smoother(z, w, order: int, lo, hi) -> Smoother:
+    """Least squares of each column of w (n, m) on the Legendre basis over [lo, hi].
+
+    A stack of z (R, n) and w (R, n, m) takes lo and hi per slice and gives a
+    stacked smoother, whose slices equal each one's own smoother bit for bit.
+    """
+    n = z.shape[-1]
     if not 1 <= order < n - 1:
         raise InsufficientData(f"series order must satisfy 1 <= order < n - 1 "
                                f"(n={n}, order={order})")
-    if not lo < hi:
+    if not np.less(lo, hi).all():
         raise RankDeficient("conditioning variable is constant")
     b = series_basis(z, order, lo, hi)
-    coef, resid, pinv, _ = _least_squares(b, w, "the series basis of this order")
+    coef, pinv, _ = _least_squares(b, w, "the series basis of this order")
+    resid = (w - b @ coef).swapaxes(-1, -2)  # (..., m, n)
     design = partial(series_basis, order=order, lo=lo, hi=hi)
-    return Smoother(design, coef, _influence_cov(pinv[None] * resid.T[:, None, :]))
+    return Smoother(design, coef, _influence_cov(pinv[..., None, :, :] * resid[..., None, :]))
 
 
 def _positive(bandwidth) -> float:

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .data import Dataset
 from .estimators import _gmm
 
@@ -48,21 +50,31 @@ def chi2_sf(x: float, dof: int) -> float:
     return min(math.fsum(terms), 1.0)
 
 
-def _report(ds: Dataset, instrument_fn, method: OveridMethod) -> OveridReport:
-    """The J statistic of `_gmm` on dim h - dim x degrees of freedom."""
-    _, statistic, _, _, dof = _gmm(ds, instrument_fn, efficient=method is OveridMethod.HANSEN_J)
-    p = 1.0 if dof == 0 or statistic < JUST_IDENTIFIED_TOL else chi2_sf(statistic, dof)
-    return OveridReport(statistic=statistic, dof=dof, p_value=p, method=method)
+def _report(ds: Dataset, instrument_fn, method: OveridMethod) -> OveridReport | list[OveridReport]:
+    """The J statistic of `_gmm` on dim h - dim x degrees of freedom.
+
+    A stacked Dataset gives one report per slice, in a list.
+    """
+    _, stats, _, _, dof = _gmm(ds, instrument_fn, efficient=method is OveridMethod.HANSEN_J)
+    reports = []
+    for statistic in map(float, np.ravel(stats)):
+        p = 1.0 if dof == 0 or statistic < JUST_IDENTIFIED_TOL else chi2_sf(statistic, dof)
+        reports.append(OveridReport(statistic=statistic, dof=dof, p_value=p, method=method))
+    return reports[0] if ds.y.ndim == 1 else reports
 
 
-def sargan(ds: Dataset, instrument_fn=None) -> OveridReport:
+def sargan(ds: Dataset, instrument_fn=None) -> OveridReport | list[OveridReport]:
     """Sargan statistic: J at 2SLS with the homoskedastic weight (E_n[hh'] E_n[u^2])^-1.
 
-    This equals n R^2 of the 2SLS residual regressed on the instruments.
+    This equals n R^2 of the 2SLS residual regressed on the instruments. A
+    stacked Dataset gives one report per slice, in a list.
     """
     return _report(ds, instrument_fn, OveridMethod.SARGAN)
 
 
-def hansen_j(ds: Dataset, instrument_fn=None) -> OveridReport:
-    """Hansen J: n gbar' W gbar at the two-step efficient GMM estimate, W its weight."""
+def hansen_j(ds: Dataset, instrument_fn=None) -> OveridReport | list[OveridReport]:
+    """Hansen J: n gbar' W gbar at the two-step efficient GMM estimate, W its weight.
+
+    A stacked Dataset gives one report per slice, in a list.
+    """
     return _report(ds, instrument_fn, OveridMethod.HANSEN_J)

@@ -7,6 +7,7 @@ import ctypes
 import functools
 import math
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -23,6 +24,11 @@ from .overid import hansen_j, sargan
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
+
+# run_study stacks up to this many rows (replications x n) in one pass: enough
+# replications to share each numpy call's overhead, few enough that a stacked
+# series basis of order 16 takes about 1 MB
+CHUNK_ROWS = 8192
 
 # Covariance of the structural/first-stage errors: Sigma differs between the
 # size design ((1, .5; .5, 2)) and the power design ((1, .5; .5, 1)), exactly
@@ -100,27 +106,35 @@ class DgpSpec:
         return f"{self.family.value}(n={self.n}{extra})"
 
 
-def generate(spec: DgpSpec, rng: RngSpec | np.random.Generator) -> Dataset:
+def generate(spec: DgpSpec, rng) -> Dataset:
     """Draw one dataset from the family; deterministic given the RNG spec.
 
     c is the instrument of the IV designs and the regressor of the others;
-    y = 2 f(x) + u.
+    y = 2 f(x) + u. `rng` is a RngSpec or a Generator; a sequence of them
+    draws a stacked Dataset whose slice i is generate(spec, rng[i]) bit for bit.
     """
-    gen = rng if isinstance(rng, np.random.Generator) else rng.generator()
+    gens = [r if isinstance(r, np.random.Generator) else r.generator()
+            for r in (rng if isinstance(rng, (list, tuple)) else [rng])]
     n = spec.n
     design = DESIGNS[spec.family]
     boxcox = design.form is ModelForm.BOXCOX
+    chol = CHOL_SIZE if design.deviation is Deviation.NONE else CHOL_POWER
+    # each slice draws c, then its errors (u, or u and v), from its own generator
+    c = np.empty((len(gens), n))
+    errors = np.empty((len(gens), n, 2 if design.instrumented else 1))
+    for gen, c_i, e_i in zip(gens, c, errors):
+        c_i[:] = gen.uniform(0.0, 10.0, n) if boxcox else gen.uniform(-3.0, 3.0, n)
+        if design.instrumented:
+            e_i[:] = gen.standard_normal((n, 2)) @ chol.T
+        else:
+            e_i[:] = gen.standard_normal((n, 1))
     if boxcox:
-        c = gen.uniform(0.0, 10.0, n)
         c[c == 0.0] = 10.0  # support is the half-open interval (0, 10]
-    else:
-        c = gen.uniform(-3.0, 3.0, n)
+    u = errors[..., 0]
     if design.instrumented:
-        chol = CHOL_SIZE if design.deviation is Deviation.NONE else CHOL_POWER
-        u, v = (gen.standard_normal((n, 2)) @ chol.T).T
+        v = errors[..., 1]
         x = 2.0 * c + np.maximum(v, 0.0) if boxcox else 3.0 * c + v
     else:
-        u = gen.standard_normal(n)
         x = c
     if design.deviation is Deviation.POWER:
         # symmetric truncation keeps the mean at zero
@@ -129,7 +143,9 @@ def generate(spec: DgpSpec, rng: RngSpec | np.random.Generator) -> Dataset:
     elif design.deviation is Deviation.HETERO:
         u = u * np.sqrt(1.0 + spec.rho / 9.0 * c**2)
     y = 2.0 * (boxcox_transform(x, spec.lam) if boxcox else x) + u
-    return Dataset(y=y, x=x, z=c)
+    if isinstance(rng, (list, tuple)):
+        return Dataset(y=y, x=x[..., None], z=c[..., None])
+    return Dataset(y=y[0], x=x[0], z=c[0])
 
 
 def model_spec_for(spec: DgpSpec) -> ModelSpec:
@@ -175,22 +191,61 @@ class StudyResult:
         return [asdict(c) for c in self.cells]
 
 
-def _one_replication(args):
-    spec, methods, cfg, rng, rep = args
-    sub = rng.substream(rep)
-    ds = generate(spec, sub)
-    out = {}
+def chunk_size(n: int) -> int:
+    """Replications of n rows that run_study puts through one stacked pass."""
+    return max(1, CHUNK_ROWS // n)
+
+
+def _chunks(reps: int, size: int):
+    """range(reps) cut into consecutive ranges of `size`, the last one shorter."""
+    return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
+
+
+def _replications(args) -> list:
+    """The decisions of replications `reps` of one spec, {method: {alpha: reject} or None} each.
+
+    They run as one stack (`_stacked`). If that raises an IvcheckError, they
+    are run again one at a time, where a failing method gives None for its
+    replication only, as a replication run alone would. The warnings of the
+    stacked pass are held back, and shown only if it succeeds, so either way
+    each replication's warnings are shown once.
+    """
+    spec, methods, cfg, rng, reps = args
+    subs = [rng.substream(rep) for rep in reps]
+    if len(subs) > 1:
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                out = _stacked(spec, methods, cfg, subs, strict=True)
+        except IvcheckError:
+            pass
+        else:
+            for w in caught:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+            return out
+    return [row for sub in subs for row in _stacked(spec, methods, cfg, [sub], strict=False)]
+
+
+def _stacked(spec, methods, cfg, subs, strict: bool) -> list:
+    """One pass of generate and each method over the stack of replications drawn from `subs`.
+
+    Without `strict` a method that raises an IvcheckError decides None for every replication.
+    """
+    data = generate(spec, subs)
+    decided = []
     for method in methods:
         try:
             if method is Method.CMI:
-                report = test_model(ds, model_spec_for(spec), cfg, sub.substream(7919))
-                out[method.value] = {a: report.reject(a) for a in cfg.alpha_levels}
+                reports = test_model(data, model_spec_for(spec), cfg,
+                                     [sub.substream(7919) for sub in subs])
+                decided.append([{a: r.reject(a) for a in cfg.alpha_levels} for r in reports])
             else:
-                p = (sargan if method is Method.SARGAN else hansen_j)(ds).p_value
-                out[method.value] = {a: p < a for a in cfg.alpha_levels}
+                reports = (sargan if method is Method.SARGAN else hansen_j)(data)
+                decided.append([{a: r.p_value < a for a in cfg.alpha_levels} for r in reports])
         except IvcheckError:
-            out[method.value] = None
-    return out
+            if strict:
+                raise
+            decided.append([None] * len(subs))
+    return [{m.value: d for m, d in zip(methods, row)} for row in zip(*decided)]
 
 
 @functools.cache
@@ -278,7 +333,10 @@ def run_study(
 
     Results depend only on (specs, reps, cfg, rng), never on the worker count:
     per-replication RNG substreams are derived from the replication index.
-    With jobs > 1 every (spec, replication) runs in one process pool whose
+    Each spec's replications run in chunks of `chunk_size(n)`, a number fixed
+    by n alone, each chunk one stacked pass (`_replications`) whose decisions
+    equal those of its replications run one at a time, bit for bit.
+    With jobs > 1 every chunk runs in one process pool whose
     workers use a single BLAS thread; the calling process keeps its own.
     The workers are forked on first use and kept for the life of the process:
     later run_study and power_curve calls reuse them, and a call with another
@@ -293,20 +351,21 @@ def run_study(
     specs = list(specs)
     methods = list(methods)
     tasks = [
-        (spec, methods, cfg, rng.substream(1_000 + si), rep)
+        (spec, methods, cfg, rng.substream(1_000 + si), chunk)
         for si, spec in enumerate(specs)
-        for rep in range(reps)
+        for chunk in _chunks(reps, chunk_size(spec.n))
     ]
     if jobs > 1:
         pool = _worker_pool(jobs)
         chunksize = max(1, len(tasks) // (4 * jobs))
         try:
-            raw = list(pool.map(_one_replication, tasks, chunksize=chunksize))
+            raw = [row for chunk in pool.map(_replications, tasks, chunksize=chunksize)
+                   for row in chunk]
         except BaseException:
             _drop_pool()
             raise
     else:
-        raw = [_one_replication(t) for t in tasks]
+        raw = [row for task in tasks for row in _replications(task)]
     cells = []
     for si, spec in enumerate(specs):
         spec_raw = raw[si * reps : (si + 1) * reps]

@@ -89,6 +89,20 @@ def test_dataset_rejects_row_mismatch():
         Dataset(y=np.array([1.0, 2.0]), x=np.array([1.0, 2.0, 3.0]), z=np.array([1.0, 2.0]))
 
 
+def test_dataset_stack_needs_its_column_axis():
+    """A stack puts R before the n rows of y, x and z; a column vector y is not one."""
+    col = np.arange(4.0)[:, None]
+    with pytest.raises(IvcheckError, match="one-dimensional"):
+        Dataset(y=col, x=col, z=col)
+    stack = Dataset(y=np.ones((2, 4)), x=np.ones((2, 4, 1)), z=np.zeros((2, 4, 1)))
+    assert (stack.n, stack.k_x, stack.k_z) == (4, 1, 1)
+    z = np.zeros((2, 4, 1))
+    z[1, 2] = np.nan
+    with pytest.raises(NonFiniteValue) as bad:
+        Dataset(y=np.ones((2, 4)), x=np.ones((2, 4, 1)), z=z)
+    assert (bad.value.row, bad.value.col) == (2, "z")
+
+
 def test_grid_1_to_100():
     z = np.arange(1.0, 101.0)
     grid = conditioning_grid(z, 0.01, 0.99, 100)

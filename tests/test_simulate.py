@@ -1,4 +1,5 @@
 import ctypes
+import gc
 import multiprocessing
 import os
 import re
@@ -6,17 +7,20 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from ivcheck import simulate
 from ivcheck.clrtest import TestConfig as Cfg
-from ivcheck.data import RngSpec
-from ivcheck.errors import IvcheckError
+from ivcheck.data import Dataset, RngSpec
+from ivcheck.errors import IvcheckError, RelevanceWarning
 from ivcheck.moments import Conditioning, ModelForm
 from ivcheck.simulate import (
     DESIGNS,
@@ -337,3 +341,116 @@ def test_generate_deterministic():
     a = generate(sp, RngSpec(seed=11))
     b = generate(sp, RngSpec(seed=11))
     assert np.array_equal(a.y, b.y) and np.array_equal(a.x, b.x)
+
+
+FAMILY_PARAMS = {"lam": 0.5, "L": 0.5, "sigma": 0.25, "rho": 1.0}
+
+
+def _recorded(monkeypatch, name, field):
+    """Wrap simulate.<name> so that it appends `field` of every report it returns."""
+    seen, real = [], getattr(simulate, name)
+
+    def recording(*args):
+        reports = real(*args)
+        seen.extend(getattr(r, field) if field != "theta_corrected" else
+                    [r.theta_corrected(a) for a in r.alpha_levels] for r in reports)
+        return reports
+
+    monkeypatch.setattr(simulate, name, recording)
+    return seen
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(list(DgpFamily)),
+    n=st.integers(60, 1500),
+    reps=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+)
+def test_chunk_equals_replications_one_at_a_time(family, n, reps, seed):
+    """One stacked chunk decides as its replications run alone, with the same
+    theta_corrected and Sargan p, compared with ==; Hansen J decides alike too."""
+    spec = DgpSpec(family=family, n=n, **FAMILY_PARAMS)
+    rng = RngSpec(seed=seed).substream(1_000)
+    cfg = Cfg(mult_draws=200)
+    runs = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for chunks in ([range(reps)], [range(rep, rep + 1) for rep in range(reps)]):
+            theta = _recorded(monkeypatch, "test_model", "theta_corrected")
+            p = _recorded(monkeypatch, "sargan", "p_value")
+            rows = [row for chunk in chunks for row in simulate._replications(
+                (spec, list(Method), cfg, rng, chunk))]
+            runs.append((rows, theta, p))
+            monkeypatch.undo()
+    assert runs[0] == runs[1]
+    rows, theta, p = runs[0]
+    assert len(rows) == len(theta) == len(p) == reps
+
+
+def _weak_and_constant_instruments(monkeypatch, rng, constant):
+    """Patch generate: replication `constant` gets a constant instrument, every odd one an
+    instrument unrelated to x (a weak first stage); the others are left alone."""
+    real = simulate.generate
+    reps = {rng.substream(rep).stream: rep for rep in range(64)}
+
+    def patched(spec, subs):
+        ds = real(spec, subs)
+        z = np.array(ds.z)
+        for i, sub in enumerate(subs):
+            rep = reps[sub.stream]
+            if rep == constant:
+                z[i] = 1.0
+            elif rep % 2:
+                z[i] = np.random.default_rng(rep).uniform(-3.0, 3.0, z[i].shape)
+        return Dataset(ds.y, ds.x, z)
+
+    monkeypatch.setattr(simulate, "generate", patched)
+
+
+@pytest.mark.parametrize("constant", [2, None], ids=["failing-chunk", "clean-chunk"])
+def test_chunk_with_a_failing_replication(monkeypatch, constant):
+    """Only the replication with a constant instrument fails, once per method, and every
+    weak first stage warns once, as when each replication runs alone."""
+    spec = DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=200)
+    methods = [Method.CMI, Method.SARGAN]
+    base = RngSpec(seed=21)
+    _weak_and_constant_instruments(monkeypatch, base.substream(1_000), constant)
+    runs = []
+    for chunks in ([range(6)], [range(rep, rep + 1) for rep in range(6)]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = [row for chunk in chunks for row in simulate._replications(
+                (spec, methods, Cfg(), base.substream(1_000), chunk))]
+        runs.append((rows, sum(issubclass(w.category, RelevanceWarning) for w in caught)))
+    assert runs[0] == runs[1]
+    rows, weak = runs[0]
+    assert weak == 3  # replications 1, 3 and 5
+    failed = [rep for rep, row in enumerate(rows) if None in row.values()]
+    assert failed == ([] if constant is None else [constant])
+    assert all(rows[rep][m.value] is None for m in methods for rep in failed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RelevanceWarning)
+        study = run_study([spec], methods, reps=6, rng=base, jobs=1)
+    assert all(cell.failures == (constant is not None) for cell in study.cells)
+
+
+def test_study_leaves_no_reference_cycles():
+    """The benchmark's study frees every array it stacks by reference counting alone."""
+    specs = [DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=1000),
+             DgpSpec(family=DgpFamily.LINEAR_IV_POWER, n=1000, L=0.5, sigma=0.25),
+             DgpSpec(family=DgpFamily.BOXCOX_IV_NULL, n=1000, lam=0.5),
+             DgpSpec(family=DgpFamily.HETERO_POWER, n=1000, rho=1.0)]
+    methods = [Method.CMI, Method.SARGAN]
+    run_study(specs, methods, 6, Cfg(), RngSpec(seed=0, stream=1), jobs=1)  # first calls
+    gc.collect()
+    gc.disable()
+    try:
+        run_study(specs, methods, 6, Cfg(), RngSpec(seed=0, stream=2), jobs=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_chunks_depend_on_n_only():
+    assert simulate.chunk_size(1000) == 8 and simulate.chunk_size(20_000) == 1
+    assert [list(c) for c in simulate._chunks(11, 8)] == [list(range(8)), [8, 9, 10]]
