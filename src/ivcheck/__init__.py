@@ -28,8 +28,7 @@ _EXPORTS = {
                 "build_parametric_grid"),
     "mte": ("AsfEstimate", "Condition1Report", "ControlFunctionFit", "PropensityFit",
             "UniformityReport", "condition1_diagnostic", "estimate_asf", "estimate_mte",
-            "fit_control_function", "fit_propensity", "quantile_roundtrip_check",
-            "uniformity_diagnostic"),
+            "fit_control_function", "fit_propensity", "uniformity_diagnostic"),
     "npreg": ("CondMeanFit", "default_series_order", "fit_cell_means", "fit_local_linear",
               "fit_series", "rule_of_thumb_bandwidth"),
     "overid": ("OveridReport", "hansen_j", "sargan"),

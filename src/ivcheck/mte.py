@@ -10,10 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _quantiles, conditioning_grid, distinct, empirical_quantile
+from .data import Dataset, _quantiles, conditioning_grid, empirical_quantile
 from .errors import InsufficientData, IvcheckError, MissingBounds, OffSupport
 from .npreg import (
-    MAX_CELLS,
     MIN_EFFECTIVE_OBS,
     _LocalLinear,
     cells,
@@ -29,7 +28,7 @@ FULL_SUPPORT_HI = 0.98
 P_GRID = np.round(np.arange(0.01, 1.0, 0.01), 10)  # 99 rank points of the ASF integral
 UNIFORMITY_BINS = 4  # instrument bins of uniformity_diagnostic
 V_GRID = np.round(np.arange(0.1, 1.0, 0.1), 10)  # ranks of condition1_diagnostic
-Z_BINS = 10  # instrument bins of condition1_diagnostic and quantile_roundtrip_check
+Z_BINS = 10  # instrument bins of condition1_diagnostic
 
 
 def pava_increasing(y: np.ndarray) -> np.ndarray:
@@ -233,21 +232,9 @@ class ControlFunctionFit:
             raise OffSupport(x0, p0)
         return float(values[0])
 
-    def cond_cdf(self, x0: float, p0: float, y_points) -> np.ndarray:
-        """P(Y <= y | X = x0, rank = p0) over y_points; isotone in y and in [0, 1]."""
-        y_points = np.atleast_1d(np.asarray(y_points, dtype=float))
-        order = np.argsort(y_points)
-        values, ok = self.planes(x0, [p0], (self.y[:, None] <= y_points[order]).astype(float))
-        if not ok[0]:
-            raise OffSupport(x0, p0)
-        iso = np.clip(pava_increasing(np.clip(values[0], 0.0, 1.0)), 0.0, 1.0)
-        out = np.empty_like(iso)
-        out[order] = iso
-        return out
-
 
 def fit_control_function(ds: Dataset, pf: PropensityFit) -> ControlFunctionFit:
-    """Bivariate local-linear surfaces of Y (and of 1{Y<=y}) on (X, v_hat).
+    """Bivariate local-linear surfaces of Y on (X, v_hat).
 
     Each coordinate's bandwidth is the rule of thumb 1.06 sd n^(-1/6), the
     rank's sd floored at 0.05.
@@ -386,26 +373,3 @@ def condition1_diagnostic(pf: PropensityFit, ds: Dataset) -> Condition1Report:
         flagged_pairs=tuple(flagged),
         monotonicity_violations=mono,
     )
-
-
-def quantile_roundtrip_check(ds: Dataset) -> int:
-    """Count rows where Q_{X|Z}(F_{X|Z}(X)) != X within instrument cells.
-
-    The cells are the values of z, or Z_BINS quantile bins when z has more
-    than MAX_CELLS values. The left-continuous inverse CDF applied to the
-    empirical CDF reproduces every observed value, so the count is zero for
-    any sample.
-    """
-    x = ds.x[:, 0]
-    z = ds.z[:, 0]
-    values = distinct(z)
-    if len(values) > MAX_CELLS:
-        _, cells = _quantile_bins(z, Z_BINS)
-    else:
-        cells = np.searchsorted(values, z)
-    violations = 0
-    for cell in distinct(cells):
-        xc = x[cells == cell]
-        f = np.searchsorted(np.sort(xc), xc, side="right") / len(xc)
-        violations += int(np.sum(empirical_quantile(xc, f) != xc))
-    return violations

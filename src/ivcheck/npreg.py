@@ -10,10 +10,10 @@ local-linear engine fits the lines in z of the sup test and of the propensity
 of `mte`, and the control function's planes in (x, rank): it works on rows
 sorted once, in blocks that meet only the points whose kernel windows reach
 them, so none of its arrays grows with points x rows, and one determinant rule
-decides where it can fit. Cell means group the rows by cell once and take each
-cell's mean and covariance block from sums over its rows divided by its count,
-so none of theirs grows with cells x rows. The `fit_*` functions wrap the same
-smoothers for a single column. A smoother that cannot estimate some grid
+decides where it can fit. Cell means group the rows by cell once, so none of
+theirs grows with cells x rows. All three sum their covariance in one routine,
+`_influence_cov`, over blocks of row influences. The `fit_*` functions wrap the
+same smoothers for a single column. A smoother that cannot estimate some grid
 points holds the others only; `drop_grid_points` leaves them out of the
 caller's grid, for the reason that `DROP_REASONS` gives per method.
 """
@@ -89,10 +89,17 @@ def clamp_s(s: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.maximum(s, floor)
 
 
-def _influence_cov(psi: np.ndarray) -> np.ndarray:
-    """flat(psi) @ flat(psi).T, for psi[..., a, j, i] row i's influence on coef[..., j, a]."""
-    flat = psi.reshape(*psi.shape[:-3], -1, psi.shape[-1])
-    return flat @ flat.swapaxes(-1, -2)
+def _influence_cov(blocks, lead, m: int, g: int) -> np.ndarray:
+    """sum_i psi_i psi_i', (*lead, m g, m g), over blocks (points, psi) of the row influences.
+
+    psi[..., a, p, i] is row i's influence on coefficient p of the slice `points` of column a.
+    """
+    cov = np.zeros((*lead, m, g, m, g))
+    for points, psi in blocks:
+        flat = psi.reshape(psi.shape[:-3] + (-1, psi.shape[-1]))
+        block = cov[..., points, :, points]  # a view, so += adds into cov
+        block += (flat @ flat.swapaxes(-1, -2)).reshape(block.shape)
+    return cov.reshape(*lead, m * g, m * g)
 
 
 @dataclass(frozen=True)
@@ -151,9 +158,9 @@ def series_smoother(z, w, order: int, lo, hi) -> Smoother:
         raise RankDeficient("conditioning variable is constant")
     b = series_basis(z, order, lo, hi)
     coef, pinv, _ = _least_squares(b, w, "the series basis of this order")
-    resid = (w - b @ coef).swapaxes(-1, -2)  # (..., m, n)
-    design = partial(series_basis, order=order, lo=lo, hi=hi)
-    return Smoother(design, coef, _influence_cov(pinv[..., None, :, :] * resid[..., None, :]))
+    psi = pinv[..., None, :, :] * (w - b @ coef).swapaxes(-1, -2)[..., None, :]  # (..., m, k, n)
+    cov = _influence_cov([(slice(None), psi)], coef.shape[:-2], w.shape[-1], order + 1)
+    return Smoother(partial(series_basis, order=order, lo=lo, hi=hi), coef, cov)
 
 
 def _positive(bandwidth) -> float:
@@ -284,16 +291,12 @@ def local_linear_smoother(z, w, grid, bandwidth: float):
     fit = np.zeros((2, g, m))  # each kept point's intercept and slope, per column of w
     for points, rows, du, k in lines.blocks():
         fit[:, points] += lines.weights(points, du, k) @ w[rows]
-    # the influences are the intercept weights times the residuals of each
-    # point's own line; a block adds their products to its points' covariance
-    cov = np.zeros((m, g, m, g))
-    for points, rows, du, k in lines.blocks():
-        intercept, slope = fit[:, points].transpose(0, 2, 1)[..., None]
-        resid = w[rows].T[:, None, :] - intercept - slope * du[..., 0]
-        block = _influence_cov(lines.weights(points, du, k)[0] * resid)
-        cov[:, points, :, points] += block.reshape(m, len(du), m, len(du))
-    design = partial(_point_design, lines.points[:, 0])
-    return Smoother(design, fit[0], cov.reshape(m * g, m * g)), ok
+    # the influences: the intercept weights times the residuals of each point's own line
+    cov = _influence_cov(((points, lines.weights(points, du, k)[0]
+                           * (w[rows].T[:, None] - fit[0, points].T[..., None]
+                              - fit[1, points].T[..., None] * du[..., 0]))
+                          for points, rows, du, k in lines.blocks()), (), m, g)
+    return Smoother(partial(_point_design, lines.points[:, 0]), fit[0], cov), ok
 
 
 def cells(z):
@@ -313,26 +316,27 @@ def cell_means_smoother(z, w):
     rows take at least two values in every column of w. A one-row cell, or one
     whose rows share a value of some column, has no within-cell variance to
     estimate: its standard error would sit at the floor and decide a sup test
-    alone. It is left out of the smoother. The rows are grouped by cell once,
-    and every cell quantity is a sum over its rows divided by its count: the
-    mean, and the covariance block sum(r_a r_b) / (n_c (n_c - 1)) of its
-    residuals r, so the covariance is block-diagonal, one (m x m) block per cell.
+    alone. It is left out of the smoother. The rows are grouped by cell once;
+    a cell's mean is the sum over its rows divided by its count, and its
+    (m x m) block of the block-diagonal covariance is sum(r_a r_b) / (n_c (n_c - 1))
+    of its residuals r, one block of `_influence_cov` per cell.
     """
     values, cell, counts = cells(z)
     # a float copy of w with each cell's rows together; numpy radix-sorts the
     # smallest unsigned type that holds a cell index, uint8 under MAX_CELLS
     order = np.argsort(cell.astype(np.min_scalar_type(len(values) - 1)), kind="stable")
-    w = np.asarray(w, dtype=float)[order]
+    w = np.take(np.asarray(w, dtype=float), order, axis=0)
     m, starts = w.shape[1], np.cumsum(counts) - counts
     ok = np.all(np.maximum.reduceat(w, starts) > np.minimum.reduceat(w, starts), axis=1)
     coef = np.add.reduceat(w, starts) / counts[:, None]
     w -= np.repeat(coef, counts, axis=0)  # the residuals
-    kept = counts[ok]
-    k = len(kept)
-    blocks = np.stack([np.add.reduceat(w * w[:, [a]], starts)[ok] for a in range(m)], axis=1)
-    cov = np.zeros((m, k, m, k))
-    cov[:, np.arange(k), :, np.arange(k)] = blocks / (kept * (kept - 1))[:, None, None]
-    return Smoother(partial(_point_design, values[ok]), coef[ok], cov.reshape(m * k, m * k)), ok
+    # (m, 1, n) influences: residuals over sqrt(n_c (n_c - 1)), or 1 in a left-out one-row cell
+    psi = np.divide(w.T, np.repeat(np.sqrt(np.maximum(counts * (counts - 1.0), 1.0)), counts),
+                    order="C")[:, None]
+    cut = zip(starts[ok].tolist(), (starts + counts)[ok].tolist())
+    cov = _influence_cov(((slice(j, j + 1), psi[..., lo:hi]) for j, (lo, hi) in enumerate(cut)),
+                         (), m, int(ok.sum()))
+    return Smoother(partial(_point_design, values[ok]), coef[ok], cov), ok
 
 
 @dataclass(frozen=True)

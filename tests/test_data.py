@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ivcheck import CONFIG_KEYS, parse_config
 from ivcheck.data import (
@@ -154,6 +156,41 @@ def test_empirical_quantile_array_matches_scalar():
     q = empirical_quantile(v, u)
     assert np.array_equal(q, [empirical_quantile(v, a) for a in u])
     assert np.array_equal(q, [1.0, 1.0, 1.0, 3.0, 3.0, 3.0])
+
+
+def _rounded_samples(seed, n, decimals):
+    """Ten rows of n normal draws times 10, rounded to `decimals`, so that rows hold ties."""
+    return np.round(10 * np.random.default_rng(seed).standard_normal((10, n)), decimals)
+
+
+def _first_cells_of_seed_0():
+    """x rounded to 0.1 (30 to 119 rows) per cell of z (4 values), drawn from seed 0."""
+    g = np.random.default_rng(0)
+    n = int(g.integers(30, 120))
+    z = g.integers(0, 4, n).astype(float)
+    x = np.round(g.normal(size=n), 1)
+    return [x[z == cell] for cell in np.unique(z)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(samples=st.builds(_rounded_samples, st.integers(0, 2**32 - 1), st.integers(1, 200),
+                         st.integers(0, 1)))
+@example(samples=[np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0])])
+@example(samples=_first_cells_of_seed_0())
+def test_empirical_quantile_inverts_the_empirical_cdf(samples):
+    """Q(F(x)) == x for every value of every row, ties included."""
+    for x in samples:
+        f = np.searchsorted(np.sort(x), x, side="right") / len(x)
+        assert np.array_equal(empirical_quantile(x, f), x)
+
+
+def test_right_continuous_inverse_breaks_the_roundtrip():
+    # the identity above is the left-continuous inverse's: the right-continuous one fails it
+    x = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0])
+    n = len(x)
+    f = np.searchsorted(x, x, side="right") / n
+    right_cont = x[np.minimum(np.searchsorted(np.arange(1, n + 1) / n, f, side="right"), n - 1)]
+    assert np.any(right_cont != x)
 
 
 def test_rng_spec_reproducible():

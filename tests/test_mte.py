@@ -27,7 +27,6 @@ from ivcheck.mte import (
     fit_propensity,
     ks_distance_uniform,
     pava_increasing,
-    quantile_roundtrip_check,
     uniformity_diagnostic,
 )
 from ivcheck.npreg import epanechnikov, local_linear_weights, rule_of_thumb_bandwidth
@@ -409,19 +408,6 @@ def test_asf_reports_dropped_rank_points():
     assert asf.interval[0] == pytest.approx(partial, rel=1e-11)
 
 
-def test_cond_cdf_monotone_in_y():
-    ds, _ = _heterogeneous_ds(2000, 5)
-    pf = fit_propensity(ds)
-    cf = fit_control_function(ds, pf)
-    y = np.random.default_rng(0).permutation(np.linspace(ds.y.min(), ds.y.max(), 15))
-    vals = cf.cond_cdf(2.0, 0.5, y)
-    order = np.argsort(y)
-    # in input order: the same values as for the sorted points, moved back
-    assert np.array_equal(vals[order], cf.cond_cdf(2.0, 0.5, y[order]))
-    assert np.all(np.diff(vals[order]) >= 0.0)
-    assert np.all((vals >= 0.0) & (vals <= 1.0))
-
-
 def _two_point_regressor_ds(n=1000, seed=0):
     """x in {0, 10} with P(x = 0 | z) = 0.5 + 0.3 (z - 0.5)."""
     g = np.random.default_rng(seed)
@@ -601,7 +587,6 @@ def test_planes_run_on_rows_sorted_once():
     with mock.patch.object(npreg._LocalLinear, "sort", side_effect=AssertionError("sorted again")):
         estimate_mte(cf, 0.5, 2.0, 1.5)
         estimate_asf(cf, pf, 2.0)
-        cf.cond_cdf(2.0, 0.5, [0.0, 5.0])
 
 
 def test_condition1_flags_pairs_when_x_ignores_z():
@@ -617,25 +602,24 @@ def test_condition1_flags_pairs_when_x_ignores_z():
     assert all(0.0 <= ks <= 1.0 for *_, ks in rep.flagged_pairs)
 
 
+def _roundtrip_violations(x, z):
+    """Rows where Q(F(x)) != x within cells of z: its values, or Z_BINS quantile bins past MAX_CELLS."""
+    values, cells = np.unique(z, return_inverse=True)
+    if len(values) > npreg.MAX_CELLS:
+        _, cells = mte._quantile_bins(z, mte.Z_BINS)
+    violations = 0
+    for cell in np.unique(cells):
+        xc = x[cells == cell]
+        f = np.searchsorted(np.sort(xc), xc, side="right") / len(xc)
+        violations += int(np.sum(mte.empirical_quantile(xc, f) != xc))
+    return violations
+
+
 def test_quantile_roundtrip_distinct_values():
     g = np.random.default_rng(13)
     ds = Dataset(y=g.standard_normal(200), x=g.standard_normal(200),
                  z=g.integers(0, 3, 200).astype(float))
-    assert quantile_roundtrip_check(ds) == 0
-
-
-def test_quantile_roundtrip_with_ties_six_point_multiset():
-    x = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0])
-    z = np.zeros(6)
-    ds = Dataset(y=np.zeros(6), x=x, z=z)
-    assert quantile_roundtrip_check(ds) == 0
-    # adversarial: the right-continuous inverse breaks the identity on this multiset
-    xs = np.sort(x)
-    n = len(xs)
-    f = np.searchsorted(xs, x, side="right") / n
-    right_cont = np.array([xs[min(np.searchsorted(np.arange(1, n + 1) / n, u, side="right"),
-                                  n - 1)] for u in f])
-    assert np.any(right_cont != x)
+    assert _roundtrip_violations(ds.x[:, 0], ds.z[:, 0]) == 0
 
 
 def test_quantile_roundtrip_many_random_datasets():
@@ -645,5 +629,5 @@ def test_quantile_roundtrip_many_random_datasets():
         m = int(g.integers(20, 120))
         z = g.integers(0, 4, m).astype(float) if i % 2 else g.uniform(0, 1, m)
         x = np.round(g.standard_normal(m), 1) if i % 3 == 0 else g.standard_normal(m)
-        violations += quantile_roundtrip_check(Dataset(y=np.zeros(m), x=x, z=z))
+        violations += _roundtrip_violations(x, z)
     assert violations == 0

@@ -304,6 +304,30 @@ def test_cell_means_too_many_cells():
         fit_cell_means(np.zeros(100), z)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), lead=st.sampled_from([(), (3,)]), m=st.integers(1, 3),
+       g=st.integers(1, 12), n=st.integers(1, 60))
+def test_influence_cov_sums_blocks(seed, lead, m, g, n):
+    """Blocks of row influences sum to the dense sum_i psi_i psi_i', within 1e-12 of its largest entry.
+
+    The rows are cut into random blocks, and each block's rows influence a
+    random slice of the points only, as a kernel block's rows or a cell's do.
+    """
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((*lead, m, g, n)) * rng.uniform(0.1, 10.0, n)
+    cuts = np.unique(np.r_[0, rng.integers(0, n + 1, rng.integers(0, 6)), n])
+    blocks = []
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        lo, hi = np.sort(rng.choice(g + 1, 2, replace=False))
+        psi[..., :lo, start:stop] = psi[..., hi:, start:stop] = 0.0
+        blocks.append((slice(lo, hi), psi[..., lo:hi, start:stop]))
+    flat = psi.reshape(*lead, m * g, n)
+    want = flat @ flat.swapaxes(-1, -2)
+    got = npreg._influence_cov(iter(blocks), lead, m, g)
+    assert got.shape == want.shape == (*lead, m * g, m * g)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def _dense_cell_means(z, w):
     """Cell means as dense (cells x n) weights and (m x cells x n) influences: (ok, coef, cov)."""
     values, inverse, counts = np.unique(z, return_inverse=True, return_counts=True)
@@ -313,7 +337,8 @@ def _dense_cell_means(z, w):
     coef = a @ w
     resid = w.T[:, None, :] - coef.T[:, :, None]
     psi = (a * np.sqrt(counts / (counts - 1))[:, None])[None] * resid
-    return ok, coef, npreg._influence_cov(psi)
+    flat = psi.reshape(-1, psi.shape[-1])
+    return ok, coef, flat @ flat.T
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -22,8 +22,8 @@ PUBLIC = [
     "fit_local_linear", "fit_ols", "fit_propensity", "fit_series", "generate",
     "hansen_j", "identified_set", "load_csv", "model_spec_for", "moments", "mte", "npreg",
     "overid", "parse_config", "polynomial_instruments", "power_curve",
-    "quantile_roundtrip_check", "rule_of_thumb_bandwidth", "run_study", "run_test",
-    "sargan", "simulate", "test_model", "uniformity_diagnostic", "write_csv",
+    "rule_of_thumb_bandwidth", "run_study", "run_test", "sargan", "simulate",
+    "test_model", "uniformity_diagnostic", "write_csv",
 ]
 SUBMODULES = ["clrtest", "data", "errors", "estimators", "moments", "mte", "npreg", "overid",
               "simulate"]
@@ -45,7 +45,7 @@ def test_import_loads_no_submodule():
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 70
+    assert len(PUBLIC) == 69
     assert sorted(ivcheck.__all__) == PUBLIC
     assert set(PUBLIC) <= set(dir(ivcheck))
 
