@@ -11,7 +11,7 @@ significance level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -140,30 +140,12 @@ class TestReport:
 
     def to_rows(self):
         """Flat rows (dicts) describing every level result, for CSV output."""
-        rows = []
-        diag = self.diagnostics
-        for alpha in self.alpha_levels:
-            res = self.levels[alpha]
-            rows.append(
-                {
-                    "alpha": alpha,
-                    "k_crit": res.k_crit,
-                    "k_crit_full": res.k_crit_full,
-                    "theta_corrected": res.theta_corrected,
-                    "reject": int(res.reject),
-                    "selected_set_size": res.selected_set_size,
-                    "kappa_n": self.kappa,
-                    "gamma_n": self.gamma_n,
-                    "grid_size": len(self.grid),
-                    "n_moments": len(self.moment_labels),
-                    "method": diag.get("method", ""),
-                    "series_order": diag.get("series_order", ""),
-                    "bandwidth": diag.get("bandwidth", ""),
-                    "mult_draws": diag.get("mult_draws", ""),
-                    "seed": diag.get("seed", ""),
-                }
-            )
-        return rows
+        shared = {"kappa_n": self.kappa, "gamma_n": self.gamma_n, "grid_size": len(self.grid),
+                  "n_moments": len(self.moment_labels),
+                  **{key: self.diagnostics.get(key, "")
+                     for key in ("method", "series_order", "bandwidth", "mult_draws", "seed")}}
+        return [{**asdict(level), "reject": int(level.reject), **shared}
+                for level in map(self.levels.get, self.alpha_levels)]
 
 
 @dataclass(frozen=True)
@@ -202,35 +184,34 @@ def _chol_psd(cov: np.ndarray):
     raise DegenerateVariance("coefficient covariance is not positive semidefinite")
 
 
-def _process(smoother: npreg.Smoother, grid, rng, draws):
-    """theta, s, standardized draws of the smoother's Gaussian process on the grid, and the
-    diagnostics of the Cholesky jitter.
+def _process(smoother: npreg.Smoother, grid, gens, draws):
+    """theta, s, the Cholesky jitter and how many times it rose, each with a leading slice
+    axis, and an iterator of each slice's standardized draws of the smoother's Gaussian
+    process on the grid.
 
     Given the data, the estimate is linear in the moment values: with cov = chol chol'
     of the coefficients and L the design, the standardized draws are N(0, I) normals
     times the fixed map chol' L' / s, or chol'[:, L] / s where L indexes coefficients.
-    A stacked series smoother, with grid (R, G), takes a sequence of R generators:
-    theta, s and the jitter get the stack's leading axis, and the draws come as
-    an iterator whose item i is drawn only when it is read, so one slice's
-    draws at a time need be held.
+    The smoother of one dataset is a stack of one slice; a stacked series
+    smoother takes the grid (R, G). Slice i draws from `gens[i]` when item i
+    of the iterator is read, so one slice's draws at a time need be held.
     """
-    design = smoother.design(grid)  # (G, k), or (G,) coefficient indices
-    theta_base, s_base = smoother.evaluate_design(design)  # (n_base, G)
+    design = smoother.design(grid)  # (..., G, k), or (G,) coefficient indices
+    theta_base, s_base = smoother.evaluate_design(design)  # (..., n_base, G)
     n_base, k = theta_base.shape[-2], smoother.coef.shape[-2]
+    theta_base, s_base = (a.reshape(-1, n_base, a.shape[-1]) for a in (theta_base, s_base))
     chol, jitter, raises = _chol_psd(smoother.cov)
-    chol_t = chol.swapaxes(-1, -2).reshape(*chol.shape[:-2], n_base * k, n_base, k)
+    chol_t = chol.swapaxes(-1, -2).reshape(-1, n_base * k, n_base, k)
     if design.dtype.kind == "i":
-        draw_map = chol_t[..., design] / s_base
+        # in C order, as the dense product's: fancy indexing laid one base column's map out
+        # transposed, and the draws' product then rounded differently from the dense one's
+        draw_map = np.take(chol_t, design, axis=-1)
     else:
-        draw_map = (chol_t @ design.swapaxes(-1, -2)[..., None, :, :]) / s_base[..., None, :, :]
-    draw_map = draw_map.reshape(*draw_map.shape[:-3], n_base * k, -1)
-    diagnostics = {"chol_jitter": jitter, "chol_jitter_raises": raises}
-    if draw_map.ndim == 2:
-        zstar = (rng.standard_normal((draws, n_base * k)) @ draw_map).reshape(draws, n_base, -1)
-        return theta_base, s_base, zstar, diagnostics
+        draw_map = chol_t @ design.swapaxes(-1, -2)[..., None, :, :]
+    draw_map = (draw_map / s_base[:, None]).reshape(len(chol_t), n_base * k, -1)
     zstars = ((gen.standard_normal((draws, n_base * k)) @ one).reshape(draws, n_base, -1)
-              for gen, one in zip(rng, draw_map))
-    return theta_base, s_base, zstars, diagnostics
+              for gen, one in zip(gens, draw_map))
+    return theta_base, s_base, np.atleast_1d(jitter), np.atleast_1d(raises), zstars
 
 
 def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
@@ -316,51 +297,58 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
 
 
 def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
-    """`estimate` of a moment system, or of each slice of a stacked one, in order.
+    """`estimate` of each slice of a stacked moment system, in order; one system is a stack of one.
 
     A stacked system (base (R, n, m), conditioning (R, n)) takes a sequence
-    of one RngSpec per slice. Its series fit runs on the whole stack when the
-    slices share the series order and the grid size: the least squares, the
-    influence covariance, the grid design and the draw map. Local-linear and
-    cell means, whose windows differ per slice, and a series stack whose
-    slices differ in order or grid size go one slice at a time. Either way
-    each slice equals its own `estimate` bit for bit. This is a generator: a
-    slice's draws are made when it is reached.
+    of one RngSpec per slice. Each slice's grid and series order are set
+    first, with one check of the array budget. The stack is then fitted part
+    by part (`_fit_part`): whole when the method is series and its several
+    slices share the series order and the grid size, so that the least
+    squares, the influence covariance, the grid design and the draw map run
+    once on the stack; else one slice at a time, as local-linear and cell
+    means, whose windows differ per slice, always go. Either way each slice
+    equals its own `estimate` bit for bit. This is a generator: a part is
+    fitted, and a slice's draws are made, when it is reached.
     """
+    if ms.conditioning.ndim == 1:
+        ms, rng = replace(ms, base=ms.base[None], conditioning=ms.conditioning[None]), [rng]
     c, method = ms.conditioning, cfg.method
-    stacked = c.ndim == 2
-    if stacked and method != "series":
-        yield from _slice_by_slice(ms, grid, cfg, rng)
-        return
-    rngs = rng if stacked else [rng]
-    rows = c.reshape(-1, c.shape[-1])  # each slice's conditioning column
-    diagnostics = [{"method": method, "mult_draws": cfg.mult_draws, "n": c.shape[-1],
-                    "seed": r.seed, "stream": r.stream,
-                    "conditioning_column": ms.conditioning_column} for r in rngs]
-    ok = None  # which grid points the smoother can estimate, if it can miss some
+    grids = orders = [None] * len(c)
     if method == "cell-means":
         if grid is not None:
             raise IvcheckError("cell-means evaluates at the distinct conditioning values; "
                                "pass grid=None")
-        # at most MAX_CELLS cells, so the smoother itself stays small
-        smoother, ok = npreg.cell_means_smoother(c, ms.base)
-        grid = distinct(c)
-        _check_array_budget(cfg, ms, len(grid), len(grid))
     else:
         n_grid = n_coef = cfg.grid_count if grid is None else np.size(grid)
         if method == "series":
-            orders = [npreg.capped_series_order(ci, cfg.series_order) for ci in rows]
+            orders = [npreg.capped_series_order(ci, cfg.series_order) for ci in c]
             n_coef = max(orders) + 1
         _check_array_budget(cfg, ms, n_grid, n_coef)
         if grid is None:
             grids = [conditioning_grid(ci, cfg.centile_lo, cfg.centile_hi, cfg.grid_count)
-                     for ci in rows]
+                     for ci in c]
         else:
-            grids = [np.asarray(grid, dtype=float).ravel()] * len(rows)
-        if stacked and (len(set(orders)) > 1 or len({len(g) for g in grids}) > 1):
-            yield from _slice_by_slice(ms, grid, cfg, rng)
-            return
-        grid = np.stack(grids) if stacked else grids[0]
+            grids = [np.asarray(grid, dtype=float).ravel()] * len(c)
+    if method == "series" and len(c) > 1 and len({*orders}) == len({len(g) for g in grids}) == 1:
+        parts = [(slice(None), np.stack(grids), orders[0], rng)]
+    else:
+        parts = [(i, grids[i], orders[i], [r]) for i, r in enumerate(rng)]
+    for part in parts:
+        yield from _fit_part(ms, cfg, *part)
+
+
+def _fit_part(ms: MomentSystem, cfg: TestConfig, part, grid, order, rngs):
+    """The estimates of one part of a stacked system: slice `part`, or the whole stack
+    (part = slice(None)) of a series fit of one order on the grids (R, G)."""
+    c, base, method = ms.conditioning[part], ms.base[part], cfg.method
+    smoothing = {}  # the smoother's entries of the diagnostics
+    ok = None  # which grid points the smoother can estimate, if it can miss some
+    if method == "cell-means":
+        # at most MAX_CELLS cells, so the smoother itself stays small
+        smoother, ok = npreg.cell_means_smoother(c, base)
+        grid = distinct(c)
+        _check_array_budget(cfg, ms, len(grid), len(grid))
+    else:
         if grid.size == 0:
             raise EmptyGrid("conditioning grid is empty")
         if not np.isfinite(grid).all():
@@ -370,41 +358,28 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
             lo, hi = grid.min(axis=-1), grid.max(axis=-1)
             if not (lo < hi).all():
                 raise InvalidGrid("a series fit needs a conditioning grid of two distinct points")
-            for diag in diagnostics:
-                diag["series_order"] = orders[0]
-            smoother = npreg.series_smoother(c, ms.base, orders[0], lo, hi)
-        else:  # local-linear
-            bandwidth = cfg.bandwidth
-            if bandwidth is None:
-                bandwidth = npreg.rule_of_thumb_bandwidth(c)
-            diagnostics[0]["bandwidth"] = bandwidth
-            smoother, ok = npreg.local_linear_smoother(c, ms.base, grid, bandwidth)
+            smoothing["series_order"] = order
+            smoother = npreg.series_smoother(c, base, order, lo, hi)
+        else:  # local-linear, one slice
+            smoothing["bandwidth"] = cfg.bandwidth or npreg.rule_of_thumb_bandwidth(c)
+            smoother, ok = npreg.local_linear_smoother(c, base, grid, smoothing["bandwidth"])
     if ok is not None:
-        grid, diagnostics[0]["dropped_grid_points"] = npreg.drop_grid_points(grid, ok, method)
+        grid, smoothing["dropped_grid_points"] = npreg.drop_grid_points(grid, ok, method)
         if grid.size == 0:
             raise EmptyGrid(f"all grid points have {npreg.DROP_REASONS[method]}")
-    gens = [r.generator() for r in rngs]
-    theta, s, zstar, chol = _process(smoother, grid, gens if stacked else gens[0],
-                                     cfg.mult_draws)
-    jitter, raises = chol["chol_jitter"], chol["chol_jitter_raises"]
-    if not stacked:
-        grid, theta, s, zstar = grid[None], theta[None], s[None], iter([zstar])
-        jitter, raises = [jitter], [raises]
+    theta, s, jitter, raises, zstar = _process(smoother, grid, [r.generator() for r in rngs],
+                                               cfg.mult_draws)
     floored = (s <= npreg.S_FLOOR * (1.0 + np.abs(theta))).sum(axis=(1, 2))
     if (floored == s[0].size).any():
         raise DegenerateVariance("all standard errors at the numerical floor")
-    for i, diag in enumerate(diagnostics):
-        diag.update(chol_jitter=float(jitter[i]), chol_jitter_raises=int(raises[i]),
-                    s_floored=int(floored[i]))
+    grid = grid.reshape(-1, grid.shape[-1])
+    for i, r in enumerate(rngs):
+        diag = {"method": method, "mult_draws": cfg.mult_draws, "n": c.shape[-1], "seed": r.seed,
+                "stream": r.stream, "conditioning_column": ms.conditioning_column, **smoothing,
+                "chol_jitter": float(jitter[i]), "chol_jitter_raises": int(raises[i]),
+                "s_floored": int(floored[i])}
         # no local name holds the draws, so they go with the estimate once it is decided
         yield Estimate(grid[i], theta[i], s[i], next(zstar), c.shape[-1], diag)
-
-
-def _slice_by_slice(ms: MomentSystem, grid, cfg: TestConfig, rngs):
-    """`_estimates` of each slice of a stacked moment system alone."""
-    for i, rng in enumerate(rngs):
-        one = replace(ms, base=ms.base[i], conditioning=ms.conditioning[i])
-        yield from _estimates(one, grid, cfg, rng)
 
 
 def decide(est: Estimate, moments, alpha_levels) -> TestReport:
@@ -486,10 +461,7 @@ def test_model(
         elif spec.form is ModelForm.BOXCOX:
             cfg = replace(cfg, series_order=npreg.nonlinear_step_series_order(ds.n))
     report = run_test(ms, None, cfg, rng)
-    if ds.y.ndim == 1:
-        report.diagnostics["first_step"] = _fit_summary(fit)
-        return report
-    for i, one in enumerate(report):
+    for i, one in [((), report)] if ds.y.ndim == 1 else enumerate(report):
         one.diagnostics["first_step"] = _fit_summary(fit, i)
     return report
 

@@ -89,9 +89,11 @@ def _least_squares(b: np.ndarray, w: np.ndarray, what: str):
     with the threshold of the n rows, and pinv = R^-1 R^-T b' (k, n) needs no
     tall SVD. coef = pinv @ w, so pinv[:, i] is row i's weight in every coef.
     With r the moments b'w = R'R coef need no second pass over the n rows.
-    Leading axes stack independent fits; one rank-deficient slice raises.
+    Leading axes stack independent fits; a rank-deficient slice, or fewer rows than columns, raises.
     The residuals w - b @ coef are left to the callers that read them.
     """
+    if b.shape[-2] < b.shape[-1]:
+        raise RankDeficient(f"{what} has fewer rows ({b.shape[-2]}) than columns ({b.shape[-1]})")
     r = np.linalg.qr(b, mode="r")
     _check_rank(r, what, rows=b.shape[-2])
     r_inv = np.linalg.inv(r)

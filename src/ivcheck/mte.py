@@ -134,7 +134,7 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
         z_grid, dropped = drop_grid_points(z_grid, ok, method)
         # the sorted grid is z_grid itself; each block of sorted rows adds its
         # intercept weights times its own rows' (x <= x_grid) indicators
-        x_sorted = x[lines.order]
+        x_sorted = np.take(x, lines.order, axis=0)
         surface = np.zeros((len(z_grid), len(x_grid)))
         for points, rows, du, k in lines.blocks():
             surface[points] += lines.weights(points, du, k)[0] @ (x_sorted[rows, None] <= x_grid)
@@ -220,7 +220,7 @@ class ControlFunctionFit:
         planes, ok = self.rows.at(points, MIN_EFFECTIVE_OBS)
         fit = np.zeros((len(planes.points), *np.shape(w)[1:]))
         for block, rows, du, k in planes.blocks():
-            fit[block] += planes.weights(block, du, k)[0] @ w[planes.order[rows]]
+            fit[block] += planes.weights(block, du, k)[0] @ np.take(w, planes.order[rows], axis=0)
         values = np.full((len(p0s), *np.shape(w)[1:]), np.nan)
         values[planes.index] = fit
         return values, ok

@@ -286,7 +286,7 @@ def local_linear_smoother(z, w, grid, bandwidth: float):
     not depend on the order of the grid.
     """
     lines, ok = _LocalLinear.sort(z, bandwidth).at(grid)
-    w = w[lines.order]
+    w = np.take(w, lines.order, axis=0)
     m, g = w.shape[1], len(lines.points)
     fit = np.zeros((2, g, m))  # each kept point's intercept and slope, per column of w
     for points, rows, du, k in lines.blocks():

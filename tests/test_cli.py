@@ -146,6 +146,25 @@ def test_mte_binary_instrument_exits_one(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("rows, argv", [
+    (1, ["fit"]),
+    (3, ["overid"]),
+    (3, ["fit", "--estimator", "gmm"]),
+])
+def test_fewer_rows_than_columns_exits_one(tmp_path, capsys, rows, argv):
+    from ivcheck.data import Dataset
+    g = np.random.default_rng(rows)
+    x, z = g.standard_normal(rows), g.uniform(0, 1, rows)
+    p = tmp_path / "short.csv"
+    write_csv(Dataset(y=2.0 * x + g.standard_normal(rows), x=x, z=z), p)
+    code = main(_args(str(p), *argv))
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "fewer rows" in lines[0]
+
+
 def test_simulate_smoke(tmp_path, capsys):
     out = tmp_path / "study.csv"
     code = main(["simulate", "--family", "linear-iv-null", "--n", "300",

@@ -566,7 +566,9 @@ def test_process_matches_two_product_oracle(seed, n, n_base, method):
     else:
         smoother, ok = npreg.cell_means_smoother(z, base)
         grid = np.unique(z)[ok]
-    theta, s, zstar, _ = clrtest._process(smoother, grid, np.random.default_rng(seed), 300)
+    (theta,), (s,), _, _, zstars = clrtest._process(smoother, grid, [np.random.default_rng(seed)],
+                                                    300)
+    (zstar,) = zstars
     oracle = _two_product_draws(smoother, grid, np.random.default_rng(seed), 300)
     assert zstar.shape == oracle.shape == (300, n_base, len(grid))
     assert np.max(np.abs(zstar - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -818,3 +820,76 @@ def test_decisions_invariant_to_affine_map_of_conditioning(seed, n, n_base, tied
         report, report_mapped = (run_test(m, None, cfg, RngSpec(seed=seed % 1000))
                                  for m, cfg in zip((ms, mapped), cfgs))
     _assert_same_decisions(report, report_mapped, 1e-8 * max(1.0, np.abs(report.theta).max()))
+
+
+def _stack_of_three(method):
+    """(stacked system, its three slices, cfg): paired moments of two base columns, n = 300.
+
+    The series stack's slice 1 has z rounded to three values, so its series
+    order is capped at 2 while the others' is 16, and the stack is fitted one
+    slice at a time; "series-shared" keeps z continuous, so the three slices
+    are fitted as one stack.
+    """
+    g = np.random.default_rng(41)
+    z = g.uniform(-1, 1, (3, 300))
+    if method == "series":
+        z[1] = np.round(z[1])
+    elif method == "cell-means":
+        z = np.round(3 * z)
+    base = g.standard_normal((3, 300, 2)) + g.uniform(-0.4, 0.4, (3, 1, 2)) * z[..., None]
+    stack = _paired([base[..., 0], base[..., 1]], ["w0", "w1"], z, "z")
+    slices = [replace(stack, base=stack.base[i], conditioning=z[i]) for i in range(3)]
+    cfg = Cfg(method=method.removesuffix("-shared"), mult_draws=200)
+    return stack, slices, cfg
+
+
+@pytest.mark.parametrize("method", ["series", "series-shared", "local-linear", "cell-means"])
+def test_stacked_run_test_equals_each_slice_alone(method):
+    stack, slices, cfg = _stack_of_three(method)
+    rngs = [RngSpec(seed=5, stream=i) for i in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # grid points dropped alike in both
+        reports = run_test(stack, None, cfg, rngs)
+        alone = [run_test(ms, None, cfg, rng) for ms, rng in zip(slices, rngs)]
+    if cfg.method == "series":
+        orders = [report.diagnostics["series_order"] for report in reports]
+        assert orders == ([16, 16, 16] if method == "series-shared" else [16, 2, 16])
+    assert len(reports) == 3
+    for got, want in zip(reports, alone):
+        _assert_same_report(got, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 300),
+    n_base=st.integers(1, 3),
+    tied=st.booleans(),
+    method=st.sampled_from(["series", "local-linear", "cell-means"]),
+)
+def test_report_invariants_hold_on_random_systems(seed, n, n_base, tied, method):
+    """What every report states, on paired moments, whose sups are never negative.
+
+    The bounds, all exact but one: reject(alpha) == (theta_corrected(alpha) > 0);
+    k_crit <= k_crit_full + 1e-12, the quantile of a smaller sup at the same
+    level; 1 <= |V_hat| <= moments x grid points, since kappa >= 0 keeps the
+    arg-max of theta_hat; theta_corrected non-decreasing in alpha, so that
+    rejections nest; theta_corrected <= max theta_hat, as k >= 0; s > 0; and
+    theta and s of shape (moments, grid points).
+    """
+    _, ms = _random_paired(seed, n, n_base, tied, method)
+    cfg = Cfg(alpha_levels=(0.2, 0.1, 0.05, 0.01), method=method, mult_draws=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # dropped grid points
+        report = run_test(ms, None, cfg, RngSpec(seed=seed % 1000))
+    shape = (2 * n_base, len(report.grid))
+    assert report.theta.shape == report.s.shape == shape
+    assert np.all(report.s > 0.0)
+    levels = [report.levels[alpha] for alpha in sorted(report.alpha_levels)]
+    for lv in levels:
+        assert lv.reject == (lv.theta_corrected > 0.0)
+        assert lv.k_crit <= lv.k_crit_full + 1e-12
+        assert 1 <= lv.selected_set_size <= shape[0] * shape[1]
+        assert lv.theta_corrected <= report.theta.max()
+    corrected = [lv.theta_corrected for lv in levels]
+    assert corrected == sorted(corrected)

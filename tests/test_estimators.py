@@ -63,6 +63,18 @@ def test_ols_rank_deficient():
         fit_ols(Dataset(y=np.arange(10.0), x=x, z=x))
 
 
+def test_fewer_rows_than_regressors_raises_rank_deficient():
+    """A design wider than it is tall has no least squares: a typed error naming both counts."""
+    with pytest.raises(RankDeficient, match=r"fewer rows \(1\) than columns \(2\)"):
+        fit_ols(Dataset(y=[1.0], x=[2.0], z=[3.0]))
+    g = np.random.default_rng(12)
+    x, z = g.standard_normal((3, 3)), g.standard_normal((3, 3))
+    ds = Dataset(y=g.standard_normal(3), x=x, z=z)
+    for fit in (fit_ols, fit_iv):
+        with pytest.raises(RankDeficient, match=r"fewer rows \(3\) than columns \(4\)"):
+            fit(ds)
+
+
 def test_iv_equals_ols_when_z_is_x():
     g = np.random.default_rng(3)
     x = g.uniform(-2, 2, 300)

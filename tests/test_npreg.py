@@ -427,10 +427,11 @@ def test_point_design_reads_the_selector_by_index(seed, n, m, method):
     dense = _selector(smoother)
     for got, want in zip(smoother.evaluate(points), dense.evaluate(points)):
         assert _same_bits(got, want)
-    draws = [clrtest._process(s, points, np.random.default_rng(seed), 200) for s in (smoother, dense)]
-    for got, want in zip(*(d[:3] for d in draws)):
+    draws = [clrtest._process(s, points, [np.random.default_rng(seed)], 200)
+             for s in (smoother, dense)]
+    for got, want in zip(*((theta[0], s[0], next(zstars)) for theta, s, _, _, zstars in draws)):
         assert _same_bits(got, want)
-    assert draws[0][3] == draws[1][3]
+    assert draws[0][2:4] == draws[1][2:4]
     with pytest.raises(EmptyWindow) as raised:
         smoother.design(g.permutation(np.concatenate([points, missing])))
     assert sorted(raised.value.points) == sorted(missing.tolist())

@@ -112,6 +112,17 @@ def test_rank_deficient_instruments():
         sargan(Dataset(y=x.copy(), x=x, z=z))
 
 
+def test_fewer_rows_than_instruments_raises_rank_deficient():
+    """Three rows and the four degree-3 instruments (1, h(z)): a typed error, not numpy's."""
+    g = np.random.default_rng(10)
+    z = g.uniform(0, 1, 3)
+    x = z + g.standard_normal(3)
+    ds = Dataset(y=2.0 * x + g.standard_normal(3), x=x, z=z)
+    for fn in (sargan, hansen_j, fit_gmm2step):
+        with pytest.raises(RankDeficient, match=r"fewer rows \(3\) than columns \(4\)"):
+            fn(ds)
+
+
 def test_statistics_do_not_depend_on_instrument_units():
     g = np.random.default_rng(8)
     n = 2000
