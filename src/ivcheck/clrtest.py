@@ -22,6 +22,7 @@ from .errors import (
     ArrayTooLarge,
     DegenerateVariance,
     EmptyGrid,
+    InsufficientData,
     InvalidGrid,
     IvcheckError,
     SimulationBudgetTooSmall,
@@ -163,18 +164,7 @@ def _chol_psd(cov: np.ndarray):
     """(Cholesky factor of cov + jitter I, jitter, how many times the jitter rose tenfold).
 
     The jitter starts at max(trace / len, 1) 1e-12 and rises for nearly singular covariances.
-    A stack of covariances (R, K, K) gives a jitter and a count per slice. It
-    tries one Cholesky of the whole stack first; if that fails, each slice is
-    redone alone, so that one slice's jitter never moves another's bits.
     """
-    if cov.ndim > 2:
-        jitter = np.maximum(np.trace(cov, axis1=-2, axis2=-1) / cov.shape[-1], 1.0) * 1e-12
-        try:
-            chol = np.linalg.cholesky(cov + jitter[:, None, None] * np.eye(cov.shape[-1]))
-            return chol, jitter, np.zeros(len(cov), dtype=int)
-        except np.linalg.LinAlgError:
-            chol, jitter, raises = zip(*map(_chol_psd, cov))
-            return np.stack(chol), np.array(jitter), np.array(raises)
     jitter = max(np.trace(cov) / len(cov), 1.0) * 1e-12
     for raises in range(12):
         try:
@@ -200,8 +190,9 @@ def _process(smoother: npreg.Smoother, grid, gens, draws):
     theta_base, s_base = smoother.evaluate_design(design)  # (..., n_base, G)
     n_base, k = theta_base.shape[-2], smoother.coef.shape[-2]
     theta_base, s_base = (a.reshape(-1, n_base, a.shape[-1]) for a in (theta_base, s_base))
-    chol, jitter, raises = _chol_psd(smoother.cov)
-    chol_t = chol.swapaxes(-1, -2).reshape(-1, n_base * k, n_base, k)
+    # one slice at a time, so that one slice's jitter never moves another's bits
+    chol, jitter, raises = zip(*map(_chol_psd, smoother.cov.reshape(-1, n_base * k, n_base * k)))
+    chol_t = np.stack(chol).swapaxes(-1, -2).reshape(-1, n_base * k, n_base, k)
     if design.dtype.kind == "i":
         # in C order, as the dense product's: fancy indexing laid one base column's map out
         # transposed, and the draws' product then rounded differently from the dense one's
@@ -211,7 +202,7 @@ def _process(smoother: npreg.Smoother, grid, gens, draws):
     draw_map = (draw_map / s_base[:, None]).reshape(len(chol_t), n_base * k, -1)
     zstars = ((gen.standard_normal((draws, n_base * k)) @ one).reshape(draws, n_base, -1)
               for gen, one in zip(gens, draw_map))
-    return theta_base, s_base, np.atleast_1d(jitter), np.atleast_1d(raises), zstars
+    return theta_base, s_base, jitter, raises, zstars
 
 
 def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
@@ -290,7 +281,8 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     tenfold in `diagnostics["chol_jitter_raises"]`. An array of `_check_array_budget`
     above ARRAY_BUDGET_BYTES raises ArrayTooLarge before anything is
     allocated. A grid with a non-finite point, or a series grid without two
-    distinct points, raises InvalidGrid.
+    distinct points, raises InvalidGrid, and fewer than `npreg.MIN_ROWS` rows
+    raise InsufficientData.
     """
     (est,) = _estimates(ms, grid, cfg, rng)
     return est
@@ -310,6 +302,9 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
     equals its own `estimate` bit for bit. This is a generator: a part is
     fitted, and a slice's draws are made, when it is reached.
     """
+    if ms.conditioning.shape[-1] < npreg.MIN_ROWS:
+        raise InsufficientData(f"the sup test needs n >= {npreg.MIN_ROWS} rows, "
+                               f"got {ms.conditioning.shape[-1]}")
     if ms.conditioning.ndim == 1:
         ms, rng = replace(ms, base=ms.base[None], conditioning=ms.conditioning[None]), [rng]
     c, method = ms.conditioning, cfg.method

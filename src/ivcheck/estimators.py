@@ -57,10 +57,6 @@ class BoxCoxFit:
     profile_sse_curve: np.ndarray  # (n_lambda, 2) columns (lambda, SSE)
     use_iv: bool
 
-    @property
-    def theta(self):
-        return (self.beta0, self.beta1, self.lam)
-
 
 def _design(x: np.ndarray) -> np.ndarray:
     """x (..., n, k) with a leading column of ones: every first step fits an intercept."""
@@ -185,18 +181,18 @@ def fit_iv(ds: Dataset) -> LinearFit:
     rss1 = np.einsum("...ij,...ij->...j", v, v)
     rss0 = np.sum((ds.x - ds.x.mean(axis=-2, keepdims=True)) ** 2, axis=-2)
     dof = ds.n - ds.k_z - 1
-    f_stats = [float(min((r0 - r1) / ds.k_z / (r1 / dof) if dof > 0 and r1 > 0 else np.inf
-                         for r0, r1 in zip(rss0_i, rss1_i)))
-               for rss0_i, rss1_i in zip(rss0.reshape(-1, ds.k_x), rss1.reshape(-1, ds.k_x))]
-    for f_stat in f_stats:
+    with np.errstate(divide="ignore", invalid="ignore"):  # in the entries np.where leaves out
+        f_stats = np.where((rss1 > 0) & (dof > 0), (rss0 - rss1) / ds.k_z / (rss1 / dof),
+                           np.inf).min(axis=-1)
+    for f_stat in f_stats.ravel():
         if f_stat < RELEVANCE_F_THRESHOLD:
             warnings.warn(
                 f"first-stage F = {f_stat:.2f} < {RELEVANCE_F_THRESHOLD:g}: weak instrument",
                 RelevanceWarning,
                 stacklevel=2,
             )
-    f_stat = f_stats[0] if ds.y.ndim == 1 else np.array(f_stats)
-    return _linear_fit(beta, resid, influence, FitMethod.IV, f_stat)
+    return _linear_fit(beta, resid, influence, FitMethod.IV,
+                       float(f_stats) if ds.y.ndim == 1 else f_stats)
 
 
 def polynomial_instruments(degree: int = 3):

@@ -14,6 +14,7 @@ from .data import Dataset, _quantiles, conditioning_grid, empirical_quantile
 from .errors import InsufficientData, IvcheckError, MissingBounds, OffSupport
 from .npreg import (
     MIN_EFFECTIVE_OBS,
+    MIN_ROWS,
     _LocalLinear,
     cells,
     drop_grid_points,
@@ -107,10 +108,11 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
     it builds no local line; `dropped_grid_points` counts them. Raw
     monotonicity violations are recorded per z before the correction so the
     strict-monotonicity requirement stays checkable. Neither method holds an
-    array of grid points x rows. The local-linear surface is summed over the
-    kernel windows of the rows sorted by z, one block at a time, with the
-    (x <= x_grid) indicators of that block's rows only. A cell's surface is
-    the share of its rows with x at or below each x-grid point, counted in one pass.
+    array of instrument grid points x rows. The local-linear surface is the
+    local intercepts (`npreg._LocalLinear.fit`) of the (x <= x_grid) indicators,
+    summed over the kernel windows of the rows sorted by z one block at a time.
+    A cell's surface is the share of its rows with x at or below each x-grid
+    point, counted in one pass.
     """
     if ds.k_x != 1 or ds.k_z != 1:
         raise IvcheckError("fit_propensity expects scalar x and z")
@@ -119,6 +121,8 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
     if method not in PROPENSITY_METHODS:
         raise IvcheckError(f"propensity method must be one of {', '.join(PROPENSITY_METHODS)}, "
                            f"got {method!r}")
+    if ds.n < MIN_ROWS:
+        raise InsufficientData(f"the propensity needs n >= {MIN_ROWS} rows, got {ds.n}")
     x_grid = conditioning_grid(x, 0.01, 0.99, X_GRID_COUNT)
     dropped = 0
     if method == "cell-means":
@@ -132,23 +136,15 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
         z_grid = conditioning_grid(z, 0.01, 0.99, Z_GRID_COUNT)
         lines, ok = _LocalLinear.sort(z, rule_of_thumb_bandwidth(z)).at(z_grid)
         z_grid, dropped = drop_grid_points(z_grid, ok, method)
-        # the sorted grid is z_grid itself; each block of sorted rows adds its
-        # intercept weights times its own rows' (x <= x_grid) indicators
-        x_sorted = np.take(x, lines.order, axis=0)
-        surface = np.zeros((len(z_grid), len(x_grid)))
-        for points, rows, du, k in lines.blocks():
-            surface[points] += lines.weights(points, du, k)[0] @ (x_sorted[rows, None] <= x_grid)
+        # the sorted grid is z_grid itself: the local intercepts of the (x <= x_grid) indicators
+        surface = lines.fit(x[:, None] <= x_grid)[0]
     if len(z_grid) < 2:
         raise InsufficientData(
             f"propensity needs 2 or more instrument grid points with data, got {len(z_grid)}"
         )
     surface = np.clip(surface, 0.0, 1.0)
-    mono = {}
-    iso = np.empty_like(surface)
-    for i in range(surface.shape[0]):
-        diffs = np.diff(surface[i])
-        mono[float(z_grid[i])] = float(np.mean(diffs < 0)) if len(diffs) else 0.0
-        iso[i] = np.clip(pava_increasing(surface[i]), 0.0, 1.0)
+    mono = dict(zip(z_grid.tolist(), (np.diff(surface, axis=1) < 0).mean(axis=1).tolist()))
+    iso = np.array([np.clip(pava_increasing(row), 0.0, 1.0) for row in surface])
     return PropensityFit(
         z_grid=z_grid,
         x_grid=x_grid,
@@ -218,11 +214,8 @@ class ControlFunctionFit:
         """
         points = np.column_stack([np.full(len(p0s), x0), p0s])
         planes, ok = self.rows.at(points, MIN_EFFECTIVE_OBS)
-        fit = np.zeros((len(planes.points), *np.shape(w)[1:]))
-        for block, rows, du, k in planes.blocks():
-            fit[block] += planes.weights(block, du, k)[0] @ np.take(w, planes.order[rows], axis=0)
         values = np.full((len(p0s), *np.shape(w)[1:]), np.nan)
-        values[planes.index] = fit
+        values[planes.index] = planes.fit(w)[0]
         return values, ok
 
     def cond_mean(self, x0: float, p0: float) -> float:

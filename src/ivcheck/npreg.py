@@ -7,15 +7,16 @@ A `Smoother` holds the design map L, the coefficients and their covariance,
 summed from each observation's influence on them. Pointwise standard errors,
 and the Gaussian process the sup test simulates, both come from it. One
 local-linear engine fits the lines in z of the sup test and of the propensity
-of `mte`, and the control function's planes in (x, rank): it works on rows
-sorted once, in blocks that meet only the points whose kernel windows reach
-them, so none of its arrays grows with points x rows, and one determinant rule
-decides where it can fit. Cell means group the rows by cell once, so none of
-theirs grows with cells x rows. All three sum their covariance in one routine,
-`_influence_cov`, over blocks of row influences. The `fit_*` functions wrap the
-same smoothers for a single column. A smoother that cannot estimate some grid
-points holds the others only; `drop_grid_points` leaves them out of the
-caller's grid, for the reason that `DROP_REASONS` gives per method.
+of `mte`, and the control function's planes in (x, rank), all through one
+coefficient pass: it works on rows sorted once, in blocks that meet only the
+points whose kernel windows reach them, so none of its arrays grows with
+points x rows, and one determinant rule decides where it can fit. Cell means
+group the rows by cell once, so none of theirs grows with cells x rows. All
+three sum their covariance in one routine, `_influence_cov`, over blocks of
+row influences. The `fit_*` functions wrap the same smoothers for a single
+column. A smoother that cannot estimate some grid points holds the others
+only; `drop_grid_points` leaves them out of the caller's grid, for the reason
+that `DROP_REASONS` gives per method.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ import numpy as np
 
 from .data import distinct
 from .errors import EmptyWindow, InsufficientData, RankDeficient, TooManyCells
-from .estimators import _least_squares, series_basis
+from .estimators import _design, _least_squares, series_basis
 
 S_FLOOR = 1e-12
 MAX_CELLS = 50
+MIN_ROWS = 10  # the fewest rows of the sup test, the propensity and fit_local_linear
 # the local-linear kernel runs over blocks of this many (grid point, row) cells
 # at most, so its temporaries stay small whatever n and the grid size are
 LOCAL_LINEAR_BLOCK_CELLS = 2**15
@@ -180,7 +182,7 @@ class _LocalLinear:
     det A > 1e-12 A00 prod_j max(Ajj, h_j^2), and returns the fits there, sorted,
     with `ok` flagging them in the caller's order. A block of `blocks()` meets
     only the points whose coordinate-0 windows can reach its rows; `weights`
-    turns it into weight rows.
+    turns it into weight rows, and `fit` into each point's local coefficients.
     """
 
     u: np.ndarray  # (n, d) sorted on coordinate 0
@@ -204,7 +206,7 @@ class _LocalLinear:
         every = replace(self, points=points[index], index=index)
         normal, count = np.zeros((len(points), d + 1, d + 1)), np.zeros(len(points), dtype=int)
         for block, _, du, k in every.blocks():
-            design = np.concatenate([np.ones_like(du[..., :1]), du], axis=-1)  # (P, R, d + 1)
+            design = _design(du)  # (P, R, d + 1)
             normal[block] += (k[:, None] * design.transpose(0, 2, 1)) @ design
             count[block] += np.count_nonzero(k, axis=1)
         diag = normal.diagonal(axis1=1, axis2=2)
@@ -242,6 +244,16 @@ class _LocalLinear:
         terms = (inverse[:, :, j + 1] * du[..., j] for j in range(du.shape[-1]))
         return k * sum(terms, inverse[:, :, 0])
 
+    def fit(self, w) -> np.ndarray:
+        """(d + 1, G, ...): each kept point's local intercept and slopes of w (n, ...).
+
+        w is in the caller's row order; each block gathers its own rows.
+        """
+        coef = np.zeros((self.u.shape[1] + 1, len(self.points), *np.shape(w)[1:]))
+        for points, rows, du, k in self.blocks():
+            coef[:, points] += self.weights(points, du, k) @ np.take(w, self.order[rows], axis=0)
+        return coef
+
 
 def local_linear_weights(z, grid, bandwidth: float):
     """Smoother weight matrix A (grid x n) with theta(grid) = A w, held dense.
@@ -249,7 +261,7 @@ def local_linear_weights(z, grid, bandwidth: float):
     Returns (A, ok) where ok flags grid points whose kernel window supports a
     local line (`_LocalLinear`); rows with ok=False are zero. Only the
     `probe-npreg` request of bench/replay.py and the dense oracles of the
-    tests call it; the smoother and the propensity walk `blocks()`.
+    tests call it; the smoother, the propensity and the planes take `fit`.
     """
     lines, ok = _LocalLinear.sort(z, bandwidth).at(grid)
     a = np.zeros((len(ok), len(lines.u)))
@@ -286,16 +298,14 @@ def local_linear_smoother(z, w, grid, bandwidth: float):
     not depend on the order of the grid.
     """
     lines, ok = _LocalLinear.sort(z, bandwidth).at(grid)
-    w = np.take(w, lines.order, axis=0)
-    m, g = w.shape[1], len(lines.points)
-    fit = np.zeros((2, g, m))  # each kept point's intercept and slope, per column of w
-    for points, rows, du, k in lines.blocks():
-        fit[:, points] += lines.weights(points, du, k) @ w[rows]
+    fit = lines.fit(w)  # each kept point's intercept and slope, per column of w
     # the influences: the intercept weights times the residuals of each point's own line
     cov = _influence_cov(((points, lines.weights(points, du, k)[0]
-                           * (w[rows].T[:, None] - fit[0, points].T[..., None]
+                           * (np.take(w, lines.order[rows], axis=0).T[:, None]
+                              - fit[0, points].T[..., None]
                               - fit[1, points].T[..., None] * du[..., 0]))
-                          for points, rows, du, k in lines.blocks()), (), m, g)
+                          for points, rows, du, k in lines.blocks()),
+                         (), w.shape[1], len(lines.points))
     return Smoother(partial(_point_design, lines.points[:, 0]), fit[0], cov), ok
 
 
@@ -369,8 +379,8 @@ def fit_series(w, z, order: int | None = None) -> CondMeanFit:
 def fit_local_linear(w, z, bandwidth=None) -> CondMeanFit:
     """Local linear regression of w on z with an Epanechnikov kernel."""
     w, z = _column(w), _column(z)
-    if len(z) < 10:
-        raise InsufficientData("local linear regression needs n >= 10")
+    if len(z) < MIN_ROWS:
+        raise InsufficientData(f"local linear regression needs n >= {MIN_ROWS}")
     if bandwidth is None:
         bandwidth = rule_of_thumb_bandwidth(z)
     bandwidth = _positive(bandwidth)

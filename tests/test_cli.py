@@ -165,6 +165,34 @@ def test_fewer_rows_than_columns_exits_one(tmp_path, capsys, rows, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "fewer rows" in lines[0]
 
 
+@pytest.mark.parametrize("argv", [["test"], ["mte", "--x", "1", "--x-prime", "0"]])
+def test_fewer_rows_than_the_floor_exit_one(tmp_path, capsys, argv):
+    p = tmp_path / "three.csv"
+    p.write_text("y,x,z\n1,2,3\n2,1.5,1\n0.5,0.2,2\n")
+    code = main([argv[0], str(p), *argv[1:]])
+    line = _one_error_line(capsys.readouterr().err)
+    assert code == EXIT_ERROR
+    assert "n >= 10 rows, got 3" in line, line
+
+
+def test_fit_boxcox_writes_the_profile_fit(tmp_path, capsys):
+    from ivcheck.data import load_csv
+    from ivcheck.estimators import fit_boxcox
+    g = np.random.default_rng(14)
+    x = 1 + g.uniform(0.2, 3.8, 1000)
+    p, out = tmp_path / "log14.csv", tmp_path / "boxcox.csv"
+    np.savetxt(p, np.c_[2 * np.log(x) + 0.3 * g.standard_normal(1000), x], delimiter=",",
+               header="y,x", comments="")
+    code = main(["fit", str(p), "--form", "boxcox", "--out", str(out)])
+    assert code == EXIT_OK
+    assert "box-cox fit: lambda = " in capsys.readouterr().out
+    with open(out) as fh:
+        (row,) = csv.DictReader(fh)
+    fit = fit_boxcox(load_csv(p, "y", "x", "x"))
+    assert [float(row[key]) for key in ("lambda", "beta0", "beta1")] == [fit.lam, fit.beta0,
+                                                                         fit.beta1]
+
+
 def test_simulate_smoke(tmp_path, capsys):
     out = tmp_path / "study.csv"
     code = main(["simulate", "--family", "linear-iv-null", "--n", "300",

@@ -16,6 +16,7 @@ from ivcheck.clrtest import test_model as model_test
 from ivcheck.data import Dataset, RngSpec
 from ivcheck.errors import (
     ArrayTooLarge,
+    DegenerateVariance,
     EmptyGrid,
     InsufficientData,
     InvalidGrid,
@@ -233,6 +234,32 @@ def test_series_order_must_stay_below_n_minus_one(order):
         run_test(ms, None, Cfg(series_order=order), RngSpec(seed=0))
 
 
+def test_fewer_rows_than_the_floor_raise_insufficient_data():
+    g = np.random.default_rng(14)
+    z = g.uniform(-1, 1, (2, npreg.MIN_ROWS - 1))
+    for method in ("series", "local-linear", "cell-means"):
+        cfg = Cfg(method=method)
+        ms = _one_sided(g.standard_normal(npreg.MIN_ROWS - 1), np.round(z[0]))
+        with pytest.raises(InsufficientData, match=f"n >= {npreg.MIN_ROWS} rows, got 9"):
+            run_test(ms, None, cfg, RngSpec(seed=0))
+        stack = replace(ms, base=g.standard_normal((2, npreg.MIN_ROWS - 1, 1)),
+                        conditioning=np.round(z))
+        with pytest.raises(InsufficientData, match=f"n >= {npreg.MIN_ROWS} rows"):
+            run_test(stack, None, cfg, [RngSpec(seed=0), RngSpec(seed=1)])
+    ds = Dataset(y=g.standard_normal(9), x=z[1] + 0.1 * z[0], z=z[1])
+    with pytest.raises(InsufficientData, match=f"n >= {npreg.MIN_ROWS} rows"):
+        model_test(ds, IV_SPEC, Cfg(), RngSpec(seed=0))
+    with pytest.raises(InsufficientData, match=f"n >= {npreg.MIN_ROWS} rows"):
+        identified_set(ds, lambda x, theta: theta * x[:, 0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("method", ["series", "local-linear"])
+def test_moments_at_zero_leave_every_standard_error_at_the_floor(method):
+    ms = _paired([np.zeros(200)], ["zero"], np.random.default_rng(15).uniform(-1, 1, 200), "z")
+    with pytest.raises(DegenerateVariance, match="all standard errors at the numerical floor"):
+        run_test(ms, None, Cfg(method=method), RngSpec(seed=0))
+
+
 @pytest.mark.parametrize("family, spec, default", [
     (DgpFamily.LINEAR_IV_NULL, IV_SPEC, default_series_order),
     (DgpFamily.LINEAR_OLS_NULL,
@@ -387,7 +414,7 @@ def test_cell_means_drops_cells_of_one_value():
 
 
 def test_cell_means_without_a_two_row_cell_is_an_empty_grid():
-    ms = _one_sided(np.arange(5.0), np.arange(5.0))
+    ms = _one_sided(np.arange(10.0), np.arange(10.0))
     with pytest.raises(EmptyGrid, match="one-row cells"):
         run_test(ms, None, Cfg(method="cell-means"), RngSpec(seed=0))
 
@@ -855,6 +882,35 @@ def test_stacked_run_test_equals_each_slice_alone(method):
         orders = [report.diagnostics["series_order"] for report in reports]
         assert orders == ([16, 16, 16] if method == "series-shared" else [16, 2, 16])
     assert len(reports) == 3
+    for got, want in zip(reports, alone):
+        _assert_same_report(got, want)
+
+
+def test_stacked_chol_jitter_stays_in_its_slice():
+    """A stacked series fit whose slice 1 needs the jitter raised twice: only slice 1 reports it,
+    and every slice's report equals its lone run under the same refusals."""
+    stack, slices, cfg = _stack_of_three("series-shared")
+    rngs = [RngSpec(seed=5, stream=i) for i in range(3)]
+    grid = run_test(slices[1], None, cfg, rngs[1]).grid
+    cov = npreg.series_smoother(slices[1].conditioning, slices[1].base, 16,
+                                float(grid.min()), float(grid.max())).cov
+    first = max(np.trace(cov) / len(cov), 1.0) * 1e-12
+    off_diagonal = cov - np.diag(cov.diagonal())
+    cholesky = np.linalg.cholesky
+
+    def refuse_slice_1(a):
+        """Refuse any factorization that holds slice 1's matrix with a jitter below 100 first."""
+        for one in a.reshape(-1, *a.shape[-2:]):
+            if (np.array_equal(one - np.diag(one.diagonal()), off_diagonal)
+                    and (one.diagonal() - cov.diagonal()).max() < 50 * first):
+                raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(a)
+
+    with mock.patch("numpy.linalg.cholesky", side_effect=refuse_slice_1):
+        reports = run_test(stack, None, cfg, rngs)
+        alone = [run_test(ms, None, cfg, rng) for ms, rng in zip(slices, rngs)]
+    assert [report.diagnostics["chol_jitter_raises"] for report in reports] == [0, 2, 0]
+    assert reports[1].diagnostics["chol_jitter"] == first * 10.0 * 10.0
     for got, want in zip(reports, alone):
         _assert_same_report(got, want)
 
