@@ -11,8 +11,6 @@ from .errors import IvcheckError
 # Documented configuration keys for the flat key=value config format.
 CONFIG_KEYS = {
     "grid.count": int,
-    "grid.centile_lo": float,
-    "grid.centile_hi": float,
     "test.alpha_levels": str,  # comma-separated floats
     "npreg.method": str,  # series | local-linear | cell-means
     "npreg.series_order": int,

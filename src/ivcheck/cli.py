@@ -41,8 +41,6 @@ _CONFIG_HELP = "config file with `key = value` lines; keys: " + ", ".join(sorted
 # config key -> TestConfig field
 _TEST_CONFIG_FIELDS = {
     "grid.count": "grid_count",
-    "grid.centile_lo": "centile_lo",
-    "grid.centile_hi": "centile_hi",
     "test.alpha_levels": "alpha_levels",
     "npreg.method": "method",
     "npreg.series_order": "series_order",

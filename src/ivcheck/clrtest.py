@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import npreg
-from .data import Dataset, RngSpec, _quantiles, conditioning_grid, distinct
+from .data import MIN_ROWS, Dataset, RngSpec, _quantiles, conditioning_grid, distinct
 from .errors import (
     ArrayTooLarge,
     DegenerateVariance,
@@ -49,8 +49,6 @@ VARIANCE_SERIES_ORDER = 2
 class TestConfig:
     alpha_levels: tuple = DEFAULT_ALPHAS
     grid_count: int = 100
-    centile_lo: float = 0.01
-    centile_hi: float = 0.99
     method: str = "series"  # one of METHODS
     series_order: int | None = None
     bandwidth: float | None = None
@@ -64,9 +62,6 @@ class TestConfig:
             raise IvcheckError(f"grid count must be at least 2, got {self.grid_count}")
         if self.method not in METHODS:
             raise IvcheckError(f"method must be one of {', '.join(METHODS)}, got {self.method!r}")
-        if not 0.0 <= self.centile_lo < self.centile_hi <= 1.0:
-            raise IvcheckError("grid centiles must satisfy 0 <= lo < hi <= 1, "
-                               f"got {self.centile_lo} and {self.centile_hi}")
         if self.series_order is not None and self.series_order < 1:
             raise IvcheckError(f"series order must be at least 1, got {self.series_order}")
         if self.bandwidth is not None and not self.bandwidth > 0:
@@ -223,14 +218,20 @@ def _check_array_budget(cfg: TestConfig, ms: MomentSystem, n_grid: int, n_coef: 
     coefficients by base moments x grid points) and, for series, the
     influences of `npreg.series_smoother` (base moments x coefficients x
     rows), the largest of the arrays it holds beside its basis and
-    pseudo-inverse. A local-linear smoother has one coefficient per grid point.
+    pseudo-inverse. A local-linear smoother has one coefficient per grid point,
+    and cell means one per distinct conditioning value, which no key sets: the
+    hint names the keys that size the array under the method.
     """
     m = ms.base.shape[-1]
+    draw_keys, cov_keys, map_keys = {
+        "series": ("sim.multiplier_draws or grid.count", "npreg.series_order", "grid.count"),
+        "local-linear": ("sim.multiplier_draws or grid.count", "grid.count", "grid.count"),
+        "cell-means": ("sim.multiplier_draws", "the base moments", "the base moments"),
+    }[cfg.method]
     arrays = [
-        (cfg.mult_draws * m * n_grid, "the draw tensor", "sim.multiplier_draws or grid.count"),
-        ((m * n_coef) ** 2, "the coefficient covariance",
-         "npreg.series_order" if cfg.method == "series" else "grid.count"),
-        (m * n_coef * m * n_grid, "the draw map", "grid.count"),
+        (cfg.mult_draws * m * n_grid, "the draw tensor", draw_keys),
+        ((m * n_coef) ** 2, "the coefficient covariance", cov_keys),
+        (m * n_coef * m * n_grid, "the draw map", map_keys),
     ]
     if cfg.method == "series":
         arrays.append((m * n_coef * ms.conditioning.shape[-1], "the series influences",
@@ -281,7 +282,7 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     tenfold in `diagnostics["chol_jitter_raises"]`. An array of `_check_array_budget`
     above ARRAY_BUDGET_BYTES raises ArrayTooLarge before anything is
     allocated. A grid with a non-finite point, or a series grid without two
-    distinct points, raises InvalidGrid, and fewer than `npreg.MIN_ROWS` rows
+    distinct points, raises InvalidGrid, and fewer than `data.MIN_ROWS` rows
     raise InsufficientData.
     """
     (est,) = _estimates(ms, grid, cfg, rng)
@@ -293,8 +294,10 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
 
     A stacked system (base (R, n, m), conditioning (R, n)) takes a sequence
     of one RngSpec per slice. Each slice's grid and series order are set
-    first, with one check of the array budget. The stack is then fitted part
-    by part (`_fit_part`): whole when the method is series and its several
+    first, with one check of the array budget. Series and local-linear take
+    `conditioning_grid`, cell means the distinct values, whose cap of
+    `npreg.MAX_CELLS` comes before the budget. The stack is then fitted
+    part by part (`_fit_part`): whole when the method is series and its several
     slices share the series order and the grid size, so that the least
     squares, the influence covariance, the grid design and the draw map run
     once on the stack; else one slice at a time, as local-linear and cell
@@ -302,28 +305,29 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
     equals its own `estimate` bit for bit. This is a generator: a part is
     fitted, and a slice's draws are made, when it is reached.
     """
-    if ms.conditioning.shape[-1] < npreg.MIN_ROWS:
-        raise InsufficientData(f"the sup test needs n >= {npreg.MIN_ROWS} rows, "
+    if ms.conditioning.shape[-1] < MIN_ROWS:
+        raise InsufficientData(f"the sup test needs n >= {MIN_ROWS} rows, "
                                f"got {ms.conditioning.shape[-1]}")
     if ms.conditioning.ndim == 1:
         ms, rng = replace(ms, base=ms.base[None], conditioning=ms.conditioning[None]), [rng]
     c, method = ms.conditioning, cfg.method
-    grids = orders = [None] * len(c)
+    orders = [None] * len(c)
     if method == "cell-means":
         if grid is not None:
             raise IvcheckError("cell-means evaluates at the distinct conditioning values; "
                                "pass grid=None")
+        grids = [npreg.check_cell_cap(distinct(ci)) for ci in c]
+        n_grid = n_coef = max(map(len, grids))
     else:
         n_grid = n_coef = cfg.grid_count if grid is None else np.size(grid)
         if method == "series":
             orders = [npreg.capped_series_order(ci, cfg.series_order) for ci in c]
             n_coef = max(orders) + 1
-        _check_array_budget(cfg, ms, n_grid, n_coef)
-        if grid is None:
-            grids = [conditioning_grid(ci, cfg.centile_lo, cfg.centile_hi, cfg.grid_count)
-                     for ci in c]
-        else:
-            grids = [np.asarray(grid, dtype=float).ravel()] * len(c)
+    _check_array_budget(cfg, ms, n_grid, n_coef)
+    if grid is not None:
+        grids = [np.asarray(grid, dtype=float).ravel()] * len(c)
+    elif method != "cell-means":
+        grids = [conditioning_grid(ci, count=cfg.grid_count) for ci in c]
     if method == "series" and len(c) > 1 and len({*orders}) == len({len(g) for g in grids}) == 1:
         parts = [(slice(None), np.stack(grids), orders[0], rng)]
     else:
@@ -339,10 +343,7 @@ def _fit_part(ms: MomentSystem, cfg: TestConfig, part, grid, order, rngs):
     smoothing = {}  # the smoother's entries of the diagnostics
     ok = None  # which grid points the smoother can estimate, if it can miss some
     if method == "cell-means":
-        # at most MAX_CELLS cells, so the smoother itself stays small
         smoother, ok = npreg.cell_means_smoother(c, base)
-        grid = distinct(c)
-        _check_array_budget(cfg, ms, len(grid), len(grid))
     else:
         if grid.size == 0:
             raise EmptyGrid("conditioning grid is empty")
@@ -385,7 +386,7 @@ def decide(est: Estimate, moments, alpha_levels) -> TestReport:
 
     per_moment = [_signed_sup(est.zstar[:, b, :], sign) for _, b, sign in moments]
     sups_full = np.maximum.reduce(per_moment)
-    gamma_n = 1.0 - 0.1 / np.log(est.n) if est.n > 1 else 0.5
+    gamma_n = 1.0 - 0.1 / np.log(est.n)
     upper = [1.0 - alpha for alpha in alpha_levels]
     kappa, *k_full = _quantiles(sups_full, [gamma_n, *upper])
     # plug-in estimate of the kappa-close-to-binding set: keep inequalities

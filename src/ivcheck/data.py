@@ -17,6 +17,8 @@ from .errors import (
     ParseError,
 )
 
+MIN_ROWS = 10  # the fewest rows of the sup test, the propensity, overid and fit_local_linear
+
 
 @dataclass(frozen=True)
 class Dataset:

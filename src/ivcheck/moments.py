@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EvaluatorDomainError, IvcheckError
-from .estimators import BoxCoxFit, boxcox_transform
+from .estimators import BoxCoxFit
 
 
 class ModelForm(Enum):
@@ -103,15 +103,6 @@ def build_parametric_grid(
     resid = ds.y - m
     cond, column = _conditioning_column(ds, conditioning)
     return _paired([resid], ["resid"], cond, column)
-
-
-def boxcox_evaluator(x, theta):
-    """m(x, (b0, b1, lam)) = b0 + b1 * x^(lam); usable with build_parametric_grid."""
-    b0, b1, lam = theta
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        x = x[:, 0]
-    return b0 + b1 * boxcox_transform(x, lam)
 
 
 def build_for_spec(fit, spec: ModelSpec, ds: Dataset) -> MomentSystem:

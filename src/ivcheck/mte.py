@@ -10,11 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _quantiles, conditioning_grid, empirical_quantile
+from .data import MIN_ROWS, Dataset, _quantiles, conditioning_grid, empirical_quantile
 from .errors import InsufficientData, IvcheckError, MissingBounds, OffSupport
 from .npreg import (
     MIN_EFFECTIVE_OBS,
-    MIN_ROWS,
     _LocalLinear,
     cells,
     drop_grid_points,
@@ -123,7 +122,7 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
                            f"got {method!r}")
     if ds.n < MIN_ROWS:
         raise InsufficientData(f"the propensity needs n >= {MIN_ROWS} rows, got {ds.n}")
-    x_grid = conditioning_grid(x, 0.01, 0.99, X_GRID_COUNT)
+    x_grid = conditioning_grid(x, count=X_GRID_COUNT)
     dropped = 0
     if method == "cell-means":
         z_grid, cell, counts = cells(z)
@@ -133,7 +132,7 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
                             minlength=len(z_grid) * (len(x_grid) + 1))
         surface = np.cumsum(hits.reshape(len(z_grid), -1)[:, :-1], axis=1) / counts[:, None]
     else:
-        z_grid = conditioning_grid(z, 0.01, 0.99, Z_GRID_COUNT)
+        z_grid = conditioning_grid(z, count=Z_GRID_COUNT)
         lines, ok = _LocalLinear.sort(z, rule_of_thumb_bandwidth(z)).at(z_grid)
         z_grid, dropped = drop_grid_points(z_grid, ok, method)
         # the sorted grid is z_grid itself: the local intercepts of the (x <= x_grid) indicators

@@ -28,13 +28,12 @@ from typing import Callable
 
 import numpy as np
 
-from .data import distinct
+from .data import MIN_ROWS, distinct
 from .errors import EmptyWindow, InsufficientData, RankDeficient, TooManyCells
 from .estimators import _design, _least_squares, series_basis
 
 S_FLOOR = 1e-12
 MAX_CELLS = 50
-MIN_ROWS = 10  # the fewest rows of the sup test, the propensity and fit_local_linear
 # the local-linear kernel runs over blocks of this many (grid point, row) cells
 # at most, so its temporaries stay small whatever n and the grid size are
 LOCAL_LINEAR_BLOCK_CELLS = 2**15
@@ -309,14 +308,19 @@ def local_linear_smoother(z, w, grid, bandwidth: float):
     return Smoother(partial(_point_design, lines.points[:, 0]), fit[0], cov), ok
 
 
+def check_cell_cap(values):
+    """The distinct values of a column, or TooManyCells if there are more than MAX_CELLS."""
+    if len(values) > MAX_CELLS:
+        raise TooManyCells(f"{len(values)} distinct values exceed the cap of {MAX_CELLS}")
+    return values
+
+
 def cells(z):
     """(values, cell, counts): the distinct values of z, each row's cell and each cell's rows."""
     values, cell, counts = np.unique(
         np.asarray(z, dtype=float).ravel(), return_inverse=True, return_counts=True
     )
-    if len(values) > MAX_CELLS:
-        raise TooManyCells(f"{len(values)} distinct values exceed the cap of {MAX_CELLS}")
-    return values, cell, counts
+    return check_cell_cap(values), cell, counts
 
 
 def cell_means_smoother(z, w):

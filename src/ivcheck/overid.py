@@ -8,7 +8,8 @@ from enum import Enum
 
 import numpy as np
 
-from .data import Dataset
+from .data import MIN_ROWS, Dataset
+from .errors import InsufficientData
 from .estimators import _gmm
 
 JUST_IDENTIFIED_TOL = 1e-8
@@ -53,9 +54,13 @@ def chi2_sf(x: float, dof: int) -> float:
 def _report(ds: Dataset, instrument_fn, method: OveridMethod) -> OveridReport | list[OveridReport]:
     """The J statistic of `_gmm` on dim h - dim x degrees of freedom.
 
+    After `_gmm`'s own checks, fewer than `MIN_ROWS` rows raise InsufficientData.
     A stacked Dataset gives one report per slice, in a list.
     """
     _, stats, _, _, dof = _gmm(ds, instrument_fn, efficient=method is OveridMethod.HANSEN_J)
+    if ds.n < MIN_ROWS:
+        raise InsufficientData(f"the overidentification test needs n >= {MIN_ROWS} rows, "
+                               f"got {ds.n}")
     reports = []
     for statistic in map(float, np.ravel(stats)):
         p = 1.0 if dof == 0 or statistic < JUST_IDENTIFIED_TOL else chi2_sf(statistic, dof)

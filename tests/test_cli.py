@@ -175,6 +175,21 @@ def test_fewer_rows_than_the_floor_exit_one(tmp_path, capsys, argv):
     assert "n >= 10 rows, got 3" in line, line
 
 
+@pytest.mark.parametrize("statistic", ["sargan", "hansen-j"])
+def test_overid_below_the_floor_exits_one(tmp_path, capsys, statistic):
+    # six rows and four instrument columns: enough for the J statistic, too few for its p-value
+    g = np.random.default_rng(3)
+    z = g.uniform(0, 1, 6)
+    x = z + 0.3 * g.standard_normal(6)
+    p = tmp_path / "six.csv"
+    np.savetxt(p, np.c_[2 * x + g.standard_normal(6), x, z], delimiter=",", header="y,x,z",
+               comments="")
+    code = main(["overid", str(p), "--z-cols", "z", "--statistic", statistic])
+    line = _one_error_line(capsys.readouterr().err)
+    assert code == EXIT_ERROR
+    assert "n >= 10 rows, got 6" in line, line
+
+
 def test_fit_boxcox_writes_the_profile_fit(tmp_path, capsys):
     from ivcheck.data import load_csv
     from ivcheck.estimators import fit_boxcox
@@ -232,8 +247,7 @@ def test_bad_config_values_exit_one(null_csv, tmp_path, capsys, config):
 
 @pytest.mark.parametrize("config", [
     "sim.multiplier_draws = 100\n",
-    "grid.centile_lo = 0.9\ngrid.centile_hi = 0.1\n",
-], ids=["draws", "centiles"])
+], ids=["draws"])
 def test_simulate_bad_config_exits_one(tmp_path, capsys, config):
     # rejected when the config is read, not as a failure of every replication
     cfg = tmp_path / "bad.cfg"

@@ -160,10 +160,15 @@ def test_simulation_budget_guard():
     # base moments x coefficients x rows, the series influences: here larger
     # than the draw tensor, the covariance and the draw map
     (Cfg(series_order=15, grid_count=2, mult_draws=200), 8 * 16 * 300, "npreg.series_order"),
-], ids=["draw-tensor", "local-linear-covariance", "series-influences"])
+    # draws x base moments x distinct cells: grid.count sets no cell-means grid
+    (Cfg(method="cell-means", grid_count=2), 8 * 1000 * 10, "sim.multiplier_draws"),
+], ids=["draw-tensor", "local-linear-covariance", "series-influences", "cell-means-draw-tensor"])
 def test_array_budget_is_the_computed_size(cfg, size, keys):
     g = np.random.default_rng(11)
-    ms = _one_sided(g.standard_normal(300), g.uniform(-1, 1, 300))
+    w, z = g.standard_normal(300), g.uniform(-1, 1, 300)
+    if cfg.method == "cell-means":
+        z = np.floor(5 * z)  # 10 cells of about 30 rows
+    ms = _one_sided(w, z)
     with mock.patch.object(clrtest, "ARRAY_BUDGET_BYTES", size):
         run_test(ms, None, cfg, RngSpec(seed=12))
     with mock.patch.object(clrtest, "ARRAY_BUDGET_BYTES", size - 1):
@@ -283,16 +288,11 @@ def test_config_rejects_unknown_method():
 
 @pytest.mark.parametrize("kwargs, error", [
     ({"mult_draws": 100}, SimulationBudgetTooSmall),
-    ({"centile_lo": 0.9, "centile_hi": 0.1}, IvcheckError),
-    ({"centile_lo": 0.5, "centile_hi": 0.5}, IvcheckError),
-    ({"centile_lo": -0.1}, IvcheckError),
-    ({"centile_hi": 1.5}, IvcheckError),
     ({"bandwidth": 0.0}, IvcheckError),
     ({"bandwidth": -1.0}, IvcheckError),
     ({"bandwidth": float("nan")}, IvcheckError),
     ({"series_order": 0}, IvcheckError),
-], ids=["draws", "centiles-reversed", "centiles-equal", "centile-lo", "centile-hi",
-        "bandwidth-zero", "bandwidth-negative", "bandwidth-nan", "series-order"])
+], ids=["draws", "bandwidth-zero", "bandwidth-negative", "bandwidth-nan", "series-order"])
 def test_config_rejects_out_of_range_values(kwargs, error):
     with pytest.raises(error):
         Cfg(**kwargs)

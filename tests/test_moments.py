@@ -6,12 +6,11 @@ import pytest
 from ivcheck.clrtest import test_model as model_test
 from ivcheck.data import Dataset, RngSpec
 from ivcheck.errors import EvaluatorDomainError
-from ivcheck.estimators import fit_iv, fit_ols
+from ivcheck.estimators import boxcox_transform, fit_iv, fit_ols
 from ivcheck.moments import (
     Conditioning,
     ModelForm,
     ModelSpec,
-    boxcox_evaluator,
     build_for_spec,
     build_parametric_grid,
 )
@@ -91,7 +90,8 @@ def test_parametric_grid_boxcox_noiseless():
     x = g.uniform(0.5, 8.0, 100)
     y = 2.0 * (x - 1.0)
     ds = Dataset(y=y, x=x, z=x)
-    ms = build_parametric_grid(ds, boxcox_evaluator, (0.0, 2.0, 1.0), Conditioning.ON_X)
+    ms = build_parametric_grid(ds, lambda xx, th: th[0] + th[1] * boxcox_transform(xx[:, 0], th[2]),
+                               (0.0, 2.0, 1.0), Conditioning.ON_X)
     w1 = ms.moments[0][2] * ms.base[:, ms.moments[0][1]]
     assert np.allclose(w1, 0.0, atol=1e-12)
 
@@ -111,7 +111,8 @@ def test_parametric_grid_off_truth_sample_mean_oracle():
 def test_parametric_grid_domain_error():
     ds = Dataset(y=np.arange(4.0), x=np.array([-1.0, 1.0, 2.0, 3.0]), z=np.arange(4.0))
     with pytest.raises(EvaluatorDomainError):
-        build_parametric_grid(ds, boxcox_evaluator, (0.0, 2.0, 0.5), Conditioning.ON_X)
+        build_parametric_grid(ds, lambda xx, th: th[0] + th[1] * boxcox_transform(xx[:, 0], th[2]),
+                              (0.0, 2.0, 0.5), Conditioning.ON_X)
 
 
 def test_build_for_spec_dispatch():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ivcheck.data import Dataset, RngSpec
-from ivcheck.errors import DegenerateVariance, RankDeficient, SingularWeight
+from ivcheck.errors import DegenerateVariance, InsufficientData, RankDeficient, SingularWeight
 from ivcheck.estimators import fit_gmm2step, polynomial_instruments
 from ivcheck.overid import OveridMethod, chi2_sf, hansen_j, sargan
 from ivcheck.simulate import DgpFamily, DgpSpec, generate
@@ -121,6 +121,18 @@ def test_fewer_rows_than_instruments_raises_rank_deficient():
     for fn in (sargan, hansen_j, fit_gmm2step):
         with pytest.raises(RankDeficient, match=r"fewer rows \(3\) than columns \(4\)"):
             fn(ds)
+
+
+def test_fewer_rows_than_the_floor_raise_insufficient_data():
+    """Six rows clear the four instrument columns but not the 10-row floor, one or stacked."""
+    g = np.random.default_rng(3)
+    z = g.uniform(0, 1, (2, 6))
+    x = z + 0.3 * g.standard_normal((2, 6))
+    y = 2.0 * x + g.standard_normal((2, 6))
+    for ds in (Dataset(y=y[0], x=x[0], z=z[0]), Dataset(y=y, x=x[..., None], z=z[..., None])):
+        for fn in (sargan, hansen_j):
+            with pytest.raises(InsufficientData, match=r"n >= 10 rows, got 6"):
+                fn(ds)
 
 
 def test_statistics_do_not_depend_on_instrument_units():
