@@ -3,10 +3,10 @@
 Each conditional moment is estimated on a grid by one of the linear smoothers
 of `npreg`. Given the data, the estimate is Gaussian with the smoother's
 coefficient covariance (Chernozhukov, Chetverikov and Kato 2013), so one
-`_process` draws the standardized estimation process for every method. The
-test then selects moments near the binding boundary and reports the
-precision-corrected sup statistic (Chernozhukov, Lee and Rosen 2013) per
-significance level.
+`_process` maps every method's smoother to the draw map of its standardized
+estimation process. The test then selects moments near the binding boundary
+and reports the precision-corrected sup statistic (Chernozhukov, Lee and
+Rosen 2013) per significance level.
 """
 
 from __future__ import annotations
@@ -169,17 +169,15 @@ def _chol_psd(cov: np.ndarray):
     raise DegenerateVariance("coefficient covariance is not positive semidefinite")
 
 
-def _process(smoother: npreg.Smoother, grid, gens, draws):
-    """theta, s, the Cholesky jitter and how many times it rose, each with a leading slice
-    axis, and an iterator of each slice's standardized draws of the smoother's Gaussian
-    process on the grid.
+def _process(smoother: npreg.Smoother, grid):
+    """theta, s, the Cholesky jitter, how many times it rose and the draw map of the
+    smoother's standardized Gaussian process on the grid, each with a leading slice axis.
 
     Given the data, the estimate is linear in the moment values: with cov = chol chol'
     of the coefficients and L the design, the standardized draws are N(0, I) normals
-    times the fixed map chol' L' / s, or chol'[:, L] / s where L indexes coefficients.
-    The smoother of one dataset is a stack of one slice; a stacked series
-    smoother takes the grid (R, G). Slice i draws from `gens[i]` when item i
-    of the iterator is read, so one slice's draws at a time need be held.
+    (draws, base moments x coefficients) times the fixed draw map chol' L' / s, or
+    chol'[:, L] / s where L indexes coefficients. The smoother of one dataset is a
+    stack of one slice; a stacked series smoother takes the grid (R, G).
     """
     design = smoother.design(grid)  # (..., G, k), or (G,) coefficient indices
     theta_base, s_base = smoother.evaluate_design(design)  # (..., n_base, G)
@@ -195,9 +193,7 @@ def _process(smoother: npreg.Smoother, grid, gens, draws):
     else:
         draw_map = chol_t @ design.swapaxes(-1, -2)[..., None, :, :]
     draw_map = (draw_map / s_base[:, None]).reshape(len(chol_t), n_base * k, -1)
-    zstars = ((gen.standard_normal((draws, n_base * k)) @ one).reshape(draws, n_base, -1)
-              for gen, one in zip(gens, draw_map))
-    return theta_base, s_base, jitter, raises, zstars
+    return theta_base, s_base, jitter, raises, draw_map
 
 
 def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
@@ -281,9 +277,9 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     is recorded in `diagnostics["chol_jitter"]`, and how many times it rose
     tenfold in `diagnostics["chol_jitter_raises"]`. An array of `_check_array_budget`
     above ARRAY_BUDGET_BYTES raises ArrayTooLarge before anything is
-    allocated. A grid with a non-finite point, or a series grid without two
-    distinct points, raises InvalidGrid, and fewer than `data.MIN_ROWS` rows
-    raise InsufficientData.
+    allocated. An empty grid raises EmptyGrid, a grid with a non-finite point,
+    or a series grid without two distinct points, InvalidGrid, and fewer than
+    `data.MIN_ROWS` rows InsufficientData.
     """
     (est,) = _estimates(ms, grid, cfg, rng)
     return est
@@ -295,15 +291,16 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
     A stacked system (base (R, n, m), conditioning (R, n)) takes a sequence
     of one RngSpec per slice. Each slice's grid and series order are set
     first, with one check of the array budget. Series and local-linear take
-    `conditioning_grid`, cell means the distinct values, whose cap of
-    `npreg.MAX_CELLS` comes before the budget. The stack is then fitted
-    part by part (`_fit_part`): whole when the method is series and its several
-    slices share the series order and the grid size, so that the least
-    squares, the influence covariance, the grid design and the draw map run
-    once on the stack; else one slice at a time, as local-linear and cell
-    means, whose windows differ per slice, always go. Either way each slice
-    equals its own `estimate` bit for bit. This is a generator: a part is
-    fitted, and a slice's draws are made, when it is reached.
+    `conditioning_grid` or the grid passed in, checked here, cell means the
+    distinct values, whose cap of `npreg.MAX_CELLS` comes before the budget.
+    The stack is then fitted part by part (`_fit_part`): whole when the
+    method is series and its several slices share the series order and the
+    grid size, so that the least squares, the influence covariance, the grid
+    design and the draw map run once on the stack; else one slice at a time,
+    as local-linear and cell means, whose windows differ per slice, always
+    go. Either way each slice equals its own `estimate` bit for bit. This is
+    a generator: a part is fitted, and a slice's draws are made, when it is
+    reached.
     """
     if ms.conditioning.shape[-1] < MIN_ROWS:
         raise InsufficientData(f"the sup test needs n >= {MIN_ROWS} rows, "
@@ -316,7 +313,7 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
         if grid is not None:
             raise IvcheckError("cell-means evaluates at the distinct conditioning values; "
                                "pass grid=None")
-        grids = [npreg.check_cell_cap(distinct(ci)) for ci in c]
+        grids = [npreg.check_cell_cap(distinct(ci + 0.0)) for ci in c]  # as npreg.cells: no -0.0
         n_grid = n_coef = max(map(len, grids))
     else:
         n_grid = n_coef = cfg.grid_count if grid is None else np.size(grid)
@@ -325,7 +322,15 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
             n_coef = max(orders) + 1
     _check_array_budget(cfg, ms, n_grid, n_coef)
     if grid is not None:
-        grids = [np.asarray(grid, dtype=float).ravel()] * len(c)
+        grid = np.asarray(grid, dtype=float).ravel()
+        if grid.size == 0:
+            raise EmptyGrid("conditioning grid is empty")
+        if not np.isfinite(grid).all():
+            raise InvalidGrid("conditioning grid has non-finite points "
+                              f"{grid[~np.isfinite(grid)].tolist()}")
+        if method == "series" and not grid.min() < grid.max():
+            raise InvalidGrid("a series fit needs a conditioning grid of two distinct points")
+        grids = [grid] * len(c)
     elif method != "cell-means":
         grids = [conditioning_grid(ci, count=cfg.grid_count) for ci in c]
     if method == "series" and len(c) > 1 and len({*orders}) == len({len(g) for g in grids}) == 1:
@@ -342,29 +347,19 @@ def _fit_part(ms: MomentSystem, cfg: TestConfig, part, grid, order, rngs):
     c, base, method = ms.conditioning[part], ms.base[part], cfg.method
     smoothing = {}  # the smoother's entries of the diagnostics
     ok = None  # which grid points the smoother can estimate, if it can miss some
-    if method == "cell-means":
-        smoother, ok = npreg.cell_means_smoother(c, base)
+    if method == "series":
+        smoothing["series_order"] = order
+        smoother = npreg.series_smoother(c, base, order, grid.min(axis=-1), grid.max(axis=-1))
+    elif method == "local-linear":  # one slice
+        smoothing["bandwidth"] = cfg.bandwidth or npreg.rule_of_thumb_bandwidth(c)
+        smoother, ok = npreg.local_linear_smoother(c, base, grid, smoothing["bandwidth"])
     else:
-        if grid.size == 0:
-            raise EmptyGrid("conditioning grid is empty")
-        if not np.isfinite(grid).all():
-            raise InvalidGrid("conditioning grid has non-finite points "
-                              f"{grid[~np.isfinite(grid)].tolist()}")
-        if method == "series":
-            lo, hi = grid.min(axis=-1), grid.max(axis=-1)
-            if not (lo < hi).all():
-                raise InvalidGrid("a series fit needs a conditioning grid of two distinct points")
-            smoothing["series_order"] = order
-            smoother = npreg.series_smoother(c, base, order, lo, hi)
-        else:  # local-linear, one slice
-            smoothing["bandwidth"] = cfg.bandwidth or npreg.rule_of_thumb_bandwidth(c)
-            smoother, ok = npreg.local_linear_smoother(c, base, grid, smoothing["bandwidth"])
+        smoother, ok = npreg.cell_means_smoother(c, base)
     if ok is not None:
         grid, smoothing["dropped_grid_points"] = npreg.drop_grid_points(grid, ok, method)
         if grid.size == 0:
             raise EmptyGrid(f"all grid points have {npreg.DROP_REASONS[method]}")
-    theta, s, jitter, raises, zstar = _process(smoother, grid, [r.generator() for r in rngs],
-                                               cfg.mult_draws)
+    theta, s, jitter, raises, draw_map = _process(smoother, grid)
     floored = (s <= npreg.S_FLOOR * (1.0 + np.abs(theta))).sum(axis=(1, 2))
     if (floored == s[0].size).any():
         raise DegenerateVariance("all standard errors at the numerical floor")
@@ -374,8 +369,11 @@ def _fit_part(ms: MomentSystem, cfg: TestConfig, part, grid, order, rngs):
                 "stream": r.stream, "conditioning_column": ms.conditioning_column, **smoothing,
                 "chol_jitter": float(jitter[i]), "chol_jitter_raises": int(raises[i]),
                 "s_floored": int(floored[i])}
-        # no local name holds the draws, so they go with the estimate once it is decided
-        yield Estimate(grid[i], theta[i], s[i], next(zstar), c.shape[-1], diag)
+        # the slice's draws, made in this statement so that no local name holds them: they
+        # go with the estimate once it is decided, before the next slice's are made
+        yield Estimate(grid[i], theta[i], s[i],
+                       (r.generator().standard_normal((cfg.mult_draws, draw_map.shape[1]))
+                        @ draw_map[i]).reshape(cfg.mult_draws, len(s[i]), -1), c.shape[-1], diag)
 
 
 def decide(est: Estimate, moments, alpha_levels) -> TestReport:

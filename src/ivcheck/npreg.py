@@ -317,8 +317,8 @@ def check_cell_cap(values):
 
 def cells(z):
     """(values, cell, counts): the distinct values of z, each row's cell and each cell's rows."""
-    values, cell, counts = np.unique(
-        np.asarray(z, dtype=float).ravel(), return_inverse=True, return_counts=True
+    values, cell, counts = np.unique(  # + 0.0 makes -0.0 0.0: one zero cell, of one sign
+        np.asarray(z, dtype=float).ravel() + 0.0, return_inverse=True, return_counts=True
     )
     return check_cell_cap(values), cell, counts
 

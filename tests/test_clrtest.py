@@ -24,6 +24,7 @@ from ivcheck.errors import (
     SimulationBudgetTooSmall,
 )
 from ivcheck.estimators import fit_iv
+from ivcheck.mte import fit_propensity
 from ivcheck.npreg import (
     default_series_order,
     fit_cell_means,
@@ -413,6 +414,28 @@ def test_cell_means_drops_cells_of_one_value():
     assert rejections <= 1
 
 
+@pytest.mark.parametrize("seed", [1, 3])
+def test_cell_means_read_one_zero(seed):
+    """A rounded z holds -0.0 and 0.0: the report's grid is the smoother's cell values bit for
+    bit, and neither it nor the propensity's cell-means instrument grid reads -0.0.
+
+    Sorting the raw column kept -0.0 on both seeds: in the grid, the cell values and the
+    propensity's grid on seed 1, and in the grid alone on seed 3.
+    """
+    g = np.random.default_rng(seed)
+    z = np.round(2 * g.uniform(-1, 1, 300))
+    assert np.signbit(z[z == 0]).any() and not np.signbit(z[z == 0]).all()
+    w = g.standard_normal(300)
+    report = run_test(_paired([w], ["w"], z, "z"), None, Cfg(method="cell-means"),
+                      RngSpec(seed=0))
+    values, ok = npreg.cells(z)[0], npreg.cell_means_smoother(z, w[:, None])[1]
+    assert report.grid.tobytes() == values[ok].tobytes()
+    x = z + g.standard_normal(300)
+    z_grid = fit_propensity(Dataset(y=x + g.standard_normal(300), x=x, z=z), "cell-means").z_grid
+    for grid in (report.grid, z_grid):
+        assert 0.0 in grid and not np.signbit(grid[grid == 0]).any()
+
+
 def test_cell_means_without_a_two_row_cell_is_an_empty_grid():
     ms = _one_sided(np.arange(10.0), np.arange(10.0))
     with pytest.raises(EmptyGrid, match="one-row cells"):
@@ -593,9 +616,9 @@ def test_process_matches_two_product_oracle(seed, n, n_base, method):
     else:
         smoother, ok = npreg.cell_means_smoother(z, base)
         grid = np.unique(z)[ok]
-    (theta,), (s,), _, _, zstars = clrtest._process(smoother, grid, [np.random.default_rng(seed)],
-                                                    300)
-    (zstar,) = zstars
+    (theta,), (s,), _, _, (draw_map,) = clrtest._process(smoother, grid)
+    normals = np.random.default_rng(seed).standard_normal((300, len(draw_map)))
+    zstar = (normals @ draw_map).reshape(300, n_base, -1)
     oracle = _two_product_draws(smoother, grid, np.random.default_rng(seed), 300)
     assert zstar.shape == oracle.shape == (300, n_base, len(grid))
     assert np.max(np.abs(zstar - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -684,6 +707,16 @@ def test_non_finite_grid_is_refused(method, grid):
     for stage in (run_test, estimate):
         with pytest.raises(InvalidGrid, match="grid has non-finite points"):
             stage(ms, np.array(grid), Cfg(method=method), RngSpec(seed=0))
+
+
+@pytest.mark.parametrize("method", ["series", "local-linear"])
+def test_empty_grid_is_refused(method):
+    g = np.random.default_rng(33)
+    z = g.uniform(-1, 1, 300)
+    ms = _one_sided(g.standard_normal(300), z)
+    for stage in (run_test, estimate):
+        with pytest.raises(EmptyGrid, match="^conditioning grid is empty$"):
+            stage(ms, np.array([]), Cfg(method=method), RngSpec(seed=0))
 
 
 @pytest.mark.parametrize("grid", [[0.3], [0.3, 0.3, 0.3]])

@@ -428,9 +428,9 @@ def test_point_design_reads_the_selector_by_index(seed, n, m, method):
     dense = _selector(smoother)
     for got, want in zip(smoother.evaluate(points), dense.evaluate(points)):
         assert _same_bits(got, want)
-    draws = [clrtest._process(s, points, [np.random.default_rng(seed)], 200)
-             for s in (smoother, dense)]
-    for got, want in zip(*((theta[0], s[0], next(zstars)) for theta, s, _, _, zstars in draws)):
+    draws = [clrtest._process(s, points) for s in (smoother, dense)]
+    for got, want in zip(*((theta[0], s[0], np.random.default_rng(seed).standard_normal(
+            (200, draw_map.shape[1])) @ draw_map[0]) for theta, s, _, _, draw_map in draws)):
         assert _same_bits(got, want)
     assert draws[0][2:4] == draws[1][2:4]
     with pytest.raises(EmptyWindow) as raised:
