@@ -8,16 +8,21 @@ from __future__ import annotations
 
 from .errors import IvcheckError
 
-# Documented configuration keys for the flat key=value config format.
+
+def _floats(text: str) -> tuple:
+    return tuple(map(float, text.split(",")))
+
+
+# The documented configuration keys: key -> (parser of its value, TestConfig field or None).
 CONFIG_KEYS = {
-    "grid.count": int,
-    "test.alpha_levels": str,  # comma-separated floats
-    "npreg.method": str,  # series | local-linear | cell-means
-    "npreg.series_order": int,
-    "npreg.bandwidth": float,
-    "sim.replications": int,
-    "sim.multiplier_draws": int,
-    "rng.seed": int,
+    "grid.count": (int, "grid_count"),
+    "test.alpha_levels": (_floats, "alpha_levels"),  # comma-separated
+    "npreg.method": (str, "method"),  # series | local-linear | cell-means
+    "npreg.series_order": (int, "series_order"),
+    "npreg.bandwidth": (float, "bandwidth"),
+    "sim.replications": (int, None),
+    "sim.multiplier_draws": (int, "mult_draws"),
+    "rng.seed": (int, None),
 }
 
 
@@ -37,7 +42,7 @@ def parse_config(path) -> dict:
             if key not in CONFIG_KEYS:
                 raise IvcheckError(f"config line {lineno}: unknown key {key!r}")
             try:
-                out[key] = CONFIG_KEYS[key](value)
+                out[key] = CONFIG_KEYS[key][0](value)
             except ValueError:
                 raise IvcheckError(
                     f"config line {lineno}: bad value {value!r} for {key}"

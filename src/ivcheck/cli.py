@@ -38,16 +38,6 @@ EXIT_REJECT = 2
 
 _CONFIG_HELP = "config file with `key = value` lines; keys: " + ", ".join(sorted(CONFIG_KEYS))
 
-# config key -> TestConfig field
-_TEST_CONFIG_FIELDS = {
-    "grid.count": "grid_count",
-    "test.alpha_levels": "alpha_levels",
-    "npreg.method": "method",
-    "npreg.series_order": "series_order",
-    "npreg.bandwidth": "bandwidth",
-    "sim.multiplier_draws": "mult_draws",
-}
-
 
 def _add_data_args(p):
     p.add_argument("data", help="input CSV file")
@@ -83,21 +73,10 @@ def _load(args):
     return load_csv(args.data, args.y_col, x_cols, z_cols)
 
 
-def _alpha_levels(text: str) -> tuple:
-    try:
-        return tuple(float(a) for a in text.split(","))
-    except ValueError:
-        raise IvcheckError(
-            f"config key test.alpha_levels: expected comma-separated numbers, got {text!r}"
-        ) from None
-
-
 def _test_config(args, config: dict):
     from .clrtest import TestConfig
 
-    kwargs = {field: config[key] for key, field in _TEST_CONFIG_FIELDS.items() if key in config}
-    if "alpha_levels" in kwargs:
-        kwargs["alpha_levels"] = _alpha_levels(kwargs["alpha_levels"])
+    kwargs = {field: value for key, value in config.items() if (field := CONFIG_KEYS[key][1])}
     if getattr(args, "method", None):
         kwargs["method"] = args.method
     cfg = TestConfig(**kwargs)

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import npreg
-from .data import MIN_ROWS, Dataset, RngSpec, _quantiles, conditioning_grid, distinct
+from .data import MIN_ROWS, Dataset, RngSpec, _quantiles, check_finite, conditioning_grid, distinct
 from .errors import (
     ArrayTooLarge,
     DegenerateVariance,
@@ -277,7 +277,8 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     is recorded in `diagnostics["chol_jitter"]`, and how many times it rose
     tenfold in `diagnostics["chol_jitter_raises"]`. An array of `_check_array_budget`
     above ARRAY_BUDGET_BYTES raises ArrayTooLarge before anything is
-    allocated. An empty grid raises EmptyGrid, a grid with a non-finite point,
+    allocated. A NaN or inf among the conditioning or moment values raises
+    NonFiniteValue, an empty grid EmptyGrid, a grid with a non-finite point,
     or a series grid without two distinct points, InvalidGrid, and fewer than
     `data.MIN_ROWS` rows InsufficientData.
     """
@@ -302,6 +303,7 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
     a generator: a part is fitted, and a slice's draws are made, when it is
     reached.
     """
+    check_finite(ms.conditioning.shape, conditioning=ms.conditioning, base=ms.base)
     if ms.conditioning.shape[-1] < MIN_ROWS:
         raise InsufficientData(f"the sup test needs n >= {MIN_ROWS} rows, "
                                f"got {ms.conditioning.shape[-1]}")

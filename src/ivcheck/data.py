@@ -49,10 +49,7 @@ class Dataset:
             raise IvcheckError("y, x, z must share the row count")
         if y.shape[-1] < 1:
             raise EmptyData("dataset has no rows")
-        for name, block in (("y", y), ("x", x), ("z", z)):
-            if not np.all(np.isfinite(block)):
-                idx = np.argwhere(~np.isfinite(block.reshape(*y.shape, -1)))[0]
-                raise NonFiniteValue(int(idx[y.ndim - 1]), name)
+        check_finite(y.shape, y=y, x=x, z=z)
         y.setflags(write=False)
         x.setflags(write=False)
         z.setflags(write=False)
@@ -71,6 +68,15 @@ class Dataset:
     @property
     def k_z(self) -> int:
         return self.z.shape[-1]
+
+
+def check_finite(rows: tuple, **blocks) -> None:
+    """Raise NonFiniteValue naming the first block with a NaN or inf and its row within
+    its slice; each block has the leading shape `rows`, (n,) or a stack's (R, n)."""
+    for name, block in blocks.items():
+        if not np.isfinite(block).all():
+            idx = np.argwhere(~np.isfinite(block.reshape(*rows, -1)))[0]
+            raise NonFiniteValue(int(idx[-2]), name)
 
 
 def load_csv(path, y_col, x_cols, z_cols) -> Dataset:
@@ -152,22 +158,18 @@ def empirical_quantile(values: np.ndarray, u):
     return float(q) if q.ndim == 0 else q
 
 
-def conditioning_grid(values, centile_lo=0.01, centile_hi=0.99, count=100):
-    """Equally spaced grid between two empirical centiles of a scalar column.
+def conditioning_grid(values, count=100):
+    """Equally spaced grid between the 1% and 99% empirical centiles of a scalar column.
 
     The centiles differ, so the points are distinct even on a discrete column,
     unless the centiles are only a few ulps apart: duplicates are collapsed
     then, and the grid has fewer than `count` points.
     """
     values = np.asarray(values, dtype=float).ravel()
-    if not 0.0 <= centile_lo < centile_hi <= 1.0:
-        raise IvcheckError("need 0 <= centile_lo < centile_hi <= 1")
-    # one sort for both centiles; centile 0 is the minimum
-    lo, hi = empirical_quantile(values, [centile_lo, centile_hi]).tolist()
+    # one sort for both centiles
+    lo, hi = empirical_quantile(values, [0.01, 0.99]).tolist()
     if not lo < hi:
-        raise DegenerateSupport(
-            f"centile {centile_lo} and {centile_hi} quantiles coincide at {lo}"
-        )
+        raise DegenerateSupport(f"centile 0.01 and 0.99 quantiles coincide at {lo}")
     return distinct(np.linspace(lo, hi, count))
 
 

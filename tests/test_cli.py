@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import ivcheck
-from ivcheck.cli import _TEST_CONFIG_FIELDS, EXIT_ERROR, EXIT_OK, EXIT_REJECT, main
+from ivcheck import CONFIG_KEYS, parse_config
+from ivcheck.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, _test_config, build_parser, main
 from ivcheck.clrtest import TestConfig as Cfg
 from ivcheck.data import RngSpec, write_csv
 from ivcheck.simulate import DgpFamily, DgpSpec, generate
@@ -278,8 +279,73 @@ def test_simulate_bad_flags_exit_one(capsys, flags):
         assert "cmi, sargan, hansen-j" in lines[0]
 
 
+@pytest.fixture(scope="module")
+def two_csv(tmp_path_factory):
+    # two regressors x1, x2 and two instruments z1, z2; y and x positive for Box-Cox
+    p = tmp_path_factory.mktemp("fixtures") / "two.csv"
+    g = np.random.default_rng(0)
+    z = g.uniform(0, 1, (200, 2))
+    x = np.abs(z + g.standard_normal((200, 2))) + 0.5
+    y = np.abs(1.0 + x[:, 0] + g.standard_normal(200)) + 1.0
+    np.savetxt(p, np.c_[y, x, z], delimiter=",", header="y,x1,x2,z1,z2", comments="")
+    return str(p)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "TWO", "--x-cols", "x1", "--z-cols", "z1,z2", "--estimator", "iv"],
+     "fit_iv needs a just-identified system (k_z=2, k_x=1)"),
+    (["test", "TWO", "--x-cols", "x1", "--z-cols", "z1", "--form", "boxcox", "--homoskedastic"],
+     "homoskedasticity moments require a linear fit"),
+    (["mte", "TWO", "--x-cols", "x1,x2", "--z-cols", "z1"], "fit_propensity expects scalar x and z"),
+    (["fit", "TWO", "--x-cols", "x1,x2", "--z-cols", "z1,z2", "--form", "boxcox"],
+     "fit_boxcox expects a scalar regressor"),
+    (["overid", "TWO", "--x-cols", "x1,x2", "--z-cols", "z1", "--degree", "1"],
+     "dim h(Z) below the number of parameters"),
+    (["fit", "EMPTY"], "empty.csv is empty"),
+    (["test", "TWO", "--x-cols", "x1", "--z-cols", "z1", "--config", "NOEQ"],
+     "config line 2: expected key = value"),
+], ids=["iv-overidentified", "boxcox-homoskedastic", "mte-two-regressors",
+        "boxcox-two-regressors", "overid-too-few-instruments", "empty-csv", "config-without-equals"])
+def test_bad_input_exits_one_with_its_error(two_csv, tmp_path, capsys, argv, message):
+    files = {"TWO": two_csv, "EMPTY": tmp_path / "empty.csv", "NOEQ": tmp_path / "noeq.cfg"}
+    files["EMPTY"].write_text("")
+    files["NOEQ"].write_text("# the count\ngrid.count 50\n")
+    code = main([str(files.get(a, a)) for a in argv])
+    line = _one_error_line(capsys.readouterr().err)
+    assert code == EXIT_ERROR
+    assert line.startswith("error: ") and line.endswith(message), line
+
+
 def test_every_test_config_field_has_a_config_key():
-    assert set(_TEST_CONFIG_FIELDS.values()) == {f.name for f in dataclasses.fields(Cfg)}
+    fields = {field for _, field in CONFIG_KEYS.values()} - {None}
+    assert fields == {f.name for f in dataclasses.fields(Cfg)}
+
+
+def test_a_config_of_every_key_sets_the_test_config(tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("grid.count = 50\ntest.alpha_levels = 0.2, 0.1\nnpreg.method = local-linear\n"
+                   "npreg.series_order = 3\nnpreg.bandwidth = 0.5\nsim.replications = 7\n"
+                   "sim.multiplier_draws = 300\nrng.seed = 4\n")
+    args = build_parser().parse_args(["test", "data.csv", "--alpha", "0.05"])
+    assert _test_config(args, parse_config(cfg)) == Cfg(
+        alpha_levels=(0.2, 0.1, 0.05), grid_count=50, method="local-linear", series_order=3,
+        bandwidth=0.5, mult_draws=300)
+
+
+@pytest.mark.parametrize("config, message", [
+    ("no.such.key = 1\n", "error: config line 2: unknown key 'no.such.key'"),
+    ("test.alpha_levels = a,b\n", "error: config line 2: bad value 'a,b' for test.alpha_levels"),
+], ids=["unknown-key", "bad-alpha-list"])
+def test_bad_config_exits_before_numpy_loads(small_csv, tmp_path, config, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# a comment\n" + config)
+    run = _run_cli(*_args(small_csv, "test", "--config", str(cfg)), flags=("-X", "importtime"))
+    assert run.returncode == EXIT_ERROR
+    lines = run.stderr.splitlines()
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines
+                if line.startswith("import time:") and "|" in line}
+    assert "ivcheck._config" in imported and "numpy" not in imported
+    assert [line for line in lines if not line.startswith("import time:")] == [message]
 
 
 def test_seed_flag_overrides_config(null_csv, tmp_path):

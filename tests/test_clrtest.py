@@ -21,6 +21,7 @@ from ivcheck.errors import (
     InsufficientData,
     InvalidGrid,
     IvcheckError,
+    NonFiniteValue,
     SimulationBudgetTooSmall,
 )
 from ivcheck.estimators import fit_iv
@@ -730,6 +731,37 @@ def test_series_grid_needs_two_distinct_points(grid):
     # local-linear estimates at a single point
     report = run_test(ms, np.array(grid), Cfg(method="local-linear"), RngSpec(seed=0))
     assert len(report.grid) == len(grid)
+
+
+@pytest.mark.parametrize("method", clrtest.METHODS)
+@pytest.mark.parametrize("block, rows, value", [
+    ("conditioning", [0], np.inf),
+    ("conditioning", list(range(10)), np.inf),
+    ("base", [5], np.inf),
+    ("base", [5], np.nan),
+], ids=["inf-z", "ten-inf-z", "inf-w", "nan-w"])
+def test_non_finite_moment_system_is_refused(method, block, rows, value):
+    # these ended in numpy's LinAlgError or zero-size reductions, a misleading constant-
+    # variable or bandwidth error, or, for cell means, a decision
+    g = np.random.default_rng(34)
+    z = g.uniform(-1, 1, 200)
+    values = {"conditioning": np.round(3 * z) if method == "cell-means" else z,
+              "base": g.standard_normal(200)}
+    values[block][rows] = value
+    ms = _paired([values["base"]], ["w"], values["conditioning"], "z")
+    with pytest.raises(NonFiniteValue) as bad:
+        run_test(ms, None, Cfg(method=method, mult_draws=200), RngSpec(seed=0))
+    assert (bad.value.row, bad.value.col) == (rows[0], block)
+
+
+def test_non_finite_stacked_moment_system_names_the_row_in_its_slice():
+    g = np.random.default_rng(35)
+    w = g.standard_normal((3, 200))
+    w[2, 7] = np.nan
+    ms = _paired([w], ["w"], g.uniform(-1, 1, (3, 200)), "z")
+    with pytest.raises(NonFiniteValue) as bad:
+        run_test(ms, None, Cfg(mult_draws=200), [RngSpec(seed=0, stream=i) for i in range(3)])
+    assert (bad.value.row, bad.value.col) == (7, "base")
 
 
 def test_floored_standard_errors_are_reported():

@@ -107,7 +107,7 @@ def test_dataset_stack_needs_its_column_axis():
 
 def test_grid_1_to_100():
     z = np.arange(1.0, 101.0)
-    grid = conditioning_grid(z, 0.01, 0.99, 100)
+    grid = conditioning_grid(z, count=100)
     # empirical-quantile oracle by sorting: left-continuous inverse CDF
     lo = empirical_quantile(z, 0.01)
     hi = empirical_quantile(z, 0.99)
@@ -214,7 +214,7 @@ def test_parse_config_known_keys(tmp_path):
     p.write_text("grid.count = 50\ntest.alpha_levels = 0.10,0.05\nrng.seed = 9\n")
     cfg = parse_config(p)
     assert cfg["grid.count"] == 50
-    assert cfg["test.alpha_levels"] == "0.10,0.05"
+    assert cfg["test.alpha_levels"] == (0.10, 0.05)
     assert cfg["rng.seed"] == 9
 
 

@@ -115,6 +115,16 @@ def test_parametric_grid_domain_error():
                               (0.0, 2.0, 0.5), Conditioning.ON_X)
 
 
+@pytest.mark.parametrize("evaluator, message", [
+    (lambda xx, th: np.zeros(3), "wrong-shaped array"),
+    (lambda xx, th: np.where(xx[:, 0] > 2.0, np.nan, th * xx[:, 0]), "non-finite values"),
+], ids=["wrong-shape", "nan"])
+def test_parametric_grid_refuses_a_bad_evaluator(evaluator, message):
+    ds = Dataset(y=np.arange(4.0), x=np.array([-1.0, 1.0, 2.0, 3.0]), z=np.arange(4.0))
+    with pytest.raises(EvaluatorDomainError, match=message):
+        build_parametric_grid(ds, evaluator, 2.0)
+
+
 def test_build_for_spec_dispatch():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_OLS_NULL, n=300), RngSpec(seed=8))
     fit = fit_ols(ds)

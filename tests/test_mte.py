@@ -191,7 +191,7 @@ def test_cell_means_propensity_memory_bounded_at_100k():
 
 def _dense_local_linear_propensity(z, x, x_grid):
     """Dense (z grid x n) kernel weights at the kept points times (x grid x n) indicators."""
-    z_grid = conditioning_grid(z, 0.01, 0.99, Z_GRID_COUNT)
+    z_grid = conditioning_grid(z, count=Z_GRID_COUNT)
     a, ok = local_linear_weights(z, z_grid, rule_of_thumb_bandwidth(z))
     return a[ok] @ (x[None, :] <= x_grid[:, None]).T, z_grid[ok], int((~ok).sum())
 

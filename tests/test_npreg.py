@@ -79,6 +79,11 @@ def test_series_insufficient_data():
         fit_series(np.arange(3.0), np.arange(3.0), order=5)
 
 
+def test_local_linear_insufficient_data():
+    with pytest.raises(InsufficientData, match="n >= 10"):
+        fit_local_linear(np.arange(5.0), np.arange(5.0), bandwidth=1.0)
+
+
 def test_series_order_capped_at_distinct_values():
     g = np.random.default_rng(8)
     z = g.integers(0, 7, 400).astype(float)

@@ -330,6 +330,11 @@ def test_power_curve_same_rows_in_workers():
     assert rows[0] == rows[1]
 
 
+def test_run_study_refuses_zero_replications():
+    with pytest.raises(IvcheckError, match="reps must be >= 1"):
+        run_study([DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=200)], [Method.CMI], reps=0)
+
+
 def test_power_curve_requires_increasing_n():
     with pytest.raises(IvcheckError):
         power_curve(DgpSpec(family=DgpFamily.LINEAR_IV_POWER, n=250, L=1.0, sigma=0.25),
