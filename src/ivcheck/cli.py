@@ -183,6 +183,9 @@ def _cmd_identified_set(args, config):
     cfg = _test_config(args, config)
     if args.theta_count < 1:
         raise IvcheckError(f"--theta-count must be at least 1, got {args.theta_count}")
+    if not np.isfinite([args.theta_lo, args.theta_hi]).all():
+        raise IvcheckError(f"--theta-lo and --theta-hi must be finite, got {args.theta_lo} "
+                           f"and {args.theta_hi}")
     ds = _load(args)
     if ds.k_x != 1:
         raise IvcheckError(f"identified-set takes one regressor, got {ds.k_x}: "

@@ -3,10 +3,11 @@
 Each conditional moment is estimated on a grid by one of the linear smoothers
 of `npreg`. Given the data, the estimate is Gaussian with the smoother's
 coefficient covariance (Chernozhukov, Chetverikov and Kato 2013), so one
-`_process` maps every method's smoother to the draw map of its standardized
-estimation process. The test then selects moments near the binding boundary
-and reports the precision-corrected sup statistic (Chernozhukov, Lee and
-Rosen 2013) per significance level.
+`npreg.Smoother.process` maps every method's smoother to theta, s and the draw
+map of its standardized estimation process. Each part of a system is sized
+against the array budget just before it is fitted. The test then selects
+moments near the binding boundary and reports the precision-corrected sup
+statistic (Chernozhukov, Lee and Rosen 2013) per significance level.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from . import npreg
 from .data import MIN_ROWS, Dataset, RngSpec, _quantiles, check_finite, conditioning_grid, distinct
 from .errors import (
     ArrayTooLarge,
-    DegenerateVariance,
     EmptyGrid,
     InsufficientData,
     InvalidGrid,
@@ -155,47 +155,6 @@ class IdentifiedSet:
         return len(self.accepted) == 0
 
 
-def _chol_psd(cov: np.ndarray):
-    """(Cholesky factor of cov + jitter I, jitter, how many times the jitter rose tenfold).
-
-    The jitter starts at max(trace / len, 1) 1e-12 and rises for nearly singular covariances.
-    """
-    jitter = max(np.trace(cov) / len(cov), 1.0) * 1e-12
-    for raises in range(12):
-        try:
-            return np.linalg.cholesky(cov + jitter * np.eye(len(cov))), jitter, raises
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise DegenerateVariance("coefficient covariance is not positive semidefinite")
-
-
-def _process(smoother: npreg.Smoother, grid):
-    """theta, s, the Cholesky jitter, how many times it rose and the draw map of the
-    smoother's standardized Gaussian process on the grid, each with a leading slice axis.
-
-    Given the data, the estimate is linear in the moment values: with cov = chol chol'
-    of the coefficients and L the design, the standardized draws are N(0, I) normals
-    (draws, base moments x coefficients) times the fixed draw map chol' L' / s, or
-    chol'[:, L] / s where L indexes coefficients. The smoother of one dataset is a
-    stack of one slice; a stacked series smoother takes the grid (R, G).
-    """
-    design = smoother.design(grid)  # (..., G, k), or (G,) coefficient indices
-    theta_base, s_base = smoother.evaluate_design(design)  # (..., n_base, G)
-    n_base, k = theta_base.shape[-2], smoother.coef.shape[-2]
-    theta_base, s_base = (a.reshape(-1, n_base, a.shape[-1]) for a in (theta_base, s_base))
-    # one slice at a time, so that one slice's jitter never moves another's bits
-    chol, jitter, raises = zip(*map(_chol_psd, smoother.cov.reshape(-1, n_base * k, n_base * k)))
-    chol_t = np.stack(chol).swapaxes(-1, -2).reshape(-1, n_base * k, n_base, k)
-    if design.dtype.kind == "i":
-        # in C order, as the dense product's: fancy indexing laid one base column's map out
-        # transposed, and the draws' product then rounded differently from the dense one's
-        draw_map = np.take(chol_t, design, axis=-1)
-    else:
-        draw_map = chol_t @ design.swapaxes(-1, -2)[..., None, :, :]
-    draw_map = (draw_map / s_base[:, None]).reshape(len(chol_t), n_base * k, -1)
-    return theta_base, s_base, jitter, raises, draw_map
-
-
 def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
     """Per-draw max over the columns of sign * z, for z of shape (draws, columns).
 
@@ -205,33 +164,32 @@ def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
     return sign * (z.max(axis=1) if sign > 0 else z.min(axis=1))
 
 
-def _check_array_budget(cfg: TestConfig, ms: MomentSystem, n_grid: int, n_coef: int) -> None:
-    """Raise ArrayTooLarge if one of run_test's largest arrays would exceed ARRAY_BUDGET_BYTES.
+def _check_array_budget(cfg: TestConfig, base, n_grid: int, order) -> None:
+    """Raise ArrayTooLarge if one of the largest arrays of the part about to be fitted, its
+    moment values base (..., n, m) on n_grid points, would exceed ARRAY_BUDGET_BYTES.
 
-    Those are, in float64, the standardized draws (draws x base moments x grid
-    points), the coefficient covariance and its Cholesky factor ((base moments
-    x coefficients) squared), the draw map of `_process` (base moments x
-    coefficients by base moments x grid points) and, for series, the
-    influences of `npreg.series_smoother` (base moments x coefficients x
-    rows), the largest of the arrays it holds beside its basis and
-    pseudo-inverse. A local-linear smoother has one coefficient per grid point,
-    and cell means one per distinct conditioning value, which no key sets: the
-    hint names the keys that size the array under the method.
+    Those are, in float64, per slice the coefficient covariance and its Cholesky factor
+    ((base moments x coefficients) squared), the draw map of `npreg.Smoother.process`
+    (base moments x coefficients by base moments x grid points) and, for series (`order`
+    set), the influences of `npreg.series_smoother` (base moments x coefficients x rows);
+    and once, as each slice's draws are freed before the next's, the standardized draws
+    (draws x base moments x grid points). Local-linear and cell means have one coefficient
+    per grid point: the hint names what sizes the array, and fewer slices for a stack.
     """
-    m = ms.base.shape[-1]
+    (n, m), slices = base.shape[-2:], int(np.prod(base.shape[:-2]))
+    n_coef = n_grid if order is None else order + 1
     draw_keys, cov_keys, map_keys = {
         "series": ("sim.multiplier_draws or grid.count", "npreg.series_order", "grid.count"),
         "local-linear": ("sim.multiplier_draws or grid.count", "grid.count", "grid.count"),
         "cell-means": ("sim.multiplier_draws", "the base moments", "the base moments"),
     }[cfg.method]
-    arrays = [
-        (cfg.mult_draws * m * n_grid, "the draw tensor", draw_keys),
-        ((m * n_coef) ** 2, "the coefficient covariance", cov_keys),
-        (m * n_coef * m * n_grid, "the draw map", map_keys),
-    ]
-    if cfg.method == "series":
-        arrays.append((m * n_coef * ms.conditioning.shape[-1], "the series influences",
-                       "npreg.series_order"))
+    per_slice = [((m * n_coef) ** 2, "the coefficient covariance", cov_keys),
+                 (m * n_coef * m * n_grid, "the draw map", map_keys)]
+    if order is not None:
+        per_slice.append((m * n_coef * n, "the series influences", "npreg.series_order"))
+    stack = f", or pass fewer than {slices} slices" if slices > 1 else ""
+    arrays = [(cfg.mult_draws * m * n_grid, "the draw tensor", draw_keys),
+              *((slices * size, name, keys + stack) for size, name, keys in per_slice)]
     size, name, keys = max(arrays, key=lambda array: array[0])
     if 8 * size > ARRAY_BUDGET_BYTES:
         raise ArrayTooLarge(f"{name} would take {8 * size / 2**30:.3g} GiB, above the "
@@ -273,11 +231,12 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     number of distinct conditioning values minus one. Grid points that the
     local-linear or cell-means smoother cannot estimate are dropped, with the
     warning of `npreg.drop_grid_points`, and counted in
-    `diagnostics["dropped_grid_points"]`. The diagonal jitter of `_chol_psd`
-    is recorded in `diagnostics["chol_jitter"]`, and how many times it rose
-    tenfold in `diagnostics["chol_jitter_raises"]`. An array of `_check_array_budget`
-    above ARRAY_BUDGET_BYTES raises ArrayTooLarge before anything is
-    allocated. A NaN or inf among the conditioning or moment values raises
+    `diagnostics["dropped_grid_points"]`. The diagonal jitter of
+    `npreg.Smoother.process` is recorded in `diagnostics["chol_jitter"]`, how many
+    times it rose tenfold in `diagnostics["chol_jitter_raises"]`, and how many
+    standard errors sit at the floor in `diagnostics["s_floored"]`. An array of
+    `_check_array_budget` above ARRAY_BUDGET_BYTES raises ArrayTooLarge before the
+    smoother is fitted. A NaN or inf among the conditioning or moment values raises
     NonFiniteValue, an empty grid EmptyGrid, a grid with a non-finite point,
     or a series grid without two distinct points, InvalidGrid, and fewer than
     `data.MIN_ROWS` rows InsufficientData.
@@ -291,16 +250,16 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
 
     A stacked system (base (R, n, m), conditioning (R, n)) takes a sequence
     of one RngSpec per slice. Each slice's grid and series order are set
-    first, with one check of the array budget. Series and local-linear take
-    `conditioning_grid` or the grid passed in, checked here, cell means the
-    distinct values, whose cap of `npreg.MAX_CELLS` comes before the budget.
-    The stack is then fitted part by part (`_fit_part`): whole when the
-    method is series and its several slices share the series order and the
-    grid size, so that the least squares, the influence covariance, the grid
-    design and the draw map run once on the stack; else one slice at a time,
-    as local-linear and cell means, whose windows differ per slice, always
-    go. Either way each slice equals its own `estimate` bit for bit. This is
-    a generator: a part is fitted, and a slice's draws are made, when it is
+    first: the grid passed in, checked here, else `conditioning_grid` for
+    series and local-linear and the distinct values, under the cap of
+    `npreg.MAX_CELLS`, for cell means. The stack is then fitted part by part
+    (`_fit_part`): whole when the method is series and its several slices
+    share the series order and the grid size, so that the least squares, the
+    influence covariance, the grid design and the draw map run once on the
+    stack; else one slice at a time, as local-linear and cell means, whose
+    windows differ per slice, always go. Either way each slice equals its own
+    `estimate` bit for bit. This is a generator: a part is checked against
+    the array budget and fitted, and a slice's draws are made, when it is
     reached.
     """
     check_finite(ms.conditioning.shape, conditioning=ms.conditioning, base=ms.base)
@@ -310,20 +269,12 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
     if ms.conditioning.ndim == 1:
         ms, rng = replace(ms, base=ms.base[None], conditioning=ms.conditioning[None]), [rng]
     c, method = ms.conditioning, cfg.method
-    orders = [None] * len(c)
-    if method == "cell-means":
-        if grid is not None:
+    orders = [npreg.capped_series_order(ci, cfg.series_order) if method == "series" else None
+              for ci in c]
+    if grid is not None:
+        if method == "cell-means":
             raise IvcheckError("cell-means evaluates at the distinct conditioning values; "
                                "pass grid=None")
-        grids = [npreg.check_cell_cap(distinct(ci + 0.0)) for ci in c]  # as npreg.cells: no -0.0
-        n_grid = n_coef = max(map(len, grids))
-    else:
-        n_grid = n_coef = cfg.grid_count if grid is None else np.size(grid)
-        if method == "series":
-            orders = [npreg.capped_series_order(ci, cfg.series_order) for ci in c]
-            n_coef = max(orders) + 1
-    _check_array_budget(cfg, ms, n_grid, n_coef)
-    if grid is not None:
         grid = np.asarray(grid, dtype=float).ravel()
         if grid.size == 0:
             raise EmptyGrid("conditioning grid is empty")
@@ -333,7 +284,11 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
         if method == "series" and not grid.min() < grid.max():
             raise InvalidGrid("a series fit needs a conditioning grid of two distinct points")
         grids = [grid] * len(c)
-    elif method != "cell-means":
+    elif method == "cell-means":
+        grids = [npreg.check_cell_cap(distinct(ci + 0.0)) for ci in c]  # as npreg.cells: no -0.0
+    else:
+        # a grid.count too large for one slice is refused before its points are built
+        _check_array_budget(cfg, ms.base[0], cfg.grid_count, orders[0])
         grids = [conditioning_grid(ci, count=cfg.grid_count) for ci in c]
     if method == "series" and len(c) > 1 and len({*orders}) == len({len(g) for g in grids}) == 1:
         parts = [(slice(None), np.stack(grids), orders[0], rng)]
@@ -347,6 +302,7 @@ def _fit_part(ms: MomentSystem, cfg: TestConfig, part, grid, order, rngs):
     """The estimates of one part of a stacked system: slice `part`, or the whole stack
     (part = slice(None)) of a series fit of one order on the grids (R, G)."""
     c, base, method = ms.conditioning[part], ms.base[part], cfg.method
+    _check_array_budget(cfg, base, grid.shape[-1], order)
     smoothing = {}  # the smoother's entries of the diagnostics
     ok = None  # which grid points the smoother can estimate, if it can miss some
     if method == "series":
@@ -361,10 +317,7 @@ def _fit_part(ms: MomentSystem, cfg: TestConfig, part, grid, order, rngs):
         grid, smoothing["dropped_grid_points"] = npreg.drop_grid_points(grid, ok, method)
         if grid.size == 0:
             raise EmptyGrid(f"all grid points have {npreg.DROP_REASONS[method]}")
-    theta, s, jitter, raises, draw_map = _process(smoother, grid)
-    floored = (s <= npreg.S_FLOOR * (1.0 + np.abs(theta))).sum(axis=(1, 2))
-    if (floored == s[0].size).any():
-        raise DegenerateVariance("all standard errors at the numerical floor")
+    theta, s, floored, jitter, raises, draw_map = smoother.process(grid)
     grid = grid.reshape(-1, grid.shape[-1])
     for i, r in enumerate(rngs):
         diag = {"method": method, "mult_draws": cfg.mult_draws, "n": c.shape[-1], "seed": r.seed,
@@ -488,10 +441,16 @@ def identified_set(
     rng: RngSpec = RngSpec(),
     conditioning: Conditioning = Conditioning.ON_Z,
 ) -> IdentifiedSet:
-    """Grid search: keep the theta whose exogeneity moments Y - evaluator(X, theta) pass."""
+    """Grid search: keep the theta whose exogeneity moments Y - evaluator(X, theta) pass.
+
+    An empty theta_grid raises EmptyGrid, and one with a NaN or infinite theta InvalidGrid.
+    """
     theta_grid = list(theta_grid)
     if not theta_grid:
         raise EmptyGrid("theta_grid is empty")
+    bad = [theta for theta in theta_grid if not np.isfinite(theta).all()]
+    if bad:
+        raise InvalidGrid(f"theta_grid has {len(bad)} non-finite points, the first {bad[0]}")
     cfg = cfg.with_level(alpha)
     accepted = []
     for i, theta in enumerate(theta_grid):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MIN_ROWS, Dataset, _quantiles, conditioning_grid, empirical_quantile
-from .errors import InsufficientData, IvcheckError, MissingBounds, OffSupport
+from .errors import DomainError, InsufficientData, IvcheckError, MissingBounds, OffSupport
 from .npreg import (
     MIN_EFFECTIVE_OBS,
     _LocalLinear,
@@ -244,8 +244,19 @@ def fit_control_function(ds: Dataset, pf: PropensityFit) -> ControlFunctionFit:
     )
 
 
+def _check_finite(**values) -> None:
+    """DomainError naming the first of `values` that is NaN or infinite."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def estimate_mte(cf: ControlFunctionFit, p: float, x: float, x_prime: float) -> float:
-    """MTE(p; x, x') = cond_mean(x, p) - cond_mean(x', p); zero exactly at x = x'."""
+    """MTE(p; x, x') = cond_mean(x, p) - cond_mean(x', p); zero exactly at x = x'.
+
+    A NaN or infinite p, x or x' raises DomainError.
+    """
+    _check_finite(p=p, x=x, x_prime=x_prime)
     at_x = cf.cond_mean(x, p)
     return 0.0 if x == x_prime else at_x - cf.cond_mean(x_prime, p)
 
@@ -275,7 +286,15 @@ def estimate_asf(
     otherwise the partial-identification interval needs outcome bounds and has
     width (Y_u - Y_l) (1 - p_hi + p_lo) exactly. Points of the support without
     a local plane are left out of the integral and counted in dropped_points.
+    A NaN or infinite x, or outcome bounds that are not finite with lower <=
+    upper, raise DomainError.
     """
+    _check_finite(x=x)
+    if outcome_bounds is not None:
+        _check_finite(y_lower=outcome_bounds[0], y_upper=outcome_bounds[1])
+        if not outcome_bounds[0] <= outcome_bounds[1]:
+            raise DomainError(f"outcome bounds must have lower <= upper, got "
+                              f"({outcome_bounds[0]}, {outcome_bounds[1]})")
     p_lo, p_hi = pf.support_p_given_x(x)
     pts = P_GRID[(p_lo <= P_GRID) & (P_GRID <= p_hi)]
     means, ok = cf.planes(x, pts, cf.y)

@@ -4,8 +4,9 @@ Polynomial series regression, local linear regression with an Epanechnikov
 kernel, and exact cell means for discrete conditioning variables are all
 linear in the values they smooth: theta(v) = L(v) @ coef with coef = P @ W.
 A `Smoother` holds the design map L, the coefficients and their covariance,
-summed from each observation's influence on them. Pointwise standard errors,
-and the Gaussian process the sup test simulates, both come from it. One
+summed from each observation's influence on them. Pointwise standard errors
+come from it, and `Smoother.process` standardizes the Gaussian process the sup
+test simulates: floored s, Cholesky jitter and draw map, for either design. One
 local-linear engine fits the lines in z of the sup test and of the propensity
 of `mte`, and the control function's planes in (x, rank), all through one
 coefficient pass: it works on rows sorted once, in blocks that meet only the
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .data import MIN_ROWS, distinct
-from .errors import EmptyWindow, InsufficientData, RankDeficient, TooManyCells
+from .errors import DegenerateVariance, EmptyWindow, InsufficientData, RankDeficient, TooManyCells
 from .estimators import _design, _least_squares, series_basis
 
 S_FLOOR = 1e-12
@@ -119,9 +120,9 @@ class Smoother:
 
     def evaluate(self, v):
         """theta and floored pointwise standard errors at v, each (m, len(v))."""
-        return self.evaluate_design(self.design(np.atleast_1d(np.asarray(v, dtype=float))))
+        return self._evaluate_design(self.design(np.atleast_1d(np.asarray(v, dtype=float))))
 
-    def evaluate_design(self, design):
+    def _evaluate_design(self, design):
         """`evaluate` at the points whose design rows are `design` (G, k), or coefficient indices (G,)."""
         k = self.coef.shape[-2]
         if design.dtype.kind == "i":  # a point smoother: theta is the coefficients at the indices
@@ -134,6 +135,50 @@ class Smoother:
             s[..., a, :] = np.sqrt(np.einsum("...ij,...jk,...ik->...i", design, block, design)
                                    .clip(min=0.0))
         return theta, clamp_s(s, theta)
+
+    def process(self, grid):
+        """theta, s, how many s sit at the floor S_FLOOR (1 + |theta|), the Cholesky jitter,
+        how many times it rose and the draw map of the standardized Gaussian process on the
+        grid, each with a leading slice axis: one slice, or R of a stacked series grid (R, G).
+
+        Given the data, the estimate is linear in the smoothed values: with cov = chol chol'
+        of the coefficients and L the design, the standardized draws are N(0, I) normals
+        (draws, columns x coefficients) times the fixed draw map chol' L' / s, or
+        chol'[:, L] / s where L indexes coefficients. A slice with every s at the floor
+        raises DegenerateVariance.
+        """
+        design = self.design(grid)  # (..., G, k), or (G,) coefficient indices
+        theta, s = self._evaluate_design(design)  # (..., m, G)
+        m, k = theta.shape[-2], self.coef.shape[-2]
+        theta, s = (a.reshape(-1, m, a.shape[-1]) for a in (theta, s))
+        # one slice at a time, so that one slice's jitter never moves another's bits
+        chol, jitter, raises = zip(*map(_chol_psd, self.cov.reshape(-1, m * k, m * k)))
+        floored = (s <= S_FLOOR * (1.0 + np.abs(theta))).sum(axis=(1, 2))
+        if (floored == s[0].size).any():
+            raise DegenerateVariance("all standard errors at the numerical floor")
+        chol_t = np.stack(chol).swapaxes(-1, -2).reshape(-1, m * k, m, k)
+        if design.dtype.kind == "i":
+            # in C order, as the dense product's: fancy indexing laid one column's map out
+            # transposed, and the draws' product then rounded differently from the dense one's
+            draw_map = np.take(chol_t, design, axis=-1)
+        else:
+            draw_map = chol_t @ design.swapaxes(-1, -2)[..., None, :, :]
+        draw_map = (draw_map / s[:, None]).reshape(len(chol_t), m * k, -1)
+        return theta, s, floored, jitter, raises, draw_map
+
+
+def _chol_psd(cov: np.ndarray):
+    """(Cholesky factor of cov + jitter I, jitter, how many times the jitter rose tenfold).
+
+    The jitter starts at max(trace / len, 1) 1e-12 and rises for nearly singular covariances.
+    """
+    jitter = max(np.trace(cov) / len(cov), 1.0) * 1e-12
+    for raises in range(12):
+        try:
+            return np.linalg.cholesky(cov + jitter * np.eye(len(cov))), jitter, raises
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    raise DegenerateVariance("coefficient covariance is not positive semidefinite")
 
 
 def _point_design(points, v):

@@ -215,20 +215,20 @@ def _replications(args) -> list:
     if len(subs) > 1:
         try:
             with warnings.catch_warnings(record=True) as caught:
-                out = _stacked(spec, methods, cfg, subs, strict=True)
+                out = _stacked(spec, methods, cfg, subs)
         except IvcheckError:
             pass
         else:
             for w in caught:
                 warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
             return out
-    return [row for sub in subs for row in _stacked(spec, methods, cfg, [sub], strict=False)]
+    return [row for sub in subs for row in _stacked(spec, methods, cfg, [sub])]
 
 
-def _stacked(spec, methods, cfg, subs, strict: bool) -> list:
+def _stacked(spec, methods, cfg, subs) -> list:
     """One pass of generate and each method over the stack of replications drawn from `subs`.
 
-    Without `strict` a method that raises an IvcheckError decides None for every replication.
+    A method's IvcheckError re-raises for several replications, else it decides None.
     """
     data = generate(spec, subs)
     decided = []
@@ -242,7 +242,7 @@ def _stacked(spec, methods, cfg, subs, strict: bool) -> list:
                 reports = (sargan if method is Method.SARGAN else hansen_j)(data)
                 decided.append([{a: r.p_value < a for a in cfg.alpha_levels} for r in reports])
         except IvcheckError:
-            if strict:
+            if len(subs) > 1:
                 raise
             decided.append([None] * len(subs))
     return [{m.value: d for m, d in zip(methods, row)} for row in zip(*decided)]

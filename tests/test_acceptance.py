@@ -22,7 +22,7 @@ from ivcheck.mte import (
     fit_control_function,
     fit_propensity,
 )
-from ivcheck.simulate import DgpFamily, DgpSpec, Method, run_study
+from ivcheck.simulate import DgpFamily, DgpSpec, Method, generate, run_study
 
 SEED = RngSpec(seed=0)
 ALPHAS = (0.10, 0.05, 0.01)
@@ -279,3 +279,59 @@ def test_13_determinism_across_worker_counts():
     r1 = run_study(specs, [Method.CMI], reps=20, rng=RngSpec(seed=7), jobs=1)
     r3 = run_study(specs, [Method.CMI], reps=20, rng=RngSpec(seed=7), jobs=3)
     assert r1.to_rows() == r3.to_rows()
+
+
+# --- 14-17. local-linear and cell means under the size contract, with power floors ---
+#
+# Written down before the first run, and not to be moved or re-seeded to make a change
+# pass. Size: linear-iv-null at n = 3000, 400 replications, the 5% rate within
+# 0.05 +- 0.033. Power: linear-iv-power (L = 0.5, sigma = 0.25) at n = 1000, 100
+# replications, the 5% rate at least 0.90. Seeds: size 2201 (local-linear) and 2202 (cell
+# means), power 2203 (local-linear) and 2204 (cell means); each replication's data come from
+# substream(rep) of its seed and its draws from substream(rep).substream(7919), as in
+# run_study. Cell means run on z rounded to the 19 values np.round(3 z) / 3, which is also
+# the instrument; no DGP family rounds z, so they call test_model directly.
+
+SIZE_BAND = 0.033
+POWER_FLOOR = 0.90
+IV_SPEC = ModelSpec(form=ModelForm.LINEAR, conditioning=Conditioning.ON_Z)
+
+
+def _cell_means_rate(spec, reps, seed):
+    """The 5% rejection rate of cell means on `spec` with z rounded to thirds."""
+    rejections = 0
+    for rep in range(reps):
+        sub = RngSpec(seed=seed).substream(rep)
+        ds = generate(spec, sub)
+        z = np.round(3.0 * ds.z[:, 0]) / 3.0
+        rounded = Dataset(y=ds.y, x=ds.x[:, 0], z=z)
+        report = model_test(rounded, IV_SPEC, Cfg(method="cell-means"), sub.substream(7919))
+        rejections += report.reject(0.05)
+    return rejections / reps
+
+
+def test_14_size_control_local_linear():
+    spec = DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=3000)
+    result = run_study([spec], [Method.CMI], reps=400, cfg=Cfg(method="local-linear"),
+                       rng=RngSpec(seed=2201))
+    rate = result.rate(spec.label(), "cmi", 0.05)
+    assert abs(rate - 0.05) <= SIZE_BAND, rate
+
+
+def test_15_size_control_cell_means_on_19_values():
+    rate = _cell_means_rate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=3000), 400, 2202)
+    assert abs(rate - 0.05) <= SIZE_BAND, rate
+
+
+def test_16_power_floor_local_linear():
+    spec = DgpSpec(family=DgpFamily.LINEAR_IV_POWER, n=1000, L=0.5, sigma=0.25)
+    result = run_study([spec], [Method.CMI], reps=100, cfg=Cfg(method="local-linear"),
+                       rng=RngSpec(seed=2203))
+    rate = result.rate(spec.label(), "cmi", 0.05)
+    assert rate >= POWER_FLOOR, rate
+
+
+def test_17_power_floor_cell_means_on_19_values():
+    spec = DgpSpec(family=DgpFamily.LINEAR_IV_POWER, n=1000, L=0.5, sigma=0.25)
+    rate = _cell_means_rate(spec, 100, 2204)
+    assert rate >= POWER_FLOOR, rate

@@ -147,6 +147,39 @@ def test_mte_binary_instrument_exits_one(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.fixture(scope="module")
+def rank_csv(tmp_path_factory):
+    # z ~ U(-3, 3), x = 3 z + noise, y = 2 x + noise: full rank support at x = 0
+    p = tmp_path_factory.mktemp("fixtures") / "rank.csv"
+    g = np.random.default_rng(0)
+    z = g.uniform(-3, 3, 2000)
+    x = 3 * z + g.standard_normal(2000)
+    np.savetxt(p, np.c_[2 * x + g.standard_normal(2000), x, z], delimiter=",",
+               header="y,x,z", comments="")
+    return str(p)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["mte", "--x", "nan", "--x-prime", "1"], "x must be finite, got nan"),
+    (["mte", "--x", "1", "--x-prime", "inf"], "x_prime must be finite, got inf"),
+    (["mte", "--asf-x", "nan"], "x must be finite, got nan"),
+    (["mte", "--asf-x", "0", "--y-lower", "nan", "--y-upper", "1"],
+     "y_lower must be finite, got nan"),
+    (["mte", "--asf-x", "0", "--y-lower", "1", "--y-upper", "-1"],
+     "outcome bounds must have lower <= upper, got (1.0, -1.0)"),
+    (["identified-set", "--theta-lo", "nan", "--theta-hi", "3"],
+     "--theta-lo and --theta-hi must be finite, got nan and 3.0"),
+    (["identified-set", "--theta-lo", "1", "--theta-hi", "inf"],
+     "--theta-lo and --theta-hi must be finite, got 1.0 and inf"),
+], ids=["mte-x-nan", "mte-x-prime-inf", "asf-x-nan", "asf-lower-nan", "asf-bounds-reversed",
+        "identified-set-lo-nan", "identified-set-hi-inf"])
+def test_non_finite_evaluation_points_exit_one(rank_csv, capsys, argv, message):
+    code = main([argv[0], rank_csv, "--z-cols", "z", *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.splitlines() == [f"error: {message}"], err
+
+
 @pytest.mark.parametrize("rows, argv", [
     (1, ["fit"]),
     (3, ["overid"]),

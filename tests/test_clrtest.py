@@ -178,6 +178,42 @@ def test_array_budget_is_the_computed_size(cfg, size, keys):
             run_test(ms, None, cfg, RngSpec(seed=12))
 
 
+def test_array_budget_counts_every_slice_of_a_stacked_part():
+    """A 20-slice series stack is sized as one part: its influences, 20 x 17 coefficients x
+    2000 rows, exceed a 1 MiB budget and are refused before any of them is allocated."""
+    g = np.random.default_rng(41)
+    z = g.uniform(-1, 1, (20, 2000))
+    stack = MomentSystem(base=g.standard_normal((20, 2000, 1)), moments=(("w+", 0, 1.0),),
+                         conditioning=z)
+    rngs = [RngSpec(seed=i) for i in range(20)]
+    with mock.patch.object(clrtest, "ARRAY_BUDGET_BYTES", 2**20):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArrayTooLarge, match="^the series influences would take 0.00507 "
+                               "GiB, .* lower npreg.series_order, or pass fewer than 20 slices$"):
+                run_test(stack, None, Cfg(), rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        one = replace(stack, base=stack.base[0], conditioning=z[0])
+        assert run_test(one, None, Cfg(), rngs[0]).diagnostics["series_order"] == 16
+
+
+@pytest.mark.parametrize("method", ["series", "local-linear"])
+def test_array_budget_refuses_a_grid_count_before_its_points_are_built(method):
+    g = np.random.default_rng(11)
+    ms = _one_sided(g.standard_normal(300), g.uniform(-1, 1, 300))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArrayTooLarge, match="lower (sim.multiplier_draws or )?grid.count$"):
+            run_test(ms, None, Cfg(method=method, grid_count=10**8), RngSpec(seed=12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the 10^8 points alone would take 763 MiB
+
+
 def test_local_linear_memory_bounded_at_200k():
     g = np.random.default_rng(32)
     n = 200_000
@@ -349,6 +385,15 @@ def test_identified_set_empty_grid():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=200), RngSpec(seed=20))
     with pytest.raises(EmptyGrid):
         identified_set(ds, lambda x, th: th[0] + th[1] * x[:, 0], [], rng=RngSpec(seed=21))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_identified_set_refuses_a_non_finite_theta(bad):
+    ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=200), RngSpec(seed=20))
+    with pytest.raises(InvalidGrid, match=rf"^theta_grid has 1 non-finite points, the first "
+                                          rf"\({bad}, 2.0\)$"):
+        identified_set(ds, lambda x, th: th[0] + th[1] * x[:, 0], [(0.0, 2.0), (bad, 2.0)],
+                       rng=RngSpec(seed=21))
 
 
 @pytest.mark.parametrize("levels", [2, 7, 11])
@@ -591,7 +636,7 @@ def _two_product_draws(smoother, grid, rng, draws):
         design = np.eye(len(smoother.coef))[design]
     _, s_base = smoother.evaluate(grid)
     n_base, k = s_base.shape[0], design.shape[1]
-    eps = rng.standard_normal((draws, n_base * k)) @ clrtest._chol_psd(smoother.cov)[0].T
+    eps = rng.standard_normal((draws, n_base * k)) @ npreg._chol_psd(smoother.cov)[0].T
     return (eps.reshape(-1, k) @ design.T).reshape(draws, n_base, -1) / s_base
 
 
@@ -617,7 +662,7 @@ def test_process_matches_two_product_oracle(seed, n, n_base, method):
     else:
         smoother, ok = npreg.cell_means_smoother(z, base)
         grid = np.unique(z)[ok]
-    (theta,), (s,), _, _, (draw_map,) = clrtest._process(smoother, grid)
+    (theta,), (s,), _, _, _, (draw_map,) = smoother.process(grid)
     normals = np.random.default_rng(seed).standard_normal((300, len(draw_map)))
     zstar = (normals @ draw_map).reshape(300, n_base, -1)
     oracle = _two_product_draws(smoother, grid, np.random.default_rng(seed), 300)
@@ -794,11 +839,11 @@ def test_chol_psd_raises_the_jitter_of_an_indefinite_matrix():
     cov = (q * eig) @ q.T
     cov = (cov + cov.T) / 2
     first = max(np.trace(cov) / 30, 1.0) * 1e-12
-    chol, jitter, raises = clrtest._chol_psd(cov)
+    chol, jitter, raises = npreg._chol_psd(cov)
     assert raises >= 3 and jitter > 1e-9
     assert jitter == pytest.approx(first * 10.0**raises, rel=1e-12)
     assert np.abs(chol @ chol.T - cov - jitter * np.eye(30)).max() <= 1e-12
-    assert clrtest._chol_psd(np.eye(30))[1:] == (1e-12, 0)
+    assert npreg._chol_psd(np.eye(30))[1:] == (1e-12, 0)
 
 
 def test_chol_jitter_is_reported():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from ivcheck import mte, npreg
 from ivcheck.data import Dataset, conditioning_grid
 from ivcheck.errors import (
+    DomainError,
     InsufficientData,
     IvcheckError,
     MissingBounds,
@@ -498,6 +500,37 @@ def test_asf_partial_needs_bounds():
     cf = fit_control_function(ds, pf)
     with pytest.raises(MissingBounds):
         estimate_asf(cf, pf, 0.5)
+
+
+@pytest.fixture(scope="module")
+def fits_of_partial_support():
+    """(cf, pf) whose rank support at x = 0.5 is partial, and full at x = 2."""
+    ds, _ = _heterogeneous_ds(2000, 10)
+    pf = fit_propensity(ds)
+    return fit_control_function(ds, pf), pf
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cf, pf: estimate_mte(cf, np.nan, 2.2, 1.8), "p must be finite, got nan"),
+    (lambda cf, pf: estimate_mte(cf, 0.5, np.nan, 1.8), "x must be finite, got nan"),
+    (lambda cf, pf: estimate_mte(cf, 0.5, 2.2, np.inf), "x_prime must be finite, got inf"),
+    (lambda cf, pf: estimate_mte(cf, 0.5, -np.inf, -np.inf), "x must be finite, got -inf"),
+    (lambda cf, pf: estimate_asf(cf, pf, np.nan), "x must be finite, got nan"),
+    (lambda cf, pf: estimate_asf(cf, pf, 0.5, (np.nan, 1.0)), "y_lower must be finite, got nan"),
+    (lambda cf, pf: estimate_asf(cf, pf, 0.5, (0.0, np.inf)), "y_upper must be finite, got inf"),
+    (lambda cf, pf: estimate_asf(cf, pf, 0.5, (5.0, 1.0)),
+     "outcome bounds must have lower <= upper, got (5.0, 1.0)"),
+    (lambda cf, pf: estimate_asf(cf, pf, 2.0, (5.0, 1.0)),
+     "outcome bounds must have lower <= upper, got (5.0, 1.0)"),
+], ids=["mte-p-nan", "mte-x-nan", "mte-x-prime-inf", "mte-equal-points-inf", "asf-x-nan",
+        "asf-lower-nan", "asf-upper-inf", "asf-bounds-reversed-partial",
+        "asf-bounds-reversed-full"])
+def test_non_finite_evaluation_points_are_refused(fits_of_partial_support, call, message):
+    cf, pf = fits_of_partial_support
+    assert not estimate_asf(cf, pf, 0.5, (0.0, 1.0)).is_point
+    assert estimate_asf(cf, pf, 2.0).is_point
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(cf, pf)
 
 
 def test_off_support_raises():
