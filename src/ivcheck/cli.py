@@ -215,6 +215,8 @@ def _cmd_mte(args, config):
     import numpy as np
 
     from .mte import (
+        _check_finite,
+        _check_outcome_bounds,
         condition1_diagnostic,
         estimate_asf,
         estimate_mte,
@@ -224,6 +226,15 @@ def _cmd_mte(args, config):
     )
     from .npreg import DROP_REASONS
 
+    # the evaluation flags are refused as the library would refuse them, before any fit
+    mte_at = args.x is not None and args.x_prime is not None
+    if mte_at:
+        _check_finite(x=args.x, x_prime=args.x_prime)
+    if args.asf_x is not None:
+        _check_finite(x=args.asf_x)
+    bounds = ((args.y_lower, args.y_upper)
+              if args.y_lower is not None and args.y_upper is not None else None)
+    _check_outcome_bounds(bounds)
     ds = _load(args)
     pf = fit_propensity(ds, method=args.propensity_method)
     cf = fit_control_function(ds, pf)
@@ -237,7 +248,7 @@ def _cmd_mte(args, config):
     if pf.dropped_grid_points > 0:
         print(f"dropped_grid_points = {pf.dropped_grid_points} ({DROP_REASONS[pf.method]})")
     rows = []
-    if args.x is not None and args.x_prime is not None:
+    if mte_at:
         for p in np.linspace(0.1, 0.9, 9):
             try:
                 value = estimate_mte(cf, float(p), args.x, args.x_prime)
@@ -247,8 +258,6 @@ def _cmd_mte(args, config):
             rows.append({"p": float(p), "mte": value})
             print(f"  MTE(p={p:.2f}; {args.x}, {args.x_prime}) = {value:+.6f}")
     if args.asf_x is not None:
-        bounds = ((args.y_lower, args.y_upper)
-                  if args.y_lower is not None and args.y_upper is not None else None)
         asf = estimate_asf(cf, pf, args.asf_x, outcome_bounds=bounds)
         if asf.is_point:
             print(f"  ASF({args.asf_x}) = {asf.value:+.6f} "
@@ -294,6 +303,9 @@ def _cmd_simulate(args, config):
         print(f"{cell.dgp}  {cell.method:>9s}  alpha = {cell.alpha:5.2%}  "
               f"rejection rate = {cell.rejection_rate:6.1%}  (MC se {cell.mc_se:.4f}, "
               f"{cell.replications} reps, {cell.failures} failures)")
+    if result.config["unstacked_chunks"] > 0:
+        print(f"unstacked_chunks = {result.config['unstacked_chunks']} (a stacked pass raised, "
+              "so its replications ran one at a time)")
     print(f"runtime: {result.runtime_seconds:.1f}s")
     return EXIT_OK, result.to_rows(), {"study": result.config}
 

@@ -204,11 +204,10 @@ def run_test(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     per slice, in a list, each equal to the slice's own run_test bit for bit.
     Each slice's draws are made, decided and freed before the next slice's.
     """
-    if ms.base.ndim == 2:
-        return decide(estimate(ms, grid, cfg, rng), ms.moments, cfg.alpha_levels)
     # map, unlike a loop variable, lets go of each estimate before the next one is drawn
     tail = partial(decide, moments=ms.moments, alpha_levels=cfg.alpha_levels)
-    return list(map(tail, _estimates(ms, grid, cfg, rng)))
+    reports = list(map(tail, _estimates(ms, grid, cfg, rng)))
+    return reports if ms.base.ndim == 3 else reports[0]
 
 
 @dataclass(frozen=True)
@@ -253,10 +252,10 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
     first: the grid passed in, checked here, else `conditioning_grid` for
     series and local-linear and the distinct values, under the cap of
     `npreg.MAX_CELLS`, for cell means. The stack is then fitted part by part
-    (`_fit_part`): whole when the method is series and its several slices
-    share the series order and the grid size, so that the least squares, the
-    influence covariance, the grid design and the draw map run once on the
-    stack; else one slice at a time, as local-linear and cell means, whose
+    (`_fit_part`): whole when the method is series and its slices share the
+    series order and the grid size, so that the least squares, the influence
+    covariance, the grid design and the draw map run once on the stack, one
+    system as a stack of one; else one slice at a time, as local-linear and cell means, whose
     windows differ per slice, always go. Either way each slice equals its own
     `estimate` bit for bit. This is a generator: a part is checked against
     the array budget and fitted, and a slice's draws are made, when it is
@@ -290,7 +289,7 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
         # a grid.count too large for one slice is refused before its points are built
         _check_array_budget(cfg, ms.base[0], cfg.grid_count, orders[0])
         grids = [conditioning_grid(ci, count=cfg.grid_count) for ci in c]
-    if method == "series" and len(c) > 1 and len({*orders}) == len({len(g) for g in grids}) == 1:
+    if method == "series" and len({*orders}) == len({len(g) for g in grids}) == 1:
         parts = [(slice(None), np.stack(grids), orders[0], rng)]
     else:
         parts = [(i, grids[i], orders[i], [r]) for i, r in enumerate(rng)]

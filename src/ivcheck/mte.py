@@ -251,6 +251,15 @@ def _check_finite(**values) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def _check_outcome_bounds(outcome_bounds) -> None:
+    """DomainError unless the outcome bounds are None or finite with lower <= upper."""
+    if outcome_bounds is not None:
+        _check_finite(y_lower=outcome_bounds[0], y_upper=outcome_bounds[1])
+        if not outcome_bounds[0] <= outcome_bounds[1]:
+            raise DomainError(f"outcome bounds must have lower <= upper, got "
+                              f"({outcome_bounds[0]}, {outcome_bounds[1]})")
+
+
 def estimate_mte(cf: ControlFunctionFit, p: float, x: float, x_prime: float) -> float:
     """MTE(p; x, x') = cond_mean(x, p) - cond_mean(x', p); zero exactly at x = x'.
 
@@ -290,11 +299,7 @@ def estimate_asf(
     upper, raise DomainError.
     """
     _check_finite(x=x)
-    if outcome_bounds is not None:
-        _check_finite(y_lower=outcome_bounds[0], y_upper=outcome_bounds[1])
-        if not outcome_bounds[0] <= outcome_bounds[1]:
-            raise DomainError(f"outcome bounds must have lower <= upper, got "
-                              f"({outcome_bounds[0]}, {outcome_bounds[1]})")
+    _check_outcome_bounds(outcome_bounds)
     p_lo, p_hi = pf.support_p_given_x(x)
     pts = P_GRID[(p_lo <= P_GRID) & (P_GRID <= p_hi)]
     means, ok = cf.planes(x, pts, cf.y)

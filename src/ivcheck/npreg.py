@@ -85,12 +85,6 @@ def epanechnikov(u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u**2), 0.0)
 
 
-def clamp_s(s: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Floor degenerate standard errors so the standardized process stays finite."""
-    floor = S_FLOOR * (1.0 + np.abs(theta))
-    return np.maximum(s, floor)
-
-
 def _influence_cov(blocks, lead, m: int, g: int) -> np.ndarray:
     """sum_i psi_i psi_i', (*lead, m g, m g), over blocks (points, psi) of the row influences.
 
@@ -127,14 +121,14 @@ class Smoother:
         k = self.coef.shape[-2]
         if design.dtype.kind == "i":  # a point smoother: theta is the coefficients at the indices
             theta, var = self.coef[design].T, self.cov.diagonal().reshape(-1, k)[:, design]
-            return theta, clamp_s(np.sqrt(var.clip(min=0.0)), theta)
-        theta = (design @ self.coef).swapaxes(-1, -2)
-        s = np.empty_like(theta)
-        for a in range(s.shape[-2]):
-            block = self.cov[..., a * k : (a + 1) * k, a * k : (a + 1) * k]
-            s[..., a, :] = np.sqrt(np.einsum("...ij,...jk,...ik->...i", design, block, design)
-                                   .clip(min=0.0))
-        return theta, clamp_s(s, theta)
+        else:
+            theta = (design @ self.coef).swapaxes(-1, -2)
+            var = np.empty_like(theta)
+            for a in range(var.shape[-2]):
+                block = self.cov[..., a * k : (a + 1) * k, a * k : (a + 1) * k]
+                var[..., a, :] = np.einsum("...ij,...jk,...ik->...i", design, block, design)
+        # s at the floor S_FLOOR (1 + |theta|), so that the standardized process stays finite
+        return theta, np.maximum(np.sqrt(var.clip(min=0.0)), S_FLOOR * (1.0 + np.abs(theta)))
 
     def process(self, grid):
         """theta, s, how many s sit at the floor S_FLOOR (1 + |theta|), the Cholesky jitter,

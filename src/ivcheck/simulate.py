@@ -110,11 +110,10 @@ def generate(spec: DgpSpec, rng) -> Dataset:
     """Draw one dataset from the family; deterministic given the RNG spec.
 
     c is the instrument of the IV designs and the regressor of the others;
-    y = 2 f(x) + u. `rng` is a RngSpec or a Generator; a sequence of them
-    draws a stacked Dataset whose slice i is generate(spec, rng[i]) bit for bit.
+    y = 2 f(x) + u. `rng` is a RngSpec, or a sequence of them that draws a
+    stacked Dataset whose slice i is generate(spec, rng[i]) bit for bit.
     """
-    gens = [r if isinstance(r, np.random.Generator) else r.generator()
-            for r in (rng if isinstance(rng, (list, tuple)) else [rng])]
+    gens = [r.generator() for r in (rng if isinstance(rng, (list, tuple)) else [rng])]
     n = spec.n
     design = DESIGNS[spec.family]
     boxcox = design.form is ModelForm.BOXCOX
@@ -201,8 +200,9 @@ def _chunks(reps: int, size: int):
     return [range(start, min(start + size, reps)) for start in range(0, reps, size)]
 
 
-def _replications(args) -> list:
-    """The decisions of replications `reps` of one spec, {method: {alpha: reject} or None} each.
+def _chunk(args) -> tuple[list, bool]:
+    """(the decisions of replications `reps` of one spec, {method: {alpha: reject} or None}
+    each, whether their stacked pass raised).
 
     They run as one stack (`_stacked`). If that raises an IvcheckError, they
     are run again one at a time, where a failing method gives None for its
@@ -221,8 +221,13 @@ def _replications(args) -> list:
         else:
             for w in caught:
                 warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-            return out
-    return [row for sub in subs for row in _stacked(spec, methods, cfg, [sub])]
+            return out, False
+    return [row for sub in subs for row in _stacked(spec, methods, cfg, [sub])], len(subs) > 1
+
+
+def _replications(args) -> list:
+    """The decisions of `_chunk(args)`, without whether its stacked pass raised."""
+    return _chunk(args)[0]
 
 
 def _stacked(spec, methods, cfg, subs) -> list:
@@ -334,8 +339,10 @@ def run_study(
     Results depend only on (specs, reps, cfg, rng), never on the worker count:
     per-replication RNG substreams are derived from the replication index.
     Each spec's replications run in chunks of `chunk_size(n)`, a number fixed
-    by n alone, each chunk one stacked pass (`_replications`) whose decisions
+    by n alone, each chunk one stacked pass (`_chunk`) whose decisions
     equal those of its replications run one at a time, bit for bit.
+    `config["unstacked_chunks"]` counts the chunks whose stacked pass raised,
+    so that their replications ran one at a time.
     With jobs > 1 every chunk runs in one process pool whose
     workers use a single BLAS thread; the calling process keeps its own.
     The workers are forked on first use and kept for the life of the process:
@@ -359,13 +366,13 @@ def run_study(
         pool = _worker_pool(jobs)
         chunksize = max(1, len(tasks) // (4 * jobs))
         try:
-            raw = [row for chunk in pool.map(_replications, tasks, chunksize=chunksize)
-                   for row in chunk]
+            chunks = list(pool.map(_chunk, tasks, chunksize=chunksize))
         except BaseException:
             _drop_pool()
             raise
     else:
-        raw = [row for task in tasks for row in _replications(task)]
+        chunks = list(map(_chunk, tasks))
+    raw = [row for rows, _ in chunks for row in rows]
     cells = []
     for si, spec in enumerate(specs):
         spec_raw = raw[si * reps : (si + 1) * reps]
@@ -400,6 +407,7 @@ def run_study(
             "mult_draws": cfg.mult_draws,
             "jobs": jobs,
             "worker_blas_threads": 1 if jobs > 1 and _openblas_setter() else None,
+            "unstacked_chunks": sum(raised for _, raised in chunks),
         },
     )
 

@@ -180,6 +180,25 @@ def test_non_finite_evaluation_points_exit_one(rank_csv, capsys, argv, message):
     assert err.splitlines() == [f"error: {message}"], err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--x", "nan", "--x-prime", "1"], "x must be finite, got nan"),
+    (["--x", "1", "--x-prime", "inf"], "x_prime must be finite, got inf"),
+    (["--asf-x", "inf"], "x must be finite, got inf"),
+    (["--asf-x", "0", "--y-lower", "5", "--y-upper", "1"],
+     "outcome bounds must have lower <= upper, got (5.0, 1.0)"),
+    (["--y-lower", "-1", "--y-upper", "nan"], "y_upper must be finite, got nan"),
+], ids=["x-nan", "x-prime-inf", "asf-x-inf", "bounds-reversed", "upper-nan"])
+def test_mte_refuses_bad_evaluation_flags_before_reading_the_csv(rank_csv, tmp_path, capsys,
+                                                                  argv, message):
+    # the data's own lines (the rank diagnostics) never print, and a missing file is not read
+    for path in (rank_csv, str(tmp_path / "missing.csv")):
+        code = main(["mte", path, "--z-cols", "z", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_ERROR
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"], captured.err
+
+
 @pytest.mark.parametrize("rows, argv", [
     (1, ["fit"]),
     (3, ["overid"]),

@@ -71,6 +71,30 @@ def test_load_csv_empty(tmp_path):
         load_csv(p, "y", ["x"], ["z"])
 
 
+BLANK_ROWS = 'y,x,z\n1,2,3\n\n  ,  \n"1.5",2.5,3.5\n'
+
+
+def test_load_csv_skips_blank_rows_and_reads_quoted_cells(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text(BLANK_ROWS)
+    ds = load_csv(p, "y", ["x"], ["z"])
+    assert np.array_equal(ds.y, [1.0, 1.5]) and np.array_equal(ds.x[:, 0], [2.0, 2.5])
+
+
+def test_parse_error_counts_every_record_after_the_header(tmp_path):
+    # the blank and all-space rows are skipped, but they are records: 2,abc,1 is row 4
+    p = tmp_path / "d.csv"
+    p.write_text(BLANK_ROWS + "2,abc,1\n")
+    with pytest.raises(ParseError, match="at row 4, column 'x'") as info:
+        load_csv(p, "y", ["x"], ["z"])
+    assert info.value.row == 4
+
+
+def test_dataset_of_no_rows_is_refused():
+    with pytest.raises(EmptyData, match="dataset has no rows"):
+        Dataset(y=[], x=[], z=[])
+
+
 def test_write_then_read_roundtrip(tmp_path):
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=1000), RngSpec(seed=3))
     p = tmp_path / "sim.csv"

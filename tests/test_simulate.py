@@ -439,6 +439,36 @@ def test_chunk_with_a_failing_replication(monkeypatch, constant):
     assert all(cell.failures == (constant is not None) for cell in study.cells)
 
 
+@pytest.mark.parametrize("constant", [2, None], ids=["failing-chunk", "clean-chunk"])
+def test_study_counts_the_chunks_whose_stacked_pass_raised(monkeypatch, capsys, constant):
+    """The chunk with a constant instrument falls back to one replication at a time, and
+    the study record and `ivcheck simulate` say so; a clean study reads 0 and prints nothing."""
+    from ivcheck.cli import main
+
+    spec = DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=200)
+    base = RngSpec(seed=21)
+    _weak_and_constant_instruments(monkeypatch, base.substream(1_000), constant)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RelevanceWarning)
+        study = run_study([spec], [Method.CMI, Method.SARGAN], reps=6, rng=base, jobs=1)
+        code = main(["simulate", "--family", "linear-iv-null", "--n", "200", "--reps", "6",
+                     "--methods", "cmi,sargan", "--seed", "21"])
+    assert study.config["unstacked_chunks"] == (constant is not None)
+    assert all(cell.failures == (constant is not None) for cell in study.cells)
+    out = capsys.readouterr().out
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("unstacked_chunks")]
+    assert lines == ([] if constant is None else
+                     ["unstacked_chunks = 1 (a stacked pass raised, so its replications ran "
+                      "one at a time)"])
+
+
+def test_pooled_study_counts_no_unstacked_chunk_when_none_raised():
+    study = run_study([DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=200)], reps=4,
+                      rng=RngSpec(seed=3), jobs=2)
+    assert study.config["unstacked_chunks"] == 0
+
+
 def test_study_leaves_no_reference_cycles():
     """The benchmark's study frees every array it stacks by reference counting alone."""
     specs = [DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=1000),
