@@ -12,25 +12,27 @@ Exit codes: 0 success (including a test that fails to reject), 2 when the
 
 A request imports only what its subcommand runs. This module imports the
 standard library and the numpy-free `errors` and `_config`, so `--version`,
-`--help`, usage errors and config-file errors exit before numpy loads. Each
-`_cmd_*` imports its own numerical stack when it runs: `fit` and `overid` the
-parametric estimators, `mte` the smoothers and the control function, `test`
-and `identified-set` the sup test, `simulate` the Monte Carlo harness. So the
-library, not the parser, checks `--method`, `--family` and
-`--propensity-method`.
+`--help`, usage errors, config-file errors, bad evaluation points and
+outcome bounds of `mte`, and bad theta bounds and count of `identified-set`
+exit before numpy loads. Each `_cmd_*` imports its own numerical stack when it
+runs: `fit` and `overid` the parametric estimators, `mte` the smoothers and
+the control function, `test` and `identified-set` the sup test, `simulate` the
+Monte Carlo harness. So the library, not the parser, checks `--method`,
+`--family` and `--propensity-method`.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 import warnings
 
 from . import __version__
 from ._config import CONFIG_KEYS, parse_config
-from .errors import IvcheckError, OffSupport
+from .errors import IvcheckError, OffSupport, check_finite_scalars, check_outcome_bounds
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -174,6 +176,11 @@ def _cmd_overid(args, config):
 
 
 def _cmd_identified_set(args, config):
+    if args.theta_count < 1:
+        raise IvcheckError(f"--theta-count must be at least 1, got {args.theta_count}")
+    if not (math.isfinite(args.theta_lo) and math.isfinite(args.theta_hi)):
+        raise IvcheckError(f"--theta-lo and --theta-hi must be finite, got {args.theta_lo} "
+                           f"and {args.theta_hi}")
     import numpy as np
 
     from .clrtest import identified_set
@@ -181,11 +188,6 @@ def _cmd_identified_set(args, config):
     from .moments import Conditioning
 
     cfg = _test_config(args, config)
-    if args.theta_count < 1:
-        raise IvcheckError(f"--theta-count must be at least 1, got {args.theta_count}")
-    if not np.isfinite([args.theta_lo, args.theta_hi]).all():
-        raise IvcheckError(f"--theta-lo and --theta-hi must be finite, got {args.theta_lo} "
-                           f"and {args.theta_hi}")
     ds = _load(args)
     if ds.k_x != 1:
         raise IvcheckError(f"identified-set takes one regressor, got {ds.k_x}: "
@@ -212,11 +214,18 @@ def _cmd_identified_set(args, config):
 
 
 def _cmd_mte(args, config):
+    # the evaluation flags are refused by the library's own checks, before numpy loads
+    mte_at = args.x is not None and args.x_prime is not None
+    if mte_at:
+        check_finite_scalars(x=args.x, x_prime=args.x_prime)
+    if args.asf_x is not None:
+        check_finite_scalars(x=args.asf_x)
+    bounds = ((args.y_lower, args.y_upper)
+              if args.y_lower is not None and args.y_upper is not None else None)
+    check_outcome_bounds(bounds)
     import numpy as np
 
     from .mte import (
-        _check_finite,
-        _check_outcome_bounds,
         condition1_diagnostic,
         estimate_asf,
         estimate_mte,
@@ -226,15 +235,6 @@ def _cmd_mte(args, config):
     )
     from .npreg import DROP_REASONS
 
-    # the evaluation flags are refused as the library would refuse them, before any fit
-    mte_at = args.x is not None and args.x_prime is not None
-    if mte_at:
-        _check_finite(x=args.x, x_prime=args.x_prime)
-    if args.asf_x is not None:
-        _check_finite(x=args.asf_x)
-    bounds = ((args.y_lower, args.y_upper)
-              if args.y_lower is not None and args.y_upper is not None else None)
-    _check_outcome_bounds(bounds)
     ds = _load(args)
     pf = fit_propensity(ds, method=args.propensity_method)
     cf = fit_control_function(ds, pf)

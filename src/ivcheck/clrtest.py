@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import npreg
-from .data import MIN_ROWS, Dataset, RngSpec, _quantiles, check_finite, conditioning_grid, distinct
+from .data import MIN_ROWS, Dataset, RngSpec, _quantiles, check_finite, conditioning_grid
 from .errors import (
     ArrayTooLarge,
     EmptyGrid,
@@ -250,8 +250,8 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
     A stacked system (base (R, n, m), conditioning (R, n)) takes a sequence
     of one RngSpec per slice. Each slice's grid and series order are set
     first: the grid passed in, checked here, else `conditioning_grid` for
-    series and local-linear and the distinct values, under the cap of
-    `npreg.MAX_CELLS`, for cell means. The stack is then fitted part by part
+    series and local-linear and the cell values of `npreg.cells`, under its
+    cap of `npreg.MAX_CELLS`, for cell means. The stack is then fitted part by part
     (`_fit_part`): whole when the method is series and its slices share the
     series order and the grid size, so that the least squares, the influence
     covariance, the grid design and the draw map run once on the stack, one
@@ -284,7 +284,7 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
             raise InvalidGrid("a series fit needs a conditioning grid of two distinct points")
         grids = [grid] * len(c)
     elif method == "cell-means":
-        grids = [npreg.check_cell_cap(distinct(ci + 0.0)) for ci in c]  # as npreg.cells: no -0.0
+        grids = [npreg.cells(ci)[0] for ci in c]
     else:
         # a grid.count too large for one slice is refused before its points are built
         _check_array_budget(cfg, ms.base[0], cfg.grid_count, orders[0])

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the numpy-free checks of scalar
+arguments that `mte` and the CLI share: `check_finite_scalars`, `check_outcome_bounds`."""
+
+import math
 
 
 class IvcheckError(Exception):
@@ -43,6 +46,22 @@ class SingularWeight(IvcheckError):
 
 class DomainError(IvcheckError):
     pass
+
+
+def check_finite_scalars(**values) -> None:
+    """DomainError naming the first of `values` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
+def check_outcome_bounds(outcome_bounds) -> None:
+    """DomainError unless the outcome bounds are None or finite with lower <= upper."""
+    if outcome_bounds is not None:
+        check_finite_scalars(y_lower=outcome_bounds[0], y_upper=outcome_bounds[1])
+        if not outcome_bounds[0] <= outcome_bounds[1]:
+            raise DomainError(f"outcome bounds must have lower <= upper, got "
+                              f"({outcome_bounds[0]}, {outcome_bounds[1]})")
 
 
 class InsufficientData(IvcheckError):

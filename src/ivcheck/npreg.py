@@ -347,19 +347,17 @@ def local_linear_smoother(z, w, grid, bandwidth: float):
     return Smoother(partial(_point_design, lines.points[:, 0]), fit[0], cov), ok
 
 
-def check_cell_cap(values):
-    """The distinct values of a column, or TooManyCells if there are more than MAX_CELLS."""
-    if len(values) > MAX_CELLS:
-        raise TooManyCells(f"{len(values)} distinct values exceed the cap of {MAX_CELLS}")
-    return values
-
-
 def cells(z):
-    """(values, cell, counts): the distinct values of z, each row's cell and each cell's rows."""
+    """(values, cell, counts): the distinct values of z, each row's cell and each cell's rows.
+
+    More than MAX_CELLS distinct values raise TooManyCells.
+    """
     values, cell, counts = np.unique(  # + 0.0 makes -0.0 0.0: one zero cell, of one sign
         np.asarray(z, dtype=float).ravel() + 0.0, return_inverse=True, return_counts=True
     )
-    return check_cell_cap(values), cell, counts
+    if len(values) > MAX_CELLS:
+        raise TooManyCells(f"{len(values)} distinct values exceed the cap of {MAX_CELLS}")
+    return values, cell, counts
 
 
 def cell_means_smoother(z, w):

@@ -225,11 +225,6 @@ def _chunk(args) -> tuple[list, bool]:
     return [row for sub in subs for row in _stacked(spec, methods, cfg, [sub])], len(subs) > 1
 
 
-def _replications(args) -> list:
-    """The decisions of `_chunk(args)`, without whether its stacked pass raised."""
-    return _chunk(args)[0]
-
-
 def _stacked(spec, methods, cfg, subs) -> list:
     """One pass of generate and each method over the stack of replications drawn from `subs`.
 

@@ -159,7 +159,7 @@ def rank_csv(tmp_path_factory):
     return str(p)
 
 
-@pytest.mark.parametrize("argv, message", [
+BAD_EVALUATION_FLAGS = [
     (["mte", "--x", "nan", "--x-prime", "1"], "x must be finite, got nan"),
     (["mte", "--x", "1", "--x-prime", "inf"], "x_prime must be finite, got inf"),
     (["mte", "--asf-x", "nan"], "x must be finite, got nan"),
@@ -171,13 +171,32 @@ def rank_csv(tmp_path_factory):
      "--theta-lo and --theta-hi must be finite, got nan and 3.0"),
     (["identified-set", "--theta-lo", "1", "--theta-hi", "inf"],
      "--theta-lo and --theta-hi must be finite, got 1.0 and inf"),
-], ids=["mte-x-nan", "mte-x-prime-inf", "asf-x-nan", "asf-lower-nan", "asf-bounds-reversed",
-        "identified-set-lo-nan", "identified-set-hi-inf"])
+]
+BAD_EVALUATION_IDS = ["mte-x-nan", "mte-x-prime-inf", "asf-x-nan", "asf-lower-nan",
+                      "asf-bounds-reversed", "identified-set-lo-nan", "identified-set-hi-inf"]
+
+
+@pytest.mark.parametrize("argv, message", BAD_EVALUATION_FLAGS, ids=BAD_EVALUATION_IDS)
 def test_non_finite_evaluation_points_exit_one(rank_csv, capsys, argv, message):
     code = main([argv[0], rank_csv, "--z-cols", "z", *argv[1:]])
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert err.splitlines() == [f"error: {message}"], err
+
+
+@pytest.mark.parametrize("argv, message", [
+    *BAD_EVALUATION_FLAGS,
+    (["identified-set", "--theta-lo", "1", "--theta-hi", "3", "--theta-count", "0"],
+     "--theta-count must be at least 1, got 0"),
+], ids=[*BAD_EVALUATION_IDS, "identified-set-count-0"])
+def test_bad_evaluation_flags_exit_before_numpy_loads(rank_csv, argv, message):
+    run = _run_cli(argv[0], rank_csv, "--z-cols", "z", *argv[1:], flags=("-X", "importtime"))
+    assert run.returncode == EXIT_ERROR
+    lines = run.stderr.splitlines()
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines
+                if line.startswith("import time:") and "|" in line}
+    assert "ivcheck.errors" in imported and "numpy" not in imported
+    assert [line for line in lines if not line.startswith("import time:")] == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("argv, message", [

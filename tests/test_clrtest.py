@@ -23,6 +23,7 @@ from ivcheck.errors import (
     IvcheckError,
     NonFiniteValue,
     SimulationBudgetTooSmall,
+    TooManyCells,
 )
 from ivcheck.estimators import fit_iv
 from ivcheck.mte import fit_propensity
@@ -494,6 +495,22 @@ def test_cell_means_refuses_a_grid():
     ms = _one_sided(g.standard_normal(300), z)
     with pytest.raises(IvcheckError, match="cell-means"):
         run_test(ms, np.array([-1.0, 0.0, 1.0]), Cfg(method="cell-means"), RngSpec(seed=0))
+
+
+def test_cell_means_caps_the_sup_test_at_max_cells():
+    """The sup test meets the cell cap of `npreg.cells`: -0.0 and 0.0 count as one value, so
+    MAX_CELLS values with both zeros run, and one value more raises TooManyCells."""
+    g = np.random.default_rng(8)
+    values = np.array([-0.0, *range(npreg.MAX_CELLS)])
+    z = np.repeat(values, 4)
+    report = run_test(_one_sided(g.standard_normal(len(z)), z), None, Cfg(method="cell-means"),
+                      RngSpec(seed=0))
+    assert len(report.grid) == npreg.MAX_CELLS
+    z = np.repeat(np.append(values, npreg.MAX_CELLS), 4)
+    with pytest.raises(TooManyCells, match=f"^{npreg.MAX_CELLS + 1} distinct values exceed "
+                                           f"the cap of {npreg.MAX_CELLS}$"):
+        run_test(_one_sided(g.standard_normal(len(z)), z), None, Cfg(method="cell-means"),
+                 RngSpec(seed=0))
 
 
 def _pinned_systems():

@@ -383,8 +383,8 @@ def test_chunk_equals_replications_one_at_a_time(family, n, reps, seed):
         for chunks in ([range(reps)], [range(rep, rep + 1) for rep in range(reps)]):
             theta = _recorded(monkeypatch, "test_model", "theta_corrected")
             p = _recorded(monkeypatch, "sargan", "p_value")
-            rows = [row for chunk in chunks for row in simulate._replications(
-                (spec, list(Method), cfg, rng, chunk))]
+            rows = [row for chunk in chunks for row in simulate._chunk(
+                (spec, list(Method), cfg, rng, chunk))[0]]
             runs.append((rows, theta, p))
             monkeypatch.undo()
     assert runs[0] == runs[1]
@@ -424,8 +424,8 @@ def test_chunk_with_a_failing_replication(monkeypatch, constant):
     for chunks in ([range(6)], [range(rep, rep + 1) for rep in range(6)]):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = [row for chunk in chunks for row in simulate._replications(
-                (spec, methods, Cfg(), base.substream(1_000), chunk))]
+            rows = [row for chunk in chunks for row in simulate._chunk(
+                (spec, methods, Cfg(), base.substream(1_000), chunk))[0]]
         runs.append((rows, sum(issubclass(w.category, RelevanceWarning) for w in caught)))
     assert runs[0] == runs[1]
     rows, weak = runs[0]
