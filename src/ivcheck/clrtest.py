@@ -119,8 +119,8 @@ class TestReport:
         dropped = diag.get("dropped_grid_points", 0)
         if dropped > 0:
             lines.append(f"  dropped_grid_points = {dropped} ({npreg.DROP_REASONS[diag['method']]})")
-        if diag.get("s_floored", 0) > 0:
-            lines.append(f"  s_floored = {diag['s_floored']} (standard errors at the floor)")
+        if diag.get("s_jitter", 0) > 0:
+            lines.append(f"  s_jitter = {diag['s_jitter']} (drawn variances over half jitter)")
         if diag.get("chol_jitter_raises", 0) > 0:
             lines.append(f"  chol_jitter = {diag['chol_jitter']:.3g} (raised tenfold "
                          f"{diag['chol_jitter_raises']} times: nearly singular covariance)")
@@ -233,7 +233,7 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     `diagnostics["dropped_grid_points"]`. The diagonal jitter of
     `npreg.Smoother.process` is recorded in `diagnostics["chol_jitter"]`, how many
     times it rose tenfold in `diagnostics["chol_jitter_raises"]`, and how many
-    standard errors sit at the floor in `diagnostics["s_floored"]`. An array of
+    drawn variances are over half jitter in `diagnostics["s_jitter"]`. An array of
     `_check_array_budget` above ARRAY_BUDGET_BYTES raises ArrayTooLarge before the
     smoother is fitted. A NaN or inf among the conditioning or moment values raises
     NonFiniteValue, an empty grid EmptyGrid, a grid with a non-finite point,
@@ -247,11 +247,11 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
 def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
     """`estimate` of each slice of a stacked moment system, in order; one system is a stack of one.
 
-    A stacked system (base (R, n, m), conditioning (R, n)) takes a sequence
-    of one RngSpec per slice. Each slice's grid and series order are set
-    first: the grid passed in, checked here, else `conditioning_grid` for
-    series and local-linear and the cell values of `npreg.cells`, under its
-    cap of `npreg.MAX_CELLS`, for cell means. The stack is then fitted part by part
+    A stacked system (base (R, n, m), conditioning (R, n)) takes a sequence of one
+    RngSpec per slice. Each slice's grid and series order are set first: the grid
+    passed in, checked here, else `conditioning_grid` for series and local-linear and
+    `npreg.cells`, capped at `npreg.MAX_CELLS`, for cell means, whose values are the
+    grid and whose rows' cells go to the smoother. The stack is then fitted part by part
     (`_fit_part`): whole when the method is series and its slices share the
     series order and the grid size, so that the least squares, the influence
     covariance, the grid design and the draw map run once on the stack, one
@@ -284,7 +284,7 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
             raise InvalidGrid("a series fit needs a conditioning grid of two distinct points")
         grids = [grid] * len(c)
     elif method == "cell-means":
-        grids = [npreg.cells(ci)[0] for ci in c]
+        grids = [npreg.cells(ci) for ci in c]
     else:
         # a grid.count too large for one slice is refused before its points are built
         _check_array_budget(cfg, ms.base[0], cfg.grid_count, orders[0])
@@ -301,6 +301,8 @@ def _fit_part(ms: MomentSystem, cfg: TestConfig, part, grid, order, rngs):
     """The estimates of one part of a stacked system: slice `part`, or the whole stack
     (part = slice(None)) of a series fit of one order on the grids (R, G)."""
     c, base, method = ms.conditioning[part], ms.base[part], cfg.method
+    if method == "cell-means":  # the slice's cells, sorted once for the grid and the smoother
+        cells, grid = grid, grid[0]
     _check_array_budget(cfg, base, grid.shape[-1], order)
     smoothing = {}  # the smoother's entries of the diagnostics
     ok = None  # which grid points the smoother can estimate, if it can miss some
@@ -311,18 +313,18 @@ def _fit_part(ms: MomentSystem, cfg: TestConfig, part, grid, order, rngs):
         smoothing["bandwidth"] = cfg.bandwidth or npreg.rule_of_thumb_bandwidth(c)
         smoother, ok = npreg.local_linear_smoother(c, base, grid, smoothing["bandwidth"])
     else:
-        smoother, ok = npreg.cell_means_smoother(c, base)
+        smoother, ok = npreg.cell_means_smoother(cells, base)
     if ok is not None:
         grid, smoothing["dropped_grid_points"] = npreg.drop_grid_points(grid, ok, method)
         if grid.size == 0:
             raise EmptyGrid(f"all grid points have {npreg.DROP_REASONS[method]}")
-    theta, s, floored, jitter, raises, draw_map = smoother.process(grid)
+    theta, s, s_jitter, jitter, raises, draw_map = smoother.process(grid)
     grid = grid.reshape(-1, grid.shape[-1])
     for i, r in enumerate(rngs):
         diag = {"method": method, "mult_draws": cfg.mult_draws, "n": c.shape[-1], "seed": r.seed,
                 "stream": r.stream, "conditioning_column": ms.conditioning_column, **smoothing,
                 "chol_jitter": float(jitter[i]), "chol_jitter_raises": int(raises[i]),
-                "s_floored": int(floored[i])}
+                "s_jitter": int(s_jitter[i])}
         # the slice's draws, made in this statement so that no local name holds them: they
         # go with the estimate once it is decided, before the next slice's are made
         yield Estimate(grid[i], theta[i], s[i],

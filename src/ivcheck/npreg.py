@@ -6,12 +6,12 @@ linear in the values they smooth: theta(v) = L(v) @ coef with coef = P @ W.
 A `Smoother` holds the design map L, the coefficients and their covariance,
 summed from each observation's influence on them. Pointwise standard errors
 come from it, and `Smoother.process` standardizes the Gaussian process the sup
-test simulates: floored s, Cholesky jitter and draw map, for either design. One
-local-linear engine fits the lines in z of the sup test and of the propensity
-of `mte`, and the control function's planes in (x, rank), all through one
-coefficient pass: it works on rows sorted once, in blocks that meet only the
-points whose kernel windows reach them, so none of its arrays grows with
-points x rows, and one determinant rule decides where it can fit. Cell means
+test simulates: Cholesky jitter, draw map and s, the sd of what is drawn, for
+either design. One local-linear engine fits the lines in z of the sup test and
+of the propensity of `mte`, and the control function's planes in (x, rank), all
+through one coefficient pass: it works on rows sorted once, in blocks that meet
+only the points whose kernel windows reach them, so none of its arrays grows
+with points x rows, and one determinant rule decides where it can fit. Cell means
 group the rows by cell once, so none of theirs grows with cells x rows. All
 three sum their covariance in one routine, `_influence_cov`, over blocks of
 row influences. The `fit_*` functions wrap the same smoothers for a single
@@ -33,7 +33,6 @@ from .data import MIN_ROWS, distinct
 from .errors import DegenerateVariance, EmptyWindow, InsufficientData, RankDeficient, TooManyCells
 from .estimators import _design, _least_squares, series_basis
 
-S_FLOOR = 1e-12
 MAX_CELLS = 50
 # the local-linear kernel runs over blocks of this many (grid point, row) cells
 # at most, so its temporaries stay small whatever n and the grid size are
@@ -113,12 +112,8 @@ class Smoother:
     cov: np.ndarray  # (m k, m k)
 
     def evaluate(self, v):
-        """theta and floored pointwise standard errors at v, each (m, len(v))."""
-        return self._evaluate_design(self.design(np.atleast_1d(np.asarray(v, dtype=float))))
-
-    def _evaluate_design(self, design):
-        """`evaluate` at the points whose design rows are `design` (G, k), or coefficient indices (G,)."""
-        k = self.coef.shape[-2]
+        """theta and pointwise standard errors at v, each (m, len(v))."""
+        design, k = self.design(np.atleast_1d(np.asarray(v, dtype=float))), self.coef.shape[-2]
         if design.dtype.kind == "i":  # a point smoother: theta is the coefficients at the indices
             theta, var = self.coef[design].T, self.cov.diagonal().reshape(-1, k)[:, design]
         else:
@@ -127,46 +122,47 @@ class Smoother:
             for a in range(var.shape[-2]):
                 block = self.cov[..., a * k : (a + 1) * k, a * k : (a + 1) * k]
                 var[..., a, :] = np.einsum("...ij,...jk,...ik->...i", design, block, design)
-        # s at the floor S_FLOOR (1 + |theta|), so that the standardized process stays finite
-        return theta, np.maximum(np.sqrt(var.clip(min=0.0)), S_FLOOR * (1.0 + np.abs(theta)))
+        return theta, np.sqrt(var.clip(min=0.0))
 
     def process(self, grid):
-        """theta, s, how many s sit at the floor S_FLOOR (1 + |theta|), the Cholesky jitter,
-        how many times it rose and the draw map of the standardized Gaussian process on the
-        grid, each with a leading slice axis: one slice, or R of a stacked series grid (R, G).
+        """theta, s, how many drawn variances are over half jitter, the Cholesky jitter, how
+        many times it rose and the draw map of the standardized Gaussian process on the grid,
+        each with a leading slice axis: one slice, or R of a stacked series grid (R, G).
 
-        Given the data, the estimate is linear in the smoothed values: with cov = chol chol'
-        of the coefficients and L the design, the standardized draws are N(0, I) normals
-        (draws, columns x coefficients) times the fixed draw map chol' L' / s, or
-        chol'[:, L] / s where L indexes coefficients. A slice with every s at the floor
-        raises DegenerateVariance.
+        Given the data, the estimate is linear in the smoothed values: with cov + jitter I =
+        chol chol' for the coefficients and L the design, the draws are N(0, I) normals
+        (draws, columns x coefficients) times the fixed map chol' L', or chol'[:, L] where L
+        indexes coefficients. s is the sd of what is drawn, the column norms of that map, and
+        the draw map is the map over s, whatever the units of the moments. The jitter's part
+        of a drawn variance is jitter |L_g|^2, or jitter for a point smoother.
         """
-        design = self.design(grid)  # (..., G, k), or (G,) coefficient indices
-        theta, s = self._evaluate_design(design)  # (..., m, G)
-        m, k = theta.shape[-2], self.coef.shape[-2]
-        theta, s = (a.reshape(-1, m, a.shape[-1]) for a in (theta, s))
+        design, (k, m) = self.design(grid), self.coef.shape[-2:]  # design (..., G, k) or (G,)
         # one slice at a time, so that one slice's jitter never moves another's bits
         chol, jitter, raises = zip(*map(_chol_psd, self.cov.reshape(-1, m * k, m * k)))
-        floored = (s <= S_FLOOR * (1.0 + np.abs(theta))).sum(axis=(1, 2))
-        if (floored == s[0].size).any():
-            raise DegenerateVariance("all standard errors at the numerical floor")
         chol_t = np.stack(chol).swapaxes(-1, -2).reshape(-1, m * k, m, k)
-        if design.dtype.kind == "i":
+        if design.dtype.kind == "i":  # the coefficients at the indices, as in `evaluate`
+            theta = self.coef[design].T
             # in C order, as the dense product's: fancy indexing laid one column's map out
             # transposed, and the draws' product then rounded differently from the dense one's
-            draw_map = np.take(chol_t, design, axis=-1)
+            draw_map, design_sq = np.take(chol_t, design, axis=-1), 1.0
         else:
+            theta = (design @ self.coef).swapaxes(-1, -2)
             draw_map = chol_t @ design.swapaxes(-1, -2)[..., None, :, :]
+            design_sq = np.einsum("...gk,...gk->...g", design, design)[..., None, :]
+        s = np.sqrt(np.einsum("ijag,ijag->iag", draw_map, draw_map))  # (slices, m, G)
+        over_half = (2.0 * np.array(jitter)[:, None, None] * design_sq > s**2).sum(axis=(1, 2))
         draw_map = (draw_map / s[:, None]).reshape(len(chol_t), m * k, -1)
-        return theta, s, floored, jitter, raises, draw_map
+        return theta.reshape(s.shape), s, over_half, jitter, raises, draw_map
 
 
 def _chol_psd(cov: np.ndarray):
     """(Cholesky factor of cov + jitter I, jitter, how many times the jitter rose tenfold).
 
-    The jitter starts at max(trace / len, 1) 1e-12 and rises for nearly singular covariances.
+    The jitter starts at trace / len 1e-12 and rises for nearly singular covariances.
     """
-    jitter = max(np.trace(cov) / len(cov), 1.0) * 1e-12
+    jitter = np.trace(cov) / len(cov) * 1e-12
+    if not jitter > 0:
+        raise DegenerateVariance("the coefficient covariance is zero: no standard error to draw")
     for raises in range(12):
         try:
             return np.linalg.cholesky(cov + jitter * np.eye(len(cov))), jitter, raises
@@ -363,16 +359,17 @@ def cells(z):
 def cell_means_smoother(z, w):
     """Within-cell means of each column of w (n, m), with ddof=1 standard errors.
 
-    Returns (smoother, ok) where ok flags the cells of `np.unique(z)` whose
-    rows take at least two values in every column of w. A one-row cell, or one
-    whose rows share a value of some column, has no within-cell variance to
-    estimate: its standard error would sit at the floor and decide a sup test
-    alone. It is left out of the smoother. The rows are grouped by cell once;
+    z is the conditioning column, or the `cells` of it that the sup test took for
+    its grid. Returns (smoother, ok) where ok flags the cells of `np.unique(z)`
+    whose rows take at least two values in every column of w. A one-row cell, or
+    one whose rows share a value of some column, has no within-cell variance: its
+    s would be the jitter's, tiny, and decide a sup test alone. It is left out
+    of the smoother. The rows are grouped by cell once;
     a cell's mean is the sum over its rows divided by its count, and its
     (m x m) block of the block-diagonal covariance is sum(r_a r_b) / (n_c (n_c - 1))
     of its residuals r, one block of `_influence_cov` per cell.
     """
-    values, cell, counts = cells(z)
+    values, cell, counts = z if isinstance(z, tuple) else cells(z)
     # a float copy of w with each cell's rows together; numpy radix-sorts the
     # smallest unsigned type that holds a cell index, uint8 under MAX_CELLS
     order = np.argsort(cell.astype(np.min_scalar_type(len(values) - 1)), kind="stable")
