@@ -119,11 +119,9 @@ class TestReport:
         dropped = diag.get("dropped_grid_points", 0)
         if dropped > 0:
             lines.append(f"  dropped_grid_points = {dropped} ({npreg.DROP_REASONS[diag['method']]})")
-        if diag.get("s_jitter", 0) > 0:
-            lines.append(f"  s_jitter = {diag['s_jitter']} (drawn variances over half jitter)")
-        if diag.get("chol_jitter_raises", 0) > 0:
-            lines.append(f"  chol_jitter = {diag['chol_jitter']:.3g} (raised tenfold "
-                         f"{diag['chol_jitter_raises']} times: nearly singular covariance)")
+        if diag.get("s_rounding", 0) > 0:
+            lines.append(f"  s_rounding = {diag['s_rounding']} "
+                         "(standard errors within rounding of 0)")
         lines.append(f"  adaptive selection: gamma_n = {self.gamma_n:.6f}, kappa_n = {self.kappa:.4f}")
         for alpha in self.alpha_levels:
             res = self.levels[alpha]
@@ -168,7 +166,7 @@ def _check_array_budget(cfg: TestConfig, base, n_grid: int, order) -> None:
     """Raise ArrayTooLarge if one of the largest arrays of the part about to be fitted, its
     moment values base (..., n, m) on n_grid points, would exceed ARRAY_BUDGET_BYTES.
 
-    Those are, in float64, per slice the coefficient covariance and its Cholesky factor
+    Those are, in float64, per slice the coefficient covariance and its root
     ((base moments x coefficients) squared), the draw map of `npreg.Smoother.process`
     (base moments x coefficients by base moments x grid points) and, for series (`order`
     set), the influences of `npreg.series_smoother` (base moments x coefficients x rows);
@@ -230,10 +228,9 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     number of distinct conditioning values minus one. Grid points that the
     local-linear or cell-means smoother cannot estimate are dropped, with the
     warning of `npreg.drop_grid_points`, and counted in
-    `diagnostics["dropped_grid_points"]`. The diagonal jitter of
-    `npreg.Smoother.process` is recorded in `diagnostics["chol_jitter"]`, how many
-    times it rose tenfold in `diagnostics["chol_jitter_raises"]`, and how many
-    drawn variances are over half jitter in `diagnostics["s_jitter"]`. An array of
+    `diagnostics["dropped_grid_points"]`. The (base moment, grid point) pairs whose s
+    is at most n eps times the RMS of the base column, zero up to rounding, are
+    counted in `diagnostics["s_rounding"]`; their draws are 0 where s is 0. An array of
     `_check_array_budget` above ARRAY_BUDGET_BYTES raises ArrayTooLarge before the
     smoother is fitted. A NaN or inf among the conditioning or moment values raises
     NonFiniteValue, an empty grid EmptyGrid, a grid with a non-finite point,
@@ -318,13 +315,15 @@ def _fit_part(ms: MomentSystem, cfg: TestConfig, part, grid, order, rngs):
         grid, smoothing["dropped_grid_points"] = npreg.drop_grid_points(grid, ok, method)
         if grid.size == 0:
             raise EmptyGrid(f"all grid points have {npreg.DROP_REASONS[method]}")
-    theta, s, s_jitter, jitter, raises, draw_map = smoother.process(grid)
+    theta, s, draw_map = smoother.process(grid)
     grid = grid.reshape(-1, grid.shape[-1])
+    # the s within rounding of 0, against n eps times the RMS of its base column in its slice
+    rms = np.sqrt(np.mean(np.square(base), axis=-2)).reshape(len(s), -1, 1)
+    rounding = (s <= c.shape[-1] * np.finfo(float).eps * rms).sum(axis=(1, 2))
     for i, r in enumerate(rngs):
         diag = {"method": method, "mult_draws": cfg.mult_draws, "n": c.shape[-1], "seed": r.seed,
                 "stream": r.stream, "conditioning_column": ms.conditioning_column, **smoothing,
-                "chol_jitter": float(jitter[i]), "chol_jitter_raises": int(raises[i]),
-                "s_jitter": int(s_jitter[i])}
+                "s_rounding": int(rounding[i])}
         # the slice's draws, made in this statement so that no local name holds them: they
         # go with the estimate once it is decided, before the next slice's are made
         yield Estimate(grid[i], theta[i], s[i],

@@ -6,12 +6,13 @@ linear in the values they smooth: theta(v) = L(v) @ coef with coef = P @ W.
 A `Smoother` holds the design map L, the coefficients and their covariance,
 summed from each observation's influence on them. Pointwise standard errors
 come from it, and `Smoother.process` standardizes the Gaussian process the sup
-test simulates: Cholesky jitter, draw map and s, the sd of what is drawn, for
-either design. One local-linear engine fits the lines in z of the sup test and
-of the propensity of `mte`, and the control function's planes in (x, rank), all
-through one coefficient pass: it works on rows sorted once, in blocks that meet
-only the points whose kernel windows reach them, so none of its arrays grows
-with points x rows, and one determinant rule decides where it can fit. Cell means
+test simulates: the symmetric root of the coefficients' correlation matrix, the
+draw map and s, the sd of what is drawn, for either design. One local-linear
+engine fits the lines in z of the sup test and of the propensity of `mte`, and
+the control function's planes in (x, rank), all through one coefficient pass:
+it works on rows sorted once, in blocks that meet only the points whose kernel
+windows reach them, so none of its arrays grows with points x rows, and one
+determinant rule decides where it can fit. Cell means
 group the rows by cell once, so none of theirs grows with cells x rows. All
 three sum their covariance in one routine, `_influence_cov`, over blocks of
 row influences. The `fit_*` functions wrap the same smoothers for a single
@@ -125,50 +126,47 @@ class Smoother:
         return theta, np.sqrt(var.clip(min=0.0))
 
     def process(self, grid):
-        """theta, s, how many drawn variances are over half jitter, the Cholesky jitter, how
-        many times it rose and the draw map of the standardized Gaussian process on the grid,
-        each with a leading slice axis: one slice, or R of a stacked series grid (R, G).
+        """theta, s and the draw map of the standardized Gaussian process on the grid, each with
+        a leading slice axis: one slice, or R of a stacked series grid (R, G).
 
-        Given the data, the estimate is linear in the smoothed values: with cov + jitter I =
-        chol chol' for the coefficients and L the design, the draws are N(0, I) normals
-        (draws, columns x coefficients) times the fixed map chol' L', or chol'[:, L] where L
-        indexes coefficients. s is the sd of what is drawn, the column norms of that map, and
-        the draw map is the map over s, whatever the units of the moments. The jitter's part
-        of a drawn variance is jitter |L_g|^2, or jitter for a point smoother.
+        Given the data, the estimate is linear in the smoothed values: with root' root = cov
+        for the coefficients (`_root`) and L the design, the draws are N(0, I) normals (draws,
+        columns x coefficients) times the fixed map root L', or root[:, L] where L indexes
+        coefficients. s is the sd of what is drawn, the column norms of that map, and the draw
+        map is the map over s, whatever the units of the moments; a column of s = 0 draws 0.
         """
         design, (k, m) = self.design(grid), self.coef.shape[-2:]  # design (..., G, k) or (G,)
-        # one slice at a time, so that one slice's jitter never moves another's bits
-        chol, jitter, raises = zip(*map(_chol_psd, self.cov.reshape(-1, m * k, m * k)))
-        chol_t = np.stack(chol).swapaxes(-1, -2).reshape(-1, m * k, m, k)
+        # one slice at a time, so that each slice's root depends on its own covariance only
+        root = np.stack([_root(cov) for cov in self.cov.reshape(-1, m * k, m * k)])
+        root = root.reshape(-1, m * k, m, k)
         if design.dtype.kind == "i":  # the coefficients at the indices, as in `evaluate`
             theta = self.coef[design].T
             # in C order, as the dense product's: fancy indexing laid one column's map out
             # transposed, and the draws' product then rounded differently from the dense one's
-            draw_map, design_sq = np.take(chol_t, design, axis=-1), 1.0
+            draw_map = np.take(root, design, axis=-1)
         else:
             theta = (design @ self.coef).swapaxes(-1, -2)
-            draw_map = chol_t @ design.swapaxes(-1, -2)[..., None, :, :]
-            design_sq = np.einsum("...gk,...gk->...g", design, design)[..., None, :]
+            draw_map = root @ design.swapaxes(-1, -2)[..., None, :, :]
         s = np.sqrt(np.einsum("ijag,ijag->iag", draw_map, draw_map))  # (slices, m, G)
-        over_half = (2.0 * np.array(jitter)[:, None, None] * design_sq > s**2).sum(axis=(1, 2))
-        draw_map = (draw_map / s[:, None]).reshape(len(chol_t), m * k, -1)
-        return theta.reshape(s.shape), s, over_half, jitter, raises, draw_map
+        draw_map = np.divide(draw_map, s[:, None], out=np.zeros_like(draw_map),
+                             where=s[:, None] > 0.0).reshape(len(root), m * k, -1)
+        return theta.reshape(s.shape), s, draw_map
 
 
-def _chol_psd(cov: np.ndarray):
-    """(Cholesky factor of cov + jitter I, jitter, how many times the jitter rose tenfold).
+def _root(cov: np.ndarray) -> np.ndarray:
+    """S D, with root' root = cov: D = diag(sd) holds the coefficients' sds, and S is the
+    principal square root of their correlation matrix, its negative eigenvalues taken as 0.
 
-    The jitter starts at trace / len 1e-12 and rises for nearly singular covariances.
+    Any root draws the same law; this one moves with cov continuously, so a last-bit change
+    in a nearly singular cov moves the draws by about as little. A coefficient of zero sd has
+    a zero row and column in the correlation matrix, and a zero column in the root.
     """
-    jitter = np.trace(cov) / len(cov) * 1e-12
-    if not jitter > 0:
+    sd = np.sqrt(cov.diagonal())
+    if not sd.max() > 0:
         raise DegenerateVariance("the coefficient covariance is zero: no standard error to draw")
-    for raises in range(12):
-        try:
-            return np.linalg.cholesky(cov + jitter * np.eye(len(cov))), jitter, raises
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise DegenerateVariance("coefficient covariance is not positive semidefinite")
+    inverse = np.divide(1.0, sd, out=np.zeros_like(sd), where=sd > 0.0)
+    eigenvalues, vectors = np.linalg.eigh(cov * inverse[:, None] * inverse)
+    return (vectors * np.sqrt(eigenvalues.clip(min=0.0))) @ vectors.T * sd
 
 
 def _point_design(points, v):
@@ -363,7 +361,7 @@ def cell_means_smoother(z, w):
     its grid. Returns (smoother, ok) where ok flags the cells of `np.unique(z)`
     whose rows take at least two values in every column of w. A one-row cell, or
     one whose rows share a value of some column, has no within-cell variance: its
-    s would be the jitter's, tiny, and decide a sup test alone. It is left out
+    s would be 0, or rounding, and decide a sup test alone. It is left out
     of the smoother. The rows are grouped by cell once;
     a cell's mean is the sum over its rows divided by its count, and its
     (m x m) block of the block-diagonal covariance is sum(r_a r_b) / (n_c (n_c - 1))

@@ -335,3 +335,74 @@ def test_17_power_floor_cell_means_on_19_values():
     spec = DgpSpec(family=DgpFamily.LINEAR_IV_POWER, n=1000, L=0.5, sigma=0.25)
     rate = _cell_means_rate(spec, 100, 2204)
     assert rate >= POWER_FLOOR, rate
+
+
+# --- 18-23. the homoskedasticity test under the size contract, with power floors ---
+#
+# Written down before the first run, and not to be moved or re-seeded to make a change
+# pass. The homoskedastic null: hetero-power at rho = 0 under its family's spec (linear,
+# conditioning on x, exogeneity and homoskedasticity), 400 replications, the 5% rate within
+# 0.05 +- SIZE_BAND, at n = 1000 and 3000. Power: hetero-power at rho = 0.9, n = 1000, 100
+# replications, the 5% rate at least POWER_FLOOR. Local-linear runs through run_study;
+# cell means run on x rounded to the 19 values np.round(3 x) / 3 with y = 2 x + u rebuilt
+# on the rounded x, so the null still holds, through test_model with the replications'
+# streams of tests 15 and 17. Seeds: size 2401 and 2402 (local-linear, n = 1000 and
+# 3000), 2403 and 2404 (cell means), power 2405 (local-linear) and 2406 (cell means).
+# The left skew of a squared residual's studentized local mean over-rejects the null
+# (ROADMAP item 24): the tests that fail are strict xfails, with the first run's rate, so
+# that a fix must flip them.
+
+HETERO_SPEC = ModelSpec(form=ModelForm.LINEAR, conditioning=Conditioning.ON_X,
+                        homoskedastic=True)
+
+
+def _local_linear_rate(spec, reps, seed):
+    """The 5% rejection rate of local-linear on `spec` through run_study."""
+    result = run_study([spec], [Method.CMI], reps=reps, cfg=Cfg(method="local-linear"),
+                       rng=RngSpec(seed=seed))
+    return result.rate(spec.label(), "cmi", 0.05)
+
+
+def _homoskedastic_cell_means_rate(spec, reps, seed):
+    """The 5% rejection rate of cell means on `spec` with x rounded to thirds."""
+    rejections = 0
+    for rep in range(reps):
+        sub = RngSpec(seed=seed).substream(rep)
+        ds = generate(spec, sub)
+        x = ds.x[:, 0]
+        rounded = np.round(3.0 * x) / 3.0
+        ds = Dataset(y=ds.y + 2.0 * (rounded - x), x=rounded, z=rounded)
+        report = model_test(ds, HETERO_SPEC, Cfg(method="cell-means"), sub.substream(7919))
+        rejections += report.reject(0.05)
+    return rejections / reps
+
+
+@pytest.mark.parametrize("n, seed", [
+    pytest.param(1000, 2401, marks=pytest.mark.xfail(strict=True, reason="rate 0.26 at 5%")),
+    pytest.param(3000, 2402, marks=pytest.mark.xfail(strict=True, reason="rate 0.13 at 5%")),
+])
+def test_18_19_homoskedastic_size_local_linear(n, seed):
+    rate = _local_linear_rate(DgpSpec(family=DgpFamily.HETERO_POWER, n=n, rho=0.0), 400, seed)
+    assert abs(rate - 0.05) <= SIZE_BAND, rate
+
+
+@pytest.mark.parametrize("n, seed", [
+    pytest.param(1000, 2403, marks=pytest.mark.xfail(strict=True, reason="rate 0.3475 at 5%")),
+    pytest.param(3000, 2404, marks=pytest.mark.xfail(strict=True, reason="rate 0.1325 at 5%")),
+])
+def test_20_21_homoskedastic_size_cell_means_on_19_values(n, seed):
+    rate = _homoskedastic_cell_means_rate(DgpSpec(family=DgpFamily.HETERO_POWER, n=n, rho=0.0),
+                                          400, seed)
+    assert abs(rate - 0.05) <= SIZE_BAND, rate
+
+
+def test_22_homoskedastic_power_floor_local_linear():
+    rate = _local_linear_rate(DgpSpec(family=DgpFamily.HETERO_POWER, n=1000, rho=0.9), 100, 2405)
+    assert rate >= POWER_FLOOR, rate
+
+
+@pytest.mark.xfail(strict=True, reason="rate 0.89 at 5%")
+def test_23_homoskedastic_power_floor_cell_means_on_19_values():
+    rate = _homoskedastic_cell_means_rate(DgpSpec(family=DgpFamily.HETERO_POWER, n=1000, rho=0.9),
+                                          100, 2406)
+    assert rate >= POWER_FLOOR, rate
