@@ -21,6 +21,7 @@ from . import npreg
 from .data import MIN_ROWS, Dataset, RngSpec, _quantiles, check_finite, conditioning_grid
 from .errors import (
     ArrayTooLarge,
+    DegenerateVariance,
     EmptyGrid,
     InsufficientData,
     InvalidGrid,
@@ -235,7 +236,8 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     smoother is fitted. A NaN or inf among the conditioning or moment values raises
     NonFiniteValue, an empty grid EmptyGrid, a grid with a non-finite point,
     or a series grid without two distinct points, InvalidGrid, and fewer than
-    `data.MIN_ROWS` rows InsufficientData.
+    `data.MIN_ROWS` rows InsufficientData. A slice whose coefficient covariance is zero,
+    as when every moment is 0, raises DegenerateVariance before its root is taken.
     """
     (est,) = _estimates(ms, grid, cfg, rng)
     return est
@@ -315,6 +317,8 @@ def _fit_part(ms: MomentSystem, cfg: TestConfig, part, grid, order, rngs):
         grid, smoothing["dropped_grid_points"] = npreg.drop_grid_points(grid, ok, method)
         if grid.size == 0:
             raise EmptyGrid(f"all grid points have {npreg.DROP_REASONS[method]}")
+    if not np.all(smoother.cov.diagonal(axis1=-2, axis2=-1).max(axis=-1) > 0):  # per slice
+        raise DegenerateVariance("the coefficient covariance is zero: no standard error to draw")
     theta, s, draw_map = smoother.process(grid)
     grid = grid.reshape(-1, grid.shape[-1])
     # the s within rounding of 0, against n eps times the RMS of its base column in its slice

@@ -115,8 +115,8 @@ def build_for_spec(fit, spec: ModelSpec, ds: Dataset) -> MomentSystem:
     if spec.homoskedastic:
         if isinstance(fit, BoxCoxFit):
             raise IvcheckError("homoskedasticity moments require a linear fit")
-        sigma2 = np.mean(resid**2, axis=-1, keepdims=True)  # 1/n, matching the population identity
-        cols.append(resid**2 - sigma2)
+        # the first step's mean(U^2), 1/n, matching the population identity; per slice of a stack
+        cols.append(resid**2 - np.expand_dims(fit.sigma2_hat, -1))
         labels.append("var")
     cond, column = _conditioning_column(ds, spec.conditioning)
     return _paired(cols, labels, cond, column)

@@ -4,16 +4,17 @@ Polynomial series regression, local linear regression with an Epanechnikov
 kernel, and exact cell means for discrete conditioning variables are all
 linear in the values they smooth: theta(v) = L(v) @ coef with coef = P @ W.
 A `Smoother` holds the design map L, the coefficients and their covariance,
-summed from each observation's influence on them. Pointwise standard errors
-come from it, and `Smoother.process` standardizes the Gaussian process the sup
-test simulates: the symmetric root of the coefficients' correlation matrix, the
-draw map and s, the sd of what is drawn, for either design. One local-linear
-engine fits the lines in z of the sup test and of the propensity of `mte`, and
-the control function's planes in (x, rank), all through one coefficient pass:
-it works on rows sorted once, in blocks that meet only the points whose kernel
-windows reach them, so none of its arrays grows with points x rows, and one
-determinant rule decides where it can fit. Cell means
-group the rows by cell once, so none of theirs grows with cells x rows. All
+summed from each observation's influence on them. `Smoother.process`
+standardizes the Gaussian process the sup test simulates: the symmetric root of
+the coefficients' correlation matrix, the draw map and s, the sd of what is
+drawn, for either design. The root is total, so a zero covariance draws 0 and
+has s = 0; the public `evaluate` reads theta and s from the same call. One
+local-linear engine fits the lines in z of the sup test and of the propensity
+of `mte`, and the control function's planes in (x, rank), all through one
+coefficient pass: it works on rows sorted once, in blocks that meet only the
+points whose kernel windows reach them, so none of its arrays grows with points
+x rows, and one determinant rule decides where it can fit. Cell means group
+the rows by cell once, so none of theirs grows with cells x rows. All
 three sum their covariance in one routine, `_influence_cov`, over blocks of
 row influences. The `fit_*` functions wrap the same smoothers for a single
 column. A smoother that cannot estimate some grid points holds the others
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .data import MIN_ROWS, distinct
-from .errors import DegenerateVariance, EmptyWindow, InsufficientData, RankDeficient, TooManyCells
+from .errors import EmptyWindow, InsufficientData, RankDeficient, TooManyCells
 from .estimators import _design, _least_squares, series_basis
 
 MAX_CELLS = 50
@@ -113,17 +114,10 @@ class Smoother:
     cov: np.ndarray  # (m k, m k)
 
     def evaluate(self, v):
-        """theta and pointwise standard errors at v, each (m, len(v))."""
-        design, k = self.design(np.atleast_1d(np.asarray(v, dtype=float))), self.coef.shape[-2]
-        if design.dtype.kind == "i":  # a point smoother: theta is the coefficients at the indices
-            theta, var = self.coef[design].T, self.cov.diagonal().reshape(-1, k)[:, design]
-        else:
-            theta = (design @ self.coef).swapaxes(-1, -2)
-            var = np.empty_like(theta)
-            for a in range(var.shape[-2]):
-                block = self.cov[..., a * k : (a + 1) * k, a * k : (a + 1) * k]
-                var[..., a, :] = np.einsum("...ij,...jk,...ik->...i", design, block, design)
-        return theta, np.sqrt(var.clip(min=0.0))
+        """theta and pointwise standard errors at v, each (m, len(v)): `process` of one slice,
+        without its draw map."""
+        theta, s, _ = self.process(np.atleast_1d(np.asarray(v, dtype=float)))
+        return theta[0], s[0]
 
     def process(self, grid):
         """theta, s and the draw map of the standardized Gaussian process on the grid, each with
@@ -136,10 +130,8 @@ class Smoother:
         map is the map over s, whatever the units of the moments; a column of s = 0 draws 0.
         """
         design, (k, m) = self.design(grid), self.coef.shape[-2:]  # design (..., G, k) or (G,)
-        # one slice at a time, so that each slice's root depends on its own covariance only
-        root = np.stack([_root(cov) for cov in self.cov.reshape(-1, m * k, m * k)])
-        root = root.reshape(-1, m * k, m, k)
-        if design.dtype.kind == "i":  # the coefficients at the indices, as in `evaluate`
+        root = _root(self.cov.reshape(-1, m * k, m * k)).reshape(-1, m * k, m, k)
+        if design.dtype.kind == "i":  # the coefficients at the indices
             theta = self.coef[design].T
             # in C order, as the dense product's: fancy indexing laid one column's map out
             # transposed, and the draws' product then rounded differently from the dense one's
@@ -154,19 +146,21 @@ class Smoother:
 
 
 def _root(cov: np.ndarray) -> np.ndarray:
-    """S D, with root' root = cov: D = diag(sd) holds the coefficients' sds, and S is the
-    principal square root of their correlation matrix, its negative eigenvalues taken as 0.
+    """S D per slice of a stack cov (slices, p, p), with root' root = cov: D = diag(sd) holds the
+    coefficients' sds, and S is the principal square root of their correlation matrix, its
+    negative eigenvalues taken as 0. One `eigh` call factors every slice on its own.
 
     Any root draws the same law; this one moves with cov continuously, so a last-bit change
-    in a nearly singular cov moves the draws by about as little. A coefficient of zero sd has
-    a zero row and column in the correlation matrix, and a zero column in the root.
+    in a nearly singular cov moves the draws little (by about its square root where
+    eigenvalues are at rounding level). It is total: a coefficient of zero sd has a zero row
+    and column in the correlation matrix and a zero column in the root, so a zero cov has a
+    zero root.
     """
-    sd = np.sqrt(cov.diagonal())
-    if not sd.max() > 0:
-        raise DegenerateVariance("the coefficient covariance is zero: no standard error to draw")
+    sd = np.sqrt(cov.diagonal(axis1=-2, axis2=-1))
     inverse = np.divide(1.0, sd, out=np.zeros_like(sd), where=sd > 0.0)
-    eigenvalues, vectors = np.linalg.eigh(cov * inverse[:, None] * inverse)
-    return (vectors * np.sqrt(eigenvalues.clip(min=0.0))) @ vectors.T * sd
+    eigenvalues, vectors = np.linalg.eigh(cov * inverse[..., None] * inverse[..., None, :])
+    root = (vectors * np.sqrt(eigenvalues.clip(min=0.0))[..., None, :]) @ vectors.swapaxes(-1, -2)
+    return root * sd[..., None, :]
 
 
 def _point_design(points, v):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -146,6 +146,54 @@ def test_decision_invariant_under_affine_y():
     for a in r1.alpha_levels:
         assert r1.levels[a].reject == r2.levels[a].reject
         assert abs(r1.levels[a].k_crit - r2.levels[a].k_crit) < 1e-8
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(100, 500),
+    family=st.sampled_from([DgpFamily.LINEAR_IV_NULL, DgpFamily.LINEAR_IV_POWER,
+                            DgpFamily.HETERO_POWER]),
+    method=st.sampled_from(clrtest.METHODS),
+    log_a=st.floats(-6.0, 6.0),
+    shift=st.floats(-1e3, 1e3),
+)
+# kappa moved by 1.1e-9 relative: 100 local lines from 100 rows
+@example(seed=87, n=100, family=DgpFamily.LINEAR_IV_POWER, method="local-linear", log_a=0.0,
+         shift=1.0)
+def test_decisions_invariant_under_affine_maps_of_y(seed, n, family, method, log_a, shift):
+    """The exogeneity test of a y + b, a in [1e-6, 1e6] and b = a shift: the decision and
+    |V_hat| of y at every level, and kappa within 1e-9 relative. The IV residuals are a times
+    those of y up to rounding, so theta and s are too, and the standardized draws are the
+    same. An example within 1e-8 of the scale max |theta| + k_full max s of a decision or
+    of the selection boundary is skipped, as rounding may cross it. z is rounded to seven
+    values for cell means.
+
+    Local-linear kappa gets 1e-7: at n = 100 its 100 local lines have a rank-deficient
+    correlation matrix, whose eigenvalues at rounding level (about eps) enter the root as
+    their square roots (about 1e-8), so a last-bit change of the residuals moved kappa by up
+    to 4.4e-9 relative in two sweeps of 4000 examples, where series moved it by at most
+    4.6e-10 and cell means by 0."""
+    ds = generate(DgpSpec(family=family, n=n), RngSpec(seed=seed))
+    if method == "cell-means":
+        ds = replace(ds, z=np.round(3 * ds.z / np.abs(ds.z).max()))
+    a = 10.0**log_a
+    cfg = Cfg(method=method, mult_draws=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # grid points dropped alike for y and a y + b
+        unit = model_test(ds, IV_SPEC, cfg, RngSpec(seed=seed))
+        mapped = model_test(replace(ds, y=a * ds.y + a * shift), IV_SPEC, cfg,
+                            RngSpec(seed=seed))
+    levels = [unit.levels[alpha] for alpha in unit.alpha_levels]
+    scale = np.abs(unit.theta).max() + max(lv.k_crit_full for lv in levels) * unit.s.max()
+    boundary = unit.theta.max() - unit.kappa * unit.s
+    assume(min(abs(lv.theta_corrected) for lv in levels) > 1e-8 * scale)
+    assume(np.abs(unit.theta - boundary).min() > 1e-8 * scale)
+    rel = 1e-7 if method == "local-linear" else 1e-9
+    assert mapped.kappa == pytest.approx(unit.kappa, rel=rel, abs=0)
+    for alpha, lv in zip(unit.alpha_levels, levels):
+        assert mapped.reject(alpha) == lv.reject
+        assert mapped.levels[alpha].selected_set_size == lv.selected_set_size
 
 
 def test_simulation_budget_guard():
@@ -304,6 +352,23 @@ def test_moments_at_zero_leave_every_standard_error_at_the_floor(method):
     # with s floored at 1e-12 (1 + |theta|): match="all standard errors at the numerical floor"
     with pytest.raises(DegenerateVariance, match="coefficient covariance is zero"):
         run_test(ms, None, Cfg(method=method), RngSpec(seed=0))
+
+
+@pytest.mark.parametrize("method", ["series", "local-linear", "series-stack"])
+def test_zero_moments_are_refused_before_the_root(method):
+    """The sup test refuses a zero coefficient covariance itself, before any root is taken;
+    in a series stack one zero slice is enough."""
+    z = np.random.default_rng(15).uniform(-1, 1, 200)
+    ms = _paired([np.zeros(200)], ["zero"], z, "z")
+    rng = RngSpec(seed=0)
+    if method == "series-stack":
+        base = np.stack([np.random.default_rng(16).standard_normal((200, 1)), ms.base])
+        ms, method, rng = replace(ms, base=base, conditioning=np.stack([z, z])), "series", [rng] * 2
+    with mock.patch("numpy.linalg.eigh") as eigh:
+        with pytest.raises(DegenerateVariance,
+                           match="^the coefficient covariance is zero: no standard error to draw$"):
+            run_test(ms, None, Cfg(method=method), rng)
+    eigh.assert_not_called()
 
 
 @pytest.mark.parametrize("family, spec, default", [
@@ -710,7 +775,7 @@ def test_quantiles_equal_numpy(seed, size, kind, n):
 
 def _two_product_draws(smoother, grid, rng, draws):
     """Oracle: coefficient noise root' @ normals, then the design, then a division by the sd
-    of that map from the normals, and the sd.
+    of that map from the normals; the sd, and theta as the design times the coefficients.
 
     A point smoother's design, the index of each grid point's coefficient, is
     taken as the dense one-hot selector of those coefficients.
@@ -720,11 +785,12 @@ def _two_product_draws(smoother, grid, rng, draws):
         design = np.eye(len(smoother.coef))[design]
     k = design.shape[1]
     n_base = len(smoother.cov) // k
-    root = npreg._root(smoother.cov)  # root' root = cov
-    # s_base was smoother.evaluate(grid)[1], the sd of the covariance without its jitter
+    (root,) = npreg._root(smoother.cov[None])  # root' root = cov
+    # the sd of the map from the normals to each point's draw
     s_base = np.sqrt(((design @ root.T.reshape(n_base, k, -1)) ** 2).sum(axis=-1))
     eps = rng.standard_normal((draws, n_base * k)) @ root
-    return (eps.reshape(-1, k) @ design.T).reshape(draws, n_base, -1) / s_base, s_base
+    zstar = (eps.reshape(-1, k) @ design.T).reshape(draws, n_base, -1) / s_base
+    return zstar, s_base, (design @ smoother.coef).T
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -752,12 +818,13 @@ def test_process_matches_two_product_oracle(seed, n, n_base, method):
     (theta,), (s,), (draw_map,) = smoother.process(grid)
     normals = np.random.default_rng(seed).standard_normal((300, len(draw_map)))
     zstar = (normals @ draw_map).reshape(300, n_base, -1)
-    oracle, s_oracle = _two_product_draws(smoother, grid, np.random.default_rng(seed), 300)
+    oracle, s_oracle, theta_oracle = _two_product_draws(smoother, grid,
+                                                        np.random.default_rng(seed), 300)
     assert zstar.shape == oracle.shape == (300, n_base, len(grid))
     assert np.max(np.abs(zstar - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     assert np.max(np.abs(s - s_oracle)) <= 1e-12 * np.max(s_oracle)
-    # s was np.array_equal to evaluate's, the sd of the covariance without its jitter
-    assert np.array_equal(theta, smoother.evaluate(grid)[0])
+    # a point smoother's coefficients at the indices are its one-hot product bit for bit
+    assert np.array_equal(theta, theta_oracle)
 
 
 def _expanded_tail(ms, n, theta_base, s_base, zstar_base, alphas):
@@ -924,16 +991,21 @@ def test_floored_standard_errors_are_reported():
 
 def test_root_is_relative_to_the_covariance():
     """A covariance scaled by 1e-20 gets 1e-10 times the root, and the root's square is the
-    covariance; a zero covariance raises DegenerateVariance before any factorization."""
-    a = np.random.default_rng(6).standard_normal((30, 20))
+    covariance; a zero covariance has a zero root, and the root of a stack is each slice's
+    own root bit for bit."""
+    g = np.random.default_rng(6)
+    a, thin = g.standard_normal((30, 20)), g.standard_normal((8, 20))
     cov = a.T @ a
-    root, small = npreg._root(cov), npreg._root(1e-20 * cov)
+    one_zero = cov.copy()
+    one_zero[3], one_zero[:, 3] = 0.0, 0.0  # a coefficient of zero sd
+    stack = np.stack([cov, 1e-20 * cov, np.zeros_like(cov), thin.T @ thin, one_zero])
+    roots = npreg._root(stack)
+    root, small, zero = roots[:3]
     assert np.abs(root.T @ root - cov).max() <= 1e-12 * np.abs(cov).max()
     assert np.abs(small - 1e-10 * root).max() <= 1e-12 * 1e-10 * np.abs(root).max()
-    with mock.patch("numpy.linalg.eigh") as eigh:
-        with pytest.raises(DegenerateVariance, match="coefficient covariance is zero"):
-            npreg._root(np.zeros((5, 5)))
-    eigh.assert_not_called()
+    assert not zero.any() and not roots[4][:, 3].any()
+    for i, got in enumerate(roots):
+        assert np.array_equal(got, npreg._root(stack[i : i + 1])[0])
 
 
 @pytest.mark.parametrize("method", clrtest.METHODS)

@@ -1,4 +1,5 @@
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,37 @@ def test_write_then_read_roundtrip(tmp_path):
     assert np.array_equal(back.y, ds.y)
     assert np.array_equal(back.x, ds.x)
     assert np.array_equal(back.z, ds.z)
+
+
+_EDGE_VALUES = (-0.0, 5e-324, 1e308, -1e308)
+
+
+@st.composite
+def _blocks(draw):
+    """(y (n,), x (n, k_x), z (n, k_z)) of any finite floats, k_x and k_z in 1-3."""
+    n, k_x, k_z = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    value = st.one_of(st.sampled_from(_EDGE_VALUES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    y, x, z = (np.array(draw(st.lists(value, min_size=n * k, max_size=n * k))).reshape(n, k)
+               for k in (1, k_x, k_z))
+    return y[:, 0], x, z
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(blocks=_blocks())
+@example(blocks=(np.array([-0.0, 5e-324, 1e308]), np.array([[-1e308], [-0.0], [5e-324]]),
+                 np.array([[1e308, -5e-324], [0.1, -0.0], [-1e308, 2.0]])))
+def test_write_then_read_roundtrips_every_float(blocks):
+    """load_csv(write_csv(ds)) gives back every block bit for bit, signed zeros, subnormals
+    and the largest magnitudes included."""
+    ds = Dataset(*blocks)
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "d.csv"
+        write_csv(ds, p)
+        back = load_csv(p, "y", [f"x{i + 1}" for i in range(ds.k_x)],
+                        [f"z{i + 1}" for i in range(ds.k_z)])
+    for got, want in ((back.y, ds.y), (back.x, ds.x), (back.z, ds.z)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_dataset_rejects_nonfinite():

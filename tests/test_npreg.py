@@ -465,3 +465,16 @@ def test_smoother_linearity_and_scale():
         assert abs(fc.evaluate(v)[0] - (2.0 * fa.evaluate(v)[0] - 3.0 * fb.evaluate(v)[0])) < 1e-9
         fs = fitter(5.0 * w1)
         assert abs(fs.evaluate(v)[1] - 5.0 * fa.evaluate(v)[1]) < 1e-9
+
+
+@pytest.mark.parametrize("fitter", [lambda w, z: fit_series(w, z),
+                                    lambda w, z: fit_local_linear(w, z, 0.4)],
+                         ids=["series", "local-linear"])
+def test_public_fit_of_zero_moments_has_zero_standard_errors(fitter):
+    """The public fit reads theta and s from the same root as the sup test, which is total:
+    moments at 0 give theta = 0 and s = 0, and only the sup test refuses them."""
+    z = np.random.default_rng(7).uniform(-1, 1, 200)
+    v = np.linspace(-0.8, 0.8, 9)
+    theta, s = fitter(np.zeros(200), z).evaluate(v)
+    assert not theta.any() and not s.any()
+    assert fitter(np.zeros(200), z).evaluate(0.1) == (0.0, 0.0)
