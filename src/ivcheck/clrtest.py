@@ -249,8 +249,10 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
     A stacked system (base (R, n, m), conditioning (R, n)) takes a sequence of one
     RngSpec per slice. Each slice's grid and series order are set first: the grid
     passed in, checked here, else `conditioning_grid` for series and local-linear and
-    `npreg.cells`, capped at `npreg.MAX_CELLS`, for cell means, whose values are the
-    grid and whose rows' cells go to the smoother. The stack is then fitted part by part
+    the distinct values of `npreg.cells` for cell means, so that more than
+    `npreg.MAX_CELLS` of them in any slice raise TooManyCells before any part is fitted.
+    Every smoother takes the slice's conditioning column, and its fit is read through
+    `npreg.Smoother.process`. The stack is then fitted part by part
     (`_fit_part`): whole when the method is series and its slices share the
     series order and the grid size, so that the least squares, the influence
     covariance, the grid design and the draw map run once on the stack, one
@@ -283,7 +285,7 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
             raise InvalidGrid("a series fit needs a conditioning grid of two distinct points")
         grids = [grid] * len(c)
     elif method == "cell-means":
-        grids = [npreg.cells(ci) for ci in c]
+        grids = [npreg.cells(ci)[0] for ci in c]
     else:
         # a grid.count too large for one slice is refused before its points are built
         _check_array_budget(cfg, ms.base[0], cfg.grid_count, orders[0])
@@ -300,8 +302,6 @@ def _fit_part(ms: MomentSystem, cfg: TestConfig, part, grid, order, rngs):
     """The estimates of one part of a stacked system: slice `part`, or the whole stack
     (part = slice(None)) of a series fit of one order on the grids (R, G)."""
     c, base, method = ms.conditioning[part], ms.base[part], cfg.method
-    if method == "cell-means":  # the slice's cells, sorted once for the grid and the smoother
-        cells, grid = grid, grid[0]
     _check_array_budget(cfg, base, grid.shape[-1], order)
     smoothing = {}  # the smoother's entries of the diagnostics
     ok = None  # which grid points the smoother can estimate, if it can miss some
@@ -312,7 +312,7 @@ def _fit_part(ms: MomentSystem, cfg: TestConfig, part, grid, order, rngs):
         smoothing["bandwidth"] = cfg.bandwidth or npreg.rule_of_thumb_bandwidth(c)
         smoother, ok = npreg.local_linear_smoother(c, base, grid, smoothing["bandwidth"])
     else:
-        smoother, ok = npreg.cell_means_smoother(cells, base)
+        smoother, ok = npreg.cell_means_smoother(c, base)
     if ok is not None:
         grid, smoothing["dropped_grid_points"] = npreg.drop_grid_points(grid, ok, method)
         if grid.size == 0:

@@ -144,7 +144,8 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
         )
     surface = np.clip(surface, 0.0, 1.0)
     mono = dict(zip(z_grid.tolist(), (np.diff(surface, axis=1) < 0).mean(axis=1).tolist()))
-    iso = np.array([np.clip(pava_increasing(row), 0.0, 1.0) for row in surface])
+    # pooled means of values in [0, 1] stay in [0, 1]: rounding is monotone
+    iso = np.array([pava_increasing(row) for row in surface])
     return PropensityFit(
         z_grid=z_grid,
         x_grid=x_grid,
@@ -332,13 +333,14 @@ def condition1_diagnostic(pf: PropensityFit, ds: Dataset) -> Condition1Report:
     Evaluated at the ranks v of V_GRID over Z_BINS quantile bins of the
     instrument. When two instrument bins map to (numerically) the same x at a
     common rank, compares the outcome distributions of the two bins near that x.
+    pf is the propensity fitted on ds, whose x grid spans the 1% to 99% centiles of x.
     """
     x = ds.x[:, 0]
     z = ds.z[:, 0]
     _, cell = _quantile_bins(z, Z_BINS)
     members = [cell == b for b in range(Z_BINS)]
-    x_lo, x_hi = empirical_quantile(x, [0.01, 0.99])
-    spacing = (pf.x_grid[-1] - pf.x_grid[0]) / max(len(pf.x_grid) - 1, 1)
+    x_lo, x_hi = pf.x_grid[0], pf.x_grid[-1]
+    spacing = (x_hi - x_lo) / max(len(pf.x_grid) - 1, 1)
     tol = 0.5 * spacing
     coverage = {}
     violations = 0

@@ -8,18 +8,19 @@ summed from each observation's influence on them. `Smoother.process`
 standardizes the Gaussian process the sup test simulates: the symmetric root of
 the coefficients' correlation matrix, the draw map and s, the sd of what is
 drawn, for either design. The root is total, so a zero covariance draws 0 and
-has s = 0; the public `evaluate` reads theta and s from the same call. One
-local-linear engine fits the lines in z of the sup test and of the propensity
-of `mte`, and the control function's planes in (x, rank), all through one
-coefficient pass: it works on rows sorted once, in blocks that meet only the
-points whose kernel windows reach them, so none of its arrays grows with points
-x rows, and one determinant rule decides where it can fit. Cell means group
-the rows by cell once, so none of theirs grows with cells x rows. All
-three sum their covariance in one routine, `_influence_cov`, over blocks of
-row influences. The `fit_*` functions wrap the same smoothers for a single
-column. A smoother that cannot estimate some grid points holds the others
-only; `drop_grid_points` leaves them out of the caller's grid, for the reason
-that `DROP_REASONS` gives per method.
+has s = 0. `process` is the one reader of a fitted smoother: the sup test and
+the public `fit_*` both read theta and s from it. One local-linear engine fits
+the lines in z of the sup test and of the propensity of `mte`, and the control
+function's planes in (x, rank), all through one coefficient pass: it works on
+rows sorted once, in blocks that meet only the points whose kernel windows
+reach them, so none of its arrays grows with points x rows, and one
+determinant rule decides where it can fit. Cell means group the rows by cell
+once, so none of theirs grows with cells x rows. Each of the three takes the
+conditioning column itself and sums its covariance in one routine,
+`_influence_cov`, over blocks of row influences. The `fit_*` functions wrap the
+same smoothers for a single column. A smoother that cannot estimate some grid
+points holds the others only; `drop_grid_points` leaves them out of the
+caller's grid, for the reason that `DROP_REASONS` gives per method.
 """
 
 from __future__ import annotations
@@ -77,8 +78,10 @@ def nonlinear_step_series_order(n: int) -> int:
 
 
 def rule_of_thumb_bandwidth(z: np.ndarray) -> float:
-    """1.06 sd(z) n^(-1/5)."""
+    """1.06 sd(z) n^(-1/5); a constant z, of sd 0 up to rounding, raises RankDeficient."""
     z = np.asarray(z, dtype=float)
+    if not z.min() < z.max():
+        raise RankDeficient("conditioning variable is constant")
     return float(1.06 * np.std(z) * len(z) ** (-0.2))
 
 
@@ -107,17 +110,12 @@ class Smoother:
     W: the sum over observations of the outer product of each one's influence
     on them (`_influence_cov`). A series smoother of a stack of datasets has
     the stack's leading axis on coef, cov, its design's v and L, and theta and s.
+    `process` is its one reader.
     """
 
     design: Callable  # v (G,) -> L (G, k), or a point smoother's coefficient indices (G,)
     coef: np.ndarray  # (k, m)
     cov: np.ndarray  # (m k, m k)
-
-    def evaluate(self, v):
-        """theta and pointwise standard errors at v, each (m, len(v)): `process` of one slice,
-        without its draw map."""
-        theta, s, _ = self.process(np.atleast_1d(np.asarray(v, dtype=float)))
-        return theta[0], s[0]
 
     def process(self, grid):
         """theta, s and the draw map of the standardized Gaussian process on the grid, each with
@@ -179,11 +177,11 @@ def series_smoother(z, w, order: int, lo, hi) -> Smoother:
     stacked smoother, whose slices equal each one's own smoother bit for bit.
     """
     n = z.shape[-1]
+    if not np.less(lo, hi).all():
+        raise RankDeficient("conditioning variable is constant")
     if not 1 <= order < n - 1:
         raise InsufficientData(f"series order must satisfy 1 <= order < n - 1 "
                                f"(n={n}, order={order})")
-    if not np.less(lo, hi).all():
-        raise RankDeficient("conditioning variable is constant")
     b = series_basis(z, order, lo, hi)
     coef, pinv, _ = _least_squares(b, w, "the series basis of this order")
     psi = pinv[..., None, :, :] * (w - b @ coef).swapaxes(-1, -2)[..., None, :]  # (..., m, k, n)
@@ -351,17 +349,16 @@ def cells(z):
 def cell_means_smoother(z, w):
     """Within-cell means of each column of w (n, m), with ddof=1 standard errors.
 
-    z is the conditioning column, or the `cells` of it that the sup test took for
-    its grid. Returns (smoother, ok) where ok flags the cells of `np.unique(z)`
-    whose rows take at least two values in every column of w. A one-row cell, or
-    one whose rows share a value of some column, has no within-cell variance: its
-    s would be 0, or rounding, and decide a sup test alone. It is left out
-    of the smoother. The rows are grouped by cell once;
-    a cell's mean is the sum over its rows divided by its count, and its
+    z is the conditioning column, grouped into its `cells`. Returns (smoother, ok)
+    where ok flags the cells of `np.unique(z)` whose rows take at least two values
+    in every column of w. A one-row cell, or one whose rows share a value of some
+    column, has no within-cell variance: its s would be 0, or rounding, and decide
+    a sup test alone. It is left out of the smoother. The rows are grouped by cell
+    once; a cell's mean is the sum over its rows divided by its count, and its
     (m x m) block of the block-diagonal covariance is sum(r_a r_b) / (n_c (n_c - 1))
     of its residuals r, one block of `_influence_cov` per cell.
     """
-    values, cell, counts = z if isinstance(z, tuple) else cells(z)
+    values, cell, counts = cells(z)
     # a float copy of w with each cell's rows together; numpy radix-sorts the
     # smallest unsigned type that holds a cell index, uint8 under MAX_CELLS
     order = np.argsort(cell.astype(np.min_scalar_type(len(values) - 1)), kind="stable")
@@ -386,10 +383,10 @@ class CondMeanFit:
     smoother_at: Callable  # v (G,) -> Smoother whose design covers v
 
     def evaluate(self, v):
-        """Return (theta_hat, s) at scalar or vector v."""
+        """Return (theta_hat, s) at scalar or vector v, from `Smoother.process` of the one slice."""
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        theta, s = self.smoother_at(v_arr).evaluate(v_arr)
-        if np.isscalar(v) or np.asarray(v).ndim == 0:
+        (theta,), (s,), _ = self.smoother_at(v_arr).process(v_arr)
+        if np.ndim(v) == 0:
             return float(theta[0, 0]), float(s[0, 0])
         return theta[0], s[0]
 

@@ -543,6 +543,36 @@ def test_mte_reports_dropped_grid_points(tmp_path):
         "warning: dropping 6 grid points with empty kernel windows"]
 
 
+def test_mte_prints_dropped_grid_points_in_process(tmp_path, capsys):
+    # the gapped instrument on 2k rows: 8 z-grid points in (-1, 1) have empty kernel windows
+    g = np.random.default_rng(5)
+    n = 2000
+    z = np.where(g.random(n) < 0.5, g.uniform(-3, -1, n), g.uniform(1, 3, n))
+    x = z + g.standard_normal(n)
+    from ivcheck.data import Dataset
+    p = tmp_path / "gapped-2k.csv"
+    write_csv(Dataset(y=x + g.standard_normal(n), x=x, z=z), p)
+    code = main(_args(str(p), "mte"))
+    assert code == EXIT_OK
+    assert "dropped_grid_points = 8 (empty kernel windows)" in capsys.readouterr().out.splitlines()
+
+
+def test_identified_set_prints_an_empty_set_and_exits_zero(tmp_path, capsys):
+    # data with slope 2: every slope in [5, 6] is rejected
+    g = np.random.default_rng(6)
+    n = 500
+    z = g.standard_normal(n)
+    x = z + g.standard_normal(n)
+    from ivcheck.data import Dataset
+    p = tmp_path / "slope-2.csv"
+    write_csv(Dataset(y=1.0 + 2.0 * x + g.standard_normal(n), x=x, z=z), p)
+    code = main(_args(str(p), "identified-set", "--theta-lo", "5", "--theta-hi", "6",
+                      "--theta-count", "3", "--seed", "1"))
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "identified set at alpha = 0.05: empty (specification rejected everywhere on the grid)"]
+
+
 def test_overid_exact_fit_exits_one(tmp_path, capsys):
     g = np.random.default_rng(0)
     z = g.uniform(0, 1, 100)

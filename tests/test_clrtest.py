@@ -17,6 +17,7 @@ from ivcheck.clrtest import test_model as model_test
 from ivcheck.data import Dataset, RngSpec
 from ivcheck.errors import (
     ArrayTooLarge,
+    DegenerateSupport,
     DegenerateVariance,
     EmptyGrid,
     InsufficientData,
@@ -347,10 +348,9 @@ def test_fewer_rows_than_the_floor_raise_insufficient_data():
 
 
 @pytest.mark.parametrize("method", ["series", "local-linear"])
-def test_moments_at_zero_leave_every_standard_error_at_the_floor(method):
-    ms = _paired([np.zeros(200)], ["zero"], np.random.default_rng(15).uniform(-1, 1, 200), "z")
-    # with s floored at 1e-12 (1 + |theta|): match="all standard errors at the numerical floor"
-    with pytest.raises(DegenerateVariance, match="coefficient covariance is zero"):
+def test_constant_conditioning_column_is_refused_by_its_grid(method):
+    ms = _paired([np.random.default_rng(17).standard_normal(200)], ["w"], np.full(200, 0.1), "z")
+    with pytest.raises(DegenerateSupport, match="quantiles coincide"):
         run_test(ms, None, Cfg(method=method), RngSpec(seed=0))
 
 

@@ -290,6 +290,13 @@ def test_iv_binary_instrument_cell_means_zero():
         assert abs(np.mean(fit.residuals[z == v])) < 1e-10
 
 
+def test_polynomial_instruments_take_a_1d_z_as_one_column():
+    z = np.random.default_rng(9).uniform(-2.0, 5.0, 100)
+    h = polynomial_instruments(3)
+    assert h(z).shape == (100, 3)
+    assert np.array_equal(h(z), h(z[:, None]))
+
+
 def test_gmm_just_identified_equals_iv():
     ds = generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=1000), RngSpec(seed=7))
     g = fit_gmm2step(ds, instrument_fn=polynomial_instruments(1))

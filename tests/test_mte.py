@@ -664,3 +664,36 @@ def test_quantile_roundtrip_many_random_datasets():
         x = np.round(g.standard_normal(m), 1) if i % 3 == 0 else g.standard_normal(m)
         violations += _roundtrip_violations(x, z)
     assert violations == 0
+
+
+def test_asf_far_beyond_the_regressor_is_off_support():
+    # x = 50 on x in [0, 4]: the rank support is there, but no point of it has a plane
+    ds, _ = _heterogeneous_ds(2000, 42)
+    pf = fit_propensity(ds)
+    cf = fit_control_function(ds, pf)
+    assert pf.support_p_given_x(50.0)[1] - pf.support_p_given_x(50.0)[0] > 0.2
+    with pytest.raises(OffSupport, match="x=50.0"):
+        estimate_asf(cf, pf, 50.0, outcome_bounds=(-100.0, 100.0))
+
+
+def test_control_function_refuses_a_dataset_of_another_length():
+    ds, _ = _heterogeneous_ds(500, 7)
+    pf = fit_propensity(ds)
+    shorter = Dataset(y=ds.y[:-1], x=ds.x[:-1], z=ds.z[:-1])
+    with pytest.raises(InsufficientData, match="^propensity fit does not match the dataset$"):
+        fit_control_function(shorter, pf)
+
+
+def test_condition1_coverage_is_zero_without_a_bin_of_five_rows():
+    # 30 rows over 10 instrument bins: 3 rows each, too few for any h_v
+    g = np.random.default_rng(3)
+    z = g.uniform(0, 1, 30)
+    x = z + g.standard_normal(30)
+    ds = Dataset(y=x, x=x, z=z)
+    rep = condition1_diagnostic(fit_propensity(ds), ds)
+    assert rep.coverage == {float(v): 0.0 for v in mte.V_GRID}
+    assert rep.injectivity_violations == 0 and rep.flagged_pairs == ()
+
+
+def test_ks_distance_of_no_sample_is_one():
+    assert ks_distance_uniform(np.array([])) == 1.0

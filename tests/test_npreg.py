@@ -130,6 +130,24 @@ def test_local_linear_constant():
         assert abs(th - 4.2) < 1e-10
 
 
+@pytest.mark.parametrize("fitter", [fit_series, fit_local_linear,
+                                    lambda w, z: rule_of_thumb_bandwidth(z)],
+                         ids=["series", "local-linear", "bandwidth"])
+def test_public_fit_refuses_a_constant_column_as_constant(fitter):
+    """Not for its series order of 0 or its rule-of-thumb bandwidth of 0 (np.std of 50 copies
+    of 0.1 rounds to 2.8e-17)."""
+    w = np.random.default_rng(8).standard_normal(50)
+    with pytest.raises(RankDeficient, match="^conditioning variable is constant$"):
+        fitter(w, np.full(50, 0.1))
+
+
+def test_cell_means_fit_a_constant_column_as_one_cell():
+    w = np.random.default_rng(8).standard_normal(50)
+    theta, s = fit_cell_means(w, np.full(50, 0.1)).evaluate(0.1)
+    assert theta == pytest.approx(w.mean(), abs=1e-15)
+    assert s == pytest.approx(w.std(ddof=1) / np.sqrt(50), rel=1e-12)
+
+
 def test_local_linear_hand_oracle():
     z = np.array([-1.0, -0.5, 0.0, 0.3, 0.6, 0.9, 1.4, -1.3, 1.1, 0.45])
     w = np.array([0.2, 0.5, 1.1, 0.9, 1.7, 2.1, 2.4, -0.1, 2.2, 1.3])
@@ -191,7 +209,7 @@ def _assert_near_dense(z, w, grid, h):
     smoother, ok_smoother = local_linear_smoother(z, w, grid, h)
     a_blocked, ok_weights = local_linear_weights(z, grid, h)
     assert np.array_equal(ok_smoother, ok) and np.array_equal(ok_weights, ok)
-    theta = smoother.evaluate(grid[ok])[0].T  # at the kept points in the caller's order
+    theta = smoother.process(grid[ok])[0][0].T  # at the kept points in the caller's order
     for got, want in ((smoother.coef, coef), (smoother.cov, flat @ flat.T), (a_blocked, a),
                       (theta, a[ok] @ w)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -430,10 +448,7 @@ def test_point_design_reads_the_selector_by_index(seed, n, m, method):
     assert points.size and missing.size
     index = smoother.design(points)
     assert index.dtype.kind == "i" and index.shape == points.shape
-    dense = _selector(smoother)
-    for got, want in zip(smoother.evaluate(points), dense.evaluate(points)):
-        assert _same_bits(got, want)
-    draws = [s.process(points) for s in (smoother, dense)]
+    draws = [s.process(points) for s in (smoother, _selector(smoother))]
     for got, want in zip(*((theta[0], s[0], np.random.default_rng(seed).standard_normal(
             (200, draw_map.shape[1])) @ draw_map[0]) for theta, s, draw_map in draws)):
         assert _same_bits(got, want)

@@ -104,6 +104,11 @@ def test_chi2_sf_edges():
         np.testing.assert_allclose(p, stats.chi2.sf(x, 500), rtol=1e-12)
 
 
+def test_chi2_sf_of_infinity_is_zero():
+    for dof in (1, 2, 7):
+        assert chi2_sf(float("inf"), dof) == 0.0
+
+
 def test_rank_deficient_instruments():
     n = 50
     z = np.ones(n)

@@ -213,6 +213,15 @@ def test_run_study_rates_and_se():
     assert res.rate(specs[0].label(), "cmi", 0.10) >= 0.8
 
 
+def test_study_rate_of_a_missing_cell_raises_key_error():
+    cell = simulate.CellResult(dgp="null", method="cmi", alpha=0.05, rejection_rate=0.25,
+                               replications=4, mc_se=0.2)
+    res = simulate.StudyResult(cells=(cell,), runtime_seconds=0.0)
+    assert res.rate("null", "cmi", 0.05) == 0.25
+    with pytest.raises(KeyError):
+        res.rate("null", "sargan", 0.05)
+
+
 def test_run_study_deterministic_across_workers():
     specs = [DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=300),
              DgpSpec(family=DgpFamily.HETERO_POWER, n=300, rho=0.9)]
