@@ -21,7 +21,6 @@ from . import npreg
 from .data import MIN_ROWS, Dataset, RngSpec, _quantiles, check_finite, conditioning_grid
 from .errors import (
     ArrayTooLarge,
-    DegenerateVariance,
     EmptyGrid,
     InsufficientData,
     InvalidGrid,
@@ -158,9 +157,10 @@ def _signed_sup(z: np.ndarray, sign: float) -> np.ndarray:
     """Per-draw max over the columns of sign * z, for z of shape (draws, columns).
 
     Reducing first and scaling after is exact (rounding is monotone), so the
-    signed copy of the draws is never built.
+    signed copy of the draws is never built. Adding 0.0 turns a -0.0 sup, as of
+    draws that are all 0, into 0.0 and leaves every other value as it is.
     """
-    return sign * (z.max(axis=1) if sign > 0 else z.min(axis=1))
+    return sign * (z.max(axis=1) if sign > 0 else z.min(axis=1)) + 0.0
 
 
 def _check_array_budget(cfg: TestConfig, base, n_grid: int, order) -> None:
@@ -236,8 +236,7 @@ def estimate(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     smoother is fitted. A NaN or inf among the conditioning or moment values raises
     NonFiniteValue, an empty grid EmptyGrid, a grid with a non-finite point,
     or a series grid without two distinct points, InvalidGrid, and fewer than
-    `data.MIN_ROWS` rows InsufficientData. A slice whose coefficient covariance is zero,
-    as when every moment is 0, raises DegenerateVariance before its root is taken.
+    `data.MIN_ROWS` rows InsufficientData.
     """
     (est,) = _estimates(ms, grid, cfg, rng)
     return est
@@ -285,7 +284,7 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
             raise InvalidGrid("a series fit needs a conditioning grid of two distinct points")
         grids = [grid] * len(c)
     elif method == "cell-means":
-        grids = [npreg.cells(ci)[0] for ci in c]
+        grids = [npreg.cells(ci, ms.conditioning_column)[0] for ci in c]
     else:
         # a grid.count too large for one slice is refused before its points are built
         _check_array_budget(cfg, ms.base[0], cfg.grid_count, orders[0])
@@ -317,8 +316,6 @@ def _fit_part(ms: MomentSystem, cfg: TestConfig, part, grid, order, rngs):
         grid, smoothing["dropped_grid_points"] = npreg.drop_grid_points(grid, ok, method)
         if grid.size == 0:
             raise EmptyGrid(f"all grid points have {npreg.DROP_REASONS[method]}")
-    if not np.all(smoother.cov.diagonal(axis1=-2, axis2=-1).max(axis=-1) > 0):  # per slice
-        raise DegenerateVariance("the coefficient covariance is zero: no standard error to draw")
     theta, s, draw_map = smoother.process(grid)
     grid = grid.reshape(-1, grid.shape[-1])
     # the s within rounding of 0, against n eps times the RMS of its base column in its slice
@@ -359,7 +356,7 @@ def decide(est: Estimate, moments, alpha_levels) -> TestReport:
 
     levels = {}
     for alpha, k, k_f in zip(alpha_levels, k_sel, k_full):
-        theta_corr = float(np.max(theta - k * s))
+        theta_corr = float(np.max(theta - k * s)) + 0.0  # 0.0, not -0.0, on a zero slice
         levels[alpha] = LevelResult(
             alpha=alpha,
             k_crit=k,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import MIN_ROWS, Dataset, _quantiles, conditioning_grid, empirical_quantile
-from .errors import (InsufficientData, IvcheckError, MissingBounds, OffSupport,
+from .errors import (InsufficientData, IvcheckError, MissingBounds, OffSupport, RankDeficient,
                      check_finite_scalars, check_outcome_bounds)
 from .npreg import (
     MIN_EFFECTIVE_OBS,
@@ -126,7 +126,7 @@ def fit_propensity(ds: Dataset, method: str = "local-linear") -> PropensityFit:
     x_grid = conditioning_grid(x, count=X_GRID_COUNT)
     dropped = 0
     if method == "cell-means":
-        z_grid, cell, counts = cells(z)
+        z_grid, cell, counts = cells(z, (ds.column_names.get("z") or ["z1"])[0])
         # x <= x_grid[j] exactly when the first grid point at or above x is j or before it,
         # so a cell's count at j sums its rows' first points up to j
         hits = np.bincount(cell * (len(x_grid) + 1) + np.searchsorted(x_grid, x),
@@ -231,11 +231,15 @@ def fit_control_function(ds: Dataset, pf: PropensityFit) -> ControlFunctionFit:
     """Bivariate local-linear surfaces of Y on (X, v_hat).
 
     Each coordinate's bandwidth is the rule of thumb 1.06 sd n^(-1/6), the
-    rank's sd floored at 0.05.
+    rank's sd floored at 0.05. A constant regressor raises RankDeficient, decided by
+    its values, as its sd can be rounding rather than 0.
     """
     if len(pf.v_hat) != ds.n:
         raise InsufficientData("propensity fit does not match the dataset")
     x = ds.x[:, 0]
+    if not x.min() < x.max():
+        raise RankDeficient(f"regressor {(ds.column_names.get('x') or ['x1'])[0]!r} is "
+                            "constant: the control function needs it to vary")
     n = ds.n
     return ControlFunctionFit(
         x=x,

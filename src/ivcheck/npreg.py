@@ -333,16 +333,17 @@ def local_linear_smoother(z, w, grid, bandwidth: float):
     return Smoother(partial(_point_design, lines.points[:, 0]), fit[0], cov), ok
 
 
-def cells(z):
+def cells(z, name="z"):
     """(values, cell, counts): the distinct values of z, each row's cell and each cell's rows.
 
-    More than MAX_CELLS distinct values raise TooManyCells.
+    More than MAX_CELLS distinct values raise TooManyCells, naming z's column `name`.
     """
     values, cell, counts = np.unique(  # + 0.0 makes -0.0 0.0: one zero cell, of one sign
         np.asarray(z, dtype=float).ravel() + 0.0, return_inverse=True, return_counts=True
     )
     if len(values) > MAX_CELLS:
-        raise TooManyCells(f"{len(values)} distinct values exceed the cap of {MAX_CELLS}")
+        raise TooManyCells(f"column {name!r} has {len(values)} distinct values, above the cap "
+                           f"of {MAX_CELLS} for cell means")
     return values, cell, counts
 
 

@@ -573,6 +573,37 @@ def test_identified_set_prints_an_empty_set_and_exits_zero(tmp_path, capsys):
         "identified set at alpha = 0.05: empty (specification rejected everywhere on the grid)"]
 
 
+@pytest.mark.parametrize("method", ["series", "local-linear"])
+def test_test_decides_an_exact_fit(tmp_path, capsys, method):
+    # y = 0 fits exactly, so every moment is 0: its zero covariance draws 0 and is not rejected
+    g = np.random.default_rng(0)
+    z = g.uniform(-1, 1, 500)
+    from ivcheck.data import Dataset
+    p = tmp_path / "zero-y.csv"
+    write_csv(Dataset(y=np.zeros(500), x=z + g.standard_normal(500), z=z), p)
+    code = main(_args(str(p), "test", "--method", method))
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "s_rounding = 100 " in out and out.count("fail to reject H0") == 3
+    assert "-0.0" not in out
+
+
+def test_cell_means_propensity_names_a_column_of_too_many_values(tmp_path, capsys):
+    # without --z-cols the instrument is x, whose 800 values are too many for cell means
+    g = np.random.default_rng(0)
+    z = g.integers(0, 7, 800).astype(float)
+    x = z + g.standard_normal(800)
+    from ivcheck.data import Dataset
+    p = tmp_path / "seven-z.csv"
+    write_csv(Dataset(y=x + g.standard_normal(800), x=x, z=z,
+                      column_names={"y": "y", "x": ["x"], "z": ["z"]}), p)
+    code = main(["mte", str(p), "--propensity-method", "cell-means", "--x", "4",
+                 "--x-prime", "2"])
+    assert code == EXIT_ERROR
+    assert _one_error_line(capsys.readouterr().err) == (
+        "error: column 'x' has 800 distinct values, above the cap of 50 for cell means")
+
+
 def test_overid_exact_fit_exits_one(tmp_path, capsys):
     g = np.random.default_rng(0)
     z = g.uniform(0, 1, 100)

@@ -18,7 +18,6 @@ from ivcheck.data import Dataset, RngSpec
 from ivcheck.errors import (
     ArrayTooLarge,
     DegenerateSupport,
-    DegenerateVariance,
     EmptyGrid,
     InsufficientData,
     InvalidGrid,
@@ -355,20 +354,37 @@ def test_constant_conditioning_column_is_refused_by_its_grid(method):
 
 
 @pytest.mark.parametrize("method", ["series", "local-linear", "series-stack"])
-def test_zero_moments_are_refused_before_the_root(method):
-    """The sup test refuses a zero coefficient covariance itself, before any root is taken;
-    in a series stack one zero slice is enough."""
+def test_zero_moments_are_decided_not_refused(method):
+    """A zero coefficient covariance has a zero root: s and every draw are 0, so kappa, k and
+    theta_corrected are 0.0 (not -0.0), every point counts in s_rounding, and the test does
+    not reject; in a series stack the zero slice does so beside a normal one."""
     z = np.random.default_rng(15).uniform(-1, 1, 200)
     ms = _paired([np.zeros(200)], ["zero"], z, "z")
-    rng = RngSpec(seed=0)
     if method == "series-stack":
         base = np.stack([np.random.default_rng(16).standard_normal((200, 1)), ms.base])
-        ms, method, rng = replace(ms, base=base, conditioning=np.stack([z, z])), "series", [rng] * 2
-    with mock.patch("numpy.linalg.eigh") as eigh:
-        with pytest.raises(DegenerateVariance,
-                           match="^the coefficient covariance is zero: no standard error to draw$"):
-            run_test(ms, None, Cfg(method=method), rng)
-    eigh.assert_not_called()
+        ms = replace(ms, base=base, conditioning=np.stack([z, z]))
+        normal, report = run_test(ms, None, Cfg(), [RngSpec(seed=0)] * 2)
+        assert normal.diagnostics["s_rounding"] == 0 and normal.kappa > 0
+    else:
+        report = run_test(ms, None, Cfg(method=method), RngSpec(seed=0))
+    assert report.diagnostics["s_rounding"] == len(report.grid) > 0
+    assert not np.any(report.s)
+    for level in report.levels.values():
+        values = [report.kappa, level.k_crit, level.k_crit_full, level.theta_corrected]
+        assert not np.any(values) and not np.signbit(values).any()  # 0.0, not -0.0
+        assert not level.reject
+    assert "-0.0" not in report.summary()
+
+
+def test_identified_set_keeps_an_exact_fit_theta():
+    """A theta whose moments are all 0 is decided on the grid, not refused: with y = 0 the
+    slope 0 fits exactly and is kept, while slopes that leave E[x | z] = z are rejected."""
+    g = np.random.default_rng(0)
+    z = g.uniform(-1, 1, 500)
+    ds = Dataset(y=np.zeros(500), x=z + g.standard_normal(500), z=z)
+    for thetas, accepted in [([-1.0, 0.0, 1.0], (0.0,)), ([-1.0, -0.5], ())]:
+        out = identified_set(ds, lambda x, theta: theta * x[:, 0], thetas, rng=RngSpec(seed=1))
+        assert out.accepted == accepted, thetas
 
 
 @pytest.mark.parametrize("family, spec, default", [
@@ -574,10 +590,11 @@ def test_cell_means_caps_the_sup_test_at_max_cells():
                       RngSpec(seed=0))
     assert len(report.grid) == npreg.MAX_CELLS
     z = np.repeat(np.append(values, npreg.MAX_CELLS), 4)
-    with pytest.raises(TooManyCells, match=f"^{npreg.MAX_CELLS + 1} distinct values exceed "
-                                           f"the cap of {npreg.MAX_CELLS}$"):
-        run_test(_one_sided(g.standard_normal(len(z)), z), None, Cfg(method="cell-means"),
-                 RngSpec(seed=0))
+    ms = replace(_one_sided(g.standard_normal(len(z)), z), conditioning_column="z")
+    with pytest.raises(TooManyCells, match=f"^column 'z' has {npreg.MAX_CELLS + 1} distinct "
+                                           f"values, above the cap of {npreg.MAX_CELLS} for "
+                                           "cell means$"):
+        run_test(ms, None, Cfg(method="cell-means"), RngSpec(seed=0))
 
 
 def _pinned_systems():

@@ -17,6 +17,7 @@ from ivcheck.errors import (
     IvcheckError,
     MissingBounds,
     OffSupport,
+    RankDeficient,
 )
 from ivcheck.mte import (
     MIN_EFFECTIVE_OBS,
@@ -319,12 +320,23 @@ def test_control_function_rejects_nonpositive_bandwidth(bandwidths):
 
 
 def test_control_function_rejects_constant_regressor():
-    # a constant regressor has sd 0, so its rule-of-thumb bandwidth is 0
+    # a constant regressor has no bandwidth: it is refused before one is computed
     ds, _ = _heterogeneous_ds(500, 7)
     pf = fit_propensity(ds)
     flat = Dataset(y=ds.y, x=np.full(ds.n, 2.0), z=ds.z)
-    with pytest.raises(InsufficientData, match="bandwidth must be positive"):
+    with pytest.raises(RankDeficient, match="^regressor 'x1' is constant: the control "
+                                            "function needs it to vary$"):
         fit_control_function(flat, pf)
+
+
+def test_control_function_rejects_a_constant_regressor_by_its_values():
+    # 0.1 on 1000 rows has sd 4.7e-18, not 0: a bandwidth from it would build a fit on
+    # which every conditional mean is off support
+    ds, _ = _heterogeneous_ds(1000, 7)
+    flat = Dataset(y=ds.y, x=np.full(ds.n, 0.1), z=ds.z, column_names={"x": ["dose"]})
+    assert np.std(flat.x) > 0
+    with pytest.raises(RankDeficient, match="^regressor 'dose' is constant"):
+        fit_control_function(flat, fit_propensity(ds))
 
 
 def test_control_function_rule_of_thumb_bandwidths():
