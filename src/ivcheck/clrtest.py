@@ -12,13 +12,21 @@ statistic (Chernozhukov, Lee and Rosen 2013) per significance level.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import npreg
-from .data import MIN_ROWS, Dataset, RngSpec, _quantiles, check_finite, conditioning_grid
+from .data import (
+    MIN_ROWS,
+    Dataset,
+    RngSpec,
+    _checked_replace,
+    _quantiles,
+    check_finite,
+    conditioning_grid,
+)
 from .errors import (
     ArrayTooLarge,
     EmptyGrid,
@@ -45,8 +53,7 @@ ARRAY_BUDGET_BYTES = 2**32
 VARIANCE_SERIES_ORDER = 2
 
 
-@dataclass(frozen=True)
-class TestConfig:
+class _TestConfigFields(NamedTuple):
     alpha_levels: tuple = DEFAULT_ALPHAS
     grid_count: int = 100
     method: str = "series"  # one of METHODS
@@ -54,7 +61,14 @@ class TestConfig:
     bandwidth: float | None = None
     mult_draws: int = 1000
 
-    def __post_init__(self):
+
+class TestConfig(_TestConfigFields):
+    """The sup test's settings, checked when made and when `_replace`d."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.alpha_levels or not all(0.0 < a < 1.0 for a in self.alpha_levels):
             raise IvcheckError("alpha levels must be one or more values in (0, 1), "
                                f"got {self.alpha_levels}")
@@ -69,17 +83,19 @@ class TestConfig:
         if self.mult_draws < 200:
             raise SimulationBudgetTooSmall(f"need at least 200 multiplier draws, "
                                            f"got {self.mult_draws}")
+        return self
+
+    _replace = _checked_replace
 
     def with_level(self, alpha: float) -> TestConfig:
         """This config with `alpha` added to the computed levels if missing."""
         if alpha in self.alpha_levels:
             return self
         levels = tuple(sorted((*self.alpha_levels, alpha), reverse=True))
-        return replace(self, alpha_levels=levels)
+        return self._replace(alpha_levels=levels)
 
 
-@dataclass(frozen=True)
-class LevelResult:
+class LevelResult(NamedTuple):
     alpha: float
     k_crit: float
     k_crit_full: float
@@ -88,8 +104,7 @@ class LevelResult:
     selected_set_size: int
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(NamedTuple):
     alpha_levels: tuple
     levels: dict  # alpha -> LevelResult
     grid: np.ndarray  # conditioning grid actually used
@@ -98,7 +113,7 @@ class TestReport:
     moment_labels: tuple
     kappa: float
     gamma_n: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     def reject(self, alpha: float) -> bool:
         return self.levels[alpha].reject
@@ -138,12 +153,11 @@ class TestReport:
                   "n_moments": len(self.moment_labels),
                   **{key: self.diagnostics.get(key, "")
                      for key in ("method", "series_order", "bandwidth", "mult_draws", "seed")}}
-        return [{**asdict(level), "reject": int(level.reject), **shared}
+        return [{**level._asdict(), "reject": int(level.reject), **shared}
                 for level in map(self.levels.get, self.alpha_levels)]
 
 
-@dataclass(frozen=True)
-class IdentifiedSet:
+class IdentifiedSet(NamedTuple):
     theta_grid: tuple
     accepted: tuple
     alpha: float
@@ -209,8 +223,7 @@ def run_test(ms: MomentSystem, grid=None, cfg: TestConfig = TestConfig(),
     return reports if ms.base.ndim == 3 else reports[0]
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """The base moments on the grid and their standardized process: run_test's first stage."""
     grid: np.ndarray  # conditioning grid actually used
     theta: np.ndarray  # (n_base, len(grid))
@@ -266,7 +279,7 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
         raise InsufficientData(f"the sup test needs n >= {MIN_ROWS} rows, "
                                f"got {ms.conditioning.shape[-1]}")
     if ms.conditioning.ndim == 1:
-        ms, rng = replace(ms, base=ms.base[None], conditioning=ms.conditioning[None]), [rng]
+        ms, rng = ms._replace(base=ms.base[None], conditioning=ms.conditioning[None]), [rng]
     c, method = ms.conditioning, cfg.method
     orders = [npreg.capped_series_order(ci, cfg.series_order) if method == "series" else None
               for ci in c]
@@ -407,9 +420,9 @@ def test_model(
         if spec.homoskedastic:
             # the heavy tails of squared residuals make a rich series fit
             # too noisy to detect smooth variance deviations
-            cfg = replace(cfg, series_order=VARIANCE_SERIES_ORDER)
+            cfg = cfg._replace(series_order=VARIANCE_SERIES_ORDER)
         elif spec.form is ModelForm.BOXCOX:
-            cfg = replace(cfg, series_order=npreg.nonlinear_step_series_order(ds.n))
+            cfg = cfg._replace(series_order=npreg.nonlinear_step_series_order(ds.n))
     report = run_test(ms, None, cfg, rng)
     for i, one in [((), report)] if ds.y.ndim == 1 else enumerate(report):
         one.diagnostics["first_step"] = _fit_summary(fit, i)

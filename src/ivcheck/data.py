@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,25 +21,36 @@ from .errors import (
 MIN_ROWS = 10  # the fewest rows of the sup test, the propensity, overid and fit_local_linear
 
 
-@dataclass(frozen=True)
-class Dataset:
+def _checked_replace(record, **changes):
+    """`_replace` of a record whose class checks or derives its fields in `__new__`: the new
+    record goes through that `__new__` too, as at construction. `__getnewargs__` gives
+    the fields that `__new__` takes."""
+    return type(record)(**{**dict(zip(record._fields, record.__getnewargs__())), **changes})
+
+
+class _DatasetFields(NamedTuple):
+    y: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    column_names: dict
+
+
+class Dataset(_DatasetFields):
     """Immutable (y, x, z) sample.
 
     y is a length-n vector, x an (n, k_x) matrix and z an (n, k_z) matrix.
     All entries are finite; the three blocks share the row count. A stack of
     samples of one size puts a leading axis on all three: y (R, n), x (R, n, k_x)
-    and z (R, n, k_z).
+    and z (R, n, k_z). The blocks are read-only float arrays, and `column_names`
+    defaults to a new empty dict.
     """
 
-    y: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-    column_names: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        x = np.asarray(self.x, dtype=float)
-        z = np.asarray(self.z, dtype=float)
+    def __new__(cls, y, x, z, column_names=None):
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        x = np.asarray(x, dtype=float)
+        z = np.asarray(z, dtype=float)
         if y.ndim == 1:
             x = x[:, None] if x.ndim == 1 else x
             z = z[:, None] if z.ndim == 1 else z
@@ -53,9 +65,9 @@ class Dataset:
         y.setflags(write=False)
         x.setflags(write=False)
         z.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
+        return super().__new__(cls, y, x, z, {} if column_names is None else column_names)
+
+    _replace = _checked_replace
 
     @property
     def n(self) -> int:
@@ -84,12 +96,16 @@ def load_csv(path, y_col, x_cols, z_cols) -> Dataset:
 
     Raises MissingColumn, ParseError, NonFiniteValue or EmptyData; rows keep
     file order. A leading UTF-8 byte-order mark, as spreadsheet exports write
-    it, is not part of the first header cell.
+    it, is not part of the first header cell. NumPy's C parser (`np.loadtxt`)
+    reads the selected columns, rounding each number as `float` does. A file
+    that it refuses, or that holds a quote or a non-finite value, is read again
+    cell by cell (`_read_cells`), which decides it and names a bad cell.
     """
     if isinstance(x_cols, str):
         x_cols = [x_cols]
     if isinstance(z_cols, str):
         z_cols = [z_cols]
+    names = [y_col, *x_cols, *z_cols]
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -97,29 +113,17 @@ def load_csv(path, y_col, x_cols, z_cols) -> Dataset:
         except StopIteration:
             raise EmptyData(f"{path} is empty") from None
         header = [h.strip() for h in header]
-        pos = {}
-        for name in [y_col, *x_cols, *z_cols]:
+        for name in names:
             if name not in header:
                 raise MissingColumn(name)
-            pos[name] = header.index(name)
-        rows = []
-        for i, raw in enumerate(reader):
-            if not raw or all(not c.strip() for c in raw):
-                continue
-            rec = []
-            for name in [y_col, *x_cols, *z_cols]:
-                cell = raw[pos[name]].strip() if pos[name] < len(raw) else ""
-                try:
-                    val = float(cell)
-                except ValueError:
-                    raise ParseError(i, name, cell) from None
-                if not math.isfinite(val):
-                    raise NonFiniteValue(i, name)
-                rec.append(val)
-            rows.append(rec)
-    if not rows:
+        cols = [header.index(name) for name in names]
+        arr = _parse_columns(fh, cols)
+        if arr is None:
+            fh.seek(0)
+            next(reader)
+            arr = _read_cells(reader, names, cols)
+    if not len(arr):
         raise EmptyData(f"{path} has no data rows")
-    arr = np.asarray(rows, dtype=float)
     ky = 1
     kx = len(x_cols)
     return Dataset(
@@ -128,6 +132,57 @@ def load_csv(path, y_col, x_cols, z_cols) -> Dataset:
         z=arr[:, ky + kx :],
         column_names={"y": y_col, "x": list(x_cols), "z": list(z_cols)},
     )
+
+
+def _parse_columns(lines, cols) -> np.ndarray | None:
+    """Columns `cols` of the comma-delimited `lines` as (rows, len(cols)) floats, by np.loadtxt.
+
+    None where `_read_cells` must decide: a line that loadtxt refuses, a
+    non-finite value, or a quote, which csv reads as quoting and loadtxt would not.
+    """
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows warns "input contained no data"; load_csv raises EmptyData
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(_unquoted(lines), delimiter=",", usecols=cols, comments=None,
+                             ndmin=2)
+    except ValueError:
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def _unquoted(lines):
+    """The lines, up to one with a quote, which raises ValueError: csv reads a quoted cell
+    whole, where np.loadtxt would split it at its commas and shift the columns after it."""
+    for line in lines:
+        if '"' in line:
+            raise ValueError("a quoted cell")
+        yield line
+
+
+def _read_cells(reader, names, cols) -> np.ndarray:
+    """The columns `cols`, named `names`, of the csv rows of `reader`, one `float` per cell.
+
+    Blank and whitespace-only rows are skipped. A cell that is not a number
+    raises ParseError, and a NaN or inf NonFiniteValue, with its data row, blank
+    rows counted.
+    """
+    rows = []
+    for i, raw in enumerate(reader):
+        if not raw or all(not c.strip() for c in raw):
+            continue
+        rec = []
+        for name, col in zip(names, cols):
+            cell = raw[col].strip() if col < len(raw) else ""
+            try:
+                val = float(cell)
+            except ValueError:
+                raise ParseError(i, name, cell) from None
+            if not math.isfinite(val):
+                raise NonFiniteValue(i, name)
+            rec.append(val)
+        rows.append(rec)
+    return np.asarray(rows, dtype=float)
 
 
 def write_csv(ds: Dataset, path) -> None:
@@ -202,8 +257,7 @@ def _quantiles(x: np.ndarray, qs) -> list:
     return np.where(t >= 0.5, above - diff * (1 - t), below + diff * t).tolist()
 
 
-@dataclass(frozen=True)
-class RngSpec:
+class RngSpec(NamedTuple):
     """Deterministic RNG handle: identical (seed, stream) gives identical draws."""
 
     seed: int = 0
@@ -216,4 +270,4 @@ class RngSpec:
 
     def substream(self, index: int) -> "RngSpec":
         """Child stream for worker/replication `index`; order-independent."""
-        return replace(self, stream=self.stream * 1_000_003 + index + 1)
+        return self._replace(stream=self.stream * 1_000_003 + index + 1)

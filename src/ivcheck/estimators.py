@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ class FitMethod(Enum):
     GMM2STEP = "gmm2step"
 
 
-@dataclass(frozen=True)
-class LinearFit:
+class LinearFit(NamedTuple):
     """A linear first step; that of a stacked Dataset has the stack's leading axis on each field."""
 
     beta: np.ndarray
@@ -45,8 +44,7 @@ class LinearFit:
     beta_first_step: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class BoxCoxFit:
+class BoxCoxFit(NamedTuple):
     """The Box-Cox profile fit; that of a stacked Dataset has the stack's leading axis on every
     field but use_iv."""
 
@@ -374,8 +372,8 @@ def fit_boxcox(ds: Dataset, use_iv: bool = False) -> BoxCoxFit:
     """
     if ds.y.ndim > 1:
         fits = [fit_boxcox(Dataset(y, x, z), use_iv) for y, x, z in zip(ds.y, ds.x, ds.z)]
-        stacked = {f.name: np.stack([getattr(fit, f.name) for fit in fits])
-                   for f in fields(BoxCoxFit) if f.name != "use_iv"}
+        stacked = {name: np.stack([getattr(fit, name) for fit in fits])
+                   for name in BoxCoxFit._fields if name != "use_iv"}
         return BoxCoxFit(**stacked, use_iv=use_iv)
     if ds.k_x != 1:
         raise DomainError("fit_boxcox expects a scalar regressor")

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ class Conditioning(Enum):
     ON_X = "x"
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     """The model a first step estimates and what its moments test.
 
     Exogeneity of the error given the conditioning column is always tested;
@@ -36,8 +35,7 @@ class ModelSpec:
     homoskedastic: bool = False
 
 
-@dataclass(frozen=True)
-class MomentSystem:
+class MomentSystem(NamedTuple):
     """Signed moment values W_j per row plus the scalar conditioning column.
 
     Columns of `base` hold the unsigned transforms and `moments` lists

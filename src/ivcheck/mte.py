@@ -6,11 +6,18 @@ Used as the fallback when the parametric specification test rejects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .data import MIN_ROWS, Dataset, _quantiles, conditioning_grid, empirical_quantile
+from .data import (
+    MIN_ROWS,
+    Dataset,
+    _checked_replace,
+    _quantiles,
+    conditioning_grid,
+    empirical_quantile,
+)
 from .errors import (InsufficientData, IvcheckError, MissingBounds, OffSupport, RankDeficient,
                      check_finite_scalars, check_outcome_bounds)
 from .npreg import (
@@ -79,8 +86,7 @@ def _bilinear(z_grid, x_grid, surface, z, x) -> np.ndarray:
     return np.clip((1 - t) * along_x(zi) + t * along_x(zi + 1), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class PropensityFit:
+class PropensityFit(NamedTuple):
     z_grid: np.ndarray
     x_grid: np.ndarray
     surface: np.ndarray  # (len(z_grid), len(x_grid)), isotone in x, clipped to [0,1]
@@ -167,8 +173,7 @@ def ks_distance_uniform(u: np.ndarray) -> float:
     return float(max(np.max(grid - u), np.max(u - (grid - 1.0 / n))))
 
 
-@dataclass(frozen=True)
-class UniformityReport:
+class UniformityReport(NamedTuple):
     overall: float
     by_bin: dict  # bin label -> KS distance within the instrument bin
 
@@ -191,19 +196,29 @@ def uniformity_diagnostic(pf: PropensityFit, z: np.ndarray | None = None) -> Uni
     return UniformityReport(overall=overall, by_bin=by_bin)
 
 
-@dataclass(frozen=True)
-class ControlFunctionFit:
+class _ControlFunctionFields(NamedTuple):
     x: np.ndarray
     v_hat: np.ndarray
     y: np.ndarray
     bandwidth_x: float
     bandwidth_p: float
-    rows: _LocalLinear = field(init=False, repr=False, compare=False)  # (x, v_hat), sorted on x
+    rows: _LocalLinear  # (x, v_hat), sorted on x
 
-    def __post_init__(self):
-        rows = _LocalLinear.sort(np.column_stack([self.x, self.v_hat]),
-                                 [self.bandwidth_x, self.bandwidth_p])
-        object.__setattr__(self, "rows", rows)
+
+class ControlFunctionFit(_ControlFunctionFields):
+    """Local planes of y in (x, v_hat). `rows` is built from the other five fields, once per
+    fit: the constructor and `_replace` take those five, and build it again."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, v_hat, y, bandwidth_x, bandwidth_p):
+        rows = _LocalLinear.sort(np.column_stack([x, v_hat]), [bandwidth_x, bandwidth_p])
+        return super().__new__(cls, x, v_hat, y, bandwidth_x, bandwidth_p, rows)
+
+    def __getnewargs__(self):
+        return self[:-1]
+
+    _replace = _checked_replace
 
     def planes(self, x0: float, p0s, w: np.ndarray):
         """Local planes in (x, rank) of w, (n,) or (n, m), at (x0, p) for each p in p0s.
@@ -260,8 +275,7 @@ def estimate_mte(cf: ControlFunctionFit, p: float, x: float, x_prime: float) -> 
     return 0.0 if x == x_prime else at_x - cf.cond_mean(x_prime, p)
 
 
-@dataclass(frozen=True)
-class AsfEstimate:
+class AsfEstimate(NamedTuple):
     x: float
     value: float | None  # point estimate when the rank support is (conventionally) full
     interval: tuple | None  # (lower, upper) under partial support with outcome bounds
@@ -322,8 +336,7 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-@dataclass(frozen=True)
-class Condition1Report:
+class Condition1Report(NamedTuple):
     v_grid: np.ndarray
     coverage: dict  # v -> fraction of the x-range spanned by h_v over instrument bins
     injectivity_violations: int

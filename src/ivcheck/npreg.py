@@ -26,9 +26,8 @@ caller's grid, for the reason that `DROP_REASONS` gives per method.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -102,8 +101,7 @@ def _influence_cov(blocks, lead, m: int, g: int) -> np.ndarray:
     return cov.reshape(*lead, m * g, m * g)
 
 
-@dataclass(frozen=True)
-class Smoother:
+class Smoother(NamedTuple):
     """theta(v) = design(v) @ coef for each column of W, with coef = P @ W.
 
     cov is the HC0 covariance of the coefficients, stacked column by column of
@@ -195,8 +193,7 @@ def _positive(bandwidth) -> float:
     return float(bandwidth)
 
 
-@dataclass(frozen=True)
-class _LocalLinear:
+class _LocalLinear(NamedTuple):
     """Kernel-weighted local-linear fits at points in d coordinates, on rows sorted on coordinate 0.
 
     `sort` sorts the rows once. `at` sums each point's normal matrix A = D'KD,
@@ -227,7 +224,7 @@ class _LocalLinear:
         d = self.u.shape[1]
         points = np.asarray(points, dtype=float).reshape(-1, d)
         index = np.argsort(points[:, 0], kind="stable")
-        every = replace(self, points=points[index], index=index)
+        every = self._replace(points=points[index], index=index)
         normal, count = np.zeros((len(points), d + 1, d + 1)), np.zeros(len(points), dtype=int)
         for block, _, du, k in every.blocks():
             design = _design(du)  # (P, R, d + 1)
@@ -236,8 +233,8 @@ class _LocalLinear:
         diag = normal.diagonal(axis1=1, axis2=2)
         scale = diag[:, 0] * np.prod(np.maximum(diag[:, 1:], self.bandwidth**2), axis=1)
         kept = (count >= min_rows) & (np.linalg.det(normal) > 1e-12 * scale)
-        return replace(every, points=every.points[kept], index=index[kept],
-                       inverse=np.linalg.inv(normal[kept])), kept[np.argsort(index)]
+        return every._replace(points=every.points[kept], index=index[kept],
+                              inverse=np.linalg.inv(normal[kept])), kept[np.argsort(index)]
 
     def blocks(self):
         """(points, rows, du, k) per block of LOCAL_LINEAR_BLOCK_CELLS // G sorted rows.
@@ -377,8 +374,7 @@ def cell_means_smoother(z, w):
     return Smoother(partial(_point_design, values[ok]), coef[ok], cov), ok
 
 
-@dataclass(frozen=True)
-class CondMeanFit:
+class CondMeanFit(NamedTuple):
     """Fitted conditional mean, evaluable pointwise with a standard error."""
 
     smoother_at: Callable  # v (G,) -> Smoother whose design covers v

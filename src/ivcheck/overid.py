@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ class OveridMethod(Enum):
     HANSEN_J = "hansen-j"
 
 
-@dataclass(frozen=True)
-class OveridReport:
+class OveridReport(NamedTuple):
     statistic: float
     dof: int
     p_value: float

@@ -8,7 +8,6 @@ import functools
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -16,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .clrtest import TestConfig, test_model
-from .data import Dataset, RngSpec
+from .data import Dataset, RngSpec, _checked_replace
 from .errors import IvcheckError
 from .estimators import boxcox_transform
 from .moments import Conditioning, ModelForm, ModelSpec
@@ -76,8 +75,7 @@ DESIGNS = {
 }
 
 
-@dataclass(frozen=True)
-class DgpSpec:
+class _DgpSpecFields(NamedTuple):
     family: DgpFamily
     n: int
     lam: float = 0.0  # Box-Cox exponent for the nonlinear families
@@ -85,7 +83,14 @@ class DgpSpec:
     sigma: float = 1.0  # peakedness of the power deviation
     rho: float = 0.0  # heteroskedasticity strength
 
-    def __post_init__(self):
+
+class DgpSpec(_DgpSpecFields):
+    """One design of a study, checked when made and when `_replace`d."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("lam", "L", "sigma", "rho"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -94,6 +99,9 @@ class DgpSpec:
             raise IvcheckError("n must be at least 50")
         if self.L < 0 or self.sigma <= 0 or not 0 <= self.rho <= 1:
             raise IvcheckError("need L >= 0, sigma > 0, rho in [0, 1]")
+        return self
+
+    _replace = _checked_replace
 
     def label(self) -> str:
         design = DESIGNS[self.family]
@@ -113,7 +121,8 @@ def generate(spec: DgpSpec, rng) -> Dataset:
     y = 2 f(x) + u. `rng` is a RngSpec, or a sequence of them that draws a
     stacked Dataset whose slice i is generate(spec, rng[i]) bit for bit.
     """
-    gens = [r.generator() for r in (rng if isinstance(rng, (list, tuple)) else [rng])]
+    stacked = not isinstance(rng, RngSpec)
+    gens = [r.generator() for r in (rng if stacked else [rng])]
     n = spec.n
     design = DESIGNS[spec.family]
     boxcox = design.form is ModelForm.BOXCOX
@@ -142,7 +151,7 @@ def generate(spec: DgpSpec, rng) -> Dataset:
     elif design.deviation is Deviation.HETERO:
         u = u * np.sqrt(1.0 + spec.rho / 9.0 * c**2)
     y = 2.0 * (boxcox_transform(x, spec.lam) if boxcox else x) + u
-    if isinstance(rng, (list, tuple)):
+    if stacked:
         return Dataset(y=y, x=x[..., None], z=c[..., None])
     return Dataset(y=y[0], x=x[0], z=c[0])
 
@@ -163,8 +172,7 @@ class Method(Enum):
     HANSEN_J = "hansen-j"
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     dgp: str
     method: str
     alpha: float
@@ -174,11 +182,19 @@ class CellResult:
     failures: int = 0
 
 
-@dataclass(frozen=True)
-class StudyResult:
+class _StudyResultFields(NamedTuple):
     cells: tuple  # of CellResult
     runtime_seconds: float
-    config: dict = field(default_factory=dict)
+    config: dict
+
+
+class StudyResult(_StudyResultFields):
+    """A study's cells; `config`, run_study's settings and counts, defaults to a new empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, cells, runtime_seconds, config=None):
+        return super().__new__(cls, cells, runtime_seconds, {} if config is None else config)
 
     def rate(self, dgp_label: str, method: str, alpha: float) -> float:
         for cell in self.cells:
@@ -187,7 +203,7 @@ class StudyResult:
         raise KeyError((dgp_label, method, alpha))
 
     def to_rows(self):
-        return [asdict(c) for c in self.cells]
+        return [c._asdict() for c in self.cells]
 
 
 def chunk_size(n: int) -> int:
@@ -422,7 +438,7 @@ def power_curve(
         raise IvcheckError("n_list must be strictly increasing")
     rows = []
     for n in n_list:
-        spec = replace(family_spec, n=n)
+        spec = family_spec._replace(n=n)
         result = run_study([spec], methods, reps, cfg, rng.substream(n), jobs)
         for cell in result.cells:
             rows.append(

@@ -1,7 +1,6 @@
 import ctypes
 import tracemalloc
 import warnings
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -176,13 +175,13 @@ def test_decisions_invariant_under_affine_maps_of_y(seed, n, family, method, log
     4.6e-10 and cell means by 0."""
     ds = generate(DgpSpec(family=family, n=n), RngSpec(seed=seed))
     if method == "cell-means":
-        ds = replace(ds, z=np.round(3 * ds.z / np.abs(ds.z).max()))
+        ds = ds._replace(z=np.round(3 * ds.z / np.abs(ds.z).max()))
     a = 10.0**log_a
     cfg = Cfg(method=method, mult_draws=300)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # grid points dropped alike for y and a y + b
         unit = model_test(ds, IV_SPEC, cfg, RngSpec(seed=seed))
-        mapped = model_test(replace(ds, y=a * ds.y + a * shift), IV_SPEC, cfg,
+        mapped = model_test(ds._replace(y=a * ds.y + a * shift), IV_SPEC, cfg,
                             RngSpec(seed=seed))
     levels = [unit.levels[alpha] for alpha in unit.alpha_levels]
     scale = np.abs(unit.theta).max() + max(lv.k_crit_full for lv in levels) * unit.s.max()
@@ -246,7 +245,7 @@ def test_array_budget_counts_every_slice_of_a_stacked_part():
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        one = replace(stack, base=stack.base[0], conditioning=z[0])
+        one = stack._replace(base=stack.base[0], conditioning=z[0])
         assert run_test(one, None, Cfg(), rngs[0]).diagnostics["series_order"] == 16
 
 
@@ -335,8 +334,8 @@ def test_fewer_rows_than_the_floor_raise_insufficient_data():
         ms = _one_sided(g.standard_normal(npreg.MIN_ROWS - 1), np.round(z[0]))
         with pytest.raises(InsufficientData, match=f"n >= {npreg.MIN_ROWS} rows, got 9"):
             run_test(ms, None, cfg, RngSpec(seed=0))
-        stack = replace(ms, base=g.standard_normal((2, npreg.MIN_ROWS - 1, 1)),
-                        conditioning=np.round(z))
+        stack = ms._replace(base=g.standard_normal((2, npreg.MIN_ROWS - 1, 1)),
+                            conditioning=np.round(z))
         with pytest.raises(InsufficientData, match=f"n >= {npreg.MIN_ROWS} rows"):
             run_test(stack, None, cfg, [RngSpec(seed=0), RngSpec(seed=1)])
     ds = Dataset(y=g.standard_normal(9), x=z[1] + 0.1 * z[0], z=z[1])
@@ -362,7 +361,7 @@ def test_zero_moments_are_decided_not_refused(method):
     ms = _paired([np.zeros(200)], ["zero"], z, "z")
     if method == "series-stack":
         base = np.stack([np.random.default_rng(16).standard_normal((200, 1)), ms.base])
-        ms = replace(ms, base=base, conditioning=np.stack([z, z]))
+        ms = ms._replace(base=base, conditioning=np.stack([z, z]))
         normal, report = run_test(ms, None, Cfg(), [RngSpec(seed=0)] * 2)
         assert normal.diagnostics["s_rounding"] == 0 and normal.kappa > 0
     else:
@@ -424,6 +423,17 @@ def test_config_rejects_empty_alpha_levels():
     """No level, no decision: `summary()` would print none and `reject` raise KeyError."""
     with pytest.raises(IvcheckError, match="alpha levels"):
         Cfg(alpha_levels=())
+
+
+def test_config_replace_goes_through_its_checks():
+    # `_replace`, as `with_level` and test_model's series order use it, checks the new config
+    with pytest.raises(IvcheckError, match="method must be one of"):
+        Cfg()._replace(method="kernel")
+    with pytest.raises(SimulationBudgetTooSmall):
+        Cfg()._replace(mult_draws=100)
+    with pytest.raises(IvcheckError, match="alpha levels"):
+        Cfg().with_level(1.5)
+    assert Cfg()._replace(series_order=3) == Cfg(series_order=3)
 
 
 def test_first_step_fit_dispatch():
@@ -590,7 +600,7 @@ def test_cell_means_caps_the_sup_test_at_max_cells():
                       RngSpec(seed=0))
     assert len(report.grid) == npreg.MAX_CELLS
     z = np.repeat(np.append(values, npreg.MAX_CELLS), 4)
-    ms = replace(_one_sided(g.standard_normal(len(z)), z), conditioning_column="z")
+    ms = _one_sided(g.standard_normal(len(z)), z)._replace(conditioning_column="z")
     with pytest.raises(TooManyCells, match=f"^column 'z' has {npreg.MAX_CELLS + 1} distinct "
                                            f"values, above the cap of {npreg.MAX_CELLS} for "
                                            "cell means$"):
@@ -906,7 +916,7 @@ def _assert_same_report(got, want):
 def test_decide_on_one_estimate_equals_run_test(name):
     """One Estimate serves the +/- pair and its + moment alone, each as run_test gives it."""
     pair, cfg = _pinned_systems()[name]
-    plus = replace(pair, moments=pair.moments[:1])
+    plus = pair._replace(moments=pair.moments[:1])
     est = estimate(pair, None, cfg, RngSpec(seed=11))
     for ms in (pair, plus):
         report = decide(est, ms.moments, cfg.alpha_levels)
@@ -1134,7 +1144,7 @@ def test_decisions_invariant_to_row_permutation(seed, n, n_base, tied, method, b
     """
     g, ms = _random_paired(seed, n, n_base, tied, method)
     perm = g.permutation(n)
-    permuted = replace(ms, base=ms.base[perm], conditioning=ms.conditioning[perm])
+    permuted = ms._replace(base=ms.base[perm], conditioning=ms.conditioning[perm])
     cfg = Cfg(method=method, bandwidth=bandwidth, mult_draws=200)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # grid points dropped alike in both
@@ -1167,7 +1177,7 @@ def test_decisions_invariant_to_affine_map_of_conditioning(seed, n, n_base, tied
     """
     a = 10.0**log_scale
     _, ms = _random_paired(seed, n, n_base, tied, method)
-    mapped = replace(ms, conditioning=a * ms.conditioning + shift)
+    mapped = ms._replace(conditioning=a * ms.conditioning + shift)
     cfgs = [Cfg(method=method, bandwidth=h, grid_count=30, mult_draws=200)
             for h in (bandwidth, None if bandwidth is None else a * bandwidth)]
     with warnings.catch_warnings():
@@ -1193,7 +1203,7 @@ def _stack_of_three(method):
         z = np.round(3 * z)
     base = g.standard_normal((3, 300, 2)) + g.uniform(-0.4, 0.4, (3, 1, 2)) * z[..., None]
     stack = _paired([base[..., 0], base[..., 1]], ["w0", "w1"], z, "z")
-    slices = [replace(stack, base=stack.base[i], conditioning=z[i]) for i in range(3)]
+    slices = [stack._replace(base=stack.base[i], conditioning=z[i]) for i in range(3)]
     cfg = Cfg(method=method.removesuffix("-shared"), mult_draws=200)
     return stack, slices, cfg
 

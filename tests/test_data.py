@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ivcheck import CONFIG_KEYS, parse_config
+from ivcheck import CONFIG_KEYS, data, parse_config
 from ivcheck.data import (
     Dataset,
     RngSpec,
@@ -288,3 +288,85 @@ def test_config_keys_documented():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     listed = readme.split("Recognized keys:", 1)[1].split("A value that does not parse", 1)[0]
     assert set(re.findall(r"`([a-z_]+\.[a-z_]+)`", listed)) == set(CONFIG_KEYS)
+
+
+# (file bytes, y column, x columns, z columns), each read by np.loadtxt or by the per-cell reader
+CSV_CORPUS = {
+    "crlf": (b"y,x,z\r\n1,2,3\r\n4,5,6\r\n", "y", ["x"], ["z"]),
+    "lone-cr": (b"y,x,z\r1,2,3\r4,5,6\r", "y", ["x"], ["z"]),
+    "bom": (b"\xef\xbb\xbfy,x,z\n1,2,3\n4,5,6\n", "y", ["x"], ["z"]),
+    "blank-lines": (b"y,x,z\n\n1,2,3\n\r\n\n4,5,6\n\n", "y", ["x"], ["z"]),
+    "whitespace-line": (b"y,x,z\n1,2,3\n \t \n4,5,6\n", "y", ["x"], ["z"]),
+    "quoted-cell": (b'y,x,z\n"1.5",2,3\n4,"5",6\n', "y", ["x"], ["z"]),
+    # csv reads "c,d" as one cell; split at its comma, x and z would read 5 and 2
+    "quoted-comma": (b'y,s,a,x,z\n1,"c,d",5,2,3\n', "y", ["x"], ["z"]),
+    "underscore": (b"y,x,z\n1_0,2,3\n", "y", ["x"], ["z"]),
+    "padded": (b"y,x,z\n 4 ,\t2,3 \n", "y", ["x"], ["z"]),
+    "unicode-digit": ("y,x,z\n\u0661,2,3\n".encode(), "y", ["x"], ["z"]),
+    # the per-cell reader names the file's column and counts the blank row, Dataset would not
+    "nan": (b"y,x1,z\n1,2,3\n\n4,nan,6\n", "y", ["x1"], ["z"]),
+    "minus-inf": (b"y,x,w\n\n1,2,-inf\n", "y", ["x"], ["w"]),
+    "overflow": (b"y,x,z\n1e999,2,3\n", "y", ["x"], ["z"]),
+    "nan-unread": (b"y,x,z,w\n1,2,3,nan\n", "y", ["x"], ["z"]),
+    "text-cell": (b"y,x,z\n1,2,3\n\n4,abc,6\n", "y", ["x"], ["z"]),
+    "empty-cell": (b"y,x,z\n1,,3\n", "y", ["x"], ["z"]),
+    "short-row": (b"y,x,z\n1,2,3\n4,5\n", "y", ["x"], ["z"]),
+    "extra-columns": (b"y,x,z\n1,2,3,4,5\n6,7,8\n", "y", ["x"], ["z"]),
+    "x-is-z": (b"y,x\n1,2\n3,4\n", "y", ["x"], ["x"]),
+    "column-order": (b"z,x2,y,x1\n1,2,3,4\n5,6,7,8\n", "y", ["x1", "x2"], ["z"]),
+    "single-row": (b"y,x,z\n1,2,3", "y", ["x"], ["z"]),
+    "negative-zero": (b"y,x,z\n-0,-0.0,0\n", "y", ["x"], ["z"]),
+    "many-digits": (b"y,x,z\n0.1000000000000000055511151231257827021181583404541015625001,"
+                    b"5e-324,1.7976931348623157e308\n", "y", ["x"], ["z"]),
+    "header-only": (b"y,x,z\n", "y", ["x"], ["z"]),
+    "header-and-blank-lines": (b"y,x,z\n\n\n", "y", ["x"], ["z"]),
+    "empty-file": (b"", "y", ["x"], ["z"]),
+    "missing-column": (b"y,x\n1,2\n", "y", ["x"], ["z"]),
+}
+
+
+def _load_or_error(path, y, x, z):
+    try:
+        ds = load_csv(path, y, x, z)
+    except IvcheckError as exc:
+        return type(exc), str(exc)
+    return [(a.shape, a.strides, a.dtype, a.flags.writeable, a.tobytes()) for a in ds[:3]] + [
+        ds.column_names]
+
+
+@pytest.mark.parametrize("case", CSV_CORPUS)
+def test_load_csv_matches_the_per_cell_reader(tmp_path, monkeypatch, case):
+    # np.loadtxt reads the file, else the per-cell reader does: the same Dataset bit for bit,
+    # or the same error and message, as the per-cell reader gives alone
+    content, *columns = CSV_CORPUS[case]
+    p = tmp_path / "d.csv"
+    p.write_bytes(content)
+    loaded = _load_or_error(p, *columns)
+    monkeypatch.setattr(data, "_parse_columns", lambda lines, cols: None)
+    assert loaded == _load_or_error(p, *columns)
+
+
+def test_load_csv_reads_a_plain_file_without_the_per_cell_reader(tmp_path, monkeypatch):
+    p = tmp_path / "d.csv"
+    write_csv(generate(DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=200), RngSpec(seed=1)), p)
+    reference = load_csv(p, "y", ["x1"], ["z1"])
+    monkeypatch.setattr(data, "_read_cells", None)  # calling it would raise TypeError
+    ds = load_csv(p, "y", ["x1"], ["z1"])
+    assert all(np.array_equal(a, b) for a, b in zip(ds[:3], reference[:3]))
+
+
+def test_dataset_replace_goes_through_its_checks():
+    ds = Dataset(y=[1.0, 2.0], x=[3.0, 4.0], z=[5.0, 6.0])
+    moved = ds._replace(z=[[7], [8]])
+    assert moved.z.dtype == float and not moved.z.flags.writeable
+    assert np.array_equal(moved.z, [[7.0], [8.0]]) and moved.y is ds.y
+    with pytest.raises(NonFiniteValue, match="row 1"):
+        ds._replace(z=[1.0, np.nan])
+    with pytest.raises(IvcheckError, match="share the row count"):
+        ds._replace(x=[1.0])
+
+
+def test_dataset_column_names_default_to_a_new_dict():
+    one, two = (Dataset(y=[1.0], x=[2.0], z=[3.0]) for _ in range(2))
+    one.column_names["y"] = "outcome"
+    assert one.column_names == {"y": "outcome"} and two.column_names == {}

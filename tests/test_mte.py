@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -316,7 +315,21 @@ def test_control_function_rejects_nonpositive_bandwidth(bandwidths):
     ds, _ = _heterogeneous_ds(500, 7)
     cf = fit_control_function(ds, fit_propensity(ds))
     with pytest.raises(InsufficientData, match="bandwidth must be positive"):
-        dataclasses.replace(cf, **bandwidths)
+        cf._replace(**bandwidths)
+
+
+def test_control_function_replace_rebuilds_its_rows():
+    ds, _ = _heterogeneous_ds(500, 7)
+    cf = fit_control_function(ds, fit_propensity(ds))
+    wide = cf._replace(bandwidth_x=2 * cf.bandwidth_x)
+    assert np.array_equal(wide.rows.bandwidth, [2 * cf.bandwidth_x, cf.bandwidth_p])
+    assert np.array_equal(cf.rows.bandwidth, [cf.bandwidth_x, cf.bandwidth_p])
+    fresh = type(cf)(cf.x, cf.v_hat, cf.y, 2 * cf.bandwidth_x, cf.bandwidth_p)
+    values = [fit.planes(1.5, P_GRID, fit.y)[0] for fit in (wide, fresh, cf)]
+    assert np.array_equal(values[0], values[1], equal_nan=True)
+    assert not np.array_equal(values[0], values[2], equal_nan=True)
+    with pytest.raises(TypeError):
+        cf._replace(rows=cf.rows)  # derived from the other fields, never set
 
 
 def test_control_function_rejects_constant_regressor():

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -411,7 +410,7 @@ def test_cell_means_memory_bounded_at_200k():
 def _selector(smoother):
     """The smoother with its point design read through the dense one-hot selector of its coefficients."""
     eye = np.eye(len(smoother.coef))
-    return replace(smoother, design=lambda v: eye[smoother.design(v)])
+    return smoother._replace(design=lambda v: eye[smoother.design(v)])
 
 
 def _same_bits(got, want):

@@ -1,9 +1,11 @@
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ivcheck
@@ -73,3 +75,43 @@ def test_star_import_binds_every_public_name():
     exec("from ivcheck import *", namespace)
     assert set(PUBLIC) <= set(namespace)
     assert namespace["run_study"] is ivcheck.simulate.run_study
+
+
+def _records():
+    """One instance of every public record but CondMeanFit, whose field is a closure, from
+    small fits; the StudyResult holds CellResults."""
+    from ivcheck import (Conditioning, DgpFamily, DgpSpec, ModelForm, ModelSpec, RngSpec,
+                         TestConfig, build_for_spec, condition1_diagnostic, estimate_asf,
+                         fit_boxcox, fit_control_function, fit_iv, fit_propensity, generate,
+                         identified_set, run_study, sargan, test_model, uniformity_diagnostic)
+
+    spec = DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=300)
+    rng = RngSpec(seed=4, stream=2)
+    ds = generate(spec, rng)
+    cfg = TestConfig(mult_draws=200, grid_count=20)
+    model = ModelSpec(form=ModelForm.LINEAR, conditioning=Conditioning.ON_Z)
+    pf = fit_propensity(ds)
+    cf = fit_control_function(ds, pf)
+    boxcox = generate(DgpSpec(family=DgpFamily.BOXCOX_IV_NULL, n=300, lam=0.5), rng)
+    report = test_model(ds, model, cfg, rng)
+    return [spec, rng, ds, cfg, model, fit_iv(ds), fit_boxcox(boxcox, use_iv=True),
+            build_for_spec(fit_iv(ds), model, ds), report, report.levels[0.05],
+            identified_set(ds, lambda x, theta: theta * x[:, 0], [1.0, 2.0], cfg=cfg),
+            sargan(ds), pf, cf, uniformity_diagnostic(pf, ds.z[:, 0]),
+            condition1_diagnostic(pf, ds), estimate_asf(cf, pf, 0.0, (-100.0, 100.0)),
+            run_study([spec], reps=2, cfg=cfg, rng=rng)]
+
+
+def test_every_public_record_round_trips_through_pickle():
+    # the jobs > 1 pool pickles TestConfig, RngSpec and DgpSpec; the others go to user code
+    records = _records()
+    public = {name for name in PUBLIC if isinstance(getattr(ivcheck, name), type)
+              and issubclass(getattr(ivcheck, name), tuple)}
+    assert {type(r).__name__ for r in records} == public - {"CondMeanFit"}
+    for record in records:
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record)
+        np.testing.assert_equal(back, record)
+        assert back._fields == record._fields
+    ds = pickle.loads(pickle.dumps(records[2]))
+    assert not any(block.flags.writeable for block in ds[:3])

@@ -201,6 +201,27 @@ def test_spec_validation():
         DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=10)
 
 
+def test_spec_replace_goes_through_its_checks():
+    spec = DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=100)
+    with pytest.raises(IvcheckError, match="n must be at least 50"):
+        spec._replace(n=10)
+    with pytest.raises(IvcheckError, match="n must be at least 50"):
+        power_curve(spec, [40], reps=1)  # each n goes through `_replace`
+    assert spec._replace(n=60) == DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=60)
+
+
+def test_generate_tells_one_rng_spec_from_a_sequence_of_them():
+    # a RngSpec is a tuple too, but only a list or tuple of them draws a stack
+    spec = DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=100)
+    one = generate(spec, RngSpec(seed=2, stream=1))
+    assert one.y.shape == (100,) and one.x.shape == (100, 1)
+    for specs in ([RngSpec(seed=2, stream=1), RngSpec(seed=3)],
+                  (RngSpec(seed=2, stream=1), RngSpec(seed=3))):
+        stack = generate(spec, specs)
+        assert stack.y.shape == (2, 100) and stack.z.shape == (2, 100, 1)
+        assert np.array_equal(stack.y[0], one.y) and np.array_equal(stack.x[0], one.x)
+
+
 def test_run_study_rates_and_se():
     specs = [DgpSpec(family=DgpFamily.LINEAR_IV_POWER, n=400, L=1.0, sigma=0.25)]
     res = run_study(specs, [Method.CMI, Method.SARGAN], reps=30, cfg=Cfg(),
