@@ -259,7 +259,8 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
     """`estimate` of each slice of a stacked moment system, in order; one system is a stack of one.
 
     A stacked system (base (R, n, m), conditioning (R, n)) takes a sequence of one
-    RngSpec per slice. Each slice's grid and series order are set first: the grid
+    RngSpec per slice, and one system one RngSpec; anything else raises IvcheckError.
+    Each slice's grid and series order are set first: the grid
     passed in, checked here, else `conditioning_grid` for series and local-linear and
     the distinct values of `npreg.cells` for cell means, so that more than
     `npreg.MAX_CELLS` of them in any slice raise TooManyCells before any part is fitted.
@@ -278,9 +279,13 @@ def _estimates(ms: MomentSystem, grid, cfg: TestConfig, rng):
     if ms.conditioning.shape[-1] < MIN_ROWS:
         raise InsufficientData(f"the sup test needs n >= {MIN_ROWS} rows, "
                                f"got {ms.conditioning.shape[-1]}")
-    if ms.conditioning.ndim == 1:
-        ms, rng = ms._replace(base=ms.base[None], conditioning=ms.conditioning[None]), [rng]
-    c, method = ms.conditioning, cfg.method
+    stacked, got = ms.conditioning.ndim == 2, rng
+    if not stacked:
+        ms = ms._replace(base=ms.base[None], conditioning=ms.conditioning[None])
+    c, method, rng = ms.conditioning, cfg.method, list(rng) if stacked else [rng]
+    if len(rng) != len(c) or not all(isinstance(r, RngSpec) for r in rng):
+        raise IvcheckError((f"a stack of {len(c)} slices takes a sequence of {len(c)} RngSpecs"
+                            if stacked else "one system takes one RngSpec") + f", got {got!r}")
     orders = [npreg.capped_series_order(ci, cfg.series_order) if method == "series" else None
               for ci in c]
     if grid is not None:

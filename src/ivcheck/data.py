@@ -97,9 +97,10 @@ def load_csv(path, y_col, x_cols, z_cols) -> Dataset:
     Raises MissingColumn, ParseError, NonFiniteValue or EmptyData; rows keep
     file order. A leading UTF-8 byte-order mark, as spreadsheet exports write
     it, is not part of the first header cell. NumPy's C parser (`np.loadtxt`)
-    reads the selected columns, rounding each number as `float` does. A file
-    that it refuses, or that holds a quote or a non-finite value, is read again
-    cell by cell (`_read_cells`), which decides it and names a bad cell.
+    reads the selected columns, quoted cells by `csv`'s rules, rounding each
+    number as `float` does. A file that it refuses, or that holds a non-finite
+    value, is read again cell by cell (`_read_cells`), which decides it and
+    names a bad cell.
     """
     if isinstance(x_cols, str):
         x_cols = [x_cols]
@@ -137,27 +138,17 @@ def load_csv(path, y_col, x_cols, z_cols) -> Dataset:
 def _parse_columns(lines, cols) -> np.ndarray | None:
     """Columns `cols` of the comma-delimited `lines` as (rows, len(cols)) floats, by np.loadtxt.
 
-    None where `_read_cells` must decide: a line that loadtxt refuses, a
-    non-finite value, or a quote, which csv reads as quoting and loadtxt would not.
+    None where `_read_cells` must decide: a line that loadtxt refuses, or a non-finite value.
     """
     try:
         with warnings.catch_warnings():
             # a file without data rows warns "input contained no data"; load_csv raises EmptyData
             warnings.simplefilter("ignore", UserWarning)
-            arr = np.loadtxt(_unquoted(lines), delimiter=",", usecols=cols, comments=None,
-                             ndmin=2)
+            arr = np.loadtxt(lines, delimiter=",", usecols=cols, comments=None, ndmin=2,
+                             quotechar='"')
     except ValueError:
         return None
     return arr if np.isfinite(arr).all() else None
-
-
-def _unquoted(lines):
-    """The lines, up to one with a quote, which raises ValueError: csv reads a quoted cell
-    whole, where np.loadtxt would split it at its commas and shift the columns after it."""
-    for line in lines:
-        if '"' in line:
-            raise ValueError("a quoted cell")
-        yield line
 
 
 def _read_cells(reader, names, cols) -> np.ndarray:

@@ -182,19 +182,12 @@ class CellResult(NamedTuple):
     failures: int = 0
 
 
-class _StudyResultFields(NamedTuple):
+class StudyResult(NamedTuple):
+    """A study's cells, its runtime and `config`, run_study's settings and counts."""
+
     cells: tuple  # of CellResult
     runtime_seconds: float
     config: dict
-
-
-class StudyResult(_StudyResultFields):
-    """A study's cells; `config`, run_study's settings and counts, defaults to a new empty dict."""
-
-    __slots__ = ()
-
-    def __new__(cls, cells, runtime_seconds, config=None):
-        return super().__new__(cls, cells, runtime_seconds, {} if config is None else config)
 
     def rate(self, dgp_label: str, method: str, alpha: float) -> float:
         for cell in self.cells:
@@ -365,6 +358,8 @@ def run_study(
         raise IvcheckError("reps must be >= 1")
     if jobs < 1:
         raise IvcheckError("jobs must be >= 1")
+    if isinstance(specs, DgpSpec):
+        raise IvcheckError(f"run_study takes a sequence of DgpSpec, got one: {specs!r}")
     started = time.perf_counter()
     specs = list(specs)
     methods = list(methods)

@@ -1,4 +1,5 @@
 import ctypes
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -1222,6 +1223,25 @@ def test_stacked_run_test_equals_each_slice_alone(method):
     assert len(reports) == 3
     for got, want in zip(reports, alone):
         _assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("method", ["series", "local-linear", "cell-means"])
+def test_a_stack_takes_exactly_one_rng_spec_per_slice(method):
+    """Two RngSpecs for three slices would test two, four or one RngSpec would fail inside
+    the fit; each is refused up front, by run_test and by test_model, naming what was passed."""
+    stack, slices, cfg = _stack_of_three(method)
+    rngs = [RngSpec(seed=5, stream=i) for i in range(3)]
+    z = np.round(3 * stack.conditioning)[..., None]
+    ds = Dataset(y=stack.base[..., 0], x=z + stack.base[..., 1:], z=z)
+    for wrong in (rngs[:2], [*rngs, RngSpec()], rngs[0], [*rngs[:2], 7]):
+        with pytest.raises(IvcheckError, match=re.escape(
+                f"a stack of 3 slices takes a sequence of 3 RngSpecs, got {wrong!r}")):
+            run_test(stack, None, cfg, wrong)
+        with pytest.raises(IvcheckError, match="^a stack of 3 slices takes a sequence of 3 "):
+            model_test(ds, IV_SPEC, cfg, wrong)
+    with pytest.raises(IvcheckError, match=re.escape(
+            f"one system takes one RngSpec, got {rngs[:1]!r}")):
+        run_test(slices[0], None, cfg, rngs[:1])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -237,10 +237,17 @@ def test_run_study_rates_and_se():
 def test_study_rate_of_a_missing_cell_raises_key_error():
     cell = simulate.CellResult(dgp="null", method="cmi", alpha=0.05, rejection_rate=0.25,
                                replications=4, mc_se=0.2)
-    res = simulate.StudyResult(cells=(cell,), runtime_seconds=0.0)
+    res = simulate.StudyResult(cells=(cell,), runtime_seconds=0.0, config={})
     assert res.rate("null", "cmi", 0.05) == 0.25
     with pytest.raises(KeyError):
         res.rate("null", "sargan", 0.05)
+
+
+def test_run_study_refuses_one_spec_for_a_sequence():
+    spec = DgpSpec(family=DgpFamily.LINEAR_IV_NULL, n=300)
+    with pytest.raises(IvcheckError, match=re.escape(
+            f"run_study takes a sequence of DgpSpec, got one: {spec!r}")):
+        run_study(spec, reps=1)
 
 
 def test_run_study_deterministic_across_workers():
